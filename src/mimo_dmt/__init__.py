@@ -2,110 +2,18 @@
 transmitter-side channel estimate: a closed-form curve, an exhaustive
 grid-search cross-check, and a finite-SNR Monte Carlo outage sweep."""
 
-from .channel import (
-    ChannelConfig,
-    ChannelDraw,
-    EigenTriple,
-    check_perturbation_bound,
-    eig_ascending,
-    eigen_decay_weights,
-    eigen_triple,
-    sample_channel,
-    sample_channel_block,
-    wishart_log_norm_const,
-)
-from .tradeoff import (
-    CornerPoint,
-    DmtCurve,
-    DmtSegment,
-    active_indices,
-    baseline_no_csit,
-    baseline_rate_adaptation,
-    candidate_indices,
-    compute_dmt_curve,
-    diversity_boost,
-    eval_dmt,
-    eval_dmt_left_limit,
-    subset_corner_points,
-    subset_diversity,
-)
-from .oracle import (
-    GridOracleResult,
-    fade_weights,
-    grid_oracle,
-    grid_oracle_curve,
-    outage_condition,
-    subset_oracle,
-)
-from .simulate import (
-    OutageSweep,
-    PowerPolicy,
-    adapted_power,
-    calibrate_kappa,
-    estimate_mean_power,
-    outage_trial,
-    run_sweep,
-)
-from .reports import (
-    ReportSpec,
-    Row,
-    cmd_curve,
-    cmd_figures,
-    cmd_oracle_check,
-    cmd_simulate,
-    read_dataset,
-    write_dataset,
-)
-from .cli import DEFAULT_SEED, main
+from . import channel, cli, oracle, reports, simulate, tradeoff
+from .channel import *  # noqa: F403
+from .tradeoff import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .reports import *  # noqa: F403
+from .cli import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig",
-    "ChannelDraw",
-    "EigenTriple",
-    "check_perturbation_bound",
-    "eig_ascending",
-    "eigen_decay_weights",
-    "eigen_triple",
-    "sample_channel",
-    "sample_channel_block",
-    "wishart_log_norm_const",
-    "CornerPoint",
-    "DmtCurve",
-    "DmtSegment",
-    "active_indices",
-    "baseline_no_csit",
-    "baseline_rate_adaptation",
-    "candidate_indices",
-    "compute_dmt_curve",
-    "diversity_boost",
-    "eval_dmt",
-    "eval_dmt_left_limit",
-    "subset_corner_points",
-    "subset_diversity",
-    "GridOracleResult",
-    "fade_weights",
-    "grid_oracle",
-    "grid_oracle_curve",
-    "outage_condition",
-    "subset_oracle",
-    "OutageSweep",
-    "PowerPolicy",
-    "adapted_power",
-    "calibrate_kappa",
-    "estimate_mean_power",
-    "outage_trial",
-    "run_sweep",
-    "ReportSpec",
-    "Row",
-    "cmd_curve",
-    "cmd_figures",
-    "cmd_oracle_check",
-    "cmd_simulate",
-    "read_dataset",
-    "write_dataset",
-    "DEFAULT_SEED",
-    "main",
-    "__version__",
-]
+    name
+    for module in (channel, tradeoff, oracle, simulate, reports, cli)
+    for name in module.__all__
+] + ["__version__"]

@@ -40,6 +40,7 @@ _PARTS_PER_TRIAL = 4
 _HALF_ULP = 2.0 ** -54
 
 
+@dataclass(frozen=True)
 class ChannelConfig:
     """Antenna counts and estimate-quality exponent, orientation-canonical.
 
@@ -48,45 +49,21 @@ class ChannelConfig:
     ``n_rx``.
     """
 
-    __slots__ = ("m_tx", "n_rx", "alpha", "block_len")
+    m_tx: int
+    n_rx: int
+    alpha: float
 
-    def __init__(self, m, n, alpha, block_len=None):
-        m = int(m)
-        n = int(n)
+    def __post_init__(self):
+        m = int(self.m_tx)
+        n = int(self.n_rx)
         if m < 1 or n < 1:
             raise ValueError(f"antenna counts must be positive, got ({m}, {n})")
-        alpha = float(alpha)
+        alpha = float(self.alpha)
         if not math.isfinite(alpha) or alpha < 0.0:
             raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
-        m_tx, n_rx = (m, n) if m >= n else (n, m)
-        if block_len is not None:
-            block_len = int(block_len)
-            if block_len < m_tx + n_rx - 1:
-                raise ValueError(
-                    f"block_len must be at least m_tx + n_rx - 1 = "
-                    f"{m_tx + n_rx - 1}, got {block_len}")
-        object.__setattr__(self, "m_tx", m_tx)
-        object.__setattr__(self, "n_rx", n_rx)
+        object.__setattr__(self, "m_tx", max(m, n))
+        object.__setattr__(self, "n_rx", min(m, n))
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "block_len", block_len)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ChannelConfig is immutable")
-
-    def _key(self):
-        return (self.m_tx, self.n_rx, self.alpha, self.block_len)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChannelConfig):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"ChannelConfig(m_tx={self.m_tx}, n_rx={self.n_rx}, "
-                f"alpha={self.alpha}, block_len={self.block_len})")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,9 @@ closed-form tradeoff, ``oracle-check`` cross-validates it against the
 exhaustive grid search, ``simulate`` runs the finite-SNR outage sweep, and
 ``figures`` emits the canned datasets.  All randomized work defaults to the
 documented seed below so runs are reproducible by default.
+
+Exit codes: 0 on success, 1 when ``oracle-check`` finds a disagreement, and
+2 for a usage error (bad flags or values, or an unwritable output path).
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .channel import ChannelConfig
-from .reports import ReportSpec, cmd_curve, cmd_figures, cmd_oracle_check, cmd_simulate
+from .reports import cmd_curve, cmd_figures, cmd_oracle_check, cmd_simulate
 from .simulate import PowerPolicy
+
+__all__ = ["DEFAULT_SEED", "main"]
 
 DEFAULT_SEED = 1729
 
@@ -42,9 +47,12 @@ def _positive_float(text: str) -> float:
 
 
 def _alpha_values(args: argparse.Namespace) -> List[float]:
-    if args.alpha_list is not None:
-        return [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
-    return [float(args.alpha)]
+    if args.alpha_list is None:
+        return [float(args.alpha)]
+    alphas = [float(tok) for tok in args.alpha_list.split(",") if tok.strip()]
+    if not alphas:
+        raise ValueError(f"--alpha-list needs at least one value, got {args.alpha_list!r}")
+    return alphas
 
 
 def _rate_grid(n: int, step: float, include_zero: bool = True) -> List[float]:
@@ -83,30 +91,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 def _run_curve(args: argparse.Namespace) -> int:
     alphas = _alpha_values(args)
     cfg = ChannelConfig(args.m, args.n, alphas[0])
-    spec = ReportSpec(
-        command="curve",
-        cfg=cfg,
-        r_grid=_rate_grid(cfg.n_rx, args.r_step),
-        alpha_list=alphas,
-        output_path=args.out,
-        format=args.format,
-    )
-    cmd_curve(spec)
+    cmd_curve(cfg=cfg, alpha_list=alphas, r_grid=_rate_grid(cfg.n_rx, args.r_step),
+              out=args.out, fmt=args.format)
     return 0
 
 
 def _run_oracle_check(args: argparse.Namespace) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
-    spec = ReportSpec(
-        command="oracle-check",
-        cfg=cfg,
-        r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False),
-        output_path=args.out,
-        format=args.format,
-        grid_step=args.grid_step,
-        v_max=args.vmax,
-    )
-    _, ok = cmd_oracle_check(spec)
+    _, ok = cmd_oracle_check(
+        cfg=cfg, r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False),
+        grid_step=args.grid_step, v_max=args.vmax, out=args.out, fmt=args.format)
     return 0 if ok else 1
 
 
@@ -114,31 +108,14 @@ def _run_simulate(args: argparse.Namespace) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
     db_grid = np.linspace(args.rho_start_db, args.rho_stop_db, args.rho_points)
     rho_grid = [10.0 ** (db / 10.0) for db in db_grid]
-    policy = PowerPolicy(t=args.t, kappa_mode=args.kappa_mode)
-    spec = ReportSpec(
-        command="simulate",
-        cfg=cfg,
-        output_path=args.out,
-        format=args.format,
-        r=args.r,
-        rho_grid=rho_grid,
-        trials=args.trials,
-        policy=policy,
-        seed=args.seed,
-        workers=args.workers,
-    )
-    cmd_simulate(spec)
+    cmd_simulate(cfg=cfg, r=args.r, rho_grid=rho_grid, trials=args.trials,
+                 policy=PowerPolicy(t=args.t), seed=args.seed,
+                 workers=args.workers, out=args.out, fmt=args.format)
     return 0
 
 
 def _run_figures(args: argparse.Namespace) -> int:
-    spec = ReportSpec(
-        command="figures",
-        output_path=args.out,
-        format=args.format,
-        fig=args.fig,
-    )
-    cmd_figures(spec)
+    cmd_figures(fig=args.fig, out=args.out, fmt=args.format)
     return 0
 
 
@@ -184,9 +161,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="Monte Carlo trials per SNR point")
     sim.add_argument("--t", type=float, default=0.9,
                      help="power-adaptation damping exponent (default: 0.9)")
-    sim.add_argument("--kappa-mode", choices=("analytic", "calibrated"),
-                     default="calibrated",
-                     help="normalization constant mode (default: calibrated)")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"random seed (default: {DEFAULT_SEED})")
     sim.add_argument("--workers", type=_positive_int, default=1,
@@ -206,7 +180,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

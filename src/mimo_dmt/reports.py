@@ -23,18 +23,25 @@ from .channel import ChannelConfig
 from .oracle import grid_oracle_curve
 from .simulate import PowerPolicy, run_sweep
 from .tradeoff import (
-    DmtCurve,
     active_indices,
     baseline_no_csit,
     baseline_rate_adaptation,
     compute_dmt_curve,
     eval_dmt,
+    eval_dmt_jump,
     subset_diversity,
 )
 
-# Two curve points closer than this are treated as the same rate; a jump
-# smaller than this is treated as zero size.
-_JUMP_EPS = 1e-9
+__all__ = [
+    "Row",
+    "cmd_curve",
+    "cmd_figures",
+    "cmd_oracle_check",
+    "cmd_simulate",
+    "read_dataset",
+    "write_dataset",
+]
+
 _FIELDS = ("series", "x", "y", "aux_k", "aux_note")
 
 
@@ -47,28 +54,6 @@ class Row:
     y: float
     aux_k: Optional[int] = None
     aux_note: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ReportSpec:
-    """Options bundle describing a single report invocation."""
-
-    command: str
-    cfg: Optional[ChannelConfig] = None
-    r_grid: Optional[Sequence[float]] = None
-    alpha_list: Optional[Sequence[float]] = None
-    output_path: Optional[str] = None
-    format: str = "csv"
-    grid_step: float = 0.02
-    v_max: Optional[float] = None
-    tol_const: Optional[float] = None
-    r: Optional[float] = None
-    rho_grid: Optional[Sequence[float]] = None
-    trials: Optional[int] = None
-    policy: Optional[PowerPolicy] = None
-    seed: Optional[int] = None
-    workers: int = 1
-    fig: Optional[int] = None
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +110,6 @@ def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
         raise ValueError(f"unknown dataset format: {fmt!r}")
 
 
-def _parse_number(value) -> float:
-    if isinstance(value, str):
-        return float(value)
-    return float(value)
-
-
 def read_dataset(path) -> List[Row]:
     """Read a dataset written by :func:`write_dataset`, inferring the format
     from the file extension."""
@@ -143,8 +122,8 @@ def read_dataset(path) -> List[Row]:
             rows.append(
                 Row(
                     series=item["series"],
-                    x=_parse_number(item["x"]),
-                    y=_parse_number(item["y"]),
+                    x=float(item["x"]),
+                    y=float(item["y"]),
                     aux_k=None if item["aux_k"] is None else int(item["aux_k"]),
                     aux_note=item["aux_note"],
                 )
@@ -165,9 +144,9 @@ def read_dataset(path) -> List[Row]:
     return rows
 
 
-def _maybe_write(rows: Sequence[Row], spec: ReportSpec) -> None:
-    if spec.output_path is not None:
-        write_dataset(rows, spec.output_path, spec.format)
+def _maybe_write(rows: Sequence[Row], out, fmt: str) -> None:
+    if out is not None:
+        write_dataset(rows, out, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +156,6 @@ def _maybe_write(rows: Sequence[Row], spec: ReportSpec) -> None:
 
 def _format_alpha(alpha: float) -> str:
     return "%g" % float(alpha)
-
-
-def _left_limit_at(curve: DmtCurve, r: float) -> Optional[float]:
-    """If ``r`` sits at an interior discontinuity of the curve, return the
-    approach-from-below value; otherwise ``None``."""
-    for seg in curve.segments[:-1]:
-        if abs(r - seg.r_right) <= _JUMP_EPS:
-            value = eval_dmt(curve, seg.r_right)
-            if seg.d_right - value > _JUMP_EPS:
-                return seg.d_right
-    return None
 
 
 def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[float]) -> List[Row]:
@@ -207,11 +175,11 @@ def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[fl
             rows.append(Row(seg_name, seg.r_right, seg.d_right, seg.k, None))
         full_name = f"d_O[alpha={label}]"
         for r in grid:
-            limit = _left_limit_at(curve, r)
-            value = eval_dmt(curve, r)
-            if limit is None:
-                rows.append(Row(full_name, r, value, None, None))
+            jump = eval_dmt_jump(curve, r)
+            if jump is None:
+                rows.append(Row(full_name, r, eval_dmt(curve, r), None, None))
             else:
+                limit, value = jump
                 rows.append(Row(full_name, r, limit, None, "limit"))
                 rows.append(Row(full_name, r, value, None, "value"))
         for k in range(1, n + 1):
@@ -221,11 +189,12 @@ def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[fl
     return rows
 
 
-def cmd_curve(spec: ReportSpec) -> List[Row]:
+def cmd_curve(*, cfg: ChannelConfig, alpha_list: Sequence[float],
+              r_grid: Sequence[float], out=None, fmt: str = "csv") -> List[Row]:
     """Tabulate the tradeoff curve, its segments, and the per-subset overlays
     for each requested estimate-quality exponent."""
-    rows = _curve_rows(spec.cfg, list(spec.alpha_list), list(spec.r_grid))
-    _maybe_write(rows, spec)
+    rows = _curve_rows(cfg, list(alpha_list), list(r_grid))
+    _maybe_write(rows, out, fmt)
     return rows
 
 
@@ -234,29 +203,27 @@ def cmd_curve(spec: ReportSpec) -> List[Row]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_oracle_check(spec: ReportSpec) -> Tuple[List[Row], bool]:
+def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
+                     grid_step: float = 0.02, v_max: Optional[float] = None,
+                     out=None, fmt: str = "csv") -> Tuple[List[Row], bool]:
     """Compare the closed-form curve against the exhaustive grid search at
     each probe rate and flag any disagreement beyond the grid tolerance."""
-    cfg = spec.cfg
-    probes = [float(r) for r in spec.r_grid]
+    probes = [float(r) for r in r_grid]
     curve = compute_dmt_curve(cfg)
-    grid_vals = grid_oracle_curve(cfg, probes, step=spec.grid_step, v_max=spec.v_max)
-    if spec.tol_const is not None:
-        const = float(spec.tol_const)
-    else:
-        const = float(cfg.m_tx * cfg.n_rx + cfg.m_tx + cfg.n_rx)
-    tol = const * float(spec.grid_step) + 1e-9
+    grid_vals = grid_oracle_curve(cfg, probes, step=grid_step, v_max=v_max)
+    const = float(cfg.m_tx * cfg.n_rx + cfg.m_tx + cfg.n_rx)
+    tol = const * float(grid_step) + 1e-9
     rows: List[Row] = []
     ok = True
     for r, grid_y in zip(probes, grid_vals):
-        limit = _left_limit_at(curve, r)
-        if limit is None:
+        jump = eval_dmt_jump(curve, r)
+        if jump is None:
             cf_y = eval_dmt(curve, r)
             note = None
         else:
             # At a discontinuity the grid search sees the approach-from-below
             # optimum, so that is the value the comparison must use.
-            cf_y = limit
+            cf_y = jump[0]
             note = "left_limit"
         gap = abs(cf_y - float(grid_y))
         passed = bool(gap <= tol)
@@ -264,7 +231,7 @@ def cmd_oracle_check(spec: ReportSpec) -> Tuple[List[Row], bool]:
         rows.append(Row("closed_form", r, cf_y, None, note))
         rows.append(Row("grid_oracle", r, float(grid_y), None, None))
         rows.append(Row("gap", r, gap, None, "pass" if passed else "fail"))
-    _maybe_write(rows, spec)
+    _maybe_write(rows, out, fmt)
     return rows, ok
 
 
@@ -273,33 +240,21 @@ def cmd_oracle_check(spec: ReportSpec) -> Tuple[List[Row], bool]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(spec: ReportSpec) -> List[Row]:
+def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
+                 trials: int, policy: PowerPolicy, seed: int, workers: int = 1,
+                 out=None, fmt: str = "csv") -> List[Row]:
     """Run the outage sweep and tabulate probabilities, confidence intervals,
     and the fitted high-SNR slope."""
-    sweep = run_sweep(
-        spec.cfg,
-        spec.r,
-        list(spec.rho_grid),
-        spec.trials,
-        spec.policy,
-        seed=spec.seed,
-        workers=spec.workers,
-    )
+    sweep = run_sweep(cfg, r, list(rho_grid), trials, policy, seed=seed,
+                      workers=workers)
     rows: List[Row] = []
     for rho, p in zip(sweep.rho_grid, sweep.p_out):
-        rows.append(Row("p_out", float(rho), float(p), spec.trials, None))
+        rows.append(Row("p_out", float(rho), float(p), trials, None))
     for rho, half in zip(sweep.rho_grid, sweep.ci_half_width):
-        rows.append(Row("ci", float(rho), float(half), spec.trials, None))
-    rows.append(
-        Row(
-            "summary",
-            float(spec.policy.t),
-            float(sweep.fitted_slope),
-            None,
-            spec.policy.kappa_mode,
-        )
-    )
-    _maybe_write(rows, spec)
+        rows.append(Row("ci", float(rho), float(half), trials, None))
+    rows.append(Row("summary", float(policy.t), float(sweep.fitted_slope), None,
+                    "calibrated"))
+    _maybe_write(rows, out, fmt)
     return rows
 
 
@@ -368,11 +323,11 @@ _FIGURES = {
 }
 
 
-def cmd_figures(spec: ReportSpec) -> List[Row]:
+def cmd_figures(*, fig: int, out=None, fmt: str = "csv") -> List[Row]:
     """Build one of the canned datasets by figure id."""
-    builder = _FIGURES.get(spec.fig)
+    builder = _FIGURES.get(fig)
     if builder is None:
-        raise ValueError(f"unknown figure id: {spec.fig!r}")
+        raise ValueError(f"unknown figure id: {fig!r}")
     rows = builder()
-    _maybe_write(rows, spec)
+    _maybe_write(rows, out, fmt)
     return rows

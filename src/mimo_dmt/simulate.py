@@ -3,8 +3,7 @@
 The transmitter scales its power by ``kappa * (prod of estimate eigenvalues
 raised to damped decay weights) ** -t``: deeper estimated fades earn more
 power.  ``kappa`` normalizes the long-run average power back to the budget;
-it is found either from the asymptotic constant ("analytic") or by
-estimating the mean weight with importance sampling ("calibrated").
+it is the reciprocal of the mean weight, estimated by importance sampling.
 
 The calibration samples eigenvalue spacings from gamma proposals whose
 shapes are the damped decay weights, which makes the weight estimator
@@ -26,6 +25,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .channel import (
+    _bit_generator,
     eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
@@ -43,8 +43,6 @@ __all__ = [
     "run_sweep",
 ]
 
-_MASK64 = (1 << 64) - 1
-
 #: Batch size used when a sweep calibrates its own kappa.
 CAL_BATCH = 100_000
 _MIN_CAL_BATCH = 10_000
@@ -60,12 +58,11 @@ class PowerPolicy:
     """Power-adaptation settings.
 
     ``t`` in ``[0, 1)`` is the damping of the fade-inversion exponent
-    (0 = constant power); ``kappa_mode`` chooses how the average-power
-    normalizer is found when it is not already ``kappa``-resolved.
+    (0 = constant power); ``kappa`` is the average-power normalizer, or
+    ``None`` until :func:`calibrate_kappa` resolves it for an SNR point.
     """
 
     t: float = 0.9
-    kappa_mode: str = "calibrated"
     kappa: float | None = None
 
     def __post_init__(self):
@@ -73,10 +70,6 @@ class PowerPolicy:
         if not (0.0 <= t < 1.0):
             raise ValueError(f"damping t must lie in [0, 1), got {self.t}")
         object.__setattr__(self, "t", t)
-        if self.kappa_mode not in ("analytic", "calibrated"):
-            raise ValueError(
-                f"kappa_mode must be 'analytic' or 'calibrated', got "
-                f"{self.kappa_mode!r}")
         if self.kappa is not None:
             kappa = float(self.kappa)
             if not (kappa > 0.0):
@@ -104,8 +97,6 @@ def adapted_power(cfg, b, policy, p_bar):
     decay weights, so the weakest estimated direction drives the boost the
     least steeply.
     """
-    if policy.kappa is None:
-        raise ValueError("policy kappa is unresolved; calibrate it first")
     b = np.asarray(b, dtype=float)
     if b.shape != (cfg.n_rx,):
         raise ValueError(f"expected {cfg.n_rx} eigenvalues, got shape {b.shape}")
@@ -113,10 +104,18 @@ def adapted_power(cfg, b, policy, p_bar):
         raise ValueError("estimate eigenvalues must be strictly positive")
     if (np.diff(b) < 0).any():
         raise ValueError("estimate eigenvalues must be sorted ascending")
+    return float(_batch_power(cfg, b[None, :], policy, p_bar)[0])
+
+
+def _batch_power(cfg, b, policy, p_bar):
+    """:func:`adapted_power` for a ``(trials, n_rx)`` batch of eigenvalues."""
+    if policy.kappa is None:
+        raise ValueError("policy kappa is unresolved; calibrate it first")
     if policy.t == 0.0:
-        return float(policy.kappa * p_bar)
+        return np.full(len(b), policy.kappa * p_bar)
     c = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
-    return float(policy.kappa * p_bar * math.exp(-policy.t * float(np.log(b) @ c)))
+    log_b = np.log(np.maximum(b, np.finfo(float).tiny))
+    return policy.kappa * p_bar * np.exp(-policy.t * (log_b @ c))
 
 
 def _log_is_weights(cfg, s, t, batch, seed, stream):
@@ -134,8 +133,7 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     c = eigen_decay_weights(m, n)
     g = (1.0 - t) * c
     beta = s / np.arange(n, 0, -1)
-    rng = np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64]))
+    rng = np.random.Generator(_bit_generator(seed, stream))
     boost = rng.gamma(g + 1.0, 1.0, size=(batch, n))
     logu = np.log1p(-rng.random((batch, n)))
     log_sp = np.log(boost) + logu / g + np.log(beta)
@@ -162,14 +160,15 @@ def _mean_damped_weight(cfg, rho, t, batch, seed, stream):
     return mean, rel_err
 
 
-def _analytic_kappa(cfg, rho, t):
-    """Asymptotic normalizer: exact in the high-SNR limit."""
-    m, n = cfg.m_tx, cfg.n_rx
-    s = 1.0 + rho ** -cfg.alpha
-    kappa = math.exp(wishart_log_norm_const(m, n)) * s ** (m * n)
-    for c in eigen_decay_weights(m, n):
-        kappa *= c * (1.0 - t)
-    return float(kappa)
+def _check_batch_rho(batch, rho):
+    batch = int(batch)
+    if batch < _MIN_CAL_BATCH:
+        raise ValueError(
+            f"sampling batch must be at least {_MIN_CAL_BATCH}, got {batch}")
+    rho = float(rho)
+    if not (rho > 0.0):
+        raise ValueError(f"rho must be positive, got {rho}")
+    return batch, rho
 
 
 def calibrate_kappa(cfg, rho, policy, batch, seed, stream=1):
@@ -177,21 +176,12 @@ def calibrate_kappa(cfg, rho, policy, batch, seed, stream=1):
 
     With no damping the power is already constant at the budget, so the
     normalizer is exactly 1.  Otherwise ``kappa`` is the reciprocal of the
-    mean damped weight, from the asymptotic constant ("analytic") or from
-    importance sampling ("calibrated"); the sampled route warns when the
-    achieved relative error misses the convergence target.
+    mean damped weight, estimated by importance sampling; a warning reports
+    an achieved relative error that misses the convergence target.
     """
-    batch = int(batch)
-    if batch < _MIN_CAL_BATCH:
-        raise ValueError(
-            f"calibration batch must be at least {_MIN_CAL_BATCH}, got {batch}")
-    rho = float(rho)
-    if not (rho > 0.0):
-        raise ValueError(f"rho must be positive, got {rho}")
+    batch, rho = _check_batch_rho(batch, rho)
     if policy.t == 0.0:
         return 1.0
-    if policy.kappa_mode == "analytic":
-        return _analytic_kappa(cfg, rho, policy.t)
     mean, rel_err = _mean_damped_weight(cfg, rho, policy.t, batch, seed, stream)
     if rel_err > _REL_ERR_TARGET:
         warnings.warn(
@@ -211,13 +201,7 @@ def estimate_mean_power(cfg, rho, policy, batch, seed, stream=2):
     """
     if policy.kappa is None:
         raise ValueError("policy kappa is unresolved; calibrate it first")
-    batch = int(batch)
-    if batch < _MIN_CAL_BATCH:
-        raise ValueError(
-            f"estimation batch must be at least {_MIN_CAL_BATCH}, got {batch}")
-    rho = float(rho)
-    if not (rho > 0.0):
-        raise ValueError(f"rho must be positive, got {rho}")
+    batch, rho = _check_batch_rho(batch, rho)
     if policy.t == 0.0:
         return float(policy.kappa * rho)
     mean, _ = _mean_damped_weight(cfg, rho, policy.t, batch, seed, stream)
@@ -228,10 +212,6 @@ def _resolve_policy(cfg, rho, policy, seed, stream):
     """Fill in ``kappa`` for one SNR point, if not already resolved."""
     if policy.kappa is not None:
         return policy
-    if policy.t == 0.0:
-        return replace(policy, kappa=1.0)
-    if policy.kappa_mode == "analytic":
-        return replace(policy, kappa=_analytic_kappa(cfg, rho, policy.t))
     kappa = calibrate_kappa(cfg, rho, policy, CAL_BATCH, seed, stream=stream)
     return replace(policy, kappa=kappa)
 
@@ -248,12 +228,7 @@ def _count_outages_span(cfg, rho, r, policy, seed, stream, start, count):
     else:
         a = eig_ascending(block.h)
         b = eig_ascending(est)
-    if policy.t == 0.0:
-        power = np.full(count, policy.kappa * rho)
-    else:
-        c = eigen_decay_weights(m, n)
-        log_b = np.log(np.maximum(b, np.finfo(float).tiny))
-        power = policy.kappa * rho * np.exp(-policy.t * (log_b @ c))
+    power = _batch_power(cfg, b, policy, rho)
     capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
     return int((capacity < r * math.log2(rho)).sum())
 
@@ -261,8 +236,6 @@ def _count_outages_span(cfg, rho, r, policy, seed, stream, start, count):
 def outage_trial(cfg, rho, r, policy, seed):
     """Whether trial 0 of ``seed`` is in outage at SNR ``rho`` and rate
     ``r * log2(rho)``."""
-    if policy.kappa is None:
-        raise ValueError("policy kappa is unresolved; calibrate it first")
     rho = float(rho)
     if not (rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")

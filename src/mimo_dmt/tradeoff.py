@@ -29,6 +29,7 @@ __all__ = [
     "compute_dmt_curve",
     "diversity_boost",
     "eval_dmt",
+    "eval_dmt_jump",
     "eval_dmt_left_limit",
     "subset_corner_points",
     "subset_diversity",
@@ -204,14 +205,36 @@ def eval_dmt(curve, r):
     raise AssertionError("unreachable")
 
 
+def _piece_ending_at(curve, r):
+    """The piece whose right end lies within ``_BOUNDARY_SNAP`` of ``r``."""
+    for seg in curve.segments:
+        if abs(r - seg.r_right) <= _BOUNDARY_SNAP:
+            return seg
+    return None
+
+
 def eval_dmt_left_limit(curve, r):
     """Like :func:`eval_dmt` but returns the limit from the left at a piece
     boundary (within ``1e-9``), where the curve may jump."""
     r = float(r)
-    for seg in curve.segments:
-        if abs(r - seg.r_right) <= _BOUNDARY_SNAP:
-            return seg.d_right
-    return eval_dmt(curve, r)
+    seg = _piece_ending_at(curve, r)
+    return eval_dmt(curve, r) if seg is None else seg.d_right
+
+
+def eval_dmt_jump(curve, r):
+    """``(left limit, attained value)`` of a jump within ``1e-9`` of ``r``.
+
+    Both sides are taken at the boundary itself, not at ``r``.  Returns
+    ``None`` when no boundary lies that close or the curve drops there by
+    no more than ``1e-9``.
+    """
+    seg = _piece_ending_at(curve, float(r))
+    if seg is None:
+        return None
+    value = eval_dmt(curve, seg.r_right)
+    if seg.d_right - value <= _BOUNDARY_SNAP:
+        return None
+    return seg.d_right, value
 
 
 def subset_corner_points(cfg, k):

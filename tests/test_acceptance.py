@@ -10,7 +10,7 @@ from scipy.special import gammainc
 
 from mimo_dmt.channel import ChannelConfig, eig_ascending, sample_channel_block
 from mimo_dmt.oracle import grid_oracle_curve
-from mimo_dmt.reports import ReportSpec, cmd_simulate
+from mimo_dmt.reports import cmd_simulate
 from mimo_dmt.simulate import PowerPolicy, calibrate_kappa, estimate_mean_power, run_sweep
 from mimo_dmt.tradeoff import (
     active_indices,
@@ -146,9 +146,9 @@ def test_criterion_06_perturbation_bound_suite():
 def test_criterion_07_power_constraint():
     start = time.perf_counter()
     cfg = ChannelConfig(2, 2, 0.5)
-    pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+    pol = PowerPolicy(t=0.9)
     kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=700)
-    resolved = PowerPolicy(t=0.9, kappa_mode="calibrated", kappa=kappa)
+    resolved = PowerPolicy(t=0.9, kappa=kappa)
     mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=701)
     ratio = mean_p / 1000.0
     assert 0.98 <= ratio <= 1.02, ratio
@@ -173,7 +173,7 @@ def test_criterion_09_finite_snr_ordering():
     start = time.perf_counter()
     rho_grid = [float(10.0 ** e) for e in np.linspace(1, 5, 6)]
     trials = 1_000_000
-    pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+    pol = PowerPolicy(t=0.9)
     sweeps = {}
     for alpha in (0.0, 0.5):
         cfg = ChannelConfig(1, 2, alpha)
@@ -188,14 +188,11 @@ def test_criterion_09_finite_snr_ordering():
 
 @_report(10, "simulate datasets are identical for any worker count")
 def test_criterion_10_worker_determinism():
-    def spec(workers):
-        return ReportSpec(
-            command="simulate", cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=None, alpha_list=None, output_path=None, format="csv",
-            r=1.0, rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
-            policy=PowerPolicy(t=0.9, kappa_mode="calibrated"),
-            seed=1000, workers=workers)
-    rows_1 = cmd_simulate(spec(1))
-    rows_3 = cmd_simulate(spec(3))
-    rows_5 = cmd_simulate(spec(5))
+    def rows(workers):
+        return cmd_simulate(
+            cfg=ChannelConfig(2, 2, 0.5), r=1.0, rho_grid=[10.0, 100.0, 1000.0],
+            trials=20_000, policy=PowerPolicy(t=0.9), seed=1000, workers=workers)
+    rows_1 = rows(1)
+    rows_3 = rows(3)
+    rows_5 = rows(5)
     assert rows_1 == rows_3 == rows_5

@@ -51,16 +51,21 @@ class TestChannelConfig:
         cfg = ChannelConfig(3, 2, 0.0)
         assert cfg.alpha == 0.0
 
-    def test_block_len_minimum(self):
-        # Minimum coherence block is m_tx + n_rx - 1 symbols.
-        cfg = ChannelConfig(3, 2, 0.5, block_len=4)
-        assert cfg.block_len == 4
-        with pytest.raises(ValueError):
-            ChannelConfig(3, 2, 0.5, block_len=3)
+    def test_swapped_orientations_equal(self):
+        assert ChannelConfig(2, 3, 0.5) == ChannelConfig(3, 2, 0.5)
+        assert ChannelConfig(2, 3, 0.5) != ChannelConfig(3, 2, 0.25)
 
-    def test_block_len_optional(self):
+    def test_swapped_orientations_hash_equal(self):
+        assert hash(ChannelConfig(2, 3, 0.5)) == hash(ChannelConfig(3, 2, 0.5))
+        assert len({ChannelConfig(2, 3, 0.5), ChannelConfig(3, 2, 0.5)}) == 1
+
+    def test_immutable(self):
         cfg = ChannelConfig(3, 2, 0.5)
-        assert cfg.block_len is None
+        with pytest.raises(AttributeError):
+            cfg.alpha = 1.0
+        with pytest.raises(AttributeError):
+            cfg.m_tx = 5
+        assert (cfg.m_tx, cfg.n_rx, cfg.alpha) == (3, 2, 0.5)
 
 
 class TestSampleChannel:

@@ -133,6 +133,28 @@ class TestFiguresCommand:
         assert exc.value.code == 2
 
 
+class TestUsageErrors:
+    SIM = ["simulate", "--m", "1", "--n", "1", "--alpha", "0", "--r", "0.5",
+           "--trials", "1000"]
+
+    @pytest.mark.parametrize("argv,out_name", [
+        (SIM + ["--t", "1.5"], "s.csv"),
+        (SIM + ["--rho-points", "1"], "s.csv"),
+        (["curve", "--m", "2", "--n", "2", "--alpha-list", ","], "c.csv"),
+        (["oracle-check", "--m", "5", "--n", "5", "--alpha", "0.1"], "o.csv"),
+        (["figures", "--fig", "2"], "nodir/f.csv"),
+    ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir"])
+    def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
+        # Exit code 1 is reserved for an oracle-check disagreement.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / out_name)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+
+
 class TestTopLevel:
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 """Tests for dataset emission: round-tripping and report commands."""
+import hashlib
 import json
 import math
 
@@ -6,9 +7,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mimo_dmt import reports
 from mimo_dmt.channel import ChannelConfig
 from mimo_dmt.reports import (
-    ReportSpec,
     Row,
     cmd_curve,
     cmd_figures,
@@ -70,11 +71,10 @@ class TestRoundTrip:
 
 class TestCmdCurve:
     def test_single_line_config(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(3, 3, 0.5),
+        rows = cmd_curve(
+            cfg=ChannelConfig(3, 3, 0.5),
             r_grid=list(np.linspace(0.0, 3.0, 7)), alpha_list=[0.5],
-            output_path=str(tmp_path / "c.csv"), format="csv")
-        rows = cmd_curve(spec)
+            out=str(tmp_path / "c.csv"), fmt="csv")
         segs = rows_by_series(rows, "segments[alpha=0.5]")
         assert len(segs) == 2  # one segment: left + right endpoint rows
         d0 = [row for row in rows_by_series(rows, "d_O[alpha=0.5]") if row.x == 0.0]
@@ -82,11 +82,10 @@ class TestCmdCurve:
         assert (tmp_path / "c.csv").exists()
 
     def test_jump_rows(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(4, 2, 0.1),
+        rows = cmd_curve(
+            cfg=ChannelConfig(4, 2, 0.1),
             r_grid=list(np.linspace(0.0, 2.0, 21)), alpha_list=[0.1],
-            output_path=str(tmp_path / "c.csv"), format="csv")
-        rows = cmd_curve(spec)
+            out=str(tmp_path / "c.csv"), fmt="csv")
         jump = [row for row in rows_by_series(rows, "d_O[alpha=0.1]")
                 if abs(row.x - 1.3) < 1e-9]
         notes = {row.aux_note: row.y for row in jump}
@@ -94,12 +93,24 @@ class TestCmdCurve:
         assert notes["limit"] == pytest.approx(7.9, rel=1e-12)
         assert notes["value"] == pytest.approx(3.9, rel=1e-12)
 
+    def test_jump_rows_at_rate_just_below_boundary(self):
+        # On the 4x4 link at alpha = 0.1 the grid rate 1.9 sits one ulp below
+        # the computed boundary 1.9000000000000001; both rows must describe
+        # the jump there, not repeat the limit.
+        rows = cmd_curve(cfg=ChannelConfig(4, 4, 0.1), alpha_list=[0.1],
+                         r_grid=[round(0.05 * i, 10) for i in range(81)])
+        jump = [row for row in rows_by_series(rows, "d_O[alpha=0.1]")
+                if row.x == 1.9]
+        notes = {row.aux_note: row.y for row in jump}
+        assert set(notes) == {"limit", "value"}
+        assert notes["limit"] == pytest.approx(28.3, rel=1e-12)
+        assert notes["value"] == pytest.approx(17.1, rel=1e-12)
+
     def test_baseline_reduction_corners(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(2, 2, 0.0),
+        rows = cmd_curve(
+            cfg=ChannelConfig(2, 2, 0.0),
             r_grid=[0.0, 0.5, 1.0, 1.5, 2.0], alpha_list=[0.0],
-            output_path=str(tmp_path / "c.json"), format="json")
-        rows = cmd_curve(spec)
+            out=str(tmp_path / "c.json"), fmt="json")
         d_o = rows_by_series(rows, "d_O[alpha=0]")
         got = {(row.x, row.y) for row in d_o}
         assert {(0.0, 4.0), (1.0, 1.0), (2.0, 0.0)} <= got
@@ -107,11 +118,10 @@ class TestCmdCurve:
         assert not any(row.aux_note in ("limit", "value") for row in d_o)
 
     def test_subset_overlays(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(4, 2, 0.1),
+        rows = cmd_curve(
+            cfg=ChannelConfig(4, 2, 0.1),
             r_grid=[0.0, 1.0, 2.0], alpha_list=[0.1],
-            output_path=str(tmp_path / "c.csv"), format="csv")
-        rows = cmd_curve(spec)
+            out=str(tmp_path / "c.csv"), fmt="csv")
         d1 = rows_by_series(rows, "d_k[k=1,alpha=0.1]")
         d2 = rows_by_series(rows, "d_k[k=2,alpha=0.1]")
         assert {row.x for row in d1} == {0.0, 1.0, 2.0}
@@ -123,31 +133,26 @@ class TestCmdCurve:
         assert by_x2[1.0] == pytest.approx(9.4, rel=1e-12)
 
     def test_multiple_alphas(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(2, 2, 0.5),
+        rows = cmd_curve(
+            cfg=ChannelConfig(2, 2, 0.5),
             r_grid=[0.0, 1.0, 2.0], alpha_list=[0.1, 0.5],
-            output_path=str(tmp_path / "c.csv"), format="csv")
-        rows = cmd_curve(spec)
+            out=str(tmp_path / "c.csv"), fmt="csv")
         assert rows_by_series(rows, "d_O[alpha=0.1]")
         assert rows_by_series(rows, "d_O[alpha=0.5]")
 
     def test_rejects_out_of_range_grid(self, tmp_path):
-        spec = ReportSpec(
-            command="curve", cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=[0.0, 2.5], alpha_list=[0.5],
-            output_path=str(tmp_path / "c.csv"), format="csv")
         with pytest.raises(ValueError):
-            cmd_curve(spec)
+            cmd_curve(
+                cfg=ChannelConfig(2, 2, 0.5),
+                r_grid=[0.0, 2.5], alpha_list=[0.5],
+                out=str(tmp_path / "c.csv"), fmt="csv")
 
 
 class TestCmdOracleCheck:
     def test_scalar_case(self, tmp_path):
-        spec = ReportSpec(
-            command="oracle-check", cfg=ChannelConfig(1, 1, 0.0),
-            r_grid=[0.5], alpha_list=None,
-            output_path=str(tmp_path / "o.csv"), format="csv",
-            grid_step=0.01)
-        rows, ok = cmd_oracle_check(spec)
+        rows, ok = cmd_oracle_check(
+            cfg=ChannelConfig(1, 1, 0.0), r_grid=[0.5],
+            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.01)
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(0.5, rel=1e-12)
@@ -157,12 +162,10 @@ class TestCmdOracleCheck:
         assert gap.aux_note == "pass"
 
     def test_two_by_two_with_jump(self, tmp_path):
-        spec = ReportSpec(
-            command="oracle-check", cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=[round(0.05 * i, 10) for i in range(1, 41)], alpha_list=None,
-            output_path=str(tmp_path / "o.csv"), format="csv",
-            grid_step=0.05)
-        rows, ok = cmd_oracle_check(spec)
+        rows, ok = cmd_oracle_check(
+            cfg=ChannelConfig(2, 2, 0.5),
+            r_grid=[round(0.05 * i, 10) for i in range(1, 41)],
+            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
         assert ok
         gaps = rows_by_series(rows, "gap")
         assert all(row.aux_note == "pass" for row in gaps)
@@ -174,42 +177,34 @@ class TestCmdOracleCheck:
         assert cf_jump.y == pytest.approx(7.5, rel=1e-12)
 
     def test_three_by_three_segment_region(self, tmp_path):
-        spec = ReportSpec(
-            command="oracle-check", cfg=ChannelConfig(3, 3, 1.0 / 3.0),
-            r_grid=[2.2], alpha_list=None,
-            output_path=str(tmp_path / "o.csv"), format="csv",
-            grid_step=0.05)
-        rows, ok = cmd_oracle_check(spec)
+        rows, ok = cmd_oracle_check(
+            cfg=ChannelConfig(3, 3, 1.0 / 3.0), r_grid=[2.2],
+            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(25.0, rel=1e-12)
 
-    def test_failure_reported(self, tmp_path):
-        # An artificially tight tolerance makes rows fail and flips ok.
-        spec = ReportSpec(
-            command="oracle-check", cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=[0.4], alpha_list=None,
-            output_path=str(tmp_path / "o.csv"), format="csv",
-            grid_step=0.05, tol_const=1e-9)
-        rows, ok = cmd_oracle_check(spec)
+    def test_failure_reported(self, tmp_path, monkeypatch):
+        # An oracle that misses the closed form by more than the grid
+        # tolerance makes rows fail and flips ok.
+        monkeypatch.setattr(reports, "grid_oracle_curve",
+                            lambda cfg, r_probes, step, v_max: [100.0] * len(r_probes))
+        rows, ok = cmd_oracle_check(
+            cfg=ChannelConfig(2, 2, 0.5), r_grid=[0.4],
+            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
         assert not ok
         assert rows_by_series(rows, "gap")[0].aux_note == "fail"
 
 
 class TestCmdSimulate:
-    def _spec(self, tmp_path, **kw):
-        defaults = dict(
-            command="simulate", cfg=ChannelConfig(1, 1, 0.0),
-            r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "s.csv"), format="csv",
-            r=0.5, rho_grid=[10.0, 100.0, 1000.0], trials=2000,
-            policy=PowerPolicy(t=0.0, kappa_mode="calibrated"),
-            seed=1729, workers=1)
-        defaults.update(kw)
-        return ReportSpec(**defaults)
+    def _run(self, tmp_path):
+        return cmd_simulate(
+            cfg=ChannelConfig(1, 1, 0.0), r=0.5, rho_grid=[10.0, 100.0, 1000.0],
+            trials=2000, policy=PowerPolicy(t=0.0), seed=1729, workers=1,
+            out=str(tmp_path / "s.csv"), fmt="csv")
 
     def test_rows_and_summary(self, tmp_path):
-        rows = cmd_simulate(self._spec(tmp_path))
+        rows = self._run(tmp_path)
         p_rows = rows_by_series(rows, "p_out")
         assert [row.x for row in p_rows] == [10.0, 100.0, 1000.0]
         assert all(row.aux_k == 2000 for row in p_rows)
@@ -220,17 +215,14 @@ class TestCmdSimulate:
         assert math.isfinite(summary.y)
 
     def test_deterministic(self, tmp_path):
-        a = cmd_simulate(self._spec(tmp_path))
-        b = cmd_simulate(self._spec(tmp_path))
+        a = self._run(tmp_path)
+        b = self._run(tmp_path)
         assert a == b
 
 
 class TestCmdFigures:
     def test_fig4_series_values(self, tmp_path):
-        spec = ReportSpec(
-            command="figures", cfg=None, r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "f4.csv"), format="csv", fig=4)
-        rows = cmd_figures(spec)
+        rows = cmd_figures(fig=4, out=str(tmp_path / "f4.csv"), fmt="csv")
         at = {}
         for name in ("no_csit", "rate_adaptation", "power_adaptation", "gap_power_minus_rate"):
             series = rows_by_series(rows, name)
@@ -244,10 +236,7 @@ class TestCmdFigures:
         assert at["gap_power_minus_rate"][0.5] == pytest.approx(6.0, rel=1e-12)
 
     def test_fig5_branches(self, tmp_path):
-        spec = ReportSpec(
-            command="figures", cfg=None, r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "f5.csv"), format="csv", fig=5)
-        rows = cmd_figures(spec)
+        rows = cmd_figures(fig=5, out=str(tmp_path / "f5.csv"), fmt="csv")
         series = rows_by_series(rows, "d_full_rate")
         by_x = {row.x: row for row in series}
         assert by_x[0.2].y == pytest.approx(18.8, rel=1e-12)
@@ -262,17 +251,11 @@ class TestCmdFigures:
         assert by_x[0.25].aux_k == 3
 
     def test_fig2_and_fig3_datasets(self, tmp_path):
-        spec2 = ReportSpec(
-            command="figures", cfg=None, r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "f2.csv"), format="csv", fig=2)
-        rows2 = cmd_figures(spec2)
+        rows2 = cmd_figures(fig=2, out=str(tmp_path / "f2.csv"), fmt="csv")
         names = {row.series for row in rows2}
         assert any("alpha=0.5" in s and s.startswith("d_O") for s in names)
         assert any("alpha=1" in s and s.startswith("d_O") for s in names)
-        spec3 = ReportSpec(
-            command="figures", cfg=None, r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "f3.json"), format="json", fig=3)
-        rows3 = cmd_figures(spec3)
+        rows3 = cmd_figures(fig=3, out=str(tmp_path / "f3.json"), fmt="json")
         names3 = {row.series for row in rows3}
         assert "d_k[k=1,alpha=0.1]" in names3
         assert "d_k[k=2,alpha=0.1]" in names3
@@ -280,8 +263,25 @@ class TestCmdFigures:
         assert len(loaded) == len(rows3)
 
     def test_unknown_fig_rejected(self, tmp_path):
-        spec = ReportSpec(
-            command="figures", cfg=None, r_grid=None, alpha_list=None,
-            output_path=str(tmp_path / "f.csv"), format="csv", fig=7)
         with pytest.raises(ValueError):
-            cmd_figures(spec)
+            cmd_figures(fig=7, out=str(tmp_path / "f.csv"), fmt="csv")
+
+    # SHA-256 of each canned dataset file.  Any change to these bytes is a
+    # change to a published result and must be made on purpose.
+    FIGURE_SHA256 = {
+        (2, "csv"): "fafc52e489945655734e8f1c9563bd03eb1825fdfed11a8cd83c66942acf996c",
+        (3, "csv"): "70a86b43485f63ae51f345310b8331f30743f1ec881ef0e5c9d7e9d1716184f4",
+        (4, "csv"): "15c569f7a97268716e24561f8cd455c85f9456b46b095d7f7d815049128ab213",
+        (5, "csv"): "45720dda2e6bae6db476c3974b694e78c104ac16228ef1d8e0fd7607247cb392",
+        (2, "json"): "e9c2e891d7640f062d5bd5ccae99b37e8c8f34a76fcedd4784e8761acd0f1d52",
+        (3, "json"): "66c1970f6f7da0b921c9f1fe85d35de7baa35d8ad5cc2e42dcf459946848b9fa",
+        (4, "json"): "a6cefada525ab3d51d5a864eb30a314ea9e814dd213ba4dd5c4b7f65f7c3d145",
+        (5, "json"): "da898959b1e8143e10387d393b89a7ec83b39b6cc4e6c88b8da7363eedebfc95",
+    }
+
+    @pytest.mark.parametrize("fig,fmt", sorted(FIGURE_SHA256))
+    def test_dataset_bytes_stable(self, fig, fmt, tmp_path):
+        path = tmp_path / f"fig{fig}.{fmt}"
+        cmd_figures(fig=fig, out=str(path), fmt=fmt)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.FIGURE_SHA256[(fig, fmt)]

@@ -45,17 +45,12 @@ class TestPowerPolicy:
     def test_defaults(self):
         pol = PowerPolicy()
         assert pol.t == 0.9
-        assert pol.kappa_mode == "calibrated"
         assert pol.kappa is None
 
     @pytest.mark.parametrize("t", [1.0, 1.5, -0.1])
     def test_rejects_bad_t(self, t):
         with pytest.raises(ValueError):
             PowerPolicy(t=t)
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            PowerPolicy(kappa_mode="guessed")
 
     def test_rejects_nonpositive_kappa(self):
         with pytest.raises(ValueError):
@@ -109,21 +104,10 @@ class TestAdaptedPower:
 
 class TestCalibrateKappa:
     def test_t_zero_exact_unity(self):
-        # Constant power meets the average constraint with kappa = 1 exactly,
-        # in both modes.
+        # Constant power meets the average constraint with kappa = 1 exactly.
         cfg = ChannelConfig(2, 2, 0.5)
-        for mode in ("analytic", "calibrated"):
-            pol = PowerPolicy(t=0.0, kappa_mode=mode)
-            assert calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=1) == 1.0
-
-    def test_analytic_formula(self):
-        # kappa = xi_hat * prod[(2n-1+M-N)(1-t)] with
-        # xi_hat = xi*(1+sigma_e^2)^(MN); (2,2): xi=1, weights (1,3).
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="analytic")
-        got = calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=1)
-        want = (1.0 * 0.1) * (3.0 * 0.1) * (1.0 + 1000.0 ** -0.5) ** 4
-        npt.assert_allclose(got, want, rtol=1e-12)
+        pol = PowerPolicy(t=0.0)
+        assert calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=1) == 1.0
 
     def test_calibrated_matches_quadrature(self):
         # 1/kappa estimates the mean damped weight; compare to the frozen
@@ -131,7 +115,7 @@ class TestCalibrateKappa:
         live = reduced_quadrature_mean_weight()
         npt.assert_allclose(live, MEAN_WEIGHT_2X2_T09, atol=1e-8)
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.9)
         kappa = calibrate_kappa(cfg, 1000.0, pol, batch=200_000, seed=7)
         npt.assert_allclose(1.0 / kappa, MEAN_WEIGHT_2X2_T09, rtol=0.02)
 
@@ -143,7 +127,7 @@ class TestCalibrateKappa:
         # N=1: the importance-sampled estimator is exact (zero variance),
         # so kappa matches Gamma(m-tm)/Gamma(m)*(1+sigma^2)^(-tm) tightly.
         cfg = ChannelConfig(m, 1, alpha)
-        pol = PowerPolicy(t=t, kappa_mode="calibrated")
+        pol = PowerPolicy(t=t)
         kappa = calibrate_kappa(cfg, rho, pol, batch=10_000, seed=3)
         want = 1.0 / scalar_mean_weight(m, t, rho ** -alpha)
         npt.assert_allclose(kappa, want, rtol=1e-10)
@@ -157,7 +141,7 @@ class TestCalibrateKappa:
         # t close to 1 thickens the weight tail; a small batch cannot meet
         # the convergence target and the achieved error is reported.
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.99, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.99)
         with pytest.warns(UserWarning, match="relative error"):
             calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=5)
 
@@ -166,38 +150,29 @@ class TestMeanPowerValidation:
     def test_same_stream_identity(self):
         # Re-estimating on the calibration stream reproduces p_bar exactly.
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.9)
         kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=9)
-        resolved = PowerPolicy(t=0.9, kappa_mode="calibrated", kappa=kappa)
+        resolved = PowerPolicy(t=0.9, kappa=kappa)
         mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=9, stream=1)
         npt.assert_allclose(mean_p / 1000.0, 1.0, rtol=1e-12)
 
     def test_fresh_batch_scalar(self):
         # (1,1) example: fresh-batch mean within 0.5% (exact for N=1).
         cfg = ChannelConfig(1, 1, 1.0)
-        pol = PowerPolicy(t=0.5, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.5)
         kappa = calibrate_kappa(cfg, 1e4, pol, batch=10_000, seed=21)
-        resolved = PowerPolicy(t=0.5, kappa_mode="calibrated", kappa=kappa)
+        resolved = PowerPolicy(t=0.5, kappa=kappa)
         mean_p = estimate_mean_power(cfg, 1e4, resolved, batch=10_000, seed=22)
         assert 0.995 <= mean_p / 1e4 <= 1.005
 
     def test_fresh_batch_two_by_two(self):
         # Power-constraint invariant at the default operating point.
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.9)
         kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=31)
-        resolved = PowerPolicy(t=0.9, kappa_mode="calibrated", kappa=kappa)
+        resolved = PowerPolicy(t=0.9, kappa=kappa)
         mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=32)
         assert 0.98 <= mean_p / 1000.0 <= 1.02
-
-    def test_analytic_mode_within_factor_two(self):
-        # The asymptotic constant lands within a factor of 2 at rho = 1e3.
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="analytic")
-        kappa = calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=41)
-        resolved = PowerPolicy(t=0.9, kappa_mode="analytic", kappa=kappa)
-        mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=42)
-        assert 0.5 <= mean_p / 1000.0 <= 2.0
 
 
 class TestOutageTrial:
@@ -271,7 +246,7 @@ class TestRunSweep:
     def test_partition_invariance(self):
         # Same seed, different worker counts: bit-identical results.
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.9)
         a = run_sweep(cfg, 1.0, [10.0, 1000.0], 5000, pol, seed=13, workers=1)
         b = run_sweep(cfg, 1.0, [10.0, 1000.0], 5000, pol, seed=13, workers=3)
         assert a.p_out == b.p_out
@@ -298,7 +273,7 @@ class TestRunSweep:
         # Better feedback gives a steeper (more negative) outage slope.
         cfg0 = ChannelConfig(2, 1, 0.0)
         cfg5 = ChannelConfig(2, 1, 0.5)
-        pol = PowerPolicy(t=0.9, kappa_mode="calibrated")
+        pol = PowerPolicy(t=0.9)
         rho_grid = [10.0, 1000.0, 100_000.0]
         s0 = run_sweep(cfg0, 0.5, rho_grid, 100_000, pol, seed=23)
         s5 = run_sweep(cfg5, 0.5, rho_grid, 100_000, pol, seed=23)
