@@ -1,6 +1,6 @@
 """Diversity-multiplexing tradeoff tools for fading links with an imperfect
-transmitter-side channel estimate: a closed-form curve, an exhaustive
-grid-search cross-check, and a finite-SNR Monte Carlo outage sweep."""
+transmitter-side channel estimate: a closed-form curve, an exact
+vertex-enumeration cross-check, and a finite-SNR Monte Carlo outage sweep."""
 
 from . import channel, cli, oracle, reports, simulate, tradeoff
 from .channel import *  # noqa: F403

@@ -1,8 +1,8 @@
 """Command-line interface for the tradeoff library.
 
 Four subcommands mirror the report builders: ``curve`` tabulates the
-closed-form tradeoff, ``oracle-check`` cross-validates it against the
-exhaustive grid search, ``simulate`` runs the finite-SNR outage sweep, and
+closed-form tradeoff, ``oracle-check`` cross-validates it against the exact
+vertex-enumeration oracle, ``simulate`` runs the finite-SNR outage sweep, and
 ``figures`` emits the canned datasets.  All randomized work defaults to the
 documented seed below so runs are reproducible by default.
 
@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 when ``oracle-check`` finds a disagreement, and
 from __future__ import annotations
 
 import argparse
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -100,7 +101,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
     _, ok = cmd_oracle_check(
         cfg=cfg, r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False),
-        grid_step=args.grid_step, v_max=args.vmax, out=args.out, fmt=args.format)
+        out=args.out, fmt=args.format)
     return 0 if ok else 1
 
 
@@ -136,15 +137,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser(
         "oracle-check",
-        help="cross-validate the closed form against the exhaustive grid search",
+        help="cross-validate the closed form against the exact oracle",
     )
     _add_link_flags(oracle, alpha_choice=False)
     oracle.add_argument("--r-step", type=_positive_float, default=0.1,
                         help="spacing of the probe-rate grid (default: 0.1)")
-    oracle.add_argument("--grid-step", type=_positive_float, default=0.02,
-                        help="fade-depth grid spacing for the search (default: 0.02)")
-    oracle.add_argument("--vmax", type=_positive_float, default=None,
-                        help="fade-depth search ceiling (default: automatic)")
     _add_output_flags(oracle)
     oracle.set_defaults(handler=_run_oracle_check)
 
@@ -180,6 +177,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        parser.error(f"output directory {str(out_dir)!r} does not exist")
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

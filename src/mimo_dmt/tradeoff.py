@@ -222,7 +222,8 @@ def eval_dmt_left_limit(curve, r):
 
 
 def eval_dmt_jump(curve, r):
-    """``(left limit, attained value)`` of a jump within ``1e-9`` of ``r``.
+    """``(boundary, left limit, attained value)`` of a jump within ``1e-9``
+    of ``r``.
 
     Both sides are taken at the boundary itself, not at ``r``.  Returns
     ``None`` when no boundary lies that close or the curve drops there by
@@ -234,7 +235,7 @@ def eval_dmt_jump(curve, r):
     value = eval_dmt(curve, seg.r_right)
     if seg.d_right - value <= _BOUNDARY_SNAP:
         return None
-    return seg.d_right, value
+    return seg.r_right, seg.d_right, value
 
 
 def subset_corner_points(cfg, k):

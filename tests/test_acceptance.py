@@ -9,7 +9,7 @@ import pytest
 from scipy.special import gammainc
 
 from mimo_dmt.channel import ChannelConfig, eig_ascending, sample_channel_block
-from mimo_dmt.oracle import grid_oracle_curve
+from mimo_dmt.oracle import exact_oracle_curve
 from mimo_dmt.reports import cmd_simulate
 from mimo_dmt.simulate import PowerPolicy, calibrate_kappa, estimate_mean_power, run_sweep
 from mimo_dmt.tradeoff import (
@@ -17,6 +17,7 @@ from mimo_dmt.tradeoff import (
     baseline_no_csit,
     compute_dmt_curve,
     eval_dmt,
+    eval_dmt_jump,
     eval_dmt_left_limit,
 )
 
@@ -82,24 +83,29 @@ def test_criterion_03_baseline_reduction():
     assert time.perf_counter() - start < 1.0
 
 
-@_report(4, "grid oracle equals the closed form within C*step at every probe, < 10 min")
+@_report(4, "exact oracle equals the closed form at every probe and both sides of every jump, < 10 s")
 def test_criterion_04_oracle_equivalence():
     start = time.perf_counter()
-    step = 0.02
     failures = []
-    for m, n in [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (3, 3)]:
-        c_const = n * (2 * n - 1 + m - n)
+    links = [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2), (4, 2), (3, 3),
+             (4, 4), (5, 3), (5, 4), (5, 5)]
+    for m, n in links:
         for alpha in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0):
             cfg = ChannelConfig(m, n, alpha)
             curve = compute_dmt_curve(cfg)
-            rs = [round(0.05 * i, 10) for i in range(1, 20 * n + 1)]
-            oracle = grid_oracle_curve(cfg, rs, step=step)
-            for r, d_oracle in zip(rs, oracle):
-                want = eval_dmt_left_limit(curve, r)
-                if abs(d_oracle - want) > c_const * step + 1e-12:
-                    failures.append((m, n, alpha, r, d_oracle, want))
+            boundaries = [seg.r_right for seg in curve.segments]
+            rs = [round(0.05 * i, 10) for i in range(1, 20 * n + 1)] + boundaries
+            limit, attained = exact_oracle_curve(cfg, rs)
+            for r, got_limit, got_value in zip(rs, limit, attained):
+                checks = [(got_limit, eval_dmt_left_limit(curve, r))]
+                jump = eval_dmt_jump(curve, r)
+                if jump is not None:
+                    checks.append((got_value, jump[2]))
+                for got, want in checks:
+                    if abs(got - want) > 1e-9 * max(1.0, abs(want)):
+                        failures.append((m, n, alpha, r, got, want))
     assert not failures, failures[:10]
-    assert time.perf_counter() - start < 600.0
+    assert time.perf_counter() - start < 10.0
 
 
 @_report(5, "(5,3) full-rate diversity: active sets flip exactly at 1/6 and 1/4")

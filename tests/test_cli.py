@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from mimo_dmt import reports
 from mimo_dmt.cli import DEFAULT_SEED, main
 from mimo_dmt.reports import read_dataset
 
@@ -47,21 +48,12 @@ class TestOracleCheckCommand:
         out = tmp_path / "oracle.csv"
         code = main([
             "oracle-check", "--m", "1", "--n", "1", "--alpha", "0",
-            "--r-step", "0.25", "--grid-step", "0.01", "--out", str(out),
+            "--r-step", "0.25", "--out", str(out),
         ])
         assert code == 0
         rows = read_dataset(out)
         gaps = [row for row in rows if row.series == "gap"]
         assert gaps and all(row.aux_note == "pass" for row in gaps)
-
-    def test_vmax_flag(self, tmp_path):
-        out = tmp_path / "oracle.csv"
-        code = main([
-            "oracle-check", "--m", "2", "--n", "2", "--alpha", "0.1",
-            "--r-step", "0.5", "--grid-step", "0.02", "--vmax", "4.0",
-            "--out", str(out),
-        ])
-        assert code == 0
 
 
 class TestSimulateCommand:
@@ -141,7 +133,7 @@ class TestUsageErrors:
         (SIM + ["--t", "1.5"], "s.csv"),
         (SIM + ["--rho-points", "1"], "s.csv"),
         (["curve", "--m", "2", "--n", "2", "--alpha-list", ","], "c.csv"),
-        (["oracle-check", "--m", "5", "--n", "5", "--alpha", "0.1"], "o.csv"),
+        (["oracle-check", "--m", "7", "--n", "7", "--alpha", "0.1"], "o.csv"),
         (["figures", "--fig", "2"], "nodir/f.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir"])
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
@@ -153,6 +145,15 @@ class TestUsageErrors:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
+
+    def test_missing_out_dir_fails_before_running(self, tmp_path, monkeypatch):
+        def sweep_ran(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(reports, "run_sweep", sweep_ran)
+        with pytest.raises(SystemExit) as exc:
+            main(self.SIM + ["--out", str(tmp_path / "nodir" / "s.csv")])
+        assert exc.value.code == 2
 
 
 class TestTopLevel:

@@ -1,20 +1,18 @@
-"""Tests for the brute-force exponent-optimization oracle."""
+"""Tests for the exact exponent-optimization oracle."""
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from mimo_dmt.channel import ChannelConfig
-from mimo_dmt.oracle import (
-    grid_oracle,
-    grid_oracle_curve,
-    outage_condition,
-    subset_oracle,
-)
+from mimo_dmt.oracle import exact_oracle_curve, outage_condition, subset_oracle
 from mimo_dmt.tradeoff import (
     compute_dmt_curve,
     diversity_boost,
+    eval_dmt,
+    eval_dmt_jump,
     eval_dmt_left_limit,
     subset_diversity,
 )
@@ -31,6 +29,45 @@ def grid_tol(m, n, step):
 
 def fade_weights(m, n):
     return 2.0 * np.arange(1, n + 1) - 1 + m - n
+
+
+def _grid_min(cfg, r, step, free_errors=False):
+    """Brute-force minimum decay cost over a fade-depth grid for n = 2.
+
+    With ``free_errors``, the estimation-error exponents ``u >= alpha`` are
+    searched jointly with the fade depths ``v``: cost
+    ``sum c_j (v_j + u_j - alpha)`` subject to
+    ``sum(1 - v_j + sum_i c_i min(v_i, u_i))^+ < r``; otherwise ``u`` is
+    pinned at ``alpha``.  Feasibility applies the same strict-tie dust
+    margin as the library's outage predicate.
+    """
+    n = cfg.n_rx
+    assert n == 2
+    c = fade_weights(cfg.m_tx, n)
+    alpha = cfg.alpha
+    depth_max = diversity_boost(cfg, n) + 1.0
+    vg = np.arange(0.0, depth_max + step / 2, step)
+    i, j = np.meshgrid(np.arange(vg.size), np.arange(vg.size), indexing="ij")
+    keep = i >= j
+    v = np.stack([vg[i[keep]], vg[j[keep]]], axis=1)
+    if free_errors:
+        ug = np.arange(alpha, depth_max + step / 2, step)
+        iu, ju = np.meshgrid(np.arange(ug.size), np.arange(ug.size), indexing="ij")
+        keep_u = iu >= ju
+        u = np.stack([ug[iu[keep_u]], ug[ju[keep_u]]], axis=1)
+    else:
+        u = np.full((1, n), alpha)
+    best = INF
+    for u_blk in np.array_split(u, max(1, u.shape[0] // 128)):
+        t_boost = np.einsum(
+            "j,ibj->ib", c, np.minimum(v[:, None, :], u_blk[None, :, :]))
+        gap = 1.0 - v[:, None, :] + t_boost[:, :, None]
+        lhs = np.clip(gap, 0.0, None).sum(axis=2)
+        cost = (v @ c)[:, None] + ((u_blk - alpha) @ c)[None, :]
+        feasible = (lhs + 1e-12) < r
+        if feasible.any():
+            best = min(best, float(cost[feasible].min()))
+    return best
 
 
 class TestOutageCondition:
@@ -79,45 +116,57 @@ class TestOutageCondition:
 
 
 class TestGridOracle:
+    """Exact oracle: spot values, agreement with the closed form, and the
+    checks on its input."""
+
     def test_midcurve_spot(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        res = grid_oracle(cfg, 1.0, step=0.01)
-        assert abs(res.d_min - 9.0) <= 0.05
+        limit, _ = exact_oracle_curve(cfg, [1.0])
+        assert abs(limit[0] - 9.0) <= 1e-12
 
     def test_near_full_rate_spot(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        res = grid_oracle(cfg, 2.0 - 1e-6, step=0.01)
-        assert abs(res.d_min - 1.0) <= 0.05
+        limit, _ = exact_oracle_curve(cfg, [2.0 - 1e-6])
+        assert abs(limit[0] - (1.0 + 1e-6)) <= 1e-12
 
     def test_low_rate_spot(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        res = grid_oracle(cfg, 0.5, step=0.01)
-        assert abs(res.d_min - 10.5) <= 0.05
+        limit, _ = exact_oracle_curve(cfg, [0.5])
+        assert abs(limit[0] - 10.5) <= 1e-12
 
     def test_result_fields(self):
+        # One left limit and one attained value per probe, in probe order;
+        # they differ at the jump r = 1 + alpha, and at the right end, where
+        # the unfaded pattern delivers exactly the full rate.
         cfg = ChannelConfig(2, 2, 0.5)
-        res = grid_oracle(cfg, 1.0, step=0.02)
-        assert res.grid_step == 0.02
-        assert res.r_probe == 1.0
+        limit, attained = exact_oracle_curve(cfg, [2.0, 1.5, 1.0])
+        assert limit.shape == attained.shape == (3,)
+        npt.assert_allclose(limit, [1.0, 7.5, 9.0], rtol=1e-12)
+        npt.assert_allclose(attained, [0.0, 1.5, 9.0], rtol=1e-12)
 
-    def test_argmin_is_feasible_and_consistent(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        for r in (0.5, 1.0, 1.9):
-            res = grid_oracle(cfg, r, step=0.02)
-            v = np.asarray(res.argmin_v)
-            assert outage_condition(cfg, v, r) is True
-            npt.assert_allclose(fade_weights(2, 2) @ v, res.d_min, rtol=1e-12)
+    def test_grid_reference_brackets_oracle(self):
+        # Outage-forcing patterns on a fade-depth grid never cost less than
+        # the exact infimum, and the grid's best comes within one grid
+        # step's worth of cost of it, also at the jump r = 1 + alpha.
+        cfg = ChannelConfig(2, 2, 0.35)
+        step = 0.02
+        rs = (0.5, 1.0, 1.35, 1.9)
+        limit, _ = exact_oracle_curve(cfg, rs)
+        for r, want in zip(rs, limit):
+            best = _grid_min(cfg, r, step)
+            assert want - 1e-9 <= best <= want + grid_tol(2, 2, step), f"r={r}"
 
     def test_scalar_closed_form(self):
         # (1,1): d(r) = 1 + alpha - r.
-        res = grid_oracle(ChannelConfig(1, 1, 1.0), 0.5, step=0.01)
-        assert abs(res.d_min - 1.5) <= grid_tol(1, 1, 0.01)
-        res = grid_oracle(ChannelConfig(1, 1, 0.3), 0.8, step=0.01)
-        assert abs(res.d_min - 0.5) <= grid_tol(1, 1, 0.01)
+        limit, _ = exact_oracle_curve(ChannelConfig(1, 1, 1.0), [0.5])
+        assert abs(limit[0] - 1.5) <= 1e-12
+        limit, _ = exact_oracle_curve(ChannelConfig(1, 1, 0.3), [0.8])
+        assert abs(limit[0] - 0.5) <= 1e-12
 
     @pytest.mark.parametrize(
         "m,n,alpha",
-        [(2, 1, 0.5), (2, 2, 0.1), (3, 2, 1.0 / 3.0), (4, 2, 0.1)],
+        [(2, 1, 0.5), (2, 2, 0.1), (3, 2, 1.0 / 3.0), (4, 2, 0.1),
+         (6, 4, 1.0 / 3.0), (6, 6, 0.1)],
     )
     def test_matches_closed_form_curve(self, m, n, alpha):
         # Sweep includes r = 1.3 for (4,2,0.1), which sits exactly on a
@@ -125,39 +174,30 @@ class TestGridOracle:
         # limit there, so the reference is the left-limit evaluator.
         cfg = ChannelConfig(m, n, alpha)
         curve = compute_dmt_curve(cfg)
-        step = 0.02
-        for r in np.arange(0.05, n + 1e-9, 0.25):
-            res = grid_oracle(cfg, float(r), step=step)
-            want = eval_dmt_left_limit(curve, float(r))
-            assert abs(res.d_min - want) <= grid_tol(m, n, step), f"r={r}"
+        rs = [float(r) for r in np.arange(0.05, n + 1e-9, 0.25)]
+        limit, _ = exact_oracle_curve(cfg, rs)
+        for r, got in zip(rs, limit):
+            want = eval_dmt_left_limit(curve, r)
+            assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
 
     def test_curve_helper_matches_pointwise(self):
         cfg = ChannelConfig(2, 2, 0.35)
         rs = [0.3, 0.9, 1.35, 1.8]
-        batch = grid_oracle_curve(cfg, rs, step=0.02)
-        for r, d in zip(rs, batch):
-            res = grid_oracle(cfg, r, step=0.02)
-            npt.assert_allclose(d, res.d_min, rtol=1e-12)
+        batch = np.array(exact_oracle_curve(cfg, rs))
+        for i, r in enumerate(rs):
+            single = np.array(exact_oracle_curve(cfg, [r]))
+            npt.assert_allclose(batch[:, i], single[:, 0], rtol=1e-12)
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            grid_oracle(ChannelConfig(5, 5, 0.1), 1.0)
+            exact_oracle_curve(ChannelConfig(7, 7, 0.1), [1.0])
 
     def test_rejects_bad_probe_rate(self):
         cfg = ChannelConfig(2, 2, 0.5)
         with pytest.raises(ValueError):
-            grid_oracle(cfg, 0.0)
+            exact_oracle_curve(cfg, [0.0])
         with pytest.raises(ValueError):
-            grid_oracle(cfg, 2.1)
-
-    def test_rejects_coarse_step(self):
-        with pytest.raises(ValueError):
-            grid_oracle(ChannelConfig(2, 2, 0.5), 1.0, step=0.1)
-
-    def test_rejects_small_vmax(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError):
-            grid_oracle(cfg, 1.0, v_max=diversity_boost(cfg, 2))
+            exact_oracle_curve(cfg, [2.1])
 
 
 class TestSubsetOracle:
@@ -204,54 +244,90 @@ class TestSubsetOracle:
             npt.assert_allclose(got, want, rtol=1e-9, err_msg=f"r={r}")
 
     def test_min_over_subsets_matches_grid(self):
+        # The per-cardinality programs and the whole program agree.
         cfg = ChannelConfig(2, 2, 0.35)
-        step = 0.02
-        for r in (0.4, 1.0, 1.6, 2.0):
+        rs = (0.4, 1.0, 1.6, 2.0)
+        limit, _ = exact_oracle_curve(cfg, rs)
+        for r, want in zip(rs, limit):
             best = min(subset_oracle(cfg, k, r) for k in (1, 2))
-            res = grid_oracle(cfg, r, step=step)
-            assert abs(res.d_min - best) <= grid_tol(2, 2, step), f"r={r}"
+            assert abs(want - best) <= 1e-9 * max(1.0, want), f"r={r}"
 
 
 class TestObjectivePinning:
-    def _extended_min(self, cfg, r, step):
-        # Joint minimization over fade exponents v and estimation-error
-        # exponents u >= alpha: cost sum c_n (v_n + u_n - alpha) subject to
-        # sum(1 - v_n + sum_j c_j min(v_j, u_j))^+ < r.  Feasibility applies
-        # the same strict-tie dust margin as the library's outage predicate,
-        # so the comparison measures the structural claim rather than
-        # float-rounding luck on exact-tie grid patterns.
-        n = cfg.n_rx
-        assert n == 2
-        c = fade_weights(cfg.m_tx, n)
-        alpha = cfg.alpha
-        v_max = diversity_boost(cfg, n) + 1.0
-        vg = np.arange(0.0, v_max + step / 2, step)
-        i, j = np.meshgrid(np.arange(vg.size), np.arange(vg.size), indexing="ij")
-        keep = i >= j
-        v = np.stack([vg[i[keep]], vg[j[keep]]], axis=1)
-        ug = np.arange(alpha, v_max + step / 2, step)
-        iu, ju = np.meshgrid(np.arange(ug.size), np.arange(ug.size), indexing="ij")
-        keep_u = iu >= ju
-        u = np.stack([ug[iu[keep_u]], ug[ju[keep_u]]], axis=1)
-        best = INF
-        for u_blk in np.array_split(u, max(1, u.shape[0] // 128)):
-            t_boost = np.einsum(
-                "j,ibj->ib", c, np.minimum(v[:, None, :], u_blk[None, :, :]))
-            gap = 1.0 - v[:, None, :] + t_boost[:, :, None]
-            lhs = np.clip(gap, 0.0, None).sum(axis=2)
-            cost = (v @ c)[:, None] + ((u_blk - alpha) @ c)[None, :]
-            feasible = (lhs + 1e-12) < r
-            if feasible.any():
-                best = min(best, float(cost[feasible].min()))
-        return best
-
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.9])
     def test_free_error_exponents_never_help(self, r):
         # Letting the error exponents float above alpha never lowers the
         # optimum: pinning them at alpha is lossless.
         cfg = ChannelConfig(2, 2, 0.5)
         step = 0.05
-        pinned = grid_oracle(cfg, r, step=step).d_min
-        extended = self._extended_min(cfg, r, step)
-        assert extended >= pinned - 1e-9
+        limit, _ = exact_oracle_curve(cfg, [r])
+        pinned = _grid_min(cfg, r, step)
+        extended = _grid_min(cfg, r, step, free_errors=True)
+        assert extended >= limit[0] - 1e-9
         npt.assert_allclose(extended, pinned, atol=1e-9)
+        assert pinned <= limit[0] + grid_tol(2, 2, step)
+
+
+@st.composite
+def links(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, m))
+    return ChannelConfig(m, n, draw(st.floats(0.0, 1.5)))
+
+
+probe_fractions = st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                           min_size=1, max_size=8)
+
+
+def _boundaries(curve):
+    return [seg.r_right for seg in curve.segments]
+
+
+class TestProperties:
+    """The closed form against the exact oracle on random links."""
+
+    @given(cfg=links(), fracs=probe_fractions)
+    def test_left_limit_matches_oracle(self, cfg, fracs):
+        curve = compute_dmt_curve(cfg)
+        rs = [f * cfg.n_rx for f in fracs] + _boundaries(curve)
+        limit, _ = exact_oracle_curve(cfg, rs)
+        for r, got in zip(rs, limit):
+            want = eval_dmt_left_limit(curve, r)
+            assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
+
+    @given(cfg=links())
+    def test_attained_value_matches_oracle_at_jumps(self, cfg):
+        curve = compute_dmt_curve(cfg)
+        jumps = [(r, eval_dmt_jump(curve, r)) for r in _boundaries(curve)]
+        jumps = [(r, jump[2]) for r, jump in jumps if jump is not None]
+        if not jumps:
+            return
+        _, attained = exact_oracle_curve(cfg, [r for r, _ in jumps])
+        for (r, want), got in zip(jumps, attained):
+            assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
+
+    @given(cfg=links(), fracs=probe_fractions)
+    def test_curve_non_increasing_and_non_negative(self, cfg, fracs):
+        curve = compute_dmt_curve(cfg)
+        rs = sorted(f * cfg.n_rx for f in fracs)
+        limit, _ = exact_oracle_curve(cfg, rs)
+        # Both hold to float precision: the oracle's solves round.
+        for d in (np.array([eval_dmt(curve, r) for r in rs]), limit):
+            assert (d >= -1e-9).all()
+            assert (np.diff(d) <= 1e-9 * np.maximum(1.0, d[:-1])).all()
+
+    @given(cfg=links(),
+           depths=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+           fracs=probe_fractions)
+    def test_outage_patterns_cost_at_least_oracle(self, cfg, depths, fracs):
+        # Depths reach past the deepest fade any boost can absorb, so some
+        # patterns force outage at some probes.
+        n, m = cfg.n_rx, cfg.m_tx
+        c = fade_weights(m, n)
+        scale = 2.0 + cfg.alpha * c.sum()
+        v = np.sort(depths[:n])[::-1] * scale
+        rs = [f * n for f in fracs] + [float(n)]
+        limit, _ = exact_oracle_curve(cfg, rs)
+        for r, bound in zip(rs, limit):
+            if outage_condition(cfg, v, r):
+                assert c @ v >= bound - 1e-9, f"r={r}"

@@ -152,12 +152,12 @@ class TestCmdOracleCheck:
     def test_scalar_case(self, tmp_path):
         rows, ok = cmd_oracle_check(
             cfg=ChannelConfig(1, 1, 0.0), r_grid=[0.5],
-            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.01)
+            out=str(tmp_path / "o.csv"), fmt="csv")
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(0.5, rel=1e-12)
-        go = rows_by_series(rows, "grid_oracle")[0]
-        assert abs(go.y - 0.5) <= 0.05
+        eo = rows_by_series(rows, "exact_oracle")[0]
+        assert abs(eo.y - 0.5) <= 1e-12
         gap = rows_by_series(rows, "gap")[0]
         assert gap.aux_note == "pass"
 
@@ -165,10 +165,11 @@ class TestCmdOracleCheck:
         rows, ok = cmd_oracle_check(
             cfg=ChannelConfig(2, 2, 0.5),
             r_grid=[round(0.05 * i, 10) for i in range(1, 41)],
-            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
+            out=str(tmp_path / "o.csv"), fmt="csv")
         assert ok
         gaps = rows_by_series(rows, "gap")
         assert all(row.aux_note == "pass" for row in gaps)
+        assert max(row.y for row in gaps) <= 1e-9
         # the probe at the discontinuity is compared to the left limit and
         # visibly marked as such
         cf_jump = [row for row in rows_by_series(rows, "closed_form")
@@ -179,21 +180,33 @@ class TestCmdOracleCheck:
     def test_three_by_three_segment_region(self, tmp_path):
         rows, ok = cmd_oracle_check(
             cfg=ChannelConfig(3, 3, 1.0 / 3.0), r_grid=[2.2],
-            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
+            out=str(tmp_path / "o.csv"), fmt="csv")
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(25.0, rel=1e-12)
 
     def test_failure_reported(self, tmp_path, monkeypatch):
-        # An oracle that misses the closed form by more than the grid
-        # tolerance makes rows fail and flips ok.
-        monkeypatch.setattr(reports, "grid_oracle_curve",
-                            lambda cfg, r_probes, step, v_max: [100.0] * len(r_probes))
+        # An oracle that misses the closed form by more than float
+        # precision makes rows fail and flips ok.
+        monkeypatch.setattr(reports, "exact_oracle_curve",
+                            lambda cfg, r_probes: ([100.0] * len(r_probes),) * 2)
         rows, ok = cmd_oracle_check(
             cfg=ChannelConfig(2, 2, 0.5), r_grid=[0.4],
-            out=str(tmp_path / "o.csv"), fmt="csv", grid_step=0.05)
+            out=str(tmp_path / "o.csv"), fmt="csv")
         assert not ok
         assert rows_by_series(rows, "gap")[0].aux_note == "fail"
+
+    def test_attained_value_checked_at_jump(self, tmp_path, monkeypatch):
+        # On the 2x2 link at alpha = 0.5 the curve drops from 7.5 to 1.5 at
+        # r = 1.5: an oracle that gets the left limit right but the attained
+        # value wrong fails that probe.
+        monkeypatch.setattr(reports, "exact_oracle_curve",
+                            lambda cfg, r_probes: ([7.5], [2.0]))
+        rows, ok = cmd_oracle_check(
+            cfg=ChannelConfig(2, 2, 0.5), r_grid=[1.5],
+            out=str(tmp_path / "o.csv"), fmt="csv")
+        assert not ok
+        assert rows_by_series(rows, "gap")[0].y == pytest.approx(0.5)
 
 
 class TestCmdSimulate:
