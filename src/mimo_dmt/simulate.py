@@ -218,16 +218,11 @@ def _resolve_policy(cfg, rho, policy, seed, stream):
 
 def _count_outages_span(cfg, rho, r, policy, seed, stream, start, count):
     """Outage count over trials ``start .. start+count-1`` of one stream."""
-    n, m = cfg.n_rx, cfg.m_tx
+    m = cfg.m_tx
     block = sample_channel_block(cfg, rho, seed, start=start, count=count,
                                  stream=stream)
-    est = block.h + block.e
-    if n == 1:
-        a = np.einsum("tij,tij->t", block.h, np.conj(block.h)).real[:, None]
-        b = np.einsum("tij,tij->t", est, np.conj(est)).real[:, None]
-    else:
-        a = eig_ascending(block.h)
-        b = eig_ascending(est)
+    a = eig_ascending(block.h)
+    b = eig_ascending(block.h + block.e)
     power = _batch_power(cfg, b, policy, rho)
     capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
     return int((capacity < r * math.log2(rho)).sum())

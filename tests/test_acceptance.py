@@ -5,8 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy.special import gammainc
 
 from mimo_dmt.channel import ChannelConfig, eig_ascending, sample_channel_block
 from mimo_dmt.oracle import exact_oracle_curve

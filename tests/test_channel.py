@@ -182,6 +182,49 @@ class TestEigAscending:
         with pytest.raises(ValueError):
             eig_ascending(m)
 
+    @staticmethod
+    def _eigvalsh_reference(x):
+        gram = x @ np.conj(np.swapaxes(x, -1, -2))
+        return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 3),
+                                     (2, 5)])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_closed_form_matches_eigvalsh(self, n, m, scale):
+        # One- and two-row inputs take a closed form; eigvalsh on the Gram
+        # matrix is the reference.  The batch mixes generic draws with a
+        # rank-1 input, orthogonal rows of equal norm (equal eigenvalues)
+        # and the zero matrix.  Bound: 1e-13 * lambda_max, which is no
+        # looser than 1e-13 * max(1, lambda_max) at any scale.
+        rng = np.random.default_rng(100 * n + m)
+        x = rng.normal(size=(400, n, m)) + 1j * rng.normal(size=(400, n, m))
+        x[1, -1] = (0.3 - 0.7j) * x[1, 0]
+        if n == 2:
+            q = np.linalg.qr(x[2].T)[0]
+            x[2] = 2.5 * q.T
+        x[3] = 0.0
+        x *= scale
+        got = eig_ascending(x)
+        want = self._eigvalsh_reference(x)
+        assert got.shape == want.shape == (400, n)
+        assert np.all(got >= 0.0)
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
+        assert np.all(got[3] == 0.0)
+        if n == 2:
+            npt.assert_allclose(got[1, 0], 0.0, atol=1e-13 * got[1, 1])
+            npt.assert_allclose(got[2], 6.25 * scale ** 2, rtol=1e-13)
+
+    def test_equal_eigenvalues_stay_ascending(self):
+        # Orthonormal row pairs have the double eigenvalue 1; the closed
+        # form's rounding must not return the pair out of order.
+        rng = np.random.default_rng(8)
+        z = rng.normal(size=(4000, 3, 3)) + 1j * rng.normal(size=(4000, 3, 3))
+        x = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
+        vals = eig_ascending(x)
+        assert np.all(np.diff(vals, axis=-1) >= 0.0)
+        npt.assert_allclose(vals, 1.0, rtol=1e-13)
+
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_sorted_nonnegative(self, seed):

@@ -4,7 +4,6 @@ import json
 import math
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from mimo_dmt import reports
@@ -298,3 +297,25 @@ class TestCmdFigures:
         cmd_figures(fig=fig, out=str(path), fmt=fmt)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.FIGURE_SHA256[(fig, fmt)]
+
+    # SHA-256 of the ``simulate`` csv at the criterion-10 settings (alpha
+    # 0.5, r 1, rho 10/100/1000, 20,000 trials, t 0.9, seed 1000) per link.
+    # They pin every outage count: a change to these bytes changes a Monte
+    # Carlo result and must be made on purpose.
+    SIMULATE_SHA256 = {
+        (1, 1): "175e9bd1a680bdc8260ad48510c79be4c05cea5b4c71464f97493c8e1d695985",
+        (2, 1): "fd0c985188611fb0647f4d6d985652647b40e7d63e4c05f587a676c22b2d4dc5",
+        (2, 2): "de9de2ef8da7c8aa92d3d8fa2a0a77ceb98b8258feae62ffab0434d4a09145b1",
+        (3, 2): "dbddb010a363b9fa573f3f46aad91e0f5de48bf25a8aea69be351ace345f03d1",
+        (3, 3): "5b349fa7714a608e8d909bd35055fb512dcf6fab907ac08901a1bdb2405c27cf",
+    }
+
+    @pytest.mark.parametrize("m,n", sorted(SIMULATE_SHA256))
+    def test_simulate_bytes_stable(self, m, n, tmp_path):
+        path = tmp_path / f"sim{m}{n}.csv"
+        cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
+                     rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
+                     policy=PowerPolicy(t=0.9), seed=1000, out=str(path),
+                     fmt="csv")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.SIMULATE_SHA256[(m, n)]

@@ -7,10 +7,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from mimo_dmt.channel import ChannelConfig, sample_channel
+from mimo_dmt.channel import ChannelConfig, sample_channel, sample_channel_block
 from mimo_dmt.simulate import (
     OutageSweep,
     PowerPolicy,
+    _batch_power,
+    _count_outages_span,
     adapted_power,
     calibrate_kappa,
     estimate_mean_power,
@@ -204,6 +206,30 @@ class TestOutageTrial:
         cfg = ChannelConfig(2, 2, 0.5)
         with pytest.raises(ValueError):
             outage_trial(cfg, 10.0, 1.0, PowerPolicy(t=0.9), 0)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("rho,seed", [(10.0, 5), (100.0, 6), (1e3, 7)])
+    def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed):
+        # The span's spectrum route against eigvalsh on the same draws: the
+        # outage counts must be equal, not merely close.
+        cfg = ChannelConfig(m, n, 0.5)
+        pol = PowerPolicy(t=0.9, kappa=0.8)
+        r, start, count = 0.6 * n, 1000, 20_000
+        block = sample_channel_block(cfg, rho, seed, start=start, count=count,
+                                     stream=3)
+
+        def eigvalsh_gram(x):
+            gram = x @ np.conj(np.swapaxes(x, -1, -2))
+            return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+        a = eigvalsh_gram(block.h)
+        power = _batch_power(cfg, eigvalsh_gram(block.h + block.e), pol, rho)
+        capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
+        want = int((capacity < r * math.log2(rho)).sum())
+        assert 0 < want < count
+        got = _count_outages_span(cfg, rho, r, pol, seed, stream=3,
+                                  start=start, count=count)
+        assert got == want
 
 
 class TestRunSweep:
