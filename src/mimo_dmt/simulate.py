@@ -11,8 +11,9 @@ low-variance for every damping ``t < 1`` (and exact for one receive
 antenna).  All probability work is done in the log domain so heavy damping
 does not overflow.
 
-Outage counting is counter-partitioned: a sweep cut into chunks across any
-number of worker threads reproduces the single-thread result bit for bit.
+A sweep draws each trial once and reuses it at every SNR point.  Outage
+counting is counter-partitioned: a sweep cut into chunks across any number of
+worker threads reproduces the single-thread result bit for bit.
 """
 from __future__ import annotations
 
@@ -49,7 +50,7 @@ _MIN_CAL_BATCH = 10_000
 _MIN_TRIALS = 1000
 _MIN_RHO_RATIO = 100.0
 _MIN_EVENTS_FOR_FIT = 20
-_TRIAL_CHUNK = 65_536
+_TRIAL_CHUNK = 32_768
 _REL_ERR_TARGET = 0.003
 
 
@@ -208,42 +209,49 @@ def estimate_mean_power(cfg, rho, policy, batch, seed, stream=2):
     return float(policy.kappa * rho * mean)
 
 
-def _resolve_policy(cfg, rho, policy, seed, stream):
-    """Fill in ``kappa`` for one SNR point, if not already resolved."""
+def _grid_policies(cfg, rho, policy, seed):
+    """One resolved policy per SNR point: a set ``kappa``, or one calibrated
+    at ``rho[0]`` and scaled by ``(s_g/s_0)**(t*m*n)`` with ``s = 1 +
+    rho**-alpha``, exact since the calibration is a scale family in ``s``."""
     if policy.kappa is not None:
-        return policy
-    kappa = calibrate_kappa(cfg, rho, policy, CAL_BATCH, seed, stream=stream)
-    return replace(policy, kappa=kappa)
+        return [policy] * len(rho)
+    kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed, stream=1)
+    s = [1.0 + x ** -cfg.alpha for x in rho]
+    exponent = policy.t * cfg.m_tx * cfg.n_rx
+    return [replace(policy, kappa=kappa0 * (s_g / s[0]) ** exponent)
+            for s_g in s]
 
 
-def _count_outages_span(cfg, rho, r, policy, seed, stream, start, count):
-    """Outage count over trials ``start .. start+count-1`` of one stream."""
-    m = cfg.m_tx
-    block = sample_channel_block(cfg, rho, seed, start=start, count=count,
-                                 stream=stream)
+def _count_outages_span(cfg, rho, r, policies, seed, start, count):
+    """Outage count per SNR point over trials ``start .. start+count-1``,
+    drawn once on stream 0 at ``rho[0]``."""
+    block = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
     a = eig_ascending(block.h)
-    b = eig_ascending(block.h + block.e)
-    power = _batch_power(cfg, b, policy, rho)
-    capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
-    return int((capacity < r * math.log2(rho)).sum())
+    estimate = np.empty_like(block.h)
+    counts = []
+    for rho_g, policy in zip(rho, policies):
+        # sqrt(sigma_g**2 / sigma_0**2), with no underflow at large alpha.
+        np.multiply(block.e, (rho[0] / rho_g) ** (cfg.alpha / 2), out=estimate)
+        estimate += block.h
+        power = _batch_power(cfg, eig_ascending(estimate), policy, rho_g)
+        capacity = np.log2(1.0 + (power / cfg.m_tx)[:, None] * a).sum(axis=1)
+        counts.append(int((capacity < r * math.log2(rho_g)).sum()))
+    return counts
 
 
 def outage_trial(cfg, rho, r, policy, seed):
     """Whether trial 0 of ``seed`` is in outage at SNR ``rho`` and rate
     ``r * log2(rho)``."""
-    rho = float(rho)
-    if not (rho > 0.0):
-        raise ValueError(f"rho must be positive, got {rho}")
-    return bool(_count_outages_span(cfg, rho, float(r), policy, seed,
-                                    stream=0, start=0, count=1))
+    return bool(_count_outages_span(cfg, [float(rho)], float(r), [policy],
+                                    seed, start=0, count=1)[0])
 
 
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     """Outage probability across an SNR grid, with a fitted decay slope.
 
-    SNR point ``g`` draws its trials from stream ``2g`` and calibrates (if
-    needed) on stream ``2g + 1`` of the same seed, so results depend only on
-    ``(seed, grid)`` and never on the worker count.  The slope is fitted in
+    Every point counts the trials of stream 0 of the seed, and kappa is
+    calibrated on stream 1, both at the first point, so results depend only
+    on ``(seed, grid)``, never on the worker count.  The slope is fitted in
     log-log coordinates over the points with at least
     ``_MIN_EVENTS_FOR_FIT`` outage events and is NaN when fewer than two
     points qualify.
@@ -265,23 +273,15 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
             f"rho_grid must span at least a factor of {_MIN_RHO_RATIO} "
             f"for a meaningful slope")
     workers = max(1, int(workers))
-    spans = [(s, min(_TRIAL_CHUNK, trials - s))
-             for s in range(0, trials, _TRIAL_CHUNK)]
-    counts = []
-    for g, rho_g in enumerate(rho):
-        resolved = _resolve_policy(cfg, rho_g, policy, seed, 2 * g + 1)
+    policies = _grid_policies(cfg, rho, policy, seed)
 
-        def span_count(span, rho_g=rho_g, resolved=resolved, g=g):
-            start, cnt = span
-            return _count_outages_span(cfg, rho_g, r, resolved, seed,
-                                       stream=2 * g, start=start, count=cnt)
+    def span_counts(start):
+        return _count_outages_span(cfg, rho, r, policies, seed, start=start,
+                                   count=min(_TRIAL_CHUNK, trials - start))
 
-        if workers == 1 or len(spans) == 1:
-            total = sum(span_count(sp) for sp in spans)
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                total = sum(pool.map(span_count, spans))
-        counts.append(total)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_span = list(pool.map(span_counts, range(0, trials, _TRIAL_CHUNK)))
+    counts = [sum(column) for column in zip(*per_span)]
     p_out = [cnt / trials for cnt in counts]
     ci = [1.96 * math.sqrt(p * (1.0 - p) / trials) for p in p_out]
     fit_x = [math.log(rho_g) for rho_g, cnt in zip(rho, counts)

@@ -303,11 +303,11 @@ class TestCmdFigures:
     # They pin every outage count: a change to these bytes changes a Monte
     # Carlo result and must be made on purpose.
     SIMULATE_SHA256 = {
-        (1, 1): "175e9bd1a680bdc8260ad48510c79be4c05cea5b4c71464f97493c8e1d695985",
-        (2, 1): "fd0c985188611fb0647f4d6d985652647b40e7d63e4c05f587a676c22b2d4dc5",
-        (2, 2): "de9de2ef8da7c8aa92d3d8fa2a0a77ceb98b8258feae62ffab0434d4a09145b1",
-        (3, 2): "dbddb010a363b9fa573f3f46aad91e0f5de48bf25a8aea69be351ace345f03d1",
-        (3, 3): "5b349fa7714a608e8d909bd35055fb512dcf6fab907ac08901a1bdb2405c27cf",
+        (1, 1): "12384ac1ce3314fc47210e2d14a77d51d059ba5490eba7e9a889e8c5591ea2ce",
+        (2, 1): "7f4866b4d84c9074d870583e516dc9e91ca3ee44511a54c70495340e7babd4ff",
+        (2, 2): "ff0453cdb9e6fdf86233b24b6a4ff6debfbdf8cdf024c6a611f76ef44d167150",
+        (3, 2): "684a03bbf2d1d16ad5c33967de909dbebaede4b0bd938cdf539459977c9d1ed2",
+        (3, 3): "1619c51e5576f4609b6aeb21edbf16d42883783882e997f4f34874f1397403c6",
     }
 
     @pytest.mark.parametrize("m,n", sorted(SIMULATE_SHA256))

@@ -7,12 +7,21 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammainc, gammaln
 
-from mimo_dmt.channel import ChannelConfig, sample_channel, sample_channel_block
+from mimo_dmt import simulate
+from mimo_dmt.channel import (
+    ChannelConfig,
+    eigen_decay_weights,
+    sample_channel,
+    sample_channel_block,
+)
 from mimo_dmt.simulate import (
+    CAL_BATCH,
     OutageSweep,
     PowerPolicy,
     _batch_power,
     _count_outages_span,
+    _grid_policies,
+    _mean_damped_weight,
     adapted_power,
     calibrate_kappa,
     estimate_mean_power,
@@ -139,6 +148,21 @@ class TestCalibrateKappa:
         with pytest.raises(ValueError):
             calibrate_kappa(cfg, 1000.0, PowerPolicy(), batch=5000, seed=1)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("t", [0.5, 0.9])
+    def test_mean_weight_scale_identity(self, m, n, t):
+        # Target and proposal are scale families in s = 1 + rho^-alpha and
+        # the decay weights sum to m*n, so on one stream the mean damped
+        # weight scales exactly as s^(-t*m*n).  A sweep scales kappa by it.
+        assert eigen_decay_weights(m, n).sum() == m * n
+        cfg = ChannelConfig(m, n, 0.5)
+        rho0, rho = 10.0, 1e4
+        s0, s = 1.0 + rho0 ** -0.5, 1.0 + rho ** -0.5
+        base, _ = _mean_damped_weight(cfg, rho0, t, 10_000, 41, 1)
+        scaled, _ = _mean_damped_weight(cfg, rho, t, 10_000, 41, 1)
+        npt.assert_allclose(scaled, (s / s0) ** (-t * m * n) * base,
+                            rtol=1e-12)
+
     def test_heavy_tail_warning_near_one(self):
         # t close to 1 thickens the weight tail; a small batch cannot meet
         # the convergence target and the achieved error is reported.
@@ -150,13 +174,19 @@ class TestCalibrateKappa:
 
 class TestMeanPowerValidation:
     def test_same_stream_identity(self):
-        # Re-estimating on the calibration stream reproduces p_bar exactly.
+        # Re-estimating on the calibration stream reproduces p_bar exactly,
+        # at the calibrated first point of a grid and at every point its
+        # kappa is scaled to.
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
-        kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=9)
-        resolved = PowerPolicy(t=0.9, kappa=kappa)
-        mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=9, stream=1)
-        npt.assert_allclose(mean_p / 1000.0, 1.0, rtol=1e-12)
+        grid = [1000.0, 1e4, 1e5]
+        policies = _grid_policies(cfg, grid, pol, seed=9)
+        assert policies[0].kappa == calibrate_kappa(cfg, 1000.0, pol,
+                                                    batch=CAL_BATCH, seed=9)
+        for rho, resolved in zip(grid, policies):
+            mean_p = estimate_mean_power(cfg, rho, resolved, batch=CAL_BATCH,
+                                         seed=9, stream=1)
+            npt.assert_allclose(mean_p / rho, 1.0, rtol=1e-12)
 
     def test_fresh_batch_scalar(self):
         # (1,1) example: fresh-batch mean within 0.5% (exact for N=1).
@@ -210,25 +240,32 @@ class TestOutageTrial:
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 2), (4, 2)])
     @pytest.mark.parametrize("rho,seed", [(10.0, 5), (100.0, 6), (1e3, 7)])
     def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed):
-        # The span's spectrum route against eigvalsh on the same draws: the
-        # outage counts must be equal, not merely close.
+        # The grid kernel against eigvalsh on the same draws, at each point
+        # of a 3-point grid ending at rho: the error drawn at the first
+        # point is rescaled to each point's variance, and the outage counts
+        # must be equal, not merely close.
         cfg = ChannelConfig(m, n, 0.5)
-        pol = PowerPolicy(t=0.9, kappa=0.8)
+        grid = [rho / 4, rho / 2, rho]
+        policies = [PowerPolicy(t=0.9, kappa=k) for k in (0.8, 0.9, 1.0)]
         r, start, count = 0.6 * n, 1000, 20_000
-        block = sample_channel_block(cfg, rho, seed, start=start, count=count,
-                                     stream=3)
+        block = sample_channel_block(cfg, grid[0], seed, start=start,
+                                     count=count)
 
         def eigvalsh_gram(x):
             gram = x @ np.conj(np.swapaxes(x, -1, -2))
             return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
         a = eigvalsh_gram(block.h)
-        power = _batch_power(cfg, eigvalsh_gram(block.h + block.e), pol, rho)
-        capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
-        want = int((capacity < r * math.log2(rho)).sum())
-        assert 0 < want < count
-        got = _count_outages_span(cfg, rho, r, pol, seed, stream=3,
-                                  start=start, count=count)
+        want = []
+        for rho_g, pol in zip(grid, policies):
+            ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
+            b = eigvalsh_gram(block.h + ratio * block.e)
+            power = _batch_power(cfg, b, pol, rho_g)
+            capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
+            want.append(int((capacity < r * math.log2(rho_g)).sum()))
+        assert all(0 < w < count for w in want)
+        got = _count_outages_span(cfg, grid, r, policies, seed, start=start,
+                                  count=count)
         assert got == want
 
 
@@ -278,6 +315,28 @@ class TestRunSweep:
         assert a.p_out == b.p_out
         assert a.fitted_slope == b.fitted_slope or (
             math.isnan(a.fitted_slope) and math.isnan(b.fitted_slope))
+
+    def test_first_point_independent_of_grid(self):
+        # Each point's draws and kappa come from the seed and the first
+        # point alone, so adding a point in between changes neither end.
+        cfg = ChannelConfig(2, 2, 0.5)
+        pol = PowerPolicy(t=0.9)
+        a = run_sweep(cfg, 1.0, [10.0, 1000.0], 5000, pol, seed=29)
+        b = run_sweep(cfg, 1.0, [10.0, 100.0, 1000.0], 5000, pol, seed=29)
+        assert a.p_out[0] == b.p_out[0]
+        assert a.p_out[-1] == b.p_out[-1]
+
+    def test_span_size_invariance(self, monkeypatch):
+        # Each trial is counted on its own and spans add integers, so
+        # cutting the trials into more spans changes no count.
+        cfg = ChannelConfig(2, 2, 0.5)
+        pol = PowerPolicy(t=0.9)
+        grid = [10.0, 100.0, 1000.0]
+        whole = run_sweep(cfg, 1.0, grid, 5000, pol, seed=31)
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
+        for workers in (1, 3):
+            cut = run_sweep(cfg, 1.0, grid, 5000, pol, seed=31, workers=workers)
+            assert cut.p_out == whole.p_out
 
     def test_monotone_in_rho(self):
         cfg = ChannelConfig(2, 1, 0.3)
