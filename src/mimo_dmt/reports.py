@@ -258,7 +258,7 @@ def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
     for rho, half in zip(sweep.rho_grid, sweep.ci_half_width):
         rows.append(Row("ci", float(rho), float(half), trials, None))
     rows.append(Row("summary", float(policy.t), float(sweep.fitted_slope), None,
-                    "calibrated"))
+                    "calibrated" if policy.kappa is None else "set"))
     _maybe_write(rows, out, fmt)
     return rows
 

@@ -13,14 +13,17 @@ does not overflow.
 
 A sweep draws each trial once and reuses it at every SNR point.  Outage
 counting is counter-partitioned: a sweep cut into chunks across any number of
-worker threads reproduces the single-thread result bit for bit.
+worker threads reproduces the single-thread result bit for bit.  Each span
+works on trial-contiguous batches and computes every point's kappa-free
+damped weight first; the one kappa calibration runs on the calling thread
+meanwhile and reaches the spans through a future.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -110,13 +113,28 @@ def adapted_power(cfg, b, policy, p_bar):
 
 def _batch_power(cfg, b, policy, p_bar):
     """:func:`adapted_power` for a ``(trials, n_rx)`` batch of eigenvalues."""
-    if policy.kappa is None:
+    _check_resolved(policy.kappa)
+    return policy.kappa * p_bar * _damped_weight(cfg, b, policy.t)
+
+
+def _check_resolved(kappa):
+    if kappa is None:
         raise ValueError("policy kappa is unresolved; calibrate it first")
-    if policy.t == 0.0:
-        return np.full(len(b), policy.kappa * p_bar)
+
+
+def _damped_weight(cfg, b, t):
+    """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
+    batch of ascending eigenvalues, summed in the log domain one eigenvalue
+    index at a time."""
+    if t == 0.0:
+        return np.ones(len(b))
     c = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
     log_b = np.log(np.maximum(b, np.finfo(float).tiny))
-    return policy.kappa * p_bar * np.exp(-policy.t * (log_b @ c))
+    exponent = c[0] * log_b[:, 0]
+    for i in range(1, cfg.n_rx):
+        exponent += c[i] * log_b[:, i]
+    exponent *= -t
+    return np.exp(exponent, out=exponent)
 
 
 def _log_is_weights(cfg, s, t, batch, seed, stream):
@@ -142,8 +160,11 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     logp = (-wishart_log_norm_const(m, n) - m * n * math.log(s)
             + (m - n) * log_b.sum(axis=1)
             - np.exp(logsumexp(log_b, axis=1)) / s)
-    for i in range(n):
-        for j in range(i + 1, n):
+    for i in range(n - 1):
+        # b_{i+1} - b_i is spacing i+1 itself, where logsumexp is the
+        # identity.
+        logp += 2.0 * log_sp[:, i + 1]
+        for j in range(i + 2, n):
             # b_j - b_i is the sum of spacings i+1 .. j.
             logp += 2.0 * logsumexp(log_sp[:, i + 1:j + 1], axis=1)
     logq = ((g - 1.0) * log_sp - np.exp(log_sp) / beta
@@ -200,8 +221,7 @@ def estimate_mean_power(cfg, rho, policy, batch, seed, stream=2):
     calibration, so re-running it on the calibration stream reproduces the
     budget exactly.
     """
-    if policy.kappa is None:
-        raise ValueError("policy kappa is unresolved; calibrate it first")
+    _check_resolved(policy.kappa)
     batch, rho = _check_batch_rho(batch, rho)
     if policy.t == 0.0:
         return float(policy.kappa * rho)
@@ -209,41 +229,57 @@ def estimate_mean_power(cfg, rho, policy, batch, seed, stream=2):
     return float(policy.kappa * rho * mean)
 
 
-def _grid_policies(cfg, rho, policy, seed):
-    """One resolved policy per SNR point: a set ``kappa``, or one calibrated
-    at ``rho[0]`` and scaled by ``(s_g/s_0)**(t*m*n)`` with ``s = 1 +
+def _grid_kappas(cfg, rho, policy, seed):
+    """One kappa per SNR point: a set ``kappa``, or one calibrated at
+    ``rho[0]`` and scaled by ``(s_g/s_0)**(t*m*n)`` with ``s = 1 +
     rho**-alpha``, exact since the calibration is a scale family in ``s``."""
     if policy.kappa is not None:
-        return [policy] * len(rho)
+        return [policy.kappa] * len(rho)
     kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed, stream=1)
     s = [1.0 + x ** -cfg.alpha for x in rho]
     exponent = policy.t * cfg.m_tx * cfg.n_rx
-    return [replace(policy, kappa=kappa0 * (s_g / s[0]) ** exponent)
-            for s_g in s]
+    return [kappa0 * (s_g / s[0]) ** exponent for s_g in s]
 
 
-def _count_outages_span(cfg, rho, r, policies, seed, start, count):
+def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
-    drawn once on stream 0 at ``rho[0]``."""
+    drawn once on stream 0 at ``rho[0]``, under damping ``t``.
+
+    ``kappas()`` returns one kappa per point.  It is called only once every
+    point's kappa-free damped weight is computed, so a sweep can calibrate
+    while its spans draw.
+    """
     block = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
     a = eig_ascending(block.h)
     estimate = np.empty_like(block.h)
-    counts = []
-    for rho_g, policy in zip(rho, policies):
+    weights = []
+    for rho_g in rho:
         # sqrt(sigma_g**2 / sigma_0**2), with no underflow at large alpha.
         np.multiply(block.e, (rho[0] / rho_g) ** (cfg.alpha / 2), out=estimate)
         estimate += block.h
-        power = _batch_power(cfg, eig_ascending(estimate), policy, rho_g)
-        capacity = np.log2(1.0 + (power / cfg.m_tx)[:, None] * a).sum(axis=1)
-        counts.append(int((capacity < r * math.log2(rho_g)).sum()))
+        weights.append(_damped_weight(cfg, eig_ascending(estimate), t))
+    counts = []
+    term = np.empty(count)
+    for rho_g, kappa, power in zip(rho, kappas(), weights):
+        _check_resolved(kappa)
+        power *= kappa * rho_g
+        power /= cfg.m_tx
+        # The capacity sum_i log2(1 + power * a_i), one eigenvalue at a time.
+        capacity = np.zeros(count)
+        for i in range(cfg.n_rx):
+            np.multiply(power, a[:, i], out=term)
+            term += 1.0
+            capacity += np.log2(term, out=term)
+        counts.append(int(np.count_nonzero(capacity < r * math.log2(rho_g))))
     return counts
 
 
 def outage_trial(cfg, rho, r, policy, seed):
     """Whether trial 0 of ``seed`` is in outage at SNR ``rho`` and rate
     ``r * log2(rho)``."""
-    return bool(_count_outages_span(cfg, [float(rho)], float(r), [policy],
-                                    seed, start=0, count=1)[0])
+    return bool(_count_outages_span(cfg, [float(rho)], float(r), policy.t,
+                                    lambda: [policy.kappa], seed, start=0,
+                                    count=1)[0])
 
 
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
@@ -251,10 +287,11 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
 
     Every point counts the trials of stream 0 of the seed, and kappa is
     calibrated on stream 1, both at the first point, so results depend only
-    on ``(seed, grid)``, never on the worker count.  The slope is fitted in
-    log-log coordinates over the points with at least
-    ``_MIN_EVENTS_FOR_FIT`` outage events and is NaN when fewer than two
-    points qualify.
+    on ``(seed, grid)``, never on the worker count.  The calibration runs on
+    the calling thread while the worker spans draw; if it raises, the sweep
+    re-raises its error.  The slope is fitted in log-log coordinates over
+    the points with at least ``_MIN_EVENTS_FOR_FIT`` outage events and is
+    NaN when fewer than two points qualify.
     """
     r = float(r)
     n = cfg.n_rx
@@ -273,14 +310,20 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
             f"rho_grid must span at least a factor of {_MIN_RHO_RATIO} "
             f"for a meaningful slope")
     workers = max(1, int(workers))
-    policies = _grid_policies(cfg, rho, policy, seed)
-
-    def span_counts(start):
-        return _count_outages_span(cfg, rho, r, policies, seed, start=start,
-                                   count=min(_TRIAL_CHUNK, trials - start))
-
+    kappas = Future()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_span = list(pool.map(span_counts, range(0, trials, _TRIAL_CHUNK)))
+        spans = [pool.submit(_count_outages_span, cfg, rho, r, policy.t,
+                             kappas.result, seed, start,
+                             min(_TRIAL_CHUNK, trials - start))
+                 for start in range(0, trials, _TRIAL_CHUNK)]
+        # Calibrate here while the spans draw; warnings stay on this thread.
+        try:
+            kappas.set_result(_grid_kappas(cfg, rho, policy, seed))
+        except BaseException as exc:
+            kappas.set_exception(exc)
+            pool.shutdown(cancel_futures=True)
+            raise
+        per_span = [span.result() for span in spans]
     counts = [sum(column) for column in zip(*per_span)]
     p_out = [cnt / trials for cnt in counts]
     ci = [1.96 * math.sqrt(p * (1.0 - p) / trials) for p in p_out]

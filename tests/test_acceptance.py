@@ -3,9 +3,11 @@ tolerance and budget.  Each test emits exactly one [criterion NN] PASS/FAIL
 line; the -v test status line mirrors it."""
 import math
 import time
+from unittest import mock
 
 import numpy as np
 
+from mimo_dmt import simulate
 from mimo_dmt.channel import ChannelConfig, eig_ascending, sample_channel_block
 from mimo_dmt.oracle import exact_oracle_curve
 from mimo_dmt.reports import cmd_simulate
@@ -196,7 +198,11 @@ def test_criterion_10_worker_determinism():
         return cmd_simulate(
             cfg=ChannelConfig(2, 2, 0.5), r=1.0, rho_grid=[10.0, 100.0, 1000.0],
             trials=20_000, policy=PowerPolicy(t=0.9), seed=1000, workers=workers)
-    rows_1 = rows(1)
-    rows_3 = rows(3)
-    rows_5 = rows(5)
-    assert rows_1 == rows_3 == rows_5
+    one_span = rows(1)
+    # Spans of 3,000 trials cut the sweep into seven, so the workers really
+    # divide it.
+    with mock.patch.object(simulate, "_TRIAL_CHUNK", 3000):
+        rows_1 = rows(1)
+        rows_3 = rows(3)
+        rows_5 = rows(5)
+    assert one_span == rows_1 == rows_3 == rows_5

@@ -182,6 +182,15 @@ class TestEigAscending:
         with pytest.raises(ValueError):
             eig_ascending(m)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+    def test_rejects_nonfinite_in_batch(self, n, bad):
+        # Every branch rejects one non-finite entry anywhere in a batch.
+        x = np.ones((5, n, 3), dtype=complex)
+        x[3, n - 1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            eig_ascending(x)
+
     @staticmethod
     def _eigvalsh_reference(x):
         gram = x @ np.conj(np.swapaxes(x, -1, -2))
@@ -214,6 +223,32 @@ class TestEigAscending:
         if n == 2:
             npt.assert_allclose(got[1, 0], 0.0, atol=1e-13 * got[1, 1])
             npt.assert_allclose(got[2], 6.25 * scale ** 2, rtol=1e-13)
+
+    @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 4)])
+    def test_layout_invariance(self, n, m):
+        # The same batch stored C-ordered and trial-last must give the same
+        # eigenvalues bit for bit; the sweep's draws are stored trial-last.
+        rng = np.random.default_rng(10 * n + m)
+        x = rng.normal(size=(500, n, m)) + 1j * rng.normal(size=(500, n, m))
+        trial_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)),
+                                 -1, 0)
+        assert trial_last[:, 0, 0].flags.c_contiguous
+        c_ordered = eig_ascending(np.ascontiguousarray(x))
+        assert np.array_equal(c_ordered, eig_ascending(trial_last))
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
+    def test_batch_size_invariance(self, m, n):
+        # A trial's eigenvalues must not depend on the size of the batch it
+        # is drawn in.  40,000 trials lie above the 256 KiB at which NumPy
+        # may reuse a temporary as an output, which can change the loop a
+        # complex product runs through; 3,000 lie below it.
+        cfg = ChannelConfig(m, n, 0.5)
+        whole = sample_channel_block(cfg, 10.0, 4, start=0, count=40_000)
+        parts = [sample_channel_block(cfg, 10.0, 4, start=s,
+                                      count=min(3000, 40_000 - s))
+                 for s in range(0, 40_000, 3000)]
+        got = np.concatenate([eig_ascending(b.h + b.e) for b in parts])
+        assert np.array_equal(got, eig_ascending(whole.h + whole.e))
 
     def test_equal_eigenvalues_stay_ascending(self):
         # Orthonormal row pairs have the double eigenvalue 1; the closed

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mimo_dmt
 from mimo_dmt import reports
 from mimo_dmt.cli import DEFAULT_SEED, main
 from mimo_dmt.reports import read_dataset
@@ -166,3 +171,16 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_module_entry_point_runs_clean(self):
+        # ``python -m mimo_dmt`` must start without the RuntimeWarning that
+        # running a submodule already imported by the package would raise.
+        env = dict(os.environ)
+        src = str(Path(mimo_dmt.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mimo_dmt",
+             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "simulate" in done.stdout

@@ -226,6 +226,13 @@ class TestCmdSimulate:
         assert summary.aux_note == "calibrated"
         assert math.isfinite(summary.y)
 
+    def test_summary_notes_set_kappa(self, tmp_path):
+        rows = cmd_simulate(
+            cfg=ChannelConfig(1, 1, 0.0), r=0.5, rho_grid=[10.0, 1000.0],
+            trials=2000, policy=PowerPolicy(t=0.5, kappa=1.0), seed=1729,
+            out=str(tmp_path / "s.csv"), fmt="csv")
+        assert rows_by_series(rows, "summary")[0].aux_note == "set"
+
     def test_deterministic(self, tmp_path):
         a = self._run(tmp_path)
         b = self._run(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for power adaptation, constraint calibration, and outage sweeps."""
 import math
+import sys
+import threading
 
 import numpy as np
 import numpy.testing as npt
@@ -20,7 +22,7 @@ from mimo_dmt.simulate import (
     PowerPolicy,
     _batch_power,
     _count_outages_span,
-    _grid_policies,
+    _grid_kappas,
     _mean_damped_weight,
     adapted_power,
     calibrate_kappa,
@@ -180,10 +182,11 @@ class TestMeanPowerValidation:
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         grid = [1000.0, 1e4, 1e5]
-        policies = _grid_policies(cfg, grid, pol, seed=9)
-        assert policies[0].kappa == calibrate_kappa(cfg, 1000.0, pol,
-                                                    batch=CAL_BATCH, seed=9)
-        for rho, resolved in zip(grid, policies):
+        kappas = _grid_kappas(cfg, grid, pol, seed=9)
+        assert kappas[0] == calibrate_kappa(cfg, 1000.0, pol, batch=CAL_BATCH,
+                                            seed=9)
+        for rho, kappa in zip(grid, kappas):
+            resolved = PowerPolicy(t=0.9, kappa=kappa)
             mean_p = estimate_mean_power(cfg, rho, resolved, batch=CAL_BATCH,
                                          seed=9, stream=1)
             npt.assert_allclose(mean_p / rho, 1.0, rtol=1e-12)
@@ -237,16 +240,21 @@ class TestOutageTrial:
         with pytest.raises(ValueError):
             outage_trial(cfg, 10.0, 1.0, PowerPolicy(t=0.9), 0)
 
-    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2),
+                                     (3, 3), (4, 4)])
     @pytest.mark.parametrize("rho,seed", [(10.0, 5), (100.0, 6), (1e3, 7)])
     def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed):
         # The grid kernel against eigvalsh on the same draws, at each point
         # of a 3-point grid ending at rho: the error drawn at the first
         # point is rescaled to each point's variance, and the outage counts
-        # must be equal, not merely close.
+        # must be equal, not merely close.  The draws are stored trial-last;
+        # the reference works on C-ordered copies of them.
         cfg = ChannelConfig(m, n, 0.5)
         grid = [rho / 4, rho / 2, rho]
-        policies = [PowerPolicy(t=0.9, kappa=k) for k in (0.8, 0.9, 1.0)]
+        # Kappas near the calibrated ones keep every count inside (0, count).
+        kappa_scale = {(3, 3): 3.0, (4, 4): 2e3}.get((m, n), 1.0)
+        kappas = [kappa_scale * k for k in (0.8, 0.9, 1.0)]
+        policies = [PowerPolicy(t=0.9, kappa=k) for k in kappas]
         r, start, count = 0.6 * n, 1000, 20_000
         block = sample_channel_block(cfg, grid[0], seed, start=start,
                                      count=count)
@@ -255,17 +263,18 @@ class TestOutageTrial:
             gram = x @ np.conj(np.swapaxes(x, -1, -2))
             return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
-        a = eigvalsh_gram(block.h)
+        h, e = np.ascontiguousarray(block.h), np.ascontiguousarray(block.e)
+        a = eigvalsh_gram(h)
         want = []
         for rho_g, pol in zip(grid, policies):
             ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
-            b = eigvalsh_gram(block.h + ratio * block.e)
+            b = eigvalsh_gram(h + ratio * e)
             power = _batch_power(cfg, b, pol, rho_g)
             capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
             want.append(int((capacity < r * math.log2(rho_g)).sum()))
         assert all(0 < w < count for w in want)
-        got = _count_outages_span(cfg, grid, r, policies, seed, start=start,
-                                  count=count)
+        got = _count_outages_span(cfg, grid, r, 0.9, lambda: kappas, seed,
+                                  start=start, count=count)
         assert got == want
 
 
@@ -306,15 +315,58 @@ class TestRunSweep:
         assert sweep.p_out == [0.0, 0.0]
         assert math.isnan(sweep.fitted_slope)
 
-    def test_partition_invariance(self):
-        # Same seed, different worker counts: bit-identical results.
+    def test_partition_invariance(self, monkeypatch):
+        # Same seed, different worker counts: bit-identical results.  Spans
+        # of 1,500 trials make the workers really divide the sweep.
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         a = run_sweep(cfg, 1.0, [10.0, 1000.0], 5000, pol, seed=13, workers=1)
         b = run_sweep(cfg, 1.0, [10.0, 1000.0], 5000, pol, seed=13, workers=3)
         assert a.p_out == b.p_out
-        assert a.fitted_slope == b.fitted_slope or (
-            math.isnan(a.fitted_slope) and math.isnan(b.fitted_slope))
+        assert math.isfinite(a.fitted_slope)
+        assert a.fitted_slope == b.fitted_slope
+
+    def test_handoff_under_thread_switching(self, monkeypatch):
+        # More workers than cores wait on the kappas that the calling thread
+        # calibrates, with the interpreter switching threads as often as it
+        # can; the counts must still equal the one-worker sweep.
+        cfg = ChannelConfig(2, 2, 0.5)
+        pol = PowerPolicy(t=0.9)
+        grid = [10.0, 100.0, 1000.0]
+        want = run_sweep(cfg, 1.0, grid, 6000, pol, seed=37)
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 500)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_sweep(cfg, 1.0, grid, 6000, pol, seed=37, workers=6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.p_out == want.p_out
+
+    def test_calibration_error_reaches_caller(self, monkeypatch):
+        # The spans wait for the kappas that the calling thread calibrates;
+        # when the calibration raises, the sweep must re-raise its error
+        # instead of leaving the spans waiting.
+        def fail(*args, **kwargs):
+            raise RuntimeError("calibration failed")
+
+        monkeypatch.setattr(simulate, "calibrate_kappa", fail)
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
+        raised = []
+
+        def sweep():
+            try:
+                run_sweep(ChannelConfig(2, 2, 0.5), 1.0, [10.0, 1000.0], 5000,
+                          PowerPolicy(t=0.9), seed=3, workers=2)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        runner = threading.Thread(target=sweep, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "run_sweep hung after a failed calibration"
+        assert raised == ["calibration failed"]
 
     def test_first_point_independent_of_grid(self):
         # Each point's draws and kappa come from the seed and the first
