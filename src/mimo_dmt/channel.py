@@ -25,12 +25,8 @@ from scipy.special import gammaln, ndtri
 __all__ = [
     "ChannelConfig",
     "ChannelDraw",
-    "EigenTriple",
-    "check_perturbation_bound",
     "eig_ascending",
     "eigen_decay_weights",
-    "eigen_triple",
-    "sample_channel",
     "sample_channel_block",
     "wishart_log_norm_const",
 ]
@@ -78,20 +74,6 @@ class ChannelDraw:
     h: np.ndarray
     e: np.ndarray
     sigma_e_sq: float
-
-    @property
-    def estimate(self):
-        """The matrix the transmitter actually sees: channel plus error."""
-        return self.h + self.e
-
-
-@dataclass(frozen=True)
-class EigenTriple:
-    """Ascending eigenvalues of channel, estimate, and error Gram matrices."""
-
-    channel: np.ndarray
-    estimate: np.ndarray
-    error: np.ndarray
 
 
 def eigen_decay_weights(m, n):
@@ -148,12 +130,6 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     np.multiply(z[:, 2], e_scale, out=e.real)
     np.multiply(z[:, 3], e_scale, out=e.imag)
     return ChannelDraw(h=h, e=e, sigma_e_sq=sigma_e_sq)
-
-
-def sample_channel(cfg, rho, seed, stream=0):
-    """Draw a single channel/error pair (trial 0 of the stream)."""
-    block = sample_channel_block(cfg, rho, seed, start=0, count=1, stream=stream)
-    return ChannelDraw(h=block.h[0], e=block.e[0], sigma_e_sq=block.sigma_e_sq)
 
 
 def eig_ascending(x):
@@ -247,33 +223,6 @@ def _two_row_spectrum(x):
     # The minimum keeps the pair ascending where rounding would cross it.
     lam_min = np.minimum(scale * (det / half), lam_max)
     return lam_min, lam_max
-
-
-def eigen_triple(draw):
-    """Eigenvalues of the channel, its estimate, and the estimation error."""
-    return EigenTriple(
-        channel=eig_ascending(draw.h),
-        estimate=eig_ascending(draw.estimate),
-        error=eig_ascending(draw.e),
-    )
-
-
-def check_perturbation_bound(triple):
-    """Each estimate eigenvalue is at most twice (channel + largest error).
-
-    The estimate is the sum of channel and error matrices, so its k-th
-    ascending eigenvalue cannot exceed twice the sum of the channel's k-th
-    eigenvalue and the error's largest one.  A relative jitter allowance of
-    ``1e-9 * max(1, largest estimate eigenvalue)`` absorbs floating-point
-    noise at the boundary.
-    """
-    a = np.asarray(triple.channel, dtype=float)
-    b = np.asarray(triple.estimate, dtype=float)
-    c = np.asarray(triple.error, dtype=float)
-    if not (a.shape == b.shape == c.shape) or a.ndim != 1:
-        raise ValueError("eigenvalue vectors must share one length")
-    eps = 1e-9 * max(1.0, float(b[-1]))
-    return bool(np.all(b <= 2.0 * (a + c[-1]) + eps))
 
 
 def wishart_log_norm_const(m, n):

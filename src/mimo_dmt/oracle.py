@@ -5,24 +5,20 @@ probability-decay cost of a joint fade pattern over all patterns deep enough
 to cause outage at multiplexing gain ``r``, given that the transmitter boosts
 power based on what its channel estimate shows.  This module solves that
 optimization directly — by enumerating the vertices of the piecewise-linear
-program region by region, and per fade cardinality — with none of the
-piecewise closed-form algebra, so agreement between the two routes is
-meaningful evidence.
+program region by region — with none of the piecewise closed-form algebra,
+so agreement between the two routes is meaningful evidence.
 """
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .channel import eigen_decay_weights
-from .tradeoff import candidate_indices, diversity_boost
 
 __all__ = [
     "exact_oracle_curve",
     "outage_condition",
-    "subset_oracle",
 ]
 
 # Vertex enumeration solves up to C(n + 5, n) small systems on each of the
@@ -157,42 +153,3 @@ def exact_oracle_curve(cfg, r_probes):
             below = floor < rs * (1.0 - _EDGE_TOL)
             left_limit = np.where(below, np.minimum(left_limit, best), left_limit)
     return left_limit, attained
-
-
-def subset_oracle(cfg, k, r):
-    """Cheapest outage-forcing pattern with exactly ``k`` deep directions.
-
-    Solved as a tiny linear program by enumerating the vertices of the
-    feasible polytope: patterns where the deepest directions sit at the
-    adapted ceiling, one direction balances the rate constraint, the rest of
-    the deep block sits at the estimate floor ``alpha``, and the remaining
-    ``n - k`` directions do not fade.  Infinite when cardinality ``k`` can
-    never force an outage at ``r``.
-    """
-    k = int(k)
-    n, m, alpha = cfg.n_rx, cfg.m_tx, cfg.alpha
-    if k < 1 or k > n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    r = float(r)
-    if k not in candidate_indices(cfg):
-        return math.inf
-    tau = diversity_boost(cfg, k)
-    if r <= (n - k) * tau:
-        return math.inf
-    c = eigen_decay_weights(m, n)
-    best = math.inf
-    for kprime in range(1, k + 1):
-        x = (n - kprime + 1) * tau - (k - kprime) * alpha - r
-        if alpha - _EDGE_TOL <= x <= tau + _EDGE_TOL:
-            v = np.zeros(n)
-            v[:kprime - 1] = tau
-            v[kprime - 1] = x
-            v[kprime:k] = alpha
-            best = min(best, float(v @ c))
-    # Every deep direction at the estimate floor: feasible once the floor
-    # pattern alone drops the delivered rate below r.
-    if k * alpha >= n * tau - r - _EDGE_TOL:
-        v = np.zeros(n)
-        v[:k] = alpha
-        best = min(best, float(v @ c))
-    return best

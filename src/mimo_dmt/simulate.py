@@ -40,10 +40,8 @@ __all__ = [
     "CAL_BATCH",
     "OutageSweep",
     "PowerPolicy",
-    "adapted_power",
     "calibrate_kappa",
     "estimate_mean_power",
-    "outage_trial",
     "run_sweep",
 ]
 
@@ -91,30 +89,6 @@ class OutageSweep:
     fitted_slope: float
     trials: int
     r: float
-
-
-def adapted_power(cfg, b, policy, p_bar):
-    """Instantaneous transmit power for estimate eigenvalues ``b``.
-
-    ``b`` must be the ascending eigenvalues of the estimate Gram matrix;
-    power is ``kappa * p_bar * prod(b_n ** -(t * w_n))`` with ``w`` the
-    decay weights, so the weakest estimated direction drives the boost the
-    least steeply.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape != (cfg.n_rx,):
-        raise ValueError(f"expected {cfg.n_rx} eigenvalues, got shape {b.shape}")
-    if (b <= 0).any():
-        raise ValueError("estimate eigenvalues must be strictly positive")
-    if (np.diff(b) < 0).any():
-        raise ValueError("estimate eigenvalues must be sorted ascending")
-    return float(_batch_power(cfg, b[None, :], policy, p_bar)[0])
-
-
-def _batch_power(cfg, b, policy, p_bar):
-    """:func:`adapted_power` for a ``(trials, n_rx)`` batch of eigenvalues."""
-    _check_resolved(policy.kappa)
-    return policy.kappa * p_bar * _damped_weight(cfg, b, policy.t)
 
 
 def _check_resolved(kappa):
@@ -272,14 +246,6 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
             capacity += np.log2(term, out=term)
         counts.append(int(np.count_nonzero(capacity < r * math.log2(rho_g))))
     return counts
-
-
-def outage_trial(cfg, rho, r, policy, seed):
-    """Whether trial 0 of ``seed`` is in outage at SNR ``rho`` and rate
-    ``r * log2(rho)``."""
-    return bool(_count_outages_span(cfg, [float(rho)], float(r), policy.t,
-                                    lambda: [policy.kappa], seed, start=0,
-                                    count=1)[0])
 
 
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):

@@ -16,10 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import ChannelConfig
-
 __all__ = [
-    "CornerPoint",
     "DmtCurve",
     "DmtSegment",
     "active_indices",
@@ -31,7 +28,6 @@ __all__ = [
     "eval_dmt",
     "eval_dmt_jump",
     "eval_dmt_left_limit",
-    "subset_corner_points",
     "subset_diversity",
 ]
 
@@ -66,16 +62,6 @@ class DmtCurve:
     case_tag: str
     active_set: tuple
     boost_table: dict
-
-
-@dataclass(frozen=True)
-class CornerPoint:
-    """A corner of one fade-cardinality diversity line."""
-
-    kprime: int
-    r: float
-    d: float
-    in_domain: bool
 
 
 def diversity_boost(cfg, k):
@@ -238,33 +224,18 @@ def eval_dmt_jump(curve, r):
     return seg.r_right, seg.d_right, value
 
 
-def subset_corner_points(cfg, k):
-    """Corners of the depth-``k`` fade cardinality's own diversity line.
-
-    Corner ``kprime`` (counting surviving fade depth) sits at multiplexing
-    gain ``(n - kprime) * boost - (k - kprime) * alpha``; corners beyond the
-    achievable range ``[0, n]`` are flagged ``in_domain=False``.
-    """
-    k = int(k)
-    n, m, alpha = cfg.n_rx, cfg.m_tx, cfg.alpha
-    if k < 1 or k > n:
-        raise ValueError(f"k must lie in [1, {n}], got {k}")
-    tau = diversity_boost(cfg, k)
-    corners = []
-    for kprime in range(k, 0, -1):
-        r = (n - kprime) * tau - (k - kprime) * alpha
-        d = kprime * (m - n + kprime) * tau \
-            + (k - kprime) * (k + kprime + m - n) * alpha
-        corners.append(CornerPoint(
-            kprime=kprime, r=float(r), d=float(d), in_domain=bool(r <= n)))
-    return corners
-
-
 def subset_diversity(cfg, k, r):
     """Diversity of the depth-``k`` fade event alone at multiplexing ``r``.
 
     Infinite when cardinality ``k`` is not rate-limiting at all, or when
-    ``r`` does not exceed its reach (the event then cannot cause outage).
+    ``r`` lies below its reach ``(n - k) * boost`` (the event then cannot
+    cause outage).  From the reach on, the value is convex and decreasing
+    in ``r``: its corners sit at ``(n - j) * boost - (k - j) * alpha`` for
+    ``j = k, k - 1, ..., 1``, rising as ``j`` falls, and ``r`` belongs to
+    the piece of the smallest ``j`` whose corner does not exceed it, which
+    falls with slope ``2j - 1 + m - n``.  A depth-``k`` outage pattern is
+    an outage pattern, so the value never falls below the curve ``d(r)``,
+    and its minimum over ``k`` is ``d(r)``.
     """
     k = int(k)
     n, m, alpha = cfg.n_rx, cfg.m_tx, cfg.alpha
@@ -276,10 +247,9 @@ def subset_diversity(cfg, k, r):
     tau = diversity_boost(cfg, k)
     if r < (n - k) * tau:
         return math.inf
-    kprime = max((j for j in range(1, k + 1)
-                  if (n - j) * tau - (k - j) * alpha <= r), default=None)
-    if kprime is None:
-        return math.inf
+    # Corner j = k is the reach itself, so some corner always qualifies.
+    kprime = min(j for j in range(1, k + 1)
+                 if (n - j) * tau - (k - j) * alpha <= r)
     return float(
         ((n - kprime) * (kprime - n - 1) + m * n) * tau
         + (k - kprime + 1) * (k - kprime) * alpha

@@ -9,12 +9,7 @@ from scipy.special import gammaln
 
 from mimo_dmt.channel import (
     ChannelConfig,
-    ChannelDraw,
-    EigenTriple,
-    check_perturbation_bound,
     eig_ascending,
-    eigen_triple,
-    sample_channel,
     sample_channel_block,
     wishart_log_norm_const,
 )
@@ -72,37 +67,32 @@ class TestSampleChannel:
     def test_error_variance_follows_snr(self):
         # sigma_e^2 = rho^(-alpha): (4,4), rho=100, alpha=1 -> 0.01.  (immediate)
         cfg = ChannelConfig(4, 4, 1.0)
-        draw = sample_channel(cfg, rho=100.0, seed=0)
+        draw = sample_channel_block(cfg, rho=100.0, seed=0, count=1)
         npt.assert_allclose(draw.sigma_e_sq, 0.01, rtol=1e-15)
 
     def test_alpha_zero_unit_error_variance(self):
         cfg = ChannelConfig(2, 2, 0.0)
-        draw = sample_channel(cfg, rho=1000.0, seed=0)
+        draw = sample_channel_block(cfg, rho=1000.0, seed=0, count=1)
         npt.assert_allclose(draw.sigma_e_sq, 1.0, rtol=1e-15)
 
     def test_shapes(self):
         cfg = ChannelConfig(4, 2, 0.3)
-        draw = sample_channel(cfg, rho=10.0, seed=5)
-        assert draw.h.shape == (2, 4)
-        assert draw.e.shape == (2, 4)
+        draw = sample_channel_block(cfg, rho=10.0, seed=5, count=1)
+        assert draw.h.shape == (1, 2, 4)
+        assert draw.e.shape == (1, 2, 4)
         assert draw.h.dtype == np.complex128
-
-    def test_estimate_is_sum(self):
-        cfg = ChannelConfig(3, 2, 0.5)
-        draw = sample_channel(cfg, rho=100.0, seed=9)
-        npt.assert_array_equal(draw.estimate, draw.h + draw.e)
 
     def test_determinism(self):
         cfg = ChannelConfig(3, 3, 0.5)
-        d1 = sample_channel(cfg, rho=50.0, seed=123)
-        d2 = sample_channel(cfg, rho=50.0, seed=123)
+        d1 = sample_channel_block(cfg, rho=50.0, seed=123, count=1)
+        d2 = sample_channel_block(cfg, rho=50.0, seed=123, count=1)
         npt.assert_array_equal(d1.h, d2.h)
         npt.assert_array_equal(d1.e, d2.e)
 
     def test_seed_changes_draw(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        d1 = sample_channel(cfg, rho=50.0, seed=1)
-        d2 = sample_channel(cfg, rho=50.0, seed=2)
+        d1 = sample_channel_block(cfg, rho=50.0, seed=1, count=1)
+        d2 = sample_channel_block(cfg, rho=50.0, seed=2, count=1)
         assert not np.array_equal(d1.h, d2.h)
 
     def test_moments(self):
@@ -136,9 +126,9 @@ class TestSampleChannel:
     def test_single_draw_matches_block_row(self):
         cfg = ChannelConfig(2, 2, 0.5)
         block = sample_channel_block(cfg, rho=10.0, seed=3, start=0, count=4)
-        one = sample_channel(cfg, rho=10.0, seed=3)
-        npt.assert_array_equal(one.h, block.h[0])
-        npt.assert_array_equal(one.e, block.e[0])
+        one = sample_channel_block(cfg, rho=10.0, seed=3, start=2, count=1)
+        npt.assert_array_equal(one.h[0], block.h[2])
+        npt.assert_array_equal(one.e[0], block.e[2])
 
 
 class TestEigAscending:
@@ -274,66 +264,13 @@ class TestEigAscending:
         assert np.all(np.diff(vals) >= 0.0)
 
 
-class TestEigenTriple:
-    def test_fields(self):
-        cfg = ChannelConfig(3, 2, 0.5)
-        draw = sample_channel(cfg, rho=100.0, seed=21)
-        t = eigen_triple(draw)
-        npt.assert_allclose(t.channel, eig_ascending(draw.h), rtol=1e-14)
-        npt.assert_allclose(t.estimate, eig_ascending(draw.estimate), rtol=1e-14)
-        npt.assert_allclose(t.error, eig_ascending(draw.e), rtol=1e-14)
-        assert t.channel.shape == (2,)
-
-
 class TestPerturbationBound:
-    def test_zero_error_true(self):
-        # b <= 2(a + c_max) with zero error and b == 2a exactly: holds with
-        # the factor-of-two slack.  (immediate)
-        t = EigenTriple(
-            channel=np.array([1.0, 2.0]),
-            estimate=np.array([2.0, 4.0]),
-            error=np.array([0.0, 0.0]),
-        )
-        assert check_perturbation_bound(t) is True
-
-    def test_violation_false(self):
-        # b=[1,1] with a=c=0 violates b <= 2(a + c_max).  (immediate)
-        t = EigenTriple(
-            channel=np.array([0.0, 0.0]),
-            estimate=np.array([1.0, 1.0]),
-            error=np.array([0.0, 0.0]),
-        )
-        assert check_perturbation_bound(t) is False
-
-    def test_boundary_jitter_tolerated(self):
-        # Numerical tolerance 1e-9 * max(1, largest estimate eigenvalue)
-        # absorbs tiny overshoot at the boundary.
-        t = EigenTriple(
-            channel=np.array([1.0]),
-            estimate=np.array([2.0 + 1e-10]),
-            error=np.array([0.0]),
-        )
-        assert check_perturbation_bound(t) is True
-        t2 = EigenTriple(
-            channel=np.array([1.0]),
-            estimate=np.array([2.0 + 1e-7]),
-            error=np.array([0.0]),
-        )
-        assert check_perturbation_bound(t2) is False
-
-    def test_mismatched_lengths_error(self):
-        t = EigenTriple(
-            channel=np.array([1.0, 2.0]),
-            estimate=np.array([1.0]),
-            error=np.array([0.0, 0.0]),
-        )
-        with pytest.raises(ValueError):
-            check_perturbation_bound(t)
-
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3)])
     def test_holds_on_sampled_draws(self, m, n):
-        # Deterministic inequality: never violated by sampled triples.
-        cfg = ChannelConfig(m, n, 0.5)
+        # The estimate is channel plus error, so its k-th ascending
+        # eigenvalue is at most twice the channel's k-th plus the error's
+        # largest.  A deterministic inequality: no sampled batch violates
+        # it beyond a 1e-9 * max(1, largest estimate eigenvalue) allowance.
         for rho, alpha in [(10.0, 0.5), (100.0, 0.0), (1000.0, 1.0)]:
             cfg_a = ChannelConfig(m, n, alpha)
             block = sample_channel_block(cfg_a, rho=rho, seed=1900 + m, start=0, count=2000)

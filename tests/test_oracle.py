@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mimo_dmt.channel import ChannelConfig
-from mimo_dmt.oracle import exact_oracle_curve, outage_condition, subset_oracle
+from mimo_dmt.oracle import exact_oracle_curve, outage_condition
 from mimo_dmt.tradeoff import (
     compute_dmt_curve,
     diversity_boost,
@@ -201,29 +201,31 @@ class TestGridOracle:
 
 
 class TestSubsetOracle:
+    """The closed form's per-subset exponents against the exact oracle on
+    fixed links."""
+
     def test_full_subset_right_end(self):
-        assert subset_oracle(ChannelConfig(2, 2, 0.5), 2, 1.5) == pytest.approx(7.5)
+        # The depth-2 piece of (2,2,0.5) ends at the jump r = 1.5 with the
+        # oracle's left limit there.
+        cfg = ChannelConfig(2, 2, 0.5)
+        limit, _ = exact_oracle_curve(cfg, [1.5])
+        assert subset_diversity(cfg, 2, 1.5) == pytest.approx(limit[0], rel=1e-12)
+        assert limit[0] == pytest.approx(7.5)
 
     def test_single_subset_full_rate(self):
-        assert subset_oracle(ChannelConfig(4, 2, 0.1), 1, 2.0) == pytest.approx(1.8)
+        # Approaching full rate, depth 1 is the cheapest outage.
+        cfg = ChannelConfig(4, 2, 0.1)
+        limit, _ = exact_oracle_curve(cfg, [2.0])
+        assert subset_diversity(cfg, 1, 2.0) == pytest.approx(limit[0], rel=1e-12)
+        assert limit[0] == pytest.approx(1.8)
 
     def test_unreached_subset_infinite(self):
-        assert subset_oracle(ChannelConfig(2, 2, 0.5), 1, 1.0) == INF
-
-    def test_edge_of_reach_is_open(self):
-        # The per-subset feasible region is open at its lower rate edge.
-        assert subset_oracle(ChannelConfig(2, 2, 0.5), 1, 1.5) == INF
-        assert subset_oracle(ChannelConfig(2, 2, 0.5), 1, 2.0) == pytest.approx(1.0)
-
-    def test_noncandidate_infinite(self):
-        assert subset_oracle(ChannelConfig(2, 2, 1.0), 1, 1.9) == INF
-        assert subset_oracle(ChannelConfig(5, 3, 0.3), 2, 2.9) == INF
-
-    def test_rejects_out_of_range_k(self):
-        with pytest.raises(ValueError):
-            subset_oracle(ChannelConfig(2, 2, 0.5), 0, 1.0)
-        with pytest.raises(ValueError):
-            subset_oracle(ChannelConfig(2, 2, 0.5), 3, 1.0)
+        # Below its reach 1.5 the depth-1 event cannot cause outage, and
+        # depth 2 attains the oracle's minimum.
+        cfg = ChannelConfig(2, 2, 0.5)
+        _, attained = exact_oracle_curve(cfg, [1.0])
+        assert subset_diversity(cfg, 1, 1.0) == INF
+        assert subset_diversity(cfg, 2, 1.0) == pytest.approx(attained[0], rel=1e-12)
 
     @pytest.mark.parametrize(
         "m,n,alpha,k",
@@ -231,25 +233,30 @@ class TestSubsetOracle:
          (3, 3, 0.1, 2), (5, 3, 0.2, 3), (3, 2, 0.25, 1)],
     )
     def test_matches_interpolated_subset_curve(self, m, n, alpha, k):
-        # Interior of the subset's rate range: the vertex-enumeration LP
-        # and the corner-interpolation formula must agree.
+        # Across the subset's rate range, past every corner of its line, a
+        # depth-k outage costs at least the oracle's minimum, and matches
+        # it wherever depth k is the cheapest.
         cfg = ChannelConfig(m, n, alpha)
         reach = (n - k) * diversity_boost(cfg, k)
-        for frac in (0.1, 0.45, 0.8):
-            r = reach + frac * (n - reach)
-            if r <= 0 or r > n:
-                continue
-            got = subset_oracle(cfg, k, r)
-            want = subset_diversity(cfg, k, r)
-            npt.assert_allclose(got, want, rtol=1e-9, err_msg=f"r={r}")
+        rs = [reach + frac * (n - reach) for frac in np.linspace(0.02, 0.98, 49)]
+        _, attained = exact_oracle_curve(cfg, rs)
+        cheapest = 0
+        for r, floor in zip(rs, attained):
+            got = subset_diversity(cfg, k, r)
+            tol = 1e-9 * max(1.0, floor)
+            assert math.isfinite(got) and got >= floor - tol, f"r={r}"
+            if got == min(subset_diversity(cfg, j, r) for j in range(1, n + 1)):
+                assert abs(got - floor) <= tol, f"r={r}"
+                cheapest += 1
+        assert cheapest > 0
 
     def test_min_over_subsets_matches_grid(self):
-        # The per-cardinality programs and the whole program agree.
+        # The cheapest depth attains the whole program's minimum.
         cfg = ChannelConfig(2, 2, 0.35)
-        rs = (0.4, 1.0, 1.6, 2.0)
-        limit, _ = exact_oracle_curve(cfg, rs)
-        for r, want in zip(rs, limit):
-            best = min(subset_oracle(cfg, k, r) for k in (1, 2))
+        rs = (0.4, 1.0, 1.6, 1.99)
+        _, attained = exact_oracle_curve(cfg, rs)
+        for r, want in zip(rs, attained):
+            best = min(subset_diversity(cfg, k, r) for k in (1, 2))
             assert abs(want - best) <= 1e-9 * max(1.0, want), f"r={r}"
 
 
@@ -281,6 +288,23 @@ probe_fractions = st.lists(st.floats(0.0, 1.0, exclude_min=True),
 
 def _boundaries(curve):
     return [seg.r_right for seg in curve.segments]
+
+
+def _snapped_probes(cfg, fracs):
+    """Probes and curve boundaries below full rate, each moved onto a jump
+    within 1e-9 of it, where the closed form reads it.
+
+    Probes within 1e-9 of full rate are left out: at ``r = n`` the unfaded
+    pattern attains 0, and the oracle's edge slack admits it just below.
+    """
+    curve = compute_dmt_curve(cfg)
+    rs = []
+    for r in [f * cfg.n_rx for f in fracs] + _boundaries(curve):
+        jump = eval_dmt_jump(curve, r)
+        r = r if jump is None else jump[0]
+        if r < cfg.n_rx - 1e-9:
+            rs.append(r)
+    return rs
 
 
 class TestProperties:
@@ -331,3 +355,28 @@ class TestProperties:
         for r, bound in zip(rs, limit):
             if outage_condition(cfg, v, r):
                 assert c @ v >= bound - 1e-9, f"r={r}"
+
+    @given(cfg=links(), fracs=probe_fractions)
+    def test_subset_diversity_at_least_oracle(self, cfg, fracs):
+        # A depth-k outage pattern is an outage pattern, so no per-subset
+        # exponent falls below the oracle's attained minimum.
+        rs = _snapped_probes(cfg, fracs)
+        if not rs:
+            return
+        _, attained = exact_oracle_curve(cfg, rs)
+        for r, floor in zip(rs, attained):
+            for k in range(1, cfg.n_rx + 1):
+                got = subset_diversity(cfg, k, r)
+                assert got >= floor - 1e-9 * max(1.0, abs(floor)), f"k={k} r={r}"
+
+    @given(cfg=links(), fracs=probe_fractions)
+    def test_subset_minimum_matches_oracle(self, cfg, fracs):
+        # The cheapest depth attains it: the overlays' lower envelope is
+        # the curve.
+        rs = _snapped_probes(cfg, fracs)
+        if not rs:
+            return
+        _, attained = exact_oracle_curve(cfg, rs)
+        for r, want in zip(rs, attained):
+            got = min(subset_diversity(cfg, k, r) for k in range(1, cfg.n_rx + 1))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), f"r={r}"

@@ -288,12 +288,12 @@ class TestCmdFigures:
     # SHA-256 of each canned dataset file.  Any change to these bytes is a
     # change to a published result and must be made on purpose.
     FIGURE_SHA256 = {
-        (2, "csv"): "fafc52e489945655734e8f1c9563bd03eb1825fdfed11a8cd83c66942acf996c",
-        (3, "csv"): "70a86b43485f63ae51f345310b8331f30743f1ec881ef0e5c9d7e9d1716184f4",
+        (2, "csv"): "6fce86264054bb34fd5194536b995de7d97fbc1f69d69c6960f1fe8953ae4dc5",
+        (3, "csv"): "1a9f40ca4edec5749da0c499381ca4b07afcb5887f871fbdeea08739019a6cb1",
         (4, "csv"): "15c569f7a97268716e24561f8cd455c85f9456b46b095d7f7d815049128ab213",
         (5, "csv"): "45720dda2e6bae6db476c3974b694e78c104ac16228ef1d8e0fd7607247cb392",
-        (2, "json"): "e9c2e891d7640f062d5bd5ccae99b37e8c8f34a76fcedd4784e8761acd0f1d52",
-        (3, "json"): "66c1970f6f7da0b921c9f1fe85d35de7baa35d8ad5cc2e42dcf459946848b9fa",
+        (2, "json"): "7b1af0c19fec90d0ab291cb7771c93edab26f170aa188349a482bbb09d790cc2",
+        (3, "json"): "4944295a66f35183c5dd2fbe2511b21a7f1bb1e14f57c6aded3e68235c70f0e5",
         (4, "json"): "a6cefada525ab3d51d5a864eb30a314ea9e814dd213ba4dd5c4b7f65f7c3d145",
         (5, "json"): "da898959b1e8143e10387d393b89a7ec83b39b6cc4e6c88b8da7363eedebfc95",
     }

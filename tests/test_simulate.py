@@ -13,21 +13,18 @@ from mimo_dmt import simulate
 from mimo_dmt.channel import (
     ChannelConfig,
     eigen_decay_weights,
-    sample_channel,
     sample_channel_block,
 )
 from mimo_dmt.simulate import (
     CAL_BATCH,
     OutageSweep,
     PowerPolicy,
-    _batch_power,
     _count_outages_span,
+    _damped_weight,
     _grid_kappas,
     _mean_damped_weight,
-    adapted_power,
     calibrate_kappa,
     estimate_mean_power,
-    outage_trial,
     run_sweep,
 )
 
@@ -73,46 +70,38 @@ class TestPowerPolicy:
 
 
 class TestAdaptedPower:
+    """The power ``kappa * p_bar * prod(b_n ** -(t * w_n))`` a sweep gives
+    each trial: its kappa-free damped weight, times kappa and the budget."""
+
     def test_t_zero_constant_power(self):
         cfg = ChannelConfig(3, 2, 0.5)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
-        npt.assert_allclose(adapted_power(cfg, [0.3, 7.0], pol, 42.0), 42.0, rtol=1e-15)
+        b = np.array([[0.3, 7.0], [1e-300, 1e300]])
+        npt.assert_array_equal(_damped_weight(cfg, b, 0.0), [1.0, 1.0])
 
     def test_single_antenna_value(self):
-        # Weight 2n-1+M-N = 2 for (2,1): power = 1/4^(0.5*2) = 1/4.
+        # Weight 2n-1+M-N = 2 for (2,1): weight = 1/4^(0.5*2) = 1/4.
         cfg = ChannelConfig(2, 1, 0.5)
-        pol = PowerPolicy(t=0.5, kappa=1.0)
-        npt.assert_allclose(adapted_power(cfg, [4.0], pol, 1.0), 0.25, rtol=1e-14)
+        npt.assert_allclose(_damped_weight(cfg, np.array([[4.0]]), 0.5), [0.25],
+                            rtol=1e-14)
 
     def test_unit_eigenvalues(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.7, kappa=2.0)
-        npt.assert_allclose(adapted_power(cfg, [1.0, 1.0], pol, 3.0), 6.0, rtol=1e-14)
+        npt.assert_array_equal(_damped_weight(cfg, np.ones((3, 2)), 0.7), 1.0)
 
     def test_general_value(self):
-        # (2,2): weights (1,3); P = kappa*p_bar*(b1*b2^3)^(-t).
+        # (2,2): weights (1,3); P = kappa*p_bar*(b1*b2^3)^(-t), row by row.
         cfg = ChannelConfig(2, 2, 0.1)
-        pol = PowerPolicy(t=0.9, kappa=0.5)
-        b = [0.7, 2.2]
-        want = 0.5 * 10.0 * (0.7 * 2.2 ** 3) ** -0.9
-        npt.assert_allclose(adapted_power(cfg, b, pol, 10.0), want, rtol=1e-13)
-
-    def test_rejects_zero_eigenvalue(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.5, kappa=1.0)
-        with pytest.raises(ValueError):
-            adapted_power(cfg, [0.0, 1.0], pol, 1.0)
-
-    def test_rejects_descending(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.5, kappa=1.0)
-        with pytest.raises(ValueError):
-            adapted_power(cfg, [2.0, 1.0], pol, 1.0)
+        b = np.array([[0.7, 2.2], [0.05, 9.0]])
+        want = [0.5 * 10.0 * (0.7 * 2.2 ** 3) ** -0.9,
+                0.5 * 10.0 * (0.05 * 9.0 ** 3) ** -0.9]
+        npt.assert_allclose(0.5 * 10.0 * _damped_weight(cfg, b, 0.9), want,
+                            rtol=1e-13)
 
     def test_requires_resolved_kappa(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError):
-            adapted_power(cfg, [1.0, 2.0], PowerPolicy(t=0.5), 1.0)
+        with pytest.raises(ValueError, match="unresolved"):
+            estimate_mean_power(cfg, 1000.0, PowerPolicy(t=0.5), batch=10_000,
+                                seed=1)
 
 
 class TestCalibrateKappa:
@@ -211,34 +200,45 @@ class TestMeanPowerValidation:
 
 
 class TestOutageTrial:
+    """Per-trial outage decisions of the sweep's span kernel."""
+
     def test_zero_rate_never_in_outage(self):
-        pol = PowerPolicy(t=0.0, kappa=1.0)
         for seed in (0, 1, 99):
             for m, n in [(1, 1), (2, 2), (3, 2)]:
                 cfg = ChannelConfig(m, n, 0.5)
-                assert outage_trial(cfg, 100.0, 0.0, pol, seed) is False
+                got = _count_outages_span(cfg, [100.0], 0.0, 0.0, lambda: [1.0],
+                                          seed, start=0, count=50)
+                assert got == [0]
 
     def test_determinism(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
-        results = {outage_trial(cfg, 10.0, 1.5, pol, 77) for _ in range(3)}
+        results = {tuple(_count_outages_span(cfg, [10.0], 1.5, 0.0,
+                                             lambda: [1.0], 77, start=0,
+                                             count=200))
+                   for _ in range(3)}
         assert len(results) == 1
 
     def test_scalar_matches_direct_computation(self):
-        # White-box scalar check: outage iff log2(1 + rho*|h|^2) < r*log2(rho).
+        # White-box scalar check: outage iff log2(1 + rho*|h|^2) < r*log2(rho),
+        # trial by trial.
         cfg = ChannelConfig(1, 1, 0.0)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
-        rho, r = 50.0, 0.5
-        for seed in range(40):
-            draw = sample_channel(cfg, rho, seed)
-            a = abs(draw.h[0, 0]) ** 2
+        rho, r, seed = 50.0, 0.5, 3
+        block = sample_channel_block(cfg, rho, seed, start=0, count=40)
+        wants = set()
+        for i in range(40):
+            a = abs(block.h[i, 0, 0]) ** 2
             want = math.log2(1 + rho * a) < r * math.log2(rho)
-            assert outage_trial(cfg, rho, r, pol, seed) is want
+            got = _count_outages_span(cfg, [rho], r, 0.0, lambda: [1.0], seed,
+                                      start=i, count=1)
+            assert got == [int(want)]
+            wants.add(want)
+        assert wants == {False, True}
 
     def test_requires_resolved_kappa(self):
         cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError):
-            outage_trial(cfg, 10.0, 1.0, PowerPolicy(t=0.9), 0)
+        with pytest.raises(ValueError, match="unresolved"):
+            _count_outages_span(cfg, [10.0], 1.0, 0.9, lambda: [None], 0,
+                                start=0, count=1)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2),
                                      (3, 3), (4, 4)])
@@ -254,7 +254,6 @@ class TestOutageTrial:
         # Kappas near the calibrated ones keep every count inside (0, count).
         kappa_scale = {(3, 3): 3.0, (4, 4): 2e3}.get((m, n), 1.0)
         kappas = [kappa_scale * k for k in (0.8, 0.9, 1.0)]
-        policies = [PowerPolicy(t=0.9, kappa=k) for k in kappas]
         r, start, count = 0.6 * n, 1000, 20_000
         block = sample_channel_block(cfg, grid[0], seed, start=start,
                                      count=count)
@@ -266,10 +265,11 @@ class TestOutageTrial:
         h, e = np.ascontiguousarray(block.h), np.ascontiguousarray(block.e)
         a = eigvalsh_gram(h)
         want = []
-        for rho_g, pol in zip(grid, policies):
+        for rho_g, kappa in zip(grid, kappas):
             ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
             b = eigvalsh_gram(h + ratio * e)
-            power = _batch_power(cfg, b, pol, rho_g)
+            # The same product of two doubles the kernel forms.
+            power = kappa * rho_g * _damped_weight(cfg, b, 0.9)
             capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
             want.append(int((capacity < r * math.log2(rho_g)).sum()))
         assert all(0 < w < count for w in want)

@@ -16,7 +16,6 @@ from mimo_dmt.tradeoff import (
     diversity_boost,
     eval_dmt,
     eval_dmt_left_limit,
-    subset_corner_points,
     subset_diversity,
 )
 
@@ -127,29 +126,51 @@ class TestActiveIndices:
                     assert set(pred.keys()) == set(active)
 
 
+def subset_corners(m, n, alpha, k):
+    """Corners ``(r, d)`` of the depth-``k`` line that lie in ``[0, n]``,
+    ascending in ``r``, then its value at the right end ``r = n``.
+
+    Corner ``j = k, k - 1, ..., 1`` sits at ``r = (n - j) tau - (k - j)
+    alpha`` with ``d = j (m - n + j) tau + (k - j)(k + j + m - n) alpha``,
+    ``tau = 1 + k alpha (m - n + k)``, and the piece from it falls with
+    slope ``2j - 1 + m - n``.
+    """
+    tau = 1.0 + k * alpha * (m - n + k)
+    points = []
+    for j in range(k, 0, -1):
+        r = (n - j) * tau - (k - j) * alpha
+        if r > n:
+            break
+        d = j * (m - n + j) * tau + (k - j) * (k + j + m - n) * alpha
+        points.append((r, d, 2 * j - 1 + m - n))
+    r, d, slope = points[-1]
+    return [(r, d) for r, d, _ in points] + [(float(n), d - slope * (n - r))]
+
+
 class TestSubsetCornerPoints:
     def test_two_by_two_full_subset(self):
-        pts = subset_corner_points(ChannelConfig(2, 2, 0.5), 2)
-        by_kp = {p.kprime: p for p in pts}
-        assert by_kp[2].r == pytest.approx(0.0)
-        assert by_kp[2].d == pytest.approx(12.0)
-        assert by_kp[2].in_domain
-        # k'=1 corner lands at r = 2.5 > N = 2: retained, flagged.
-        assert by_kp[1].r == pytest.approx(2.5)
-        assert by_kp[1].d == pytest.approx(4.5)
-        assert not by_kp[1].in_domain
+        # Corner k'=2 at (0, 12); the k'=1 corner lands at r = 2.5 > N = 2,
+        # so one piece of slope -3 runs to the right end.
+        cfg = ChannelConfig(2, 2, 0.5)
+        assert subset_diversity(cfg, 2, 0.0) == pytest.approx(12.0)
+        assert subset_diversity(cfg, 2, 2.0) == pytest.approx(6.0)
+        assert subset_corners(2, 2, 0.5, 2) == pytest.approx([(0.0, 12.0), (2.0, 6.0)])
 
     def test_alpha_zero_corner(self):
-        pts = subset_corner_points(ChannelConfig(2, 2, 0.0), 1)
-        assert len(pts) == 1
-        assert pts[0].r == pytest.approx(1.0)
-        assert pts[0].d == pytest.approx(1.0)
+        # One corner at (1, 1), where the depth-1 event first binds.
+        cfg = ChannelConfig(2, 2, 0.0)
+        assert subset_diversity(cfg, 1, 1.0) == pytest.approx(1.0)
+        assert subset_diversity(cfg, 1, 1.0 - 1e-9) == INF
+        assert subset_diversity(cfg, 1, 2.0) == pytest.approx(0.0)
 
     def test_ascending_r_order(self):
-        pts = subset_corner_points(ChannelConfig(5, 3, 0.1), 3)
-        rs = [p.r for p in pts]
-        assert rs == sorted(rs)
-        assert len(pts) == 3
+        # (5,3,0.1), k=3: corners at r = 0 and 2.4 (the third, 4.8, is past
+        # N = 3); the pieces follow in that order, slopes -7 then -5.
+        cfg = ChannelConfig(5, 3, 0.1)
+        npt.assert_allclose(subset_diversity(cfg, 3, 1.2) - subset_diversity(cfg, 3, 0.0),
+                            -7.0 * 1.2, rtol=1e-12)
+        npt.assert_allclose(subset_diversity(cfg, 3, 3.0) - subset_diversity(cfg, 3, 2.4),
+                            -5.0 * 0.6, rtol=1e-12)
 
 
 class TestSubsetDiversity:
@@ -162,6 +183,7 @@ class TestSubsetDiversity:
             (4, 2, 0.1, 1, 2.0, 1.8),    # (checked independently: corner (1.3, 3.9), slope -3)
             (2, 2, 0.5, 1, 1.5, 1.5),    # value at the reachability edge
             (2, 2, 0.5, 1, 2.0, 1.0),
+            (2, 2, 0.0, 2, 1.5, 0.5),    # past the k'=1 corner at r = 1: 2 - r
         ],
     )
     def test_hand_values(self, m, n, alpha, k, r, expected):
@@ -179,22 +201,31 @@ class TestSubsetDiversity:
     def test_infinite_cases(self, m, n, alpha, k, r):
         assert subset_diversity(ChannelConfig(m, n, alpha), k, r) == INF
 
+    def test_rejects_out_of_range_k(self):
+        with pytest.raises(ValueError):
+            subset_diversity(ChannelConfig(2, 2, 0.5), 0, 1.0)
+        with pytest.raises(ValueError):
+            subset_diversity(ChannelConfig(2, 2, 0.5), 3, 1.0)
+
     def test_affine_between_corners(self):
-        # Midpoint of two adjacent in-domain corners lies on the chord.
+        # Midpoints between adjacent in-domain corners, and between the last
+        # one and the right end, lie on the chords.
         cfg = ChannelConfig(5, 3, 0.1)
-        pts = [p for p in subset_corner_points(cfg, 3) if p.in_domain]
-        assert len(pts) >= 2
-        for a, b in zip(pts, pts[1:]):
-            mid_r = 0.5 * (a.r + b.r)
-            chord = 0.5 * (a.d + b.d)
-            npt.assert_allclose(subset_diversity(cfg, 3, mid_r), chord, rtol=1e-12)
+        pts = subset_corners(5, 3, 0.1, 3)
+        assert len(pts) == 3
+        for (ra, da), (rb, db) in zip(pts, pts[1:]):
+            mid_r = 0.5 * (ra + rb)
+            npt.assert_allclose(subset_diversity(cfg, 3, mid_r), 0.5 * (da + db), rtol=1e-12)
 
     def test_matches_corner_values(self):
-        for m, n, alpha, k in [(2, 2, 0.5, 2), (4, 2, 0.1, 2), (5, 3, 0.1, 3), (3, 3, 0.1, 2)]:
+        # Every in-domain corner, and the right end past the last corner.
+        for m, n, alpha, k in [(2, 2, 0.5, 2), (4, 2, 0.1, 2), (5, 3, 0.1, 3),
+                               (3, 3, 0.1, 2), (2, 2, 0.0, 2), (3, 3, 0.0, 3),
+                               (4, 4, 0.05, 4)]:
             cfg = ChannelConfig(m, n, alpha)
-            for p in subset_corner_points(cfg, k):
-                if p.in_domain:
-                    npt.assert_allclose(subset_diversity(cfg, k, p.r), p.d, rtol=1e-12)
+            for r, d in subset_corners(m, n, alpha, k):
+                npt.assert_allclose(subset_diversity(cfg, k, r), d, rtol=1e-12, atol=1e-12,
+                                    err_msg=f"({m},{n},{alpha}) k={k} r={r}")
 
     def test_slope_between_corners(self):
         # Piece owned by corner index k' falls with slope -(2k'-1+M-N).
@@ -330,7 +361,8 @@ class TestEvalDmt:
 
     @pytest.mark.parametrize(
         "m,n,alpha",
-        [(2, 2, 0.5), (4, 2, 0.1), (3, 3, 1.0 / 3.0), (5, 3, 0.2), (3, 2, 0.25)],
+        [(2, 2, 0.5), (4, 2, 0.1), (3, 3, 1.0 / 3.0), (5, 3, 0.2), (3, 2, 0.25),
+         (2, 2, 0.0), (3, 3, 0.0)],
     )
     def test_min_consistency(self, m, n, alpha):
         # The curve equals the pointwise minimum of the active per-subset
