@@ -176,18 +176,24 @@ def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[fl
             rows.append(Row(seg_name, seg.r_left, seg.d_left, seg.k, None))
             rows.append(Row(seg_name, seg.r_right, seg.d_right, seg.k, None))
         full_name = f"d_O[alpha={label}]"
+        # A rate within 1e-9 of a jump is read at the jump itself, by the
+        # curve and by the overlays alike, so that their minimum is the
+        # curve's attained value.
+        read_at = []
         for r in grid:
             jump = eval_dmt_jump(curve, r)
             if jump is None:
                 rows.append(Row(full_name, r, eval_dmt(curve, r), None, None))
+                read_at.append(r)
             else:
-                _, limit, value = jump
+                boundary, limit, value = jump
                 rows.append(Row(full_name, r, limit, None, "limit"))
                 rows.append(Row(full_name, r, value, None, "value"))
+                read_at.append(boundary)
         for k in range(1, n + 1):
             sub_name = f"d_k[k={k},alpha={label}]"
-            for r in grid:
-                rows.append(Row(sub_name, r, subset_diversity(sub, k, r), k, None))
+            for r, r_at in zip(grid, read_at):
+                rows.append(Row(sub_name, r, subset_diversity(sub, k, r_at), k, None))
     return rows
 
 

@@ -11,12 +11,18 @@ low-variance for every damping ``t < 1`` (and exact for one receive
 antenna).  All probability work is done in the log domain so heavy damping
 does not overflow.
 
-A sweep draws each trial once and reuses it at every SNR point.  Outage
-counting is counter-partitioned: a sweep cut into chunks across any number of
-worker threads reproduces the single-thread result bit for bit.  Each span
-works on trial-contiguous batches and computes every point's kappa-free
-damped weight first; the one kappa calibration runs on the calling thread
-meanwhile and reaches the spans through a future.
+A sweep draws each trial once and reuses it at every SNR point, where the
+estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
+deviation to the drawn one.  Each span forms the Gram blocks ``h h^H``,
+``h e^H + e h^H`` and ``e e^H`` of its trials once, and reads every point's
+estimate spectrum from the quadratic ``A + c_g (B + c_g C)``
+(:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
+counter-partitioned: a sweep cut into chunks across any number of worker
+threads reproduces the single-thread result bit for bit.  Each span works on
+trial-contiguous batches and computes every point's kappa-free damped weight
+first; the one kappa calibration runs on the calling thread meanwhile and
+reaches the spans through a future.  The calibration works one eigenvalue
+index at a time, each a contiguous vector over its draws.
 """
 from __future__ import annotations
 
@@ -26,9 +32,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .channel import (
+    GramPolynomial,
     _bit_generator,
     eig_ascending,
     eigen_decay_weights,
@@ -41,6 +48,9 @@ __all__ = [
     "OutageSweep",
     "PowerPolicy",
     "calibrate_kappa",
+    # Re-exported: perfbench/tracing.py times the eigenvalue layer under
+    # this name.  The sweep reads its spectra from a GramPolynomial.
+    "eig_ascending",
     "estimate_mean_power",
     "run_sweep",
 ]
@@ -130,20 +140,25 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     boost = rng.gamma(g + 1.0, 1.0, size=(batch, n))
     logu = np.log1p(-rng.random((batch, n)))
     log_sp = np.log(boost) + logu / g + np.log(beta)
-    log_b = np.logaddexp.accumulate(log_sp, axis=1)
+    # One row per eigenvalue index, each a contiguous vector over the
+    # batch: every sum below runs across rows, one trial at a time.
+    log_sp = np.ascontiguousarray(log_sp.T)
+    log_b = np.empty_like(log_sp)
+    log_b[0] = log_sp[0]
+    for i in range(1, n):
+        np.logaddexp(log_b[i - 1], log_sp[i], out=log_b[i])
     logp = (-wishart_log_norm_const(m, n) - m * n * math.log(s)
-            + (m - n) * log_b.sum(axis=1)
-            - np.exp(logsumexp(log_b, axis=1)) / s)
+            + (m - n) * log_b.sum(axis=0) - np.exp(log_b).sum(axis=0) / s)
     for i in range(n - 1):
-        # b_{i+1} - b_i is spacing i+1 itself, where logsumexp is the
-        # identity.
-        logp += 2.0 * log_sp[:, i + 1]
+        # b_j - b_i is the sum of spacings i+1 .. j, accumulated over j.
+        log_gap = log_sp[i + 1]
+        logp += 2.0 * log_gap
         for j in range(i + 2, n):
-            # b_j - b_i is the sum of spacings i+1 .. j.
-            logp += 2.0 * logsumexp(log_sp[:, i + 1:j + 1], axis=1)
-    logq = ((g - 1.0) * log_sp - np.exp(log_sp) / beta
-            - gammaln(g) - g * np.log(beta)).sum(axis=1)
-    log_damped = -(t * c * log_b).sum(axis=1)
+            log_gap = np.logaddexp(log_gap, log_sp[j])
+            logp += 2.0 * log_gap
+    logq = ((g - 1.0)[:, None] * log_sp - np.exp(log_sp) / beta[:, None]
+            - (gammaln(g) + g * np.log(beta))[:, None]).sum(axis=0)
+    log_damped = -((t * c)[:, None] * log_b).sum(axis=0)
     return logp - logq + log_damped
 
 
@@ -219,19 +234,25 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
     drawn once on stream 0 at ``rho[0]``, under damping ``t``.
 
+    The span forms the draws' Gram blocks once.  The channel spectrum is the
+    Gram polynomial at ``c = 0``, which equals ``eig_ascending(h)`` bit for
+    bit, and each point's estimate spectrum is the polynomial at that
+    point's error scale; no estimate matrix is formed.
+
     ``kappas()`` returns one kappa per point.  It is called only once every
     point's kappa-free damped weight is computed, so a sweep can calibrate
     while its spans draw.
     """
     block = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
-    a = eig_ascending(block.h)
-    estimate = np.empty_like(block.h)
-    weights = []
-    for rho_g in rho:
-        # sqrt(sigma_g**2 / sigma_0**2), with no underflow at large alpha.
-        np.multiply(block.e, (rho[0] / rho_g) ** (cfg.alpha / 2), out=estimate)
-        estimate += block.h
-        weights.append(_damped_weight(cfg, eig_ascending(estimate), t))
+    grams = GramPolynomial(block.h, block.e)
+    # Every spectrum below comes from the Gram blocks; free the draws.
+    del block
+    a = grams.spectrum(0.0)
+    # The estimate at each point is h + c_g e with c_g = sigma_g / sigma_0,
+    # taken as a ratio of SNRs so that large alpha does not underflow.
+    weights = [_damped_weight(cfg, grams.spectrum((rho[0] / rho_g)
+                                                  ** (cfg.alpha / 2)), t)
+               for rho_g in rho]
     counts = []
     term = np.empty(count)
     for rho_g, kappa, power in zip(rho, kappas(), weights):

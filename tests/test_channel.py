@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 from mimo_dmt.channel import (
     ChannelConfig,
+    GramPolynomial,
     eig_ascending,
     sample_channel_block,
     wishart_log_norm_const,
@@ -262,6 +263,91 @@ class TestEigAscending:
         assert vals.shape == (n,)
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals) >= 0.0)
+
+
+class TestGramPolynomial:
+    """The estimate spectra of an outage sweep, read from ``A + c (B + c C)``,
+    against the spectrum of the estimate ``h + c e`` formed directly."""
+
+    @staticmethod
+    def _pairs(n, m, kind, c, rng):
+        shape = (300, n, m)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        if kind == "rank1":
+            # Proportional rows in h and e alike: h + c e has rank 1.
+            h[:, 1:] = (0.3 - 0.7j) * h[:, :1]
+            e[:, 1:] = (0.3 - 0.7j) * e[:, :1]
+        elif kind == "zero":
+            h[:100] = 0.0
+            e[100:200] = 0.0
+            h[200:] = e[200:] = 0.0
+        elif kind == "cancel":
+            # e near -h / c, so the estimate is tiny next to both terms.
+            e = -h / c + 1e-6 * e
+        return h, e
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3),
+                                     (3, 5), (4, 4), (6, 6)])
+    @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel"])
+    def test_matches_formed_estimate(self, n, m, kind):
+        # Bound: 1e-13 * tr(A + c**2 C), the size of the two terms whose
+        # sum is taken; a cancelling estimate can be far smaller than that.
+        rng = np.random.default_rng(10 * n + m)
+        for c in (1.0, 1e-3, 1e-12):
+            unit_h, unit_e = self._pairs(n, m, kind, c, rng)
+            for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
+                h, e = scale * unit_h, scale * unit_e
+                got = GramPolynomial(h, e).spectrum(c)
+                want = eig_ascending(h + c * e)
+                size = (np.sum(np.abs(h) ** 2, axis=(-2, -1))
+                        + c * c * np.sum(np.abs(e) ** 2, axis=(-2, -1)))
+                assert got.shape == want.shape == (300, n)
+                assert np.all(got >= 0.0)
+                assert np.all(np.diff(got, axis=-1) >= 0.0)
+                gap = np.abs(got - want).max(axis=-1)
+                assert np.all(gap <= 1e-13 * size), (c, scale)
+                if kind == "zero":
+                    assert np.all(got[200:] == 0.0)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (3, 3),
+                                     (4, 4)])
+    def test_zero_scale_is_channel_spectrum(self, m, n):
+        # At c = 0 the quadratic is h h^H exactly: the sweep's channel
+        # spectrum equals eig_ascending's bit for bit, on trial-last draws.
+        block = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
+                                     count=3000)
+        got = GramPolynomial(block.h, block.e).spectrum(0.0)
+        assert np.array_equal(got, eig_ascending(block.h))
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
+    def test_batch_size_invariance(self, m, n):
+        # A trial's estimate spectrum must not depend on the size of the
+        # batch it is drawn in, as in TestEigAscending.
+        cfg = ChannelConfig(m, n, 0.5)
+        whole = sample_channel_block(cfg, 10.0, 4, start=0, count=40_000)
+        parts = [sample_channel_block(cfg, 10.0, 4, start=s,
+                                      count=min(3000, 40_000 - s))
+                 for s in range(0, 40_000, 3000)]
+        for c in (1.0, 0.3):
+            got = np.concatenate([GramPolynomial(b.h, b.e).spectrum(c)
+                                  for b in parts])
+            assert np.array_equal(
+                got, GramPolynomial(whole.h, whole.e).spectrum(c))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rejects_nonfinite(self, n):
+        h = np.ones((5, n, 3), dtype=complex)
+        e = h.copy()
+        e[2, n - 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            GramPolynomial(h, e)
+        with pytest.raises(ValueError, match="finite"):
+            GramPolynomial(e, h)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
 
 
 class TestPerturbationBound:

@@ -105,6 +105,24 @@ class TestCmdCurve:
         assert notes["limit"] == pytest.approx(28.3, rel=1e-12)
         assert notes["value"] == pytest.approx(17.1, rel=1e-12)
 
+    def test_overlay_minimum_is_the_curve(self):
+        # The d_k rows are read where the d_O rows are, at the jump itself
+        # for a rate within 1e-9 of one, so at every rate their minimum is
+        # the curve's attained value.  On the 4x4 link at alpha = 0.1 the
+        # grid rates 1.9 and 3.3 each lie one ulp from a jump.
+        rows = cmd_curve(cfg=ChannelConfig(4, 4, 0.1), alpha_list=[0.1],
+                         r_grid=[round(0.05 * i, 10) for i in range(81)])
+        value = {row.x: row.y for row in rows_by_series(rows, "d_O[alpha=0.1]")
+                 if row.aux_note != "limit"}
+        overlay = {}
+        for k in range(1, 5):
+            for row in rows_by_series(rows, f"d_k[k={k},alpha=0.1]"):
+                overlay[row.x] = min(overlay.get(row.x, INF), row.y)
+        assert len(value) == 81
+        assert overlay.keys() == value.keys()
+        for x, y in value.items():
+            assert overlay[x] == pytest.approx(y, rel=1e-12, abs=1e-12), x
+
     def test_baseline_reduction_corners(self, tmp_path):
         rows = cmd_curve(
             cfg=ChannelConfig(2, 2, 0.0),

@@ -7,13 +7,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammainc, gammaln
+from scipy.special import gammainc, gammaln, logsumexp
 
 from mimo_dmt import simulate
 from mimo_dmt.channel import (
     ChannelConfig,
+    _bit_generator,
     eigen_decay_weights,
     sample_channel_block,
+    wishart_log_norm_const,
 )
 from mimo_dmt.simulate import (
     CAL_BATCH,
@@ -22,6 +24,7 @@ from mimo_dmt.simulate import (
     _count_outages_span,
     _damped_weight,
     _grid_kappas,
+    _log_is_weights,
     _mean_damped_weight,
     calibrate_kappa,
     estimate_mean_power,
@@ -49,6 +52,29 @@ def scalar_mean_weight(m, t, sigma_sq):
     # N=1: b ~ Gamma(m, s), so E[b^{-t m}] = Gamma(m - t m)/Gamma(m) * s^{-t m}.
     s = 1.0 + sigma_sq
     return math.exp(gammaln(m - t * m) - gammaln(m)) * s ** (-t * m)
+
+
+def rowwise_log_is_weights(cfg, s, t, batch, seed, stream):
+    """Reference for ``simulate._log_is_weights``: the same draws, reduced
+    trial by trial along each ``(batch, n)`` row with ``logsumexp``."""
+    n, m = cfg.n_rx, cfg.m_tx
+    c = eigen_decay_weights(m, n)
+    g = (1.0 - t) * c
+    beta = s / np.arange(n, 0, -1)
+    rng = np.random.Generator(_bit_generator(seed, stream))
+    boost = rng.gamma(g + 1.0, 1.0, size=(batch, n))
+    logu = np.log1p(-rng.random((batch, n)))
+    log_sp = np.log(boost) + logu / g + np.log(beta)
+    log_b = np.logaddexp.accumulate(log_sp, axis=1)
+    logp = (-wishart_log_norm_const(m, n) - m * n * math.log(s)
+            + (m - n) * log_b.sum(axis=1)
+            - np.exp(logsumexp(log_b, axis=1)) / s)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            logp += 2.0 * logsumexp(log_sp[:, i + 1:j + 1], axis=1)
+    logq = ((g - 1.0) * log_sp - np.exp(log_sp) / beta
+            - gammaln(g) - g * np.log(beta)).sum(axis=1)
+    return logp - logq - (t * c * log_b).sum(axis=1)
 
 
 class TestPowerPolicy:
@@ -154,6 +180,25 @@ class TestCalibrateKappa:
         npt.assert_allclose(scaled, (s / s0) ** (-t * m * n) * base,
                             rtol=1e-12)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3),
+                                     (4, 4)])
+    @pytest.mark.parametrize("seed", [1, 7, 1000, 1729])
+    def test_weights_match_rowwise_reference(self, m, n, seed):
+        # The calibration reduces across eigenvalue rows with logaddexp and
+        # a plain sum of exponentials; the reference reduces each trial's
+        # row with logsumexp.  The rounding differs, so the weights and
+        # kappa = 1 / mean agree to tolerances set from float64 rounding.
+        cfg = ChannelConfig(m, n, 0.5)
+        for rho in (10.0, 1e3):
+            for t in (0.5, 0.9):
+                s = 1.0 + rho ** -cfg.alpha
+                want = np.exp(rowwise_log_is_weights(cfg, s, t, 20_000, seed, 1))
+                got = np.exp(_log_is_weights(cfg, s, t, 20_000, seed, 1))
+                npt.assert_allclose(got, want, rtol=1e-13)
+                mean, _ = _mean_damped_weight(cfg, rho, t, 20_000, seed, 1)
+                npt.assert_allclose(1.0 / mean, 1.0 / float(want.mean()),
+                                    rtol=1e-14)
+
     def test_heavy_tail_warning_near_one(self):
         # t close to 1 thickens the weight tail; a small batch cannot meet
         # the convergence target and the achieved error is reported.
@@ -242,18 +287,22 @@ class TestOutageTrial:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2),
                                      (3, 3), (4, 4)])
-    @pytest.mark.parametrize("rho,seed", [(10.0, 5), (100.0, 6), (1e3, 7)])
-    def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed):
+    @pytest.mark.parametrize("rho,seed,alpha", [
+        pytest.param(rho, seed, alpha, id=f"{rho}-{seed}"
+                     + ("" if alpha == 0.5 else f"-alpha{alpha:g}"))
+        for alpha in (0.5, 0.0, 4.0)
+        for rho, seed in [(10.0, 5), (100.0, 6), (1e3, 7)]])
+    def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed, alpha):
         # The grid kernel against eigvalsh on the same draws, at each point
         # of a 3-point grid ending at rho: the error drawn at the first
         # point is rescaled to each point's variance, and the outage counts
         # must be equal, not merely close.  The draws are stored trial-last;
-        # the reference works on C-ordered copies of them.
-        cfg = ChannelConfig(m, n, 0.5)
+        # the reference forms each estimate from C-ordered copies of them.
+        # Alpha 0 keeps the error at full size at every point (scale 1);
+        # alpha 4 scales it by 1/4 and 1/16 after drawing it at a variance
+        # of 0.026 to 2.6e-10.
+        cfg = ChannelConfig(m, n, alpha)
         grid = [rho / 4, rho / 2, rho]
-        # Kappas near the calibrated ones keep every count inside (0, count).
-        kappa_scale = {(3, 3): 3.0, (4, 4): 2e3}.get((m, n), 1.0)
-        kappas = [kappa_scale * k for k in (0.8, 0.9, 1.0)]
         r, start, count = 0.6 * n, 1000, 20_000
         block = sample_channel_block(cfg, grid[0], seed, start=start,
                                      count=count)
@@ -264,15 +313,30 @@ class TestOutageTrial:
 
         h, e = np.ascontiguousarray(block.h), np.ascontiguousarray(block.e)
         a = eigvalsh_gram(h)
-        want = []
-        for rho_g, kappa in zip(grid, kappas):
-            ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
-            b = eigvalsh_gram(h + ratio * e)
+
+        def outages(kappa, rho_g, weight):
             # The same product of two doubles the kernel forms.
-            power = kappa * rho_g * _damped_weight(cfg, b, 0.9)
+            power = kappa * rho_g * weight
             capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
-            want.append(int((capacity < r * math.log2(rho_g)).sum()))
-        assert all(0 < w < count for w in want)
+            return int((capacity < r * math.log2(rho_g)).sum())
+
+        kappas, want = [], []
+        for rho_g in grid:
+            ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
+            weight = _damped_weight(cfg, eigvalsh_gram(h + ratio * e), 0.9)
+            # Each point's kappa is the first of the steps 2**(k/8) at which
+            # at most half the trials are in outage (the count falls as
+            # kappa grows), so that many trials lie near the threshold.
+            lo, hi = -512, 512
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if outages(2.0 ** (mid / 8), rho_g, weight) > count // 2:
+                    lo = mid
+                else:
+                    hi = mid
+            kappas.append(2.0 ** (hi / 8))
+            want.append(outages(kappas[-1], rho_g, weight))
+        assert all(count // 10 < w <= count // 2 for w in want)
         got = _count_outages_span(cfg, grid, r, 0.9, lambda: kappas, seed,
                                   start=start, count=count)
         assert got == want
