@@ -13,6 +13,10 @@ draws them, which makes parallel Monte Carlo bit-reproducible.
 Batches are trial-contiguous: a ``(count, n, m)`` batch is stored trial-last,
 so each matrix entry's trials form one contiguous vector, and the closed-form
 spectra of one- and two-row links are whole-vector arithmetic over them.
+
+SciPy is needed only to sample (``ndtri``) and for the eigenvalue density's
+normalizer (``gammaln``), and is imported on first use, so the closed form,
+the oracle and the reports load without it.
 """
 from __future__ import annotations
 
@@ -20,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 __all__ = [
     "ChannelConfig",
@@ -40,6 +43,9 @@ _MASK64 = (1 << 64) - 1
 _PARTS_PER_TRIAL = 4
 _HALF_ULP = 2.0 ** -54
 _TRIAL_PAD = 8
+# Trials per C-ordered copy when GramPolynomial forms matmul blocks: 2.4 MB
+# per copy at 6x6.
+_GRAM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     count = int(count)
     if start < 0 or count < 1:
         raise ValueError(f"need start >= 0 and count >= 1, got ({start}, {count})")
+    # Imported on first use: only sweeps need SciPy, and it is slow to load.
+    from scipy.special import ndtri
+
     n, m = cfg.n_rx, cfg.m_tx
     ticks_per_trial = n * m
     bg = _bit_generator(seed, stream)
@@ -204,13 +213,24 @@ class GramPolynomial:
             raise ValueError("expected two batches of matrices of one shape")
         _check_finite(h)
         _check_finite(e)
-        self._n = h.shape[-2]
-        if self._n >= 3:
-            # Copy a trial-last batch once, not once per product.
-            h, e = np.ascontiguousarray(h), np.ascontiguousarray(e)
-        self._a = _gram(h)
-        self._b = _cross_gram(h, e)
-        self._c = _gram(e)
+        self._n = n = h.shape[-2]
+        if n <= 2:
+            self._a = _gram(h)
+            self._b = _cross_gram(h, e)
+            self._c = _gram(e)
+        else:
+            self._a, self._b, self._c = (
+                np.empty(h.shape[:-1] + (n,), dtype=np.complex128) for _ in range(3))
+            # matmul wants C-ordered matrices.  Copying a trial-last batch a
+            # chunk of trials at a time keeps the copies and the products'
+            # temporaries small beside the three blocks.
+            chunks = ([slice(s, s + _GRAM_CHUNK) for s in range(0, len(h), _GRAM_CHUNK)]
+                      if h.ndim > 2 else [slice(None)])
+            for part in chunks:
+                hp, ep = np.ascontiguousarray(h[part]), np.ascontiguousarray(e[part])
+                self._a[part] = _gram(hp)
+                self._b[part] = _cross_gram(hp, ep)
+                self._c[part] = _gram(ep)
         self._gram = np.empty_like(self._a)
 
     def spectrum(self, c):
@@ -345,4 +365,7 @@ def wishart_log_norm_const(m, n):
     n = int(n)
     if n < 1 or m < n:
         raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
+    # Imported on first use: only sweeps need SciPy, and it is slow to load.
+    from scipy.special import gammaln
+
     return float(sum(gammaln(m - i + 1) + gammaln(n - i + 1) for i in range(1, n + 1)))

@@ -13,6 +13,7 @@ Exit codes: 0 on success, 1 when ``oracle-check`` finds a disagreement, and
 from __future__ import annotations
 
 import argparse
+import functools
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -120,7 +121,11 @@ def _run_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after:
+    ``parse_args`` leaves it unchanged, and building it costs more than
+    parsing."""
     parser = argparse.ArgumentParser(
         prog="mimo-dmt",
         description="Diversity-multiplexing tradeoff tools for fading links "

@@ -144,6 +144,12 @@ def exact_oracle_curve(cfg, r_probes):
             delivered = v @ g + g0
             best = np.where(inside & (delivered <= rs + _EDGE_TOL), v @ c, np.inf)
             best = best.min(axis=0, initial=np.inf)
+            if p == q == 0:
+                # With no depth past alpha and no term clipped, every pattern
+                # delivers n + n * (c @ v) - sum(v) >= n: this region forces
+                # no outage below full rate, however close the probe, so the
+                # slack must not admit its vertices there.
+                best = np.where(rs < n, np.inf, best)
             attained = np.minimum(attained, best)
             # The least rate the region delivers, over its own vertices
             # (those that leave out row k, so do not move with r).

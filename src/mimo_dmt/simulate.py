@@ -32,7 +32,6 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .channel import (
     GramPolynomial,
@@ -132,6 +131,9 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     one are formed as ``Gamma(shape+1) * U**(1/shape)`` in the log domain,
     so tiny shapes (t near 1) stay finite.
     """
+    # Imported on first use: only sweeps need SciPy, and it is slow to load.
+    from scipy.special import gammaln
+
     n, m = cfg.n_rx, cfg.m_tx
     c = eigen_decay_weights(m, n)
     g = (1.0 - t) * c

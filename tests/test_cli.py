@@ -1,4 +1,5 @@
 """Tests for the command-line interface."""
+import json
 import math
 import os
 import subprocess
@@ -8,13 +9,24 @@ from pathlib import Path
 import pytest
 
 import mimo_dmt
-from mimo_dmt import reports
+from mimo_dmt import cli, reports
 from mimo_dmt.cli import DEFAULT_SEED, main
 from mimo_dmt.reports import read_dataset
 
 
 def series_map(rows, name):
     return {row.x: row.y for row in rows if row.series == name}
+
+
+def run_fresh(args, cwd=None):
+    """Run ``python <args>`` in a fresh interpreter that imports this
+    package's source."""
+    env = dict(os.environ)
+    src = str(Path(mimo_dmt.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
 
 
 class TestCurveCommand:
@@ -175,12 +187,62 @@ class TestTopLevel:
     def test_module_entry_point_runs_clean(self):
         # ``python -m mimo_dmt`` must start without the RuntimeWarning that
         # running a submodule already imported by the package would raise.
-        env = dict(os.environ)
-        src = str(Path(mimo_dmt.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "mimo_dmt",
-             "--help"], env=env, capture_output=True, text=True, timeout=120)
+        done = run_fresh(["-W", "error::RuntimeWarning", "-m", "mimo_dmt", "--help"])
         assert done.returncode == 0, done.stderr
         assert "simulate" in done.stdout
+
+
+COLD_RUN = """
+import json, sys
+import mimo_dmt, mimo_dmt.cli
+from mimo_dmt.cli import main
+
+codes = [main(argv + ["--out", f"{i}.csv"]) for i, argv in enumerate([
+    ["curve", "--m", "3", "--n", "2", "--alpha", "0.5"],
+    ["oracle-check", "--m", "3", "--n", "2", "--alpha", "0.5"],
+    ["figures", "--fig", "2"],
+])]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+codes.append(main(["simulate", "--m", "2", "--n", "2", "--alpha", "0.5",
+                   "--r", "1", "--trials", "2000", "--rho-points", "2",
+                   "--workers", "2", "--out", "sim.csv"]))
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+class TestProcessCost:
+    def test_cold_import_and_non_sampling_commands_load_no_scipy(self, tmp_path):
+        # SciPy serves only the sweep, and is imported on its first use.
+        done = run_fresh(["-c", COLD_RUN], cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        result = json.loads(done.stdout)
+        assert result["scipy"] == []
+        assert result["codes"] == [0, 0, 0, 0]
+
+    def test_reused_parser_matches_fresh_processes(self, tmp_path, capsys):
+        # main reuses one parser per process; every command must behave as
+        # in a process of its own.
+        commands = [
+            ["curve", "--m", "2", "--n", "2", "--alpha", "0.5", "--alpha-list", "1"],
+            ["curve", "--m", "2", "--n", "2", "--alpha-list", "0,0.5,1",
+             "--r-step", "0.25"],
+            ["oracle-check", "--m", "3", "--n", "2", "--alpha", "0.1"],
+            ["figures", "--fig", "3", "--format", "json"],
+            ["simulate", "--m", "2", "--n", "1", "--alpha", "0.5", "--r", "0.5",
+             "--trials", "2000", "--rho-points", "3"],
+        ]
+        codes = []
+        for i, argv in enumerate(commands):
+            here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+            try:
+                codes.append(main(argv + ["--out", str(here)]))
+            except SystemExit as exc:
+                codes.append(exc.code)
+            err = capsys.readouterr().err
+            done = run_fresh(["-m", "mimo_dmt", *argv, "--out", str(fresh)])
+            assert (codes[-1], err) == (done.returncode, done.stderr), argv
+            assert here.is_file() == fresh.is_file(), argv
+            if here.is_file():
+                assert here.read_bytes() == fresh.read_bytes(), argv
+        assert codes == [2, 0, 0, 0, 0]
+        assert cli._build_parser() is cli._build_parser()

@@ -180,6 +180,17 @@ class TestGridOracle:
             want = eval_dmt_left_limit(curve, r)
             assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
 
+    @pytest.mark.parametrize("m,n,alpha", [(1, 1, 1.0), (2, 2, 0.5)])
+    def test_attained_just_below_full_rate_is_left_limit(self, m, n, alpha):
+        # The unfaded pattern delivers exactly n: one ulp below full rate it
+        # forces no outage, so the attained value is the left limit, not
+        # the 0 it attains at n itself.
+        cfg = ChannelConfig(m, n, alpha)
+        limit, attained = exact_oracle_curve(cfg, [math.nextafter(n, 0.0), n])
+        assert limit[0] == pytest.approx(1.0, rel=1e-12)
+        assert attained[0] == pytest.approx(limit[0], rel=1e-12)
+        assert attained[1] == 0.0
+
     def test_curve_helper_matches_pointwise(self):
         cfg = ChannelConfig(2, 2, 0.35)
         rs = [0.3, 0.9, 1.35, 1.8]
@@ -294,15 +305,15 @@ def _snapped_probes(cfg, fracs):
     """Probes and curve boundaries below full rate, each moved onto a jump
     within 1e-9 of it, where the closed form reads it.
 
-    Probes within 1e-9 of full rate are left out: at ``r = n`` the unfaded
-    pattern attains 0, and the oracle's edge slack admits it just below.
+    Full rate itself is left out: there the unfaded pattern, which is no
+    depth-k event, attains 0.
     """
     curve = compute_dmt_curve(cfg)
     rs = []
     for r in [f * cfg.n_rx for f in fracs] + _boundaries(curve):
         jump = eval_dmt_jump(curve, r)
         r = r if jump is None else jump[0]
-        if r < cfg.n_rx - 1e-9:
+        if r < cfg.n_rx:
             rs.append(r)
     return rs
 
