@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "ChannelConfig",
-    "ChannelDraw",
     "GramPolynomial",
     "eig_ascending",
     "eigen_decay_weights",
@@ -74,15 +73,6 @@ class ChannelConfig:
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """True channel, estimation error, and the error variance used."""
-
-    h: np.ndarray
-    e: np.ndarray
-    sigma_e_sq: float
-
-
 def eigen_decay_weights(m, n):
     """Per-eigenvalue decay weights of the ordered Gram spectrum.
 
@@ -100,9 +90,10 @@ def _bit_generator(seed, stream):
 def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     """Draw trials ``start .. start+count-1`` of a (seed, stream) sequence.
 
-    Returns a :class:`ChannelDraw` whose ``h`` and ``e`` are stacked with a
-    leading trial axis of length ``count``, stored trial-last: for each
-    matrix entry, the ``count`` trials are one contiguous vector.  Any
+    Returns the pair ``(h, e)``: the true channels and the estimation
+    errors, whose per-entry variance is ``rho ** -alpha``.  Both are stacked
+    with a leading trial axis of length ``count``, stored trial-last: for
+    each matrix entry, the ``count`` trials are one contiguous vector.  Any
     contiguous partition of the trial range reproduces the one-shot draw
     bit for bit.
     """
@@ -133,13 +124,12 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     # the many entries of a large link would share cache sets.
     planes = np.empty((2, n, m, count + _TRIAL_PAD), dtype=np.complex128)
     h, e = planes[..., :count].transpose(0, 3, 1, 2)
-    sigma_e_sq = rho ** -cfg.alpha
-    h_scale, e_scale = math.sqrt(0.5), math.sqrt(0.5 * sigma_e_sq)
+    h_scale, e_scale = math.sqrt(0.5), math.sqrt(0.5 * rho ** -cfg.alpha)
     np.multiply(z[:, 0], h_scale, out=h.real)
     np.multiply(z[:, 1], h_scale, out=h.imag)
     np.multiply(z[:, 2], e_scale, out=e.real)
     np.multiply(z[:, 3], e_scale, out=e.imag)
-    return ChannelDraw(h=h, e=e, sigma_e_sq=sigma_e_sq)
+    return h, e
 
 
 def eig_ascending(x):

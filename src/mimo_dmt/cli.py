@@ -91,9 +91,8 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_curve(args: argparse.Namespace) -> int:
-    alphas = _alpha_values(args)
-    cfg = ChannelConfig(args.m, args.n, alphas[0])
-    cmd_curve(cfg=cfg, alpha_list=alphas, r_grid=_rate_grid(cfg.n_rx, args.r_step),
+    cfgs = [ChannelConfig(args.m, args.n, alpha) for alpha in _alpha_values(args)]
+    cmd_curve(cfgs=cfgs, r_grid=_rate_grid(cfgs[0].n_rx, args.r_step),
               out=args.out, fmt=args.format)
     return 0
 

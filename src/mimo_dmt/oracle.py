@@ -25,12 +25,18 @@ __all__ = [
 # (n + 1)**2 regions, about 0.1 s for 120 probes at n = 6.  The tests check
 # the oracle up to six directions, so larger links are refused.
 _MAX_RX = 6
-# Slack on every test of a solved vertex against a constraint or a probe
-# rate: above the rounding of a six-by-six solve, and small enough that the
-# slightly infeasible vertices it admits keep the exponent well inside the
-# 1e-9 agreement ``oracle-check`` asks for (worst seen: 5e-10 absolute, on
-# a 6x6 link at alpha = 1e-12).
+# Slack on every test of a solved vertex against a region constraint, and
+# on a region's floor below a probe for the left limit: above the rounding
+# of a six-by-six solve, and small enough that the slightly infeasible
+# vertices it admits keep the exponent well inside the 1e-9 agreement
+# ``oracle-check`` asks for (worst seen: 5e-10 absolute, on a 6x6 link at
+# alpha = 1e-12).
 _EDGE_TOL = 1e-12
+# Relative slack on a region's constant rates against a probe rate, no
+# looser than the rounding of the solve: the region floors met the closed
+# form's jumps to within 4 eps (relative) on links with m <= 6, while a
+# probe 1e-13 below a jump at r <= 6 lies more than 4 times this slack away.
+_RATE_TOL = 16 * np.finfo(float).eps
 # Strictness dust margin: a pattern whose delivered rate ties the probe to
 # within float dust must stay infeasible, exactly as in exact arithmetic,
 # even when rounding pushed the computed rate a few ulp below the probe.
@@ -112,7 +118,8 @@ def exact_oracle_curve(cfg, r_probes):
     ``delivered rate = r``, hold with equality.  Every such vertex is
     solved exactly, once per region, as an affine function of ``r``.  A
     region's minimum is continuous in ``r`` wherever the region can deliver
-    less than ``r``, so the left limit keeps only those regions.
+    less than ``r``, so the left limit keeps only those regions; the
+    attained value keeps the regions that can deliver ``r`` itself.
     """
     n = cfg.n_rx
     if n > _MAX_RX:
@@ -122,6 +129,7 @@ def exact_oracle_curve(cfg, r_probes):
     c = eigen_decay_weights(cfg.m_tx, n)
     left_limit = np.full(rs.size, np.inf)
     attained = np.full(rs.size, np.inf)
+    within = rs * (1.0 + _RATE_TOL)
     for p in range(n + 1):
         for q in range(n + 1):
             a, b, g, g0 = _region(c, cfg.alpha, p, q)
@@ -141,21 +149,27 @@ def exact_oracle_curve(cfg, r_probes):
             sol = np.linalg.solve(systems, rhs[subsets])
             v = sol[:, None, :, 0] + rs[None, :, None] * sol[:, None, :, 1]
             inside = (v @ a.T >= b - _EDGE_TOL).all(axis=2)
-            delivered = v @ g + g0
-            best = np.where(inside & (delivered <= rs + _EDGE_TOL), v @ c, np.inf)
-            best = best.min(axis=0, initial=np.inf)
+            # A vertex on row k delivers r by construction, to the rounding
+            # of its solve (about 1e-13 absolute at worst on links with
+            # m <= 6), so its rate is not tested.  The others are the
+            # region's own vertices, which do not move with r and deliver a
+            # constant rate; the least of them is the region's floor.
+            own = (subsets < k).all(axis=1)
+            rate = sol[:, :, 0] @ g + g0
+            own_inside = own & (sol[:, :, 0] @ a.T >= b - _EDGE_TOL).all(axis=1)
+            floor = np.min(rate, where=own_inside, initial=np.inf)
+            admitted = inside & (~own[:, None] | (rate[:, None] <= within))
+            best = np.where(admitted, v @ c, np.inf).min(axis=0, initial=np.inf)
+            # No vertex of a region whose floor lies above the probe counts,
+            # though the edge slack may admit one just outside the region.
+            best = np.where(floor <= within, best, np.inf)
             if p == q == 0:
                 # With no depth past alpha and no term clipped, every pattern
                 # delivers n + n * (c @ v) - sum(v) >= n: this region forces
-                # no outage below full rate, however close the probe, so the
-                # slack must not admit its vertices there.
+                # no outage below full rate.  One ulp below n lies inside the
+                # rate slack, so the region is kept out below n by name.
                 best = np.where(rs < n, np.inf, best)
             attained = np.minimum(attained, best)
-            # The least rate the region delivers, over its own vertices
-            # (those that leave out row k, so do not move with r).
-            own = sol[(subsets < k).all(axis=1), :, 0]
-            floor = np.min(own @ g + g0, where=(own @ a.T >= b - _EDGE_TOL).all(axis=1),
-                           initial=np.inf)
             below = floor < rs * (1.0 - _EDGE_TOL)
             left_limit = np.where(below, np.minimum(left_limit, best), left_limit)
     return left_limit, attained

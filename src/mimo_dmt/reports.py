@@ -160,19 +160,18 @@ def _format_alpha(alpha: float) -> str:
     return "%g" % float(alpha)
 
 
-def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[float]) -> List[Row]:
-    n = cfg.n_rx
+def _curve_rows(cfgs: Sequence[ChannelConfig], r_grid: Sequence[float]) -> List[Row]:
     grid = [float(r) for r in r_grid]
-    for r in grid:
-        if not (0.0 <= r <= n):
-            raise ValueError(f"rate {r!r} outside the multiplexing range [0, {n}]")
     rows: List[Row] = []
-    for alpha in alphas:
-        sub = ChannelConfig(cfg.m_tx, cfg.n_rx, float(alpha))
-        label = _format_alpha(alpha)
-        curve = compute_dmt_curve(sub)
+    for cfg in cfgs:
+        n = cfg.n_rx
+        for r in grid:
+            if not (0.0 <= r <= n):
+                raise ValueError(f"rate {r!r} outside the multiplexing range [0, {n}]")
+        label = _format_alpha(cfg.alpha)
+        curve = compute_dmt_curve(cfg)
         seg_name = f"segments[alpha={label}]"
-        for seg in curve.segments:
+        for seg in curve:
             rows.append(Row(seg_name, seg.r_left, seg.d_left, seg.k, None))
             rows.append(Row(seg_name, seg.r_right, seg.d_right, seg.k, None))
         full_name = f"d_O[alpha={label}]"
@@ -193,15 +192,16 @@ def _curve_rows(cfg: ChannelConfig, alphas: Sequence[float], r_grid: Sequence[fl
         for k in range(1, n + 1):
             sub_name = f"d_k[k={k},alpha={label}]"
             for r, r_at in zip(grid, read_at):
-                rows.append(Row(sub_name, r, subset_diversity(sub, k, r_at), k, None))
+                rows.append(Row(sub_name, r, subset_diversity(cfg, k, r_at), k, None))
     return rows
 
 
-def cmd_curve(*, cfg: ChannelConfig, alpha_list: Sequence[float],
-              r_grid: Sequence[float], out=None, fmt: str = "csv") -> List[Row]:
+def cmd_curve(*, cfgs: Sequence[ChannelConfig], r_grid: Sequence[float],
+              out=None, fmt: str = "csv") -> List[Row]:
     """Tabulate the tradeoff curve, its segments, and the per-subset overlays
-    for each requested estimate-quality exponent."""
-    rows = _curve_rows(cfg, list(alpha_list), list(r_grid))
+    for each link configuration, one series label per estimate-quality
+    exponent."""
+    rows = _curve_rows(list(cfgs), list(r_grid))
     _maybe_write(rows, out, fmt)
     return rows
 
@@ -264,7 +264,7 @@ def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
     for rho, half in zip(sweep.rho_grid, sweep.ci_half_width):
         rows.append(Row("ci", float(rho), float(half), trials, None))
     rows.append(Row("summary", float(policy.t), float(sweep.fitted_slope), None,
-                    "calibrated" if policy.kappa is None else "set"))
+                    "calibrated"))
     _maybe_write(rows, out, fmt)
     return rows
 
@@ -277,8 +277,7 @@ def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
 def _figure_curve_family() -> List[Row]:
     # 2x2 link: full curve for several estimate qualities, jump rows included.
     return _curve_rows(
-        ChannelConfig(2, 2, 0.0),
-        [0.0, 0.5, 1.0],
+        [ChannelConfig(2, 2, alpha) for alpha in (0.0, 0.5, 1.0)],
         list(np.linspace(0.0, 2.0, 81)),
     )
 
@@ -286,8 +285,7 @@ def _figure_curve_family() -> List[Row]:
 def _figure_subset_overlays() -> List[Row]:
     # Asymmetric link: the per-subset pieces that assemble the full curve.
     return _curve_rows(
-        ChannelConfig(4, 2, 0.1),
-        [0.1],
+        [ChannelConfig(4, 2, 0.1)],
         list(np.linspace(0.0, 2.0, 81)),
     )
 

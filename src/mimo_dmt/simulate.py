@@ -4,6 +4,7 @@ The transmitter scales its power by ``kappa * (prod of estimate eigenvalues
 raised to damped decay weights) ** -t``: deeper estimated fades earn more
 power.  ``kappa`` normalizes the long-run average power back to the budget;
 it is the reciprocal of the mean weight, estimated by importance sampling.
+A :class:`PowerPolicy` sets only ``t``: a sweep always calibrates its kappa.
 
 The calibration samples eigenvalue spacings from gamma proposals whose
 shapes are the damped decay weights, which makes the weight estimator
@@ -69,23 +70,17 @@ class PowerPolicy:
     """Power-adaptation settings.
 
     ``t`` in ``[0, 1)`` is the damping of the fade-inversion exponent
-    (0 = constant power); ``kappa`` is the average-power normalizer, or
-    ``None`` until :func:`calibrate_kappa` resolves it for an SNR point.
+    (0 = constant power).  The average-power normalizer kappa is not a
+    setting: a sweep calibrates it (:func:`calibrate_kappa`).
     """
 
     t: float = 0.9
-    kappa: float | None = None
 
     def __post_init__(self):
         t = float(self.t)
         if not (0.0 <= t < 1.0):
             raise ValueError(f"damping t must lie in [0, 1), got {self.t}")
         object.__setattr__(self, "t", t)
-        if self.kappa is not None:
-            kappa = float(self.kappa)
-            if not (kappa > 0.0):
-                raise ValueError(f"kappa must be positive, got {self.kappa}")
-            object.__setattr__(self, "kappa", kappa)
 
 
 @dataclass(frozen=True)
@@ -97,12 +92,6 @@ class OutageSweep:
     ci_half_width: list
     fitted_slope: float
     trials: int
-    r: float
-
-
-def _check_resolved(kappa):
-    if kappa is None:
-        raise ValueError("policy kappa is unresolved; calibrate it first")
 
 
 def _damped_weight(cfg, b, t):
@@ -204,28 +193,29 @@ def calibrate_kappa(cfg, rho, policy, batch, seed, stream=1):
     return 1.0 / mean
 
 
-def estimate_mean_power(cfg, rho, policy, batch, seed, stream=2):
-    """Monte Carlo estimate of the average transmit power under ``policy``.
+def estimate_mean_power(cfg, rho, policy, kappa, batch, seed, stream=2):
+    """Monte Carlo estimate of the average transmit power under ``policy``
+    normalized by ``kappa``.
 
-    Validates the power constraint: a resolved policy should return about
-    ``rho`` (the budget).  Uses the same importance-sampling machinery as
-    calibration, so re-running it on the calibration stream reproduces the
-    budget exactly.
+    Validates the power constraint: with the calibrated kappa it should
+    return about ``rho`` (the budget).  Uses the same importance-sampling
+    machinery as calibration, so re-running it on the calibration stream
+    returns the budget to within an ulp.
     """
-    _check_resolved(policy.kappa)
+    kappa = float(kappa)
+    if not (kappa > 0.0):
+        raise ValueError(f"kappa must be positive, got {kappa}")
     batch, rho = _check_batch_rho(batch, rho)
     if policy.t == 0.0:
-        return float(policy.kappa * rho)
+        return kappa * rho
     mean, _ = _mean_damped_weight(cfg, rho, policy.t, batch, seed, stream)
-    return float(policy.kappa * rho * mean)
+    return kappa * rho * mean
 
 
 def _grid_kappas(cfg, rho, policy, seed):
-    """One kappa per SNR point: a set ``kappa``, or one calibrated at
-    ``rho[0]`` and scaled by ``(s_g/s_0)**(t*m*n)`` with ``s = 1 +
-    rho**-alpha``, exact since the calibration is a scale family in ``s``."""
-    if policy.kappa is not None:
-        return [policy.kappa] * len(rho)
+    """One kappa per SNR point: one calibrated at ``rho[0]`` and scaled by
+    ``(s_g/s_0)**(t*m*n)`` with ``s = 1 + rho**-alpha``, exact since the
+    calibration is a scale family in ``s``."""
     kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed, stream=1)
     s = [1.0 + x ** -cfg.alpha for x in rho]
     exponent = policy.t * cfg.m_tx * cfg.n_rx
@@ -245,10 +235,10 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     point's kappa-free damped weight is computed, so a sweep can calibrate
     while its spans draw.
     """
-    block = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
-    grams = GramPolynomial(block.h, block.e)
+    h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
+    grams = GramPolynomial(h, e)
     # Every spectrum below comes from the Gram blocks; free the draws.
-    del block
+    del h, e
     a = grams.spectrum(0.0)
     # The estimate at each point is h + c_g e with c_g = sigma_g / sigma_0,
     # taken as a ratio of SNRs so that large alpha does not underflow.
@@ -258,7 +248,6 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     counts = []
     term = np.empty(count)
     for rho_g, kappa, power in zip(rho, kappas(), weights):
-        _check_resolved(kappa)
         power *= kappa * rho_g
         power /= cfg.m_tx
         # The capacity sum_i log2(1 + power * a_i), one eigenvalue at a time.
@@ -325,4 +314,4 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     else:
         slope = math.nan
     return OutageSweep(rho_grid=rho, p_out=p_out, ci_half_width=ci,
-                       fitted_slope=slope, trials=trials, r=r)
+                       fitted_slope=slope, trials=trials)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "DmtCurve",
     "DmtSegment",
     "active_indices",
     "baseline_no_csit",
@@ -27,7 +26,6 @@ __all__ = [
     "diversity_boost",
     "eval_dmt",
     "eval_dmt_jump",
-    "eval_dmt_left_limit",
     "subset_diversity",
 ]
 
@@ -38,11 +36,12 @@ _BOUNDARY_SNAP = 1e-9
 class DmtSegment:
     """One linear piece of the tradeoff curve.
 
-    The piece spans ``[r_left, r_right)`` except the final piece, which also
-    owns its right endpoint.  ``d_left``/``d_right`` are the diversity values
-    at the two ends of the closure of the span; at an interior boundary the
-    curve jumps, so the left piece's ``d_right`` is only the limit from the
-    left while the right piece's ``d_left`` is the attained value.
+    A curve is a tuple of pieces in increasing ``r``.  Each piece spans
+    ``[r_left, r_right)`` except the final piece, which also owns its right
+    endpoint.  ``d_left``/``d_right`` are the diversity values at the two
+    ends of the closure of the span; at an interior boundary the curve
+    jumps, so the left piece's ``d_right`` is only the limit from the left
+    while the right piece's ``d_left`` is the attained value.
     """
 
     k: int
@@ -50,18 +49,6 @@ class DmtSegment:
     d_left: float
     r_right: float
     d_right: float
-    left_closed: bool = True
-    right_closed: bool = False
-
-
-@dataclass(frozen=True)
-class DmtCurve:
-    """Piecewise-linear diversity curve plus the structure that built it."""
-
-    segments: tuple
-    case_tag: str
-    active_set: tuple
-    boost_table: dict
 
 
 def diversity_boost(cfg, k):
@@ -120,52 +107,33 @@ def active_indices(cfg):
 
 
 def compute_dmt_curve(cfg):
-    """Build the full piecewise-linear diversity curve for ``cfg``.
+    """Build the full piecewise-linear diversity curve for ``cfg``: a tuple
+    of :class:`DmtSegment` in increasing ``r``.
 
     When only the full cardinality ``n`` is active the curve is a single
-    continuous line (reported with ``k = 0`` and tag ``"single_line"``);
-    otherwise each active cardinality owns one piece and the curve jumps down
-    at each interior boundary (tag ``"discontinuous"``).
+    continuous line, reported with ``k = 0``; otherwise each active
+    cardinality owns one piece and the curve jumps down at each interior
+    boundary.
     """
     m, n = cfg.m_tx, cfg.n_rx
     active, pred = active_indices(cfg)
-    boost = {k: diversity_boost(cfg, k) for k in active}
-    boost[0] = 1.0
     segments = []
     for k in sorted(active, reverse=True):
         i = pred[k]
-        tau_k = boost[k]
+        tau_k = diversity_boost(cfg, k)
         r_left = (n - k) * tau_k
-        r_right = (n - i) * boost[i]
+        r_right = (n - i) * diversity_boost(cfg, i)
         d_left = k * (m - n + k) * tau_k
         d_right = ((n - k) * (k - n - 1) + m * n) * tau_k \
             - (2 * k - 1 + m - n) * r_right
         segments.append(DmtSegment(
-            k=k,
+            k=k if len(active) > 1 else 0,
             r_left=float(r_left),
             d_left=float(d_left),
             r_right=float(r_right),
             d_right=float(d_right),
-            left_closed=True,
-            right_closed=(i == 0),
         ))
-    if len(segments) == 1:
-        seg = segments[0]
-        segments = [DmtSegment(
-            k=0,
-            r_left=seg.r_left, d_left=seg.d_left,
-            r_right=seg.r_right, d_right=seg.d_right,
-            left_closed=True, right_closed=True,
-        )]
-        case_tag = "single_line"
-    else:
-        case_tag = "discontinuous"
-    return DmtCurve(
-        segments=tuple(segments),
-        case_tag=case_tag,
-        active_set=tuple(active),
-        boost_table={k: boost[k] for k in active},
-    )
+    return tuple(segments)
 
 
 def eval_dmt(curve, r):
@@ -175,12 +143,11 @@ def eval_dmt(curve, r):
     interior queries interpolate linearly within the owning piece.
     """
     r = float(r)
-    segments = curve.segments
-    last = segments[-1]
-    if not (segments[0].r_left <= r <= last.r_right):
+    last = curve[-1]
+    if not (curve[0].r_left <= r <= last.r_right):
         raise ValueError(
-            f"r must lie in [{segments[0].r_left}, {last.r_right}], got {r}")
-    for seg in segments:
+            f"r must lie in [{curve[0].r_left}, {last.r_right}], got {r}")
+    for seg in curve:
         if r < seg.r_right or seg is last:
             if r == seg.r_left:
                 return seg.d_left
@@ -193,18 +160,10 @@ def eval_dmt(curve, r):
 
 def _piece_ending_at(curve, r):
     """The piece whose right end lies within ``_BOUNDARY_SNAP`` of ``r``."""
-    for seg in curve.segments:
+    for seg in curve:
         if abs(r - seg.r_right) <= _BOUNDARY_SNAP:
             return seg
     return None
-
-
-def eval_dmt_left_limit(curve, r):
-    """Like :func:`eval_dmt` but returns the limit from the left at a piece
-    boundary (within ``1e-9``), where the curve may jump."""
-    r = float(r)
-    seg = _piece_ending_at(curve, r)
-    return eval_dmt(curve, r) if seg is None else seg.d_right
 
 
 def eval_dmt_jump(curve, r):
@@ -260,27 +219,18 @@ def baseline_no_csit(cfg):
     """Tradeoff with no transmitter knowledge: ``alpha = 0`` reference.
 
     The classic piecewise-linear curve through the corners
-    ``(j, (m - j) * (n - j))``, returned in the same curve container with a
-    single-cardinality labeling of ``k = 0`` per piece.
+    ``(j, (m - j) * (n - j))``, as a curve of pieces labeled ``k = 0``.
     """
     m, n = cfg.m_tx, cfg.n_rx
-    segments = []
-    for j in range(n):
-        segments.append(DmtSegment(
+    return tuple(
+        DmtSegment(
             k=0,
             r_left=float(j),
             d_left=float((m - j) * (n - j)),
             r_right=float(j + 1),
             d_right=float((m - j - 1) * (n - j - 1)),
-            left_closed=True,
-            right_closed=(j == n - 1),
-        ))
-    return DmtCurve(
-        segments=tuple(segments),
-        case_tag="single_line" if n == 1 else "continuous",
-        active_set=(),
-        boost_table={},
-    )
+        )
+        for j in range(n))
 
 
 def baseline_rate_adaptation(cfg):
@@ -294,18 +244,10 @@ def baseline_rate_adaptation(cfg):
     m, n, alpha = cfg.m_tx, cfg.n_rx, cfg.alpha
     if n != 1:
         raise ValueError("rate-adaptation baseline needs a single-antenna side")
-    segment = DmtSegment(
+    return (DmtSegment(
         k=0,
         r_left=0.0,
         d_left=float(m * (1.0 + alpha)),
         r_right=1.0,
         d_right=float(m * alpha),
-        left_closed=True,
-        right_closed=True,
-    )
-    return DmtCurve(
-        segments=(segment,),
-        case_tag="single_line",
-        active_set=(),
-        boost_table={},
-    )
+    ),)

@@ -18,7 +18,6 @@ from mimo_dmt.tradeoff import (
     compute_dmt_curve,
     eval_dmt,
     eval_dmt_jump,
-    eval_dmt_left_limit,
 )
 
 
@@ -44,7 +43,7 @@ def test_criterion_01_worked_example():
     curves = [compute_dmt_curve(ChannelConfig(2, 2, a)) for a in alphas]
     elapsed = time.perf_counter() - start
     for a, curve in zip(alphas, curves):
-        s_hi, s_lo = curve.segments
+        s_hi, s_lo = curve
         for got, want in [
             (s_hi.r_left, 0.0), (s_hi.d_left, 16 * a + 4),
             (s_hi.r_right, 1 + a), (s_hi.d_right, 13 * a + 1),
@@ -93,14 +92,15 @@ def test_criterion_04_oracle_equivalence():
         for alpha in (0.0, 0.1, 1.0 / 3.0, 0.5, 1.0):
             cfg = ChannelConfig(m, n, alpha)
             curve = compute_dmt_curve(cfg)
-            boundaries = [seg.r_right for seg in curve.segments]
+            boundaries = [seg.r_right for seg in curve]
             rs = [round(0.05 * i, 10) for i in range(1, 20 * n + 1)] + boundaries
             limit, attained = exact_oracle_curve(cfg, rs)
             for r, got_limit, got_value in zip(rs, limit, attained):
-                checks = [(got_limit, eval_dmt_left_limit(curve, r))]
                 jump = eval_dmt_jump(curve, r)
-                if jump is not None:
-                    checks.append((got_value, jump[2]))
+                if jump is None:
+                    checks = [(got_limit, eval_dmt(curve, r))]
+                else:
+                    checks = [(got_limit, jump[1]), (got_value, jump[2])]
                 for got, want in checks:
                     if abs(got - want) > 1e-9 * max(1.0, abs(want)):
                         failures.append((m, n, alpha, r, got, want))
@@ -136,10 +136,10 @@ def test_criterion_06_perturbation_bound_suite():
         for alpha in (0.0, 0.5, 1.0):
             cfg = ChannelConfig(3, 2, alpha)
             seed += 1
-            block = sample_channel_block(cfg, rho=rho, seed=seed, start=0, count=per_cell)
-            a = eig_ascending(block.h)
-            b = eig_ascending(block.h + block.e)
-            c = eig_ascending(block.e)
+            h, e = sample_channel_block(cfg, rho=rho, seed=seed, start=0, count=per_cell)
+            a = eig_ascending(h)
+            b = eig_ascending(h + e)
+            c = eig_ascending(e)
             eps = 1e-9 * np.maximum(1.0, b[:, -1])
             ok = b <= 2.0 * (a + c[:, -1:]) + eps[:, None]
             assert ok.all(), f"violations at rho={rho}, alpha={alpha}"
@@ -154,8 +154,7 @@ def test_criterion_07_power_constraint():
     cfg = ChannelConfig(2, 2, 0.5)
     pol = PowerPolicy(t=0.9)
     kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=700)
-    resolved = PowerPolicy(t=0.9, kappa=kappa)
-    mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=701)
+    mean_p = estimate_mean_power(cfg, 1000.0, pol, kappa, batch=100_000, seed=701)
     ratio = mean_p / 1000.0
     assert 0.98 <= ratio <= 1.02, ratio
     assert time.perf_counter() - start < 60.0
@@ -164,7 +163,7 @@ def test_criterion_07_power_constraint():
 @_report(8, "scalar outage probabilities match the closed form within 3 sigma")
 def test_criterion_08_scalar_oracle():
     cfg = ChannelConfig(1, 1, 0.0)
-    pol = PowerPolicy(t=0.0, kappa=1.0)
+    pol = PowerPolicy(t=0.0)
     rho_grid = [float(10.0 ** e) for e in np.linspace(1, 4, 6)]
     trials = 100_000
     sweep = run_sweep(cfg, 0.5, rho_grid, trials, pol, seed=800)

@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,15 @@ import mimo_dmt
 from mimo_dmt import cli, reports
 from mimo_dmt.cli import DEFAULT_SEED, main
 from mimo_dmt.reports import read_dataset
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(lang):
+    """The fenced ``lang`` code blocks of the README, in order."""
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(),
+                      flags=re.M | re.S)
 
 
 def series_map(rows, name):
@@ -246,3 +257,34 @@ class TestProcessCost:
                 assert here.read_bytes() == fresh.read_bytes(), argv
         assert codes == [2, 0, 0, 0, 0]
         assert cli._build_parser() is cli._build_parser()
+
+
+class TestReadmeExamples:
+    """The README's examples run as written: each ``mimo-dmt`` line through
+    ``main``, with its output file moved into a temporary directory, and the
+    library example as a script."""
+
+    COMMANDS = [
+        shlex.split(line, comments=True)[1:]
+        for block in readme_blocks("sh")
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("mimo-dmt ")
+    ]
+
+    def test_every_command_documented(self):
+        assert sorted({argv[0] for argv in self.COMMANDS}) == [
+            "curve", "figures", "oracle-check", "simulate"]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_command_runs(self, argv, tmp_path):
+        out = argv.index("--out") + 1
+        argv = argv[:out] + [str(tmp_path / argv[out])] + argv[out + 1:]
+        assert main(argv) == 0
+        assert read_dataset(argv[out])
+
+    def test_library_example_runs(self, capsys):
+        (example,) = [block for block in readme_blocks("python")
+                      if "compute_dmt_curve" in block]
+        exec(compile(example, str(README), "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == example.count("print(")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mimo_dmt.channel import ChannelConfig
 from mimo_dmt.oracle import exact_oracle_curve, outage_condition
@@ -13,11 +13,17 @@ from mimo_dmt.tradeoff import (
     diversity_boost,
     eval_dmt,
     eval_dmt_jump,
-    eval_dmt_left_limit,
     subset_diversity,
 )
 
 INF = math.inf
+
+
+def left_limit(curve, r):
+    """The closed form's left limit at ``r``, read as ``oracle-check`` reads
+    it: at a jump within 1e-9, the limit at the jump."""
+    jump = eval_dmt_jump(curve, r)
+    return eval_dmt(curve, r) if jump is None else jump[1]
 
 
 def grid_tol(m, n, step):
@@ -177,7 +183,7 @@ class TestGridOracle:
         rs = [float(r) for r in np.arange(0.05, n + 1e-9, 0.25)]
         limit, _ = exact_oracle_curve(cfg, rs)
         for r, got in zip(rs, limit):
-            want = eval_dmt_left_limit(curve, r)
+            want = left_limit(curve, r)
             assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
 
     @pytest.mark.parametrize("m,n,alpha", [(1, 1, 1.0), (2, 2, 0.5)])
@@ -298,7 +304,7 @@ probe_fractions = st.lists(st.floats(0.0, 1.0, exclude_min=True),
 
 
 def _boundaries(curve):
-    return [seg.r_right for seg in curve.segments]
+    return [seg.r_right for seg in curve]
 
 
 def _snapped_probes(cfg, fracs):
@@ -327,7 +333,7 @@ class TestProperties:
         rs = [f * cfg.n_rx for f in fracs] + _boundaries(curve)
         limit, _ = exact_oracle_curve(cfg, rs)
         for r, got in zip(rs, limit):
-            want = eval_dmt_left_limit(curve, r)
+            want = left_limit(curve, r)
             assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
 
     @given(cfg=links())
@@ -340,6 +346,22 @@ class TestProperties:
         _, attained = exact_oracle_curve(cfg, [r for r, _ in jumps])
         for (r, want), got in zip(jumps, attained):
             assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
+
+    @given(cfg=links())
+    @example(cfg=ChannelConfig(2, 2, 0.5))
+    @example(cfg=ChannelConfig(4, 2, 0.1))
+    def test_attained_just_below_jumps_is_left_limit(self, cfg):
+        # Below a jump no pattern reaches the value at the jump: a region
+        # whose floor is the jump delivers no rate below it.
+        curve = compute_dmt_curve(cfg)
+        jumps = [eval_dmt_jump(curve, r) for r in _boundaries(curve)]
+        rs = [jump[0] - below for jump in jumps if jump is not None
+              for below in (1e-13, 1e-11)]
+        if not rs:
+            return
+        limit, attained = exact_oracle_curve(cfg, rs)
+        for r, want, got in zip(rs, limit, attained):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), f"r={r}"
 
     @given(cfg=links(), fracs=probe_fractions)
     def test_curve_non_increasing_and_non_negative(self, cfg, fracs):

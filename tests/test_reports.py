@@ -71,8 +71,8 @@ class TestRoundTrip:
 class TestCmdCurve:
     def test_single_line_config(self, tmp_path):
         rows = cmd_curve(
-            cfg=ChannelConfig(3, 3, 0.5),
-            r_grid=list(np.linspace(0.0, 3.0, 7)), alpha_list=[0.5],
+            cfgs=[ChannelConfig(3, 3, 0.5)],
+            r_grid=list(np.linspace(0.0, 3.0, 7)),
             out=str(tmp_path / "c.csv"), fmt="csv")
         segs = rows_by_series(rows, "segments[alpha=0.5]")
         assert len(segs) == 2  # one segment: left + right endpoint rows
@@ -82,8 +82,8 @@ class TestCmdCurve:
 
     def test_jump_rows(self, tmp_path):
         rows = cmd_curve(
-            cfg=ChannelConfig(4, 2, 0.1),
-            r_grid=list(np.linspace(0.0, 2.0, 21)), alpha_list=[0.1],
+            cfgs=[ChannelConfig(4, 2, 0.1)],
+            r_grid=list(np.linspace(0.0, 2.0, 21)),
             out=str(tmp_path / "c.csv"), fmt="csv")
         jump = [row for row in rows_by_series(rows, "d_O[alpha=0.1]")
                 if abs(row.x - 1.3) < 1e-9]
@@ -96,7 +96,7 @@ class TestCmdCurve:
         # On the 4x4 link at alpha = 0.1 the grid rate 1.9 sits one ulp below
         # the computed boundary 1.9000000000000001; both rows must describe
         # the jump there, not repeat the limit.
-        rows = cmd_curve(cfg=ChannelConfig(4, 4, 0.1), alpha_list=[0.1],
+        rows = cmd_curve(cfgs=[ChannelConfig(4, 4, 0.1)],
                          r_grid=[round(0.05 * i, 10) for i in range(81)])
         jump = [row for row in rows_by_series(rows, "d_O[alpha=0.1]")
                 if row.x == 1.9]
@@ -110,7 +110,7 @@ class TestCmdCurve:
         # for a rate within 1e-9 of one, so at every rate their minimum is
         # the curve's attained value.  On the 4x4 link at alpha = 0.1 the
         # grid rates 1.9 and 3.3 each lie one ulp from a jump.
-        rows = cmd_curve(cfg=ChannelConfig(4, 4, 0.1), alpha_list=[0.1],
+        rows = cmd_curve(cfgs=[ChannelConfig(4, 4, 0.1)],
                          r_grid=[round(0.05 * i, 10) for i in range(81)])
         value = {row.x: row.y for row in rows_by_series(rows, "d_O[alpha=0.1]")
                  if row.aux_note != "limit"}
@@ -125,8 +125,8 @@ class TestCmdCurve:
 
     def test_baseline_reduction_corners(self, tmp_path):
         rows = cmd_curve(
-            cfg=ChannelConfig(2, 2, 0.0),
-            r_grid=[0.0, 0.5, 1.0, 1.5, 2.0], alpha_list=[0.0],
+            cfgs=[ChannelConfig(2, 2, 0.0)],
+            r_grid=[0.0, 0.5, 1.0, 1.5, 2.0],
             out=str(tmp_path / "c.json"), fmt="json")
         d_o = rows_by_series(rows, "d_O[alpha=0]")
         got = {(row.x, row.y) for row in d_o}
@@ -136,8 +136,8 @@ class TestCmdCurve:
 
     def test_subset_overlays(self, tmp_path):
         rows = cmd_curve(
-            cfg=ChannelConfig(4, 2, 0.1),
-            r_grid=[0.0, 1.0, 2.0], alpha_list=[0.1],
+            cfgs=[ChannelConfig(4, 2, 0.1)],
+            r_grid=[0.0, 1.0, 2.0],
             out=str(tmp_path / "c.csv"), fmt="csv")
         d1 = rows_by_series(rows, "d_k[k=1,alpha=0.1]")
         d2 = rows_by_series(rows, "d_k[k=2,alpha=0.1]")
@@ -151,8 +151,8 @@ class TestCmdCurve:
 
     def test_multiple_alphas(self, tmp_path):
         rows = cmd_curve(
-            cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=[0.0, 1.0, 2.0], alpha_list=[0.1, 0.5],
+            cfgs=[ChannelConfig(2, 2, alpha) for alpha in (0.1, 0.5)],
+            r_grid=[0.0, 1.0, 2.0],
             out=str(tmp_path / "c.csv"), fmt="csv")
         assert rows_by_series(rows, "d_O[alpha=0.1]")
         assert rows_by_series(rows, "d_O[alpha=0.5]")
@@ -160,8 +160,8 @@ class TestCmdCurve:
     def test_rejects_out_of_range_grid(self, tmp_path):
         with pytest.raises(ValueError):
             cmd_curve(
-                cfg=ChannelConfig(2, 2, 0.5),
-                r_grid=[0.0, 2.5], alpha_list=[0.5],
+                cfgs=[ChannelConfig(2, 2, 0.5)],
+                r_grid=[0.0, 2.5],
                 out=str(tmp_path / "c.csv"), fmt="csv")
 
 
@@ -243,13 +243,6 @@ class TestCmdSimulate:
         assert summary.x == 0.0  # t
         assert summary.aux_note == "calibrated"
         assert math.isfinite(summary.y)
-
-    def test_summary_notes_set_kappa(self, tmp_path):
-        rows = cmd_simulate(
-            cfg=ChannelConfig(1, 1, 0.0), r=0.5, rho_grid=[10.0, 1000.0],
-            trials=2000, policy=PowerPolicy(t=0.5, kappa=1.0), seed=1729,
-            out=str(tmp_path / "s.csv"), fmt="csv")
-        assert rows_by_series(rows, "summary")[0].aux_note == "set"
 
     def test_deterministic(self, tmp_path):
         a = self._run(tmp_path)

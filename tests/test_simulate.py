@@ -79,20 +79,12 @@ def rowwise_log_is_weights(cfg, s, t, batch, seed, stream):
 
 class TestPowerPolicy:
     def test_defaults(self):
-        pol = PowerPolicy()
-        assert pol.t == 0.9
-        assert pol.kappa is None
+        assert PowerPolicy().t == 0.9
 
     @pytest.mark.parametrize("t", [1.0, 1.5, -0.1])
     def test_rejects_bad_t(self, t):
         with pytest.raises(ValueError):
             PowerPolicy(t=t)
-
-    def test_rejects_nonpositive_kappa(self):
-        with pytest.raises(ValueError):
-            PowerPolicy(kappa=0.0)
-        with pytest.raises(ValueError):
-            PowerPolicy(kappa=-2.0)
 
 
 class TestAdaptedPower:
@@ -122,12 +114,6 @@ class TestAdaptedPower:
                 0.5 * 10.0 * (0.05 * 9.0 ** 3) ** -0.9]
         npt.assert_allclose(0.5 * 10.0 * _damped_weight(cfg, b, 0.9), want,
                             rtol=1e-13)
-
-    def test_requires_resolved_kappa(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError, match="unresolved"):
-            estimate_mean_power(cfg, 1000.0, PowerPolicy(t=0.5), batch=10_000,
-                                seed=1)
 
 
 class TestCalibrateKappa:
@@ -209,10 +195,17 @@ class TestCalibrateKappa:
 
 
 class TestMeanPowerValidation:
+    def test_rejects_nonpositive_kappa(self):
+        cfg = ChannelConfig(2, 2, 0.5)
+        for kappa in (0.0, -2.0):
+            with pytest.raises(ValueError, match="kappa must be positive"):
+                estimate_mean_power(cfg, 1000.0, PowerPolicy(t=0.5), kappa,
+                                    batch=10_000, seed=1)
+
     def test_same_stream_identity(self):
-        # Re-estimating on the calibration stream reproduces p_bar exactly,
-        # at the calibrated first point of a grid and at every point its
-        # kappa is scaled to.
+        # Re-estimating on the calibration stream returns p_bar to within an
+        # ulp, at the calibrated first point of a grid and at every point
+        # its kappa is scaled to.
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         grid = [1000.0, 1e4, 1e5]
@@ -220,8 +213,7 @@ class TestMeanPowerValidation:
         assert kappas[0] == calibrate_kappa(cfg, 1000.0, pol, batch=CAL_BATCH,
                                             seed=9)
         for rho, kappa in zip(grid, kappas):
-            resolved = PowerPolicy(t=0.9, kappa=kappa)
-            mean_p = estimate_mean_power(cfg, rho, resolved, batch=CAL_BATCH,
+            mean_p = estimate_mean_power(cfg, rho, pol, kappa, batch=CAL_BATCH,
                                          seed=9, stream=1)
             npt.assert_allclose(mean_p / rho, 1.0, rtol=1e-12)
 
@@ -230,8 +222,7 @@ class TestMeanPowerValidation:
         cfg = ChannelConfig(1, 1, 1.0)
         pol = PowerPolicy(t=0.5)
         kappa = calibrate_kappa(cfg, 1e4, pol, batch=10_000, seed=21)
-        resolved = PowerPolicy(t=0.5, kappa=kappa)
-        mean_p = estimate_mean_power(cfg, 1e4, resolved, batch=10_000, seed=22)
+        mean_p = estimate_mean_power(cfg, 1e4, pol, kappa, batch=10_000, seed=22)
         assert 0.995 <= mean_p / 1e4 <= 1.005
 
     def test_fresh_batch_two_by_two(self):
@@ -239,8 +230,7 @@ class TestMeanPowerValidation:
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=31)
-        resolved = PowerPolicy(t=0.9, kappa=kappa)
-        mean_p = estimate_mean_power(cfg, 1000.0, resolved, batch=100_000, seed=32)
+        mean_p = estimate_mean_power(cfg, 1000.0, pol, kappa, batch=100_000, seed=32)
         assert 0.98 <= mean_p / 1000.0 <= 1.02
 
 
@@ -268,22 +258,16 @@ class TestOutageTrial:
         # trial by trial.
         cfg = ChannelConfig(1, 1, 0.0)
         rho, r, seed = 50.0, 0.5, 3
-        block = sample_channel_block(cfg, rho, seed, start=0, count=40)
+        h, _ = sample_channel_block(cfg, rho, seed, start=0, count=40)
         wants = set()
         for i in range(40):
-            a = abs(block.h[i, 0, 0]) ** 2
+            a = abs(h[i, 0, 0]) ** 2
             want = math.log2(1 + rho * a) < r * math.log2(rho)
             got = _count_outages_span(cfg, [rho], r, 0.0, lambda: [1.0], seed,
                                       start=i, count=1)
             assert got == [int(want)]
             wants.add(want)
         assert wants == {False, True}
-
-    def test_requires_resolved_kappa(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError, match="unresolved"):
-            _count_outages_span(cfg, [10.0], 1.0, 0.9, lambda: [None], 0,
-                                start=0, count=1)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2),
                                      (3, 3), (4, 4)])
@@ -304,14 +288,14 @@ class TestOutageTrial:
         cfg = ChannelConfig(m, n, alpha)
         grid = [rho / 4, rho / 2, rho]
         r, start, count = 0.6 * n, 1000, 20_000
-        block = sample_channel_block(cfg, grid[0], seed, start=start,
-                                     count=count)
+        h, e = sample_channel_block(cfg, grid[0], seed, start=start,
+                                    count=count)
 
         def eigvalsh_gram(x):
             gram = x @ np.conj(np.swapaxes(x, -1, -2))
             return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
-        h, e = np.ascontiguousarray(block.h), np.ascontiguousarray(block.e)
+        h, e = np.ascontiguousarray(h), np.ascontiguousarray(e)
         a = eigvalsh_gram(h)
 
         def outages(kappa, rho_g, weight):
@@ -322,7 +306,7 @@ class TestOutageTrial:
 
         kappas, want = [], []
         for rho_g in grid:
-            ratio = math.sqrt(rho_g ** -cfg.alpha / block.sigma_e_sq)
+            ratio = math.sqrt(rho_g ** -cfg.alpha / grid[0] ** -cfg.alpha)
             weight = _damped_weight(cfg, eigvalsh_gram(h + ratio * e), 0.9)
             # Each point's kappa is the first of the steps 2**(k/8) at which
             # at most half the trials are in outage (the count falls as
@@ -349,7 +333,7 @@ class TestRunSweep:
         # sigma; fitted slope within 0.1 of the slope fitted on the exact
         # probabilities.  (checked independently: scalar Rayleigh/Gamma outage oracle)
         cfg = ChannelConfig(2, 1, 0.0)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
+        pol = PowerPolicy(t=0.0)
         rho_grid = [10.0, 100.0, 1000.0]
         trials = 30_000
         sweep = run_sweep(cfg, 0.5, rho_grid, trials, pol, seed=11)
@@ -362,11 +346,10 @@ class TestRunSweep:
 
     def test_sweep_fields(self):
         cfg = ChannelConfig(2, 1, 0.0)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
+        pol = PowerPolicy(t=0.0)
         sweep = run_sweep(cfg, 0.5, [10.0, 1000.0], 2000, pol, seed=1)
         assert isinstance(sweep, OutageSweep)
         assert sweep.trials == 2000
-        assert sweep.r == 0.5
         assert len(sweep.p_out) == len(sweep.rho_grid) == len(sweep.ci_half_width) == 2
         assert all(0.0 <= p <= 1.0 for p in sweep.p_out)
         for p, ci in zip(sweep.p_out, sweep.ci_half_width):
@@ -374,7 +357,7 @@ class TestRunSweep:
 
     def test_zero_rate_flags_undefined_slope(self):
         cfg = ChannelConfig(2, 1, 0.0)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
+        pol = PowerPolicy(t=0.0)
         sweep = run_sweep(cfg, 0.0, [10.0, 1000.0], 2000, pol, seed=1)
         assert sweep.p_out == [0.0, 0.0]
         assert math.isnan(sweep.fitted_slope)
@@ -456,7 +439,7 @@ class TestRunSweep:
 
     def test_monotone_in_rho(self):
         cfg = ChannelConfig(2, 1, 0.3)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
+        pol = PowerPolicy(t=0.0)
         sweep = run_sweep(cfg, 0.6, [10.0, 100.0, 1000.0], 20_000, pol, seed=17)
         for i in range(len(sweep.p_out) - 1):
             slack = sweep.ci_half_width[i] + sweep.ci_half_width[i + 1]
@@ -464,7 +447,7 @@ class TestRunSweep:
 
     def test_monotone_in_rate(self):
         cfg = ChannelConfig(2, 1, 0.0)
-        pol = PowerPolicy(t=0.0, kappa=1.0)
+        pol = PowerPolicy(t=0.0)
         lo = run_sweep(cfg, 0.3, [10.0, 1000.0], 20_000, pol, seed=19)
         hi = run_sweep(cfg, 0.6, [10.0, 1000.0], 20_000, pol, seed=19)
         for p_lo, p_hi, ci in zip(lo.p_out, hi.p_out, lo.ci_half_width):
@@ -483,9 +466,9 @@ class TestRunSweep:
     def test_rejects_few_trials(self):
         cfg = ChannelConfig(2, 1, 0.0)
         with pytest.raises(ValueError):
-            run_sweep(cfg, 0.5, [10.0, 1000.0], 500, PowerPolicy(t=0.0, kappa=1.0), seed=1)
+            run_sweep(cfg, 0.5, [10.0, 1000.0], 500, PowerPolicy(t=0.0), seed=1)
 
     def test_rejects_narrow_grid(self):
         cfg = ChannelConfig(2, 1, 0.0)
         with pytest.raises(ValueError):
-            run_sweep(cfg, 0.5, [10.0, 50.0], 2000, PowerPolicy(t=0.0, kappa=1.0), seed=1)
+            run_sweep(cfg, 0.5, [10.0, 50.0], 2000, PowerPolicy(t=0.0), seed=1)

@@ -15,7 +15,7 @@ from mimo_dmt.tradeoff import (
     compute_dmt_curve,
     diversity_boost,
     eval_dmt,
-    eval_dmt_left_limit,
+    eval_dmt_jump,
     subset_diversity,
 )
 
@@ -238,9 +238,8 @@ class TestSubsetDiversity:
 class TestComputeDmtCurve:
     def test_two_by_two_worked_segments(self):
         curve = compute_dmt_curve(ChannelConfig(2, 2, 0.5))
-        assert curve.case_tag == "discontinuous"
-        assert len(curve.segments) == 2
-        s_hi, s_lo = curve.segments
+        assert len(curve) == 2
+        s_hi, s_lo = curve
         assert (s_hi.k, s_lo.k) == (2, 1)
         npt.assert_allclose(
             [s_hi.r_left, s_hi.d_left, s_hi.r_right, s_hi.d_right],
@@ -248,13 +247,15 @@ class TestComputeDmtCurve:
         npt.assert_allclose(
             [s_lo.r_left, s_lo.d_left, s_lo.r_right, s_lo.d_right],
             [1.5, 1.5, 2.0, 1.0], rtol=1e-12)
-        assert s_hi.left_closed and not s_hi.right_closed
-        assert s_lo.left_closed and s_lo.right_closed
+        # The jump at 1.5 belongs to the right-hand piece, and the last
+        # piece owns its right end.
+        assert eval_dmt(curve, 1.5) == s_lo.d_left
+        assert eval_dmt(curve, 2.0) == s_lo.d_right
 
     def test_four_by_two_segments(self):
         curve = compute_dmt_curve(ChannelConfig(4, 2, 0.1))
-        assert len(curve.segments) == 2
-        s_hi, s_lo = curve.segments
+        assert len(curve) == 2
+        s_hi, s_lo = curve
         npt.assert_allclose(
             [s_hi.r_left, s_hi.d_left, s_hi.r_right, s_hi.d_right],
             [0.0, 14.4, 1.3, 7.9], rtol=1e-12)
@@ -266,9 +267,7 @@ class TestComputeDmtCurve:
         # High-quality feedback collapses the curve to one line:
         # d(r) = MN(1+MN*alpha) - (M+N-1) r.
         curve = compute_dmt_curve(ChannelConfig(3, 3, 0.5))
-        assert curve.case_tag == "single_line"
-        assert len(curve.segments) == 1
-        seg = curve.segments[0]
+        (seg,) = curve
         assert seg.k == 0
         npt.assert_allclose([seg.d_left, seg.d_right], [49.5, 34.5], rtol=1e-12)
         npt.assert_allclose(eval_dmt(curve, 2.0), 39.5, rtol=1e-12)
@@ -278,55 +277,63 @@ class TestComputeDmtCurve:
         # N=1: always a single line K(1 - r + K*alpha).
         alpha = 0.37
         curve = compute_dmt_curve(ChannelConfig(kk, 1, alpha))
-        assert curve.case_tag == "single_line"
+        assert [seg.k for seg in curve] == [0]
         for r in (0.0, 0.25, 1.0):
             npt.assert_allclose(eval_dmt(curve, r), kk * (1 - r + kk * alpha), rtol=1e-12)
 
     def test_case_split_threshold(self):
-        assert compute_dmt_curve(ChannelConfig(3, 3, 0.5)).case_tag == "single_line"
-        assert compute_dmt_curve(ChannelConfig(3, 3, 0.5 - 1e-9)).case_tag == "discontinuous"
-        assert compute_dmt_curve(ChannelConfig(2, 2, 1.0)).case_tag == "single_line"
-        assert compute_dmt_curve(ChannelConfig(2, 2, 0.999999)).case_tag == "discontinuous"
+        # At the threshold the curve is one line labeled k = 0; just below
+        # it, one piece per active cardinality.
+        def ks(m, n, alpha):
+            return [seg.k for seg in compute_dmt_curve(ChannelConfig(m, n, alpha))]
+
+        assert ks(3, 3, 0.5) == [0]
+        assert ks(3, 3, 0.5 - 1e-9) == [3, 2, 1]
+        assert ks(2, 2, 1.0) == [0]
+        assert ks(2, 2, 0.999999) == [2, 1]
 
     def test_three_by_three_one_third(self):
         curve = compute_dmt_curve(ChannelConfig(3, 3, 1.0 / 3.0))
-        assert len(curve.segments) == 3
-        ks = [s.k for s in curve.segments]
-        assert ks == [3, 2, 1]
-        npt.assert_allclose(curve.segments[0].d_left, 36.0, rtol=1e-12)
-        npt.assert_allclose(curve.segments[0].r_right, 7.0 / 3.0, rtol=1e-12)
-        npt.assert_allclose(curve.segments[1].r_right, 8.0 / 3.0, rtol=1e-12)
+        assert [s.k for s in curve] == [3, 2, 1]
+        npt.assert_allclose(curve[0].d_left, 36.0, rtol=1e-12)
+        npt.assert_allclose(curve[0].r_right, 7.0 / 3.0, rtol=1e-12)
+        npt.assert_allclose(curve[1].r_right, 8.0 / 3.0, rtol=1e-12)
         npt.assert_allclose(eval_dmt(curve, 2.2), 25.0, rtol=1e-12)
 
-    def test_active_set_and_boost_table_attached(self):
-        curve = compute_dmt_curve(ChannelConfig(4, 2, 0.1))
-        assert set(curve.active_set) == {1, 2}
-        npt.assert_allclose(curve.boost_table[1], 1.3, rtol=1e-15)
-        npt.assert_allclose(curve.boost_table[2], 1.8, rtol=1e-15)
+    def test_pieces_follow_active_indices(self):
+        # One piece per active cardinality k, deepest first, each starting
+        # at its reach (n - k) * boost.
+        cfg = ChannelConfig(4, 2, 0.1)
+        curve = compute_dmt_curve(cfg)
+        active, _ = active_indices(cfg)
+        assert [s.k for s in curve] == sorted(active, reverse=True) == [2, 1]
+        for s in curve:
+            assert s.r_left == (2 - s.k) * diversity_boost(cfg, s.k)
+        npt.assert_allclose(curve[1].r_left, 1.3, rtol=1e-15)
 
     def test_segments_partition_domain(self):
         for m, n, alpha in [(2, 2, 0.5), (4, 2, 0.1), (3, 3, 1.0 / 3.0), (5, 3, 0.1), (5, 3, 0.2)]:
-            curve = compute_dmt_curve(ChannelConfig(m, n, alpha))
-            segs = curve.segments
+            segs = compute_dmt_curve(ChannelConfig(m, n, alpha))
             assert segs[0].r_left == 0.0
             assert segs[-1].r_right == float(n)
-            assert segs[-1].right_closed
             for a, b in zip(segs, segs[1:]):
                 npt.assert_allclose(a.r_right, b.r_left, rtol=1e-12)
+            # Each piece owns its left end; the last also owns its right.
             for s in segs:
-                assert s.left_closed and (s.right_closed == (s is segs[-1]))
+                assert eval_dmt(segs, s.r_left) == s.d_left
+            assert eval_dmt(segs, float(n)) == segs[-1].d_right
 
     def test_interior_jumps_go_down(self):
         for m, n, alpha in [(2, 2, 0.5), (4, 2, 0.1), (3, 3, 0.1), (5, 3, 0.1)]:
             curve = compute_dmt_curve(ChannelConfig(m, n, alpha))
-            for a, b in zip(curve.segments, curve.segments[1:]):
+            for a, b in zip(curve, curve[1:]):
                 assert a.d_right >= b.d_left - 1e-12
 
     def test_segment_midpoint_on_chord(self):
         # Each emitted segment is genuinely affine: midpoint on the chord.
         for m, n, alpha in [(2, 2, 0.5), (5, 3, 0.1), (3, 3, 1.0 / 3.0)]:
             curve = compute_dmt_curve(ChannelConfig(m, n, alpha))
-            for s in curve.segments:
+            for s in curve:
                 mid = 0.5 * (s.r_left + s.r_right)
                 npt.assert_allclose(
                     eval_dmt(curve, mid), 0.5 * (s.d_left + s.d_right), rtol=1e-12)
@@ -341,11 +348,13 @@ class TestEvalDmt:
 
     def test_left_limit_at_boundaries(self):
         curve = compute_dmt_curve(ChannelConfig(2, 2, 0.5))
-        npt.assert_allclose(eval_dmt_left_limit(curve, 1.5), 7.5, rtol=1e-12)
-        # Away from boundaries the left limit is just the value.
-        npt.assert_allclose(eval_dmt_left_limit(curve, 1.0), eval_dmt(curve, 1.0), rtol=1e-15)
+        # A rate within 1e-9 of the jump reads both sides at the jump.
+        for r in (1.5, 1.5 - 1e-10, 1.5 + 1e-10):
+            assert eval_dmt_jump(curve, r) == (1.5, 7.5, 1.5)
+        # Away from boundaries there is no jump.
+        assert eval_dmt_jump(curve, 1.0) is None
         # At the right edge of the domain the curve is left-continuous.
-        npt.assert_allclose(eval_dmt_left_limit(curve, 2.0), eval_dmt(curve, 2.0), rtol=1e-15)
+        assert eval_dmt_jump(curve, 2.0) is None
 
     def test_endpoints(self):
         curve = compute_dmt_curve(ChannelConfig(2, 2, 0.5))
