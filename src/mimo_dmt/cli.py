@@ -26,6 +26,9 @@ from .simulate import PowerPolicy
 __all__ = ["DEFAULT_SEED", "main"]
 
 DEFAULT_SEED = 1729
+# Most rates a ``--r-step`` grid may hold: a finer grid would exhaust memory
+# long before its run ends.
+_MAX_RATES = 100_000
 
 
 def _positive_int(text: str) -> int:
@@ -58,6 +61,9 @@ def _alpha_values(args: argparse.Namespace) -> List[float]:
 
 
 def _rate_grid(n: int, step: float, include_zero: bool = True) -> List[float]:
+    if n / step + 1 > _MAX_RATES:
+        raise ValueError(f"--r-step {step:g} asks for {n / step + 1:.3g} rates on "
+                         f"[0, {n}]; at most {_MAX_RATES:,} are allowed")
     count = int(round(n / step))
     grid = [round(i * step, 10) for i in range(count + 1)]
     grid = [g for g in grid if g <= n]

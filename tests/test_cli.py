@@ -163,7 +163,12 @@ class TestUsageErrors:
         (["curve", "--m", "2", "--n", "2", "--alpha-list", ","], "c.csv"),
         (["oracle-check", "--m", "7", "--n", "7", "--alpha", "0.1"], "o.csv"),
         (["figures", "--fig", "2"], "nodir/f.csv"),
-    ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir"])
+        (["curve", "--m", "6", "--n", "6", "--alpha", "0.1", "--r-step", "1e-9"],
+         "c.csv"),
+        (["oracle-check", "--m", "6", "--n", "6", "--alpha", "0.1", "--r-step", "1e-9"],
+         "o.csv"),
+    ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "curve-r-step",
+            "oracle-r-step"])
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,5 @@
 """Tests for the exact exponent-optimization oracle."""
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mimo_dmt.channel import ChannelConfig
+from mimo_dmt import oracle
+from mimo_dmt.channel import ChannelConfig, eigen_decay_weights
 from mimo_dmt.oracle import exact_oracle_curve, outage_condition
 from mimo_dmt.tradeoff import (
     compute_dmt_curve,
@@ -74,6 +76,76 @@ def _grid_min(cfg, r, step, free_errors=False):
         if feasible.any():
             best = min(best, float(cost[feasible].min()))
     return best
+
+
+def _reference_region(c, alpha, p, q):
+    """One region's rows ``A @ v >= b`` and delivered rate ``g @ v + g0``,
+    with alpha in the numbers (the reference's own copy of the region)."""
+    n = c.size
+    eye = np.eye(n)
+    term = np.where(np.arange(n) >= p, c, 0.0) - eye
+    t0 = 1.0 + alpha * c[:p].sum()
+    rows = [eye[j] - eye[j + 1] for j in range(n - 1)] + [eye[n - 1]]
+    rhs = [0.0] * n
+    if p > 0:
+        rows.append(eye[p - 1])
+        rhs.append(alpha)
+    if p < n:
+        rows.append(-eye[p])
+        rhs.append(-alpha)
+    if q > 0:
+        rows.append(-term[q - 1])
+        rhs.append(t0)
+    if q < n:
+        rows.append(term[q])
+        rhs.append(-t0)
+    return np.array(rows), np.array(rhs), term[q:].sum(axis=0), (n - q) * t0
+
+
+def reference_oracle_curve(cfg, r_probes):
+    """Reference for ``exact_oracle_curve``: every region built, solved and
+    tested against all probes on its own, in one loop, with the same
+    arithmetic and slacks."""
+    n = cfg.n_rx
+    rs = np.asarray(r_probes, dtype=float)
+    c = eigen_decay_weights(cfg.m_tx, n)
+    left_limit = np.full(rs.size, np.inf)
+    attained = np.full(rs.size, np.inf)
+    within = rs * (1.0 + oracle._RATE_TOL)
+    for p in range(n + 1):
+        for q in range(n + 1):
+            a, b, g, g0 = _reference_region(c, cfg.alpha, p, q)
+            k = a.shape[0]
+            mat = np.vstack([a, g])
+            rhs = np.zeros((k + 1, 2))
+            rhs[:k, 0] = b
+            rhs[k] = (-g0, 1.0)
+            subsets = np.array(list(itertools.combinations(range(k + 1), n)))
+            systems = mat[subsets]
+            solvable = np.abs(np.linalg.det(systems)) > 0.5
+            subsets, systems = subsets[solvable], systems[solvable]
+            sol = np.linalg.solve(systems, rhs[subsets])
+            v = sol[:, None, :, 0] + rs[None, :, None] * sol[:, None, :, 1]
+            inside = (v @ a.T >= b - oracle._EDGE_TOL).all(axis=2)
+            own = (subsets < k).all(axis=1)
+            rate = sol[:, :, 0] @ g + g0
+            own_inside = own & (sol[:, :, 0] @ a.T >= b - oracle._EDGE_TOL).all(axis=1)
+            floor = np.min(rate, where=own_inside, initial=np.inf)
+            admitted = inside & (~own[:, None] | (rate[:, None] <= within))
+            best = np.where(admitted, v @ c, np.inf).min(axis=0, initial=np.inf)
+            best = np.where(floor <= within, best, np.inf)
+            if p == q == 0:
+                best = np.where(rs < n, np.inf, best)
+            attained = np.minimum(attained, best)
+            below = floor < rs * (1.0 - oracle._EDGE_TOL)
+            left_limit = np.where(below, np.minimum(left_limit, best), left_limit)
+    return left_limit, attained
+
+
+def assert_same_arrays(got, want):
+    """Equal element by element, to the sign of zero."""
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w) and np.array_equal(np.signbit(g), np.signbit(w))
 
 
 class TestOutageCondition:
@@ -217,6 +289,62 @@ class TestGridOracle:
             exact_oracle_curve(cfg, [2.1])
 
 
+ALL_LINKS = [(m, n) for m in range(1, 7) for n in range(1, m + 1)]
+REFERENCE_ALPHAS = [0.0, 1e-12, 1e-9, 0.1, 1.0 / 6.0, 1.0 / 3.0, 0.5, 1.0, 2.0]
+
+
+def reference_probes(cfg, step=0.01):
+    """A grid of probes, every curve boundary in (0, n], the float just
+    below each, and full rate."""
+    n = cfg.n_rx
+    grid = [min(k * step, n) for k in range(1, round(n / step) + 1)]
+    bounds = [r for seg in compute_dmt_curve(cfg) for r in (seg.r_left, seg.r_right)
+              if 0.0 < r <= n]
+    return grid + bounds + [math.nextafter(r, 0.0) for r in bounds] + [float(n)]
+
+
+class TestReference:
+    """The oracle against the region-by-region reference, bit for bit, and
+    independent of its block size and of what its cache held."""
+
+    @pytest.mark.parametrize("m,n", ALL_LINKS)
+    def test_matches_reference(self, m, n):
+        for alpha in REFERENCE_ALPHAS:
+            cfg = ChannelConfig(m, n, alpha)
+            rs = reference_probes(cfg)
+            assert_same_arrays(exact_oracle_curve(cfg, rs),
+                               reference_oracle_curve(cfg, rs))
+
+    @pytest.mark.parametrize("block", [1, 10**6])
+    def test_block_size_invariance(self, block, monkeypatch):
+        # One system per block, and one block for every link.
+        cases = [ChannelConfig(m, n, alpha) for m, n in [(2, 1), (4, 2), (3, 3), (6, 6)]
+                 for alpha in (0.0, 0.1, 1.0 / 3.0)]
+        want = [exact_oracle_curve(cfg, reference_probes(cfg, 0.05)) for cfg in cases]
+        monkeypatch.setattr(oracle, "_SYSTEM_BLOCK", block)
+        for cfg, expected in zip(cases, want):
+            got = exact_oracle_curve(cfg, reference_probes(cfg, 0.05))
+            assert_same_arrays(got, expected)
+
+    def test_cache_invariance(self):
+        # Alternating alphas on one cached link read as fresh calls do.
+        cfgs = [ChannelConfig(4, 3, alpha) for alpha in (0.1, 0.5, 0.1)]
+        rs = reference_probes(cfgs[0], 0.05)
+        fresh = []
+        for cfg in cfgs:
+            oracle._vertex_table.cache_clear()
+            fresh.append(exact_oracle_curve(cfg, rs))
+        assert oracle._vertex_table.cache_info().currsize == 1
+        for cfg, want in zip(cfgs, fresh):
+            assert_same_arrays(exact_oracle_curve(cfg, rs), want)
+        assert oracle._vertex_table.cache_info().hits == 3
+
+    def test_cached_arrays_are_read_only(self):
+        for array in oracle._vertex_table(3, 2):
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+
+
 class TestSubsetOracle:
     """The closed form's per-subset exponents against the exact oracle on
     fixed links."""
@@ -335,6 +463,12 @@ class TestProperties:
         for r, got in zip(rs, limit):
             want = left_limit(curve, r)
             assert abs(got - want) <= 1e-9 * max(1.0, want), f"r={r}"
+
+    @given(cfg=links(), fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                                       min_size=1, max_size=40))
+    def test_matches_reference(self, cfg, fracs):
+        rs = [f * cfg.n_rx for f in fracs]
+        assert_same_arrays(exact_oracle_curve(cfg, rs), reference_oracle_curve(cfg, rs))
 
     @given(cfg=links())
     def test_attained_value_matches_oracle_at_jumps(self, cfg):
