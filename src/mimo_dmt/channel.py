@@ -6,6 +6,16 @@ plus an independent complex Gaussian error whose per-entry variance decays as
 ``rho ** -alpha``, so ``alpha`` measures how fast estimate quality improves
 with SNR (0 = never, large = very fast).
 
+Everything downstream reads the channel and its estimate only through Gram
+spectra, so the sampler draws a representative of the channel rather than an
+iid-entry matrix.  An iid channel bidiagonalizes as ``H = Q [B 0] P^H`` with
+``Q`` and ``P`` unitary and ``B`` real lower bidiagonal, its entries
+independent with ``B_ii**2 ~ Gamma(m - i + 1)`` and ``B_{i+1,i}**2 ~
+Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11), 2002).  The error
+is isotropic and independent of the channel, so ``Q^H E P`` has the law of
+``E``, and the pair ``([B 0], E)`` gives the spectra of ``H H^H`` and of
+``(H + c E)(H + c E)^H`` their joint law for every ``c``.
+
 Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
 yields the same matrices regardless of how trials are batched or which worker
 draws them, which makes parallel Monte Carlo bit-reproducible.
@@ -14,9 +24,9 @@ Batches are trial-contiguous: a ``(count, n, m)`` batch is stored trial-last,
 so each matrix entry's trials form one contiguous vector, and the closed-form
 spectra of one- and two-row links are whole-vector arithmetic over them.
 
-SciPy is needed only to sample (``ndtri``) and for the eigenvalue density's
-normalizer (``gammaln``), and is imported on first use, so the closed form,
-the oracle and the reports load without it.
+SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
+density's normalizer (``gammaln``), and is imported on first use, so the
+closed form, the oracle and the reports load without it.
 """
 from __future__ import annotations
 
@@ -35,12 +45,17 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
-# One Philox counter tick yields four 64-bit words = four doubles; a trial
-# consumes 4 * n_rx * m_tx doubles = n_rx * m_tx ticks, so trial boundaries
-# always fall on tick boundaries and contiguous batches can be carved
-# anywhere without changing the draws.
-_PARTS_PER_TRIAL = 4
+# One Philox counter tick yields four 64-bit words = four doubles.  A trial
+# consumes 3 * n_rx * m_tx doubles (n_rx * m_tx for the channel, twice that
+# for the error) rounded up to whole ticks, so trial boundaries always fall
+# on tick boundaries and contiguous batches can be carved anywhere without
+# changing the draws.
+_DOUBLES_PER_TICK = 4
 _HALF_ULP = 2.0 ** -54
+# A product of k uniforms, each at least 2**-54, stays a normal float for
+# k <= 18 (2**-972 > 2**-1022); longer products are summed as logs of
+# products of at most this many.
+_MAX_PRODUCT = 18
 _TRIAL_PAD = 8
 # Trials per C-ordered copy when GramPolynomial forms matmul blocks: 2.4 MB
 # per copy at 6x6.
@@ -61,8 +76,8 @@ class ChannelConfig:
     alpha: float
 
     def __post_init__(self):
-        m = int(self.m_tx)
-        n = int(self.n_rx)
+        m = _integer(self.m_tx, "m_tx")
+        n = _integer(self.n_rx, "n_rx")
         if m < 1 or n < 1:
             raise ValueError(f"antenna counts must be positive, got ({m}, {n})")
         alpha = float(self.alpha)
@@ -71,6 +86,17 @@ class ChannelConfig:
         object.__setattr__(self, "m_tx", max(m, n))
         object.__setattr__(self, "n_rx", min(m, n))
         object.__setattr__(self, "alpha", alpha)
+
+
+def _integer(value, name):
+    """``value`` as an int; a non-integral value is an error, not truncated."""
+    try:
+        as_int = int(value)
+    except (OverflowError, TypeError, ValueError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return as_int
 
 
 def eigen_decay_weights(m, n):
@@ -87,48 +113,78 @@ def _bit_generator(seed, stream):
     return np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64])
 
 
+def _bidiagonal_entries(n, m):
+    """``(row, column, shape)`` of each nonzero entry of ``[B 0]``, in draw
+    order; the squared entry is Gamma(shape) and the shapes sum to ``n*m``."""
+    for i in range(n):
+        yield i, i, m - i
+        if i + 1 < n:
+            yield i + 1, i, n - i - 1
+
+
 def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     """Draw trials ``start .. start+count-1`` of a (seed, stream) sequence.
 
-    Returns the pair ``(h, e)``: the true channels and the estimation
-    errors, whose per-entry variance is ``rho ** -alpha``.  Both are stacked
-    with a leading trial axis of length ``count``, stored trial-last: for
-    each matrix entry, the ``count`` trials are one contiguous vector.  Any
-    contiguous partition of the trial range reproduces the one-shot draw
-    bit for bit.
+    Returns the pair ``(h, e)``: the channels and the estimation errors,
+    whose per-entry variance is ``rho ** -alpha``.  ``e`` has iid complex
+    Gaussian entries.  ``h`` is the channel's bidiagonal representative
+    ``[B 0]`` (see the module docstring): real, zero off the diagonal and
+    subdiagonal, with each squared entry gamma-distributed.  It is not an
+    iid-entry matrix, but with ``e`` it gives every Gram spectrum of the
+    channel and its estimate the law an iid channel would.  Each squared
+    entry of shape ``k`` is ``-log`` of a product of ``k`` uniforms, so a
+    trial takes a fixed ``3 * n * m`` uniforms.
+
+    Both are stacked with a leading trial axis of length ``count``, stored
+    trial-last: for each matrix entry, the ``count`` trials are one
+    contiguous vector.  Any contiguous partition of the trial range
+    reproduces the one-shot draw bit for bit.
     """
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0.0:
         raise ValueError(f"rho must be finite and positive, got {rho}")
-    start = int(start)
-    count = int(count)
+    start = _integer(start, "start")
+    count = _integer(count, "count")
     if start < 0 or count < 1:
         raise ValueError(f"need start >= 0 and count >= 1, got ({start}, {count})")
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import ndtri
 
     n, m = cfg.n_rx, cfg.m_tx
-    ticks_per_trial = n * m
+    nm = n * m
+    ticks_per_trial = -(-3 * nm // _DOUBLES_PER_TICK)
     bg = _bit_generator(seed, stream)
     bg.advance(start * ticks_per_trial)
     gen = np.random.Generator(bg)
-    u = gen.random(count * _PARTS_PER_TRIAL * n * m)
-    # Shift the half-open [0,1) uniforms into (0,1) so the normal quantile
-    # transform never sees an exact zero.  Both steps run in place, so a
-    # span holds one buffer of uniforms rather than three.
+    u = gen.random(count * ticks_per_trial * _DOUBLES_PER_TICK).reshape(count, -1)
+    # Shift the half-open [0,1) uniforms into (0,1) so neither the log nor
+    # the normal quantile transform sees an exact zero.
     u += _HALF_ULP
-    z = ndtri(u, out=u).reshape(count, _PARTS_PER_TRIAL, n, m)
     # Trial-last storage: each matrix entry's trials lie contiguous, so the
     # per-entry arithmetic downstream runs over whole vectors.  Padding
     # keeps the entries from starting a power of two bytes apart, where
     # the many entries of a large link would share cache sets.
-    planes = np.empty((2, n, m, count + _TRIAL_PAD), dtype=np.complex128)
+    planes = np.zeros((2, n, m, count + _TRIAL_PAD), dtype=np.complex128)
     h, e = planes[..., :count].transpose(0, 3, 1, 2)
-    h_scale, e_scale = math.sqrt(0.5), math.sqrt(0.5 * rho ** -cfg.alpha)
-    np.multiply(z[:, 0], h_scale, out=h.real)
-    np.multiply(z[:, 1], h_scale, out=h.imag)
-    np.multiply(z[:, 2], e_scale, out=e.real)
-    np.multiply(z[:, 3], e_scale, out=e.imag)
+    # Each entry of B sums -log of its products of uniforms, from zero, and
+    # takes the root; the rest of h stays zero.
+    col = 0
+    prod = np.empty(count)
+    for i, j, shape in _bidiagonal_entries(n, m):
+        b = h.real[:, i, j]
+        for lo in range(col, col + shape, _MAX_PRODUCT):
+            np.copyto(prod, u[:, lo])
+            for k in range(lo + 1, min(col + shape, lo + _MAX_PRODUCT)):
+                prod *= u[:, k]
+            b -= np.log(prod, out=prod)
+        np.sqrt(b, out=b)
+        col += shape
+    # The error's normal quantiles run in place, so a span holds one buffer
+    # of uniforms rather than two.
+    z = ndtri(u[:, nm:3 * nm], out=u[:, nm:3 * nm]).reshape(count, 2, n, m)
+    e_scale = math.sqrt(0.5 * rho ** -cfg.alpha)
+    np.multiply(z[:, 0], e_scale, out=e.real)
+    np.multiply(z[:, 1], e_scale, out=e.imag)
     return h, e
 
 

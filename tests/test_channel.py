@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.special import gammaln
 
 from mimo_dmt.channel import (
@@ -42,6 +43,15 @@ class TestChannelConfig:
             ChannelConfig(2, 2, float("nan"))
         with pytest.raises(ValueError):
             ChannelConfig(2, 2, float("inf"))
+
+    @pytest.mark.parametrize("m,n", [(2.7, 2), (2, 2.5), (float("inf"), 1), (float("nan"), 1)])
+    def test_rejects_nonintegral_antennas(self, m, n):
+        # A fractional count is an error, not a smaller link.
+        with pytest.raises(ValueError, match="must be an integer"):
+            ChannelConfig(m, n, 0.1)
+
+    def test_integral_floats_accepted(self):
+        assert ChannelConfig(3.0, np.int64(2), 0.1) == ChannelConfig(3, 2, 0.1)
 
     def test_alpha_zero_allowed(self):
         cfg = ChannelConfig(3, 2, 0.0)
@@ -99,25 +109,97 @@ class TestSampleChannel:
         h2, _ = sample_channel_block(cfg, rho=50.0, seed=2, count=1)
         assert not np.array_equal(h1, h2)
 
-    def test_moments(self):
-        # Unit-variance complex entries: real/imag parts each carry variance 1/2.
-        # 40000 draws of a 2x2 block: standard error of the mean ~ 0.0025.
-        cfg = ChannelConfig(2, 2, 0.5)
-        h, e = sample_channel_block(cfg, rho=100.0, seed=77, start=0, count=40000)
-        h = h.reshape(-1)
-        assert abs(h.real.mean()) < 0.02
-        assert abs(h.imag.mean()) < 0.02
-        npt.assert_allclose(h.real.var(), 0.5, atol=0.02)
-        npt.assert_allclose(h.imag.var(), 0.5, atol=0.02)
-        npt.assert_allclose(np.mean(np.abs(h) ** 2), 1.0, atol=0.03)
-        e = e.reshape(-1)
-        sigma = 100.0 ** -0.5
-        npt.assert_allclose(np.mean(np.abs(e) ** 2), sigma, rtol=0.03)
+    # Links whose 3*n*m uniforms per trial fill whole Philox ticks (2x2)
+    # or leave padding (1x1, 2x1, 3x2, 3x3), and 20x2, whose Gamma(20)
+    # entry is drawn as two products of uniforms.
+    LINKS = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (20, 2)]
 
-    def test_block_partition_invariance(self):
+    @staticmethod
+    def _bidiagonal(m, n):
+        """``(row, column, gamma shape)`` of each nonzero entry of [B 0].
+        (checked independently: Dumitriu & Edelman 2002, Theorem 3.1 at
+        beta = 2, where chi_{2k}**2 / 2 is Gamma(k))"""
+        entries = [(i, i, m - i) for i in range(n)]
+        entries += [(i + 1, i, n - i - 1) for i in range(n - 1)]
+        return entries
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3), (20, 2)])
+    def test_bidiagonal_entries_are_gamma(self, m, n):
+        # Each squared diagonal entry B_ii**2 is Gamma(m - i + 1) and each
+        # squared subdiagonal entry B_{i+1,i}**2 is Gamma(n - i), 1-based.
+        # A fixed seed makes each KS p-value one fixed number.  A shape off
+        # by one reads p < 1e-100 at 20,000 draws.
+        h, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=31,
+                                    count=20_000)
+        for i, j, shape in self._bidiagonal(m, n):
+            b_sq = h.real[:, i, j] ** 2
+            assert stats.kstest(b_sq, stats.gamma(shape).cdf).pvalue > 1e-3, (i, j)
+
+    def test_long_products_do_not_underflow(self):
+        # 20x2's Gamma(20) entry passes the 18 uniforms whose product is
+        # sure to stay a normal float, but a product of k uniforms reaches
+        # zero only around k = 745.  On 1000x1 every plain product would
+        # underflow; the entry must still be sqrt of a Gamma(1000) draw.
+        h, _ = sample_channel_block(ChannelConfig(1000, 1, 0.5), rho=10.0, seed=5,
+                                    count=2_000)
+        b_sq = h.real[:, 0, 0] ** 2
+        assert np.isfinite(b_sq).all()
+        assert stats.kstest(b_sq, stats.gamma(1000).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("m,n", LINKS)
+    def test_channel_zero_off_bidiagonal(self, m, n):
+        h, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=8,
+                                    count=5_000)
+        assert not h.imag.any()
+        off = np.ones((n, m), dtype=bool)
+        for i, j, _ in self._bidiagonal(m, n):
+            off[i, j] = False
+        assert not h[:, off].any()
+        assert (h.real[:, ~off] > 0.0).all()
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
+    def test_spectra_match_iid_reference(self, m, n):
+        # The sweep reads the channel only through the spectra of h h^H and
+        # (h + c e)(h + c e)^H.  Both must have the law they have for an iid
+        # complex Gaussian channel with an independent error, drawn here with
+        # NumPy's own generator.  Two-sample KS per eigenvalue index, on
+        # 20,000 trials a side; c = 1 gives the estimate an error of
+        # variance 0.5 beside the channel's 1.
+        cfg = ChannelConfig(m, n, 0.5)
+        count = 20_000
+        h, e = sample_channel_block(cfg, rho=4.0, seed=12, count=count)
+        rng = np.random.default_rng(1200 + 10 * m + n)
+        ref_h, ref_e = (
+            (rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m)))
+            * math.sqrt(0.5 * var) for var in (1.0, 0.5))
+
+        def spectra(x):
+            return np.linalg.eigvalsh(x @ np.conj(np.swapaxes(x, -1, -2)))
+
+        for ours, ref in [(h, ref_h), (h + e, ref_h + ref_e)]:
+            got, want = spectra(ours), spectra(ref)
+            for k in range(n):
+                assert stats.ks_2samp(got[:, k], want[:, k]).pvalue > 1e-3, k
+
+    def test_error_moments(self):
+        # Unit-variance complex entries scaled by rho**-alpha: the real and
+        # imaginary parts each carry half the variance.  160,000 entries:
+        # standard error of the mean ~ 0.0006 on sigma**2 = 0.1.
+        cfg = ChannelConfig(2, 2, 0.5)
+        _, e = sample_channel_block(cfg, rho=100.0, seed=77, start=0, count=40000)
+        e = e.reshape(-1)
+        sigma_sq = 100.0 ** -0.5
+        assert abs(e.real.mean()) < 0.005
+        assert abs(e.imag.mean()) < 0.005
+        npt.assert_allclose(e.real.var(), sigma_sq / 2, rtol=0.03)
+        npt.assert_allclose(e.imag.var(), sigma_sq / 2, rtol=0.03)
+        npt.assert_allclose(np.mean(np.abs(e) ** 2), sigma_sq, rtol=0.03)
+
+    @pytest.mark.parametrize("m,n", LINKS)
+    def test_block_partition_invariance(self, m, n):
         # Any contiguous partition of the trial index range is bit-identical
         # to one shot: trial i depends only on (seed, i).
-        cfg = ChannelConfig(3, 2, 0.4)
+        cfg = ChannelConfig(m, n, 0.4)
         whole = sample_channel_block(cfg, rho=30.0, seed=42, start=0, count=10)
         parts = [
             sample_channel_block(cfg, rho=30.0, seed=42, start=0, count=3),
@@ -126,13 +208,30 @@ class TestSampleChannel:
         ]
         npt.assert_array_equal(whole[0], np.concatenate([h for h, _ in parts]))
         npt.assert_array_equal(whole[1], np.concatenate([e for _, e in parts]))
+        assert np.isfinite(whole[0]).all()
 
-    def test_single_draw_matches_block_row(self):
-        cfg = ChannelConfig(2, 2, 0.5)
+    @pytest.mark.parametrize("m,n", LINKS)
+    def test_single_draw_matches_block_row(self, m, n):
+        cfg = ChannelConfig(m, n, 0.5)
         h, e = sample_channel_block(cfg, rho=10.0, seed=3, start=0, count=4)
         h_one, e_one = sample_channel_block(cfg, rho=10.0, seed=3, start=2, count=1)
         npt.assert_array_equal(h_one[0], h[2])
         npt.assert_array_equal(e_one[0], e[2])
+
+    @pytest.mark.parametrize("start,count", [(2.9, 3), (2, 3.7), (2.9, 3.7),
+                                             (float("nan"), 1), (0, float("inf"))])
+    def test_rejects_nonintegral_range(self, start, count):
+        # A fractional start or count is an error, not a truncated range.
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_channel_block(ChannelConfig(2, 2, 0.5), rho=10.0, seed=1,
+                                 start=start, count=count)
+
+    def test_integral_float_range_accepted(self):
+        cfg = ChannelConfig(2, 2, 0.5)
+        h, e = sample_channel_block(cfg, rho=10.0, seed=1, start=2.0, count=3.0)
+        h_ref, e_ref = sample_channel_block(cfg, rho=10.0, seed=1, start=2, count=3)
+        npt.assert_array_equal(h, h_ref)
+        npt.assert_array_equal(e, e_ref)
 
 
 class TestEigAscending:

@@ -321,11 +321,11 @@ class TestCmdFigures:
     # They pin every outage count: a change to these bytes changes a Monte
     # Carlo result and must be made on purpose.
     SIMULATE_SHA256 = {
-        (1, 1): "12384ac1ce3314fc47210e2d14a77d51d059ba5490eba7e9a889e8c5591ea2ce",
-        (2, 1): "7f4866b4d84c9074d870583e516dc9e91ca3ee44511a54c70495340e7babd4ff",
-        (2, 2): "ff0453cdb9e6fdf86233b24b6a4ff6debfbdf8cdf024c6a611f76ef44d167150",
-        (3, 2): "684a03bbf2d1d16ad5c33967de909dbebaede4b0bd938cdf539459977c9d1ed2",
-        (3, 3): "1619c51e5576f4609b6aeb21edbf16d42883783882e997f4f34874f1397403c6",
+        (1, 1): "4e9a01f643c43a4e9c57972e720bb2c1e49886d05dd42821ca7f5ee6e6e5a25b",
+        (2, 1): "1bbc707e1655d22489e583860d75435d3ba45ebbf9a7fb2adde04a5f1b07f81f",
+        (2, 2): "64e6673b6168bff5a4f968147f558efada203e31c96ae75cb3a2da3eccc91405",
+        (3, 2): "3ad57c60ef65d22db29e549c495acc10ebe8edf084c0d1c080aef1d9c41141b3",
+        (3, 3): "55651306a042e2b52224de9a7792db44e2a3460f5f6af55d27f06ab165391ad8",
     }
 
     @pytest.mark.parametrize("m,n", sorted(SIMULATE_SHA256))

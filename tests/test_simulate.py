@@ -77,6 +77,38 @@ def rowwise_log_is_weights(cfg, s, t, batch, seed, stream):
     return logp - logq - (t * c * log_b).sum(axis=1)
 
 
+def two_row_constant_power_outage(m, r, rho):
+    """Exact outage probability of an ``m x 2`` link at constant power.
+
+    At t = 0 the power is ``rho / m`` per antenna, so outage is
+    ``(1 + P l1)(1 + P l2) < rho**r`` over the ascending Gram eigenvalues
+    ``l1 <= l2``, with ``P = rho / m``.  Their joint density is
+    ``(l1 l2)**(m-2) (l2 - l1)**2 exp(-l1 - l2) / ((m-1)! (m-2)!)``, so for
+    a fixed ``l2`` the outage set is ``l1 <= min(l2, (rho**r / (1 + P l2)
+    - 1) / P)``, and a nested ``quad`` integrates it.  The outer integrand
+    has a kink where the two bounds meet, ``(1 + P l2)**2 = rho**r``.
+    Nothing here comes from the package.  (checked independently: the
+    Laguerre eigenvalue density, James 1964, with its normalizer from
+    factorials)
+    """
+    power = rho / m
+    target = rho ** r
+    log_norm = math.lgamma(m) + math.lgamma(m - 1)
+
+    def density(l1, l2):
+        return math.exp((m - 2) * math.log(l1 * l2) - l1 - l2 - log_norm) * (l2 - l1) ** 2
+
+    def inner(l2):
+        top = min(l2, (target / (1.0 + power * l2) - 1.0) / power)
+        if top <= 0.0:
+            return 0.0
+        return quad(density, 0.0, top, args=(l2,), epsabs=0.0, epsrel=1e-10)[0]
+
+    kink = (math.sqrt(target) - 1.0) / power
+    return quad(inner, 0.0, (target - 1.0) / power, points=[kink], epsabs=0.0,
+                epsrel=1e-10, limit=200)[0]
+
+
 class TestPowerPolicy:
     def test_defaults(self):
         assert PowerPolicy().t == 0.9
@@ -343,6 +375,29 @@ class TestRunSweep:
             assert abs(p_hat - p) <= 3 * sigma, (p_hat, p)
         exact_slope = np.polyfit(np.log(rho_grid), np.log(exact), 1)[0]
         assert abs(sweep.fitted_slope - exact_slope) <= 0.1
+
+    @pytest.mark.parametrize("m,r,lo_db", [(2, 1.0, 10), (2, 1.5, 10), (3, 1.0, 10),
+                                           (3, 1.5, 10), (4, 1.0, 5), (4, 1.5, 10)])
+    def test_two_row_constant_power_matches_quadrature(self, m, r, lo_db):
+        # t = 0 on an m x 2 link: every count within 3 binomial sigma of the
+        # nested quadrature at each point with at least 20 events, and at
+        # least four such points per case.  Unlike the n = 1 checks, this
+        # reads the two-row closed-form spectrum of a sampled channel.
+        cfg = ChannelConfig(m, 2, 0.5)
+        # Seven points over two decades; 4x2 at r = 1 falls below 20 events
+        # past 20 dB, so its grid starts lower.
+        rho_grid = list(np.logspace(lo_db / 10, lo_db / 10 + 2.0, 7))
+        trials = 200_000
+        sweep = run_sweep(cfg, r, rho_grid, trials, PowerPolicy(t=0.0), seed=20 + m)
+        checked = 0
+        for rho, p_hat in zip(rho_grid, sweep.p_out):
+            if p_hat * trials < 20:
+                continue
+            p = two_row_constant_power_outage(m, r, rho)
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(p_hat - p) <= 3 * sigma, (rho, p_hat, p)
+            checked += 1
+        assert checked >= 4
 
     def test_sweep_fields(self):
         cfg = ChannelConfig(2, 1, 0.0)
