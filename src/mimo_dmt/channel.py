@@ -14,7 +14,9 @@ independent with ``B_ii**2 ~ Gamma(m - i + 1)`` and ``B_{i+1,i}**2 ~
 Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11), 2002).  The error
 is isotropic and independent of the channel, so ``Q^H E P`` has the law of
 ``E``, and the pair ``([B 0], E)`` gives the spectra of ``H H^H`` and of
-``(H + c E)(H + c E)^H`` their joint law for every ``c``.
+``(H + c E)(H + c E)^H`` their joint law for every ``c``.  The sampler
+returns ``[B 0]`` as a real float64 array, and the one- and two-row Gram
+blocks of :class:`GramPolynomial` skip its zero imaginary part.
 
 Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
 yields the same matrices regardless of how trials are batched or which worker
@@ -128,15 +130,15 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     Returns the pair ``(h, e)``: the channels and the estimation errors,
     whose per-entry variance is ``rho ** -alpha``.  ``e`` has iid complex
     Gaussian entries.  ``h`` is the channel's bidiagonal representative
-    ``[B 0]`` (see the module docstring): real, zero off the diagonal and
-    subdiagonal, with each squared entry gamma-distributed.  It is not an
+    ``[B 0]`` (see the module docstring): a real float64 array, zero off
+    the diagonal and subdiagonal, with each squared entry gamma-distributed.  It is not an
     iid-entry matrix, but with ``e`` it gives every Gram spectrum of the
     channel and its estimate the law an iid channel would.  Each squared
     entry of shape ``k`` is ``-log`` of a product of ``k`` uniforms, so a
     trial takes a fixed ``3 * n * m`` uniforms.
 
-    Both are stacked with a leading trial axis of length ``count``, stored
-    trial-last: for each matrix entry, the ``count`` trials are one
+    ``e`` is complex128.  Both are stacked with a leading trial axis of
+    length ``count``, stored trial-last: for each matrix entry, the ``count`` trials are one
     contiguous vector.  Any contiguous partition of the trial range
     reproduces the one-shot draw bit for bit.
     """
@@ -164,14 +166,15 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     # per-entry arithmetic downstream runs over whole vectors.  Padding
     # keeps the entries from starting a power of two bytes apart, where
     # the many entries of a large link would share cache sets.
-    planes = np.zeros((2, n, m, count + _TRIAL_PAD), dtype=np.complex128)
-    h, e = planes[..., :count].transpose(0, 3, 1, 2)
+    h = np.zeros((n, m, count + _TRIAL_PAD))[..., :count].transpose(2, 0, 1)
+    e = np.empty((n, m, count + _TRIAL_PAD),
+                 dtype=np.complex128)[..., :count].transpose(2, 0, 1)
     # Each entry of B sums -log of its products of uniforms, from zero, and
     # takes the root; the rest of h stays zero.
     col = 0
     prod = np.empty(count)
     for i, j, shape in _bidiagonal_entries(n, m):
-        b = h.real[:, i, j]
+        b = h[:, i, j]
         for lo in range(col, col + shape, _MAX_PRODUCT):
             np.copyto(prod, u[:, lo])
             for k in range(lo + 1, min(col + shape, lo + _MAX_PRODUCT)):
@@ -232,16 +235,21 @@ class GramPolynomial:
     product: :meth:`spectrum` evaluates the quadratic and takes its
     spectrum as :func:`eig_ascending` does.
 
-    The blocks are stored as :func:`eig_ascending` forms its Gram matrix.
-    For one and two rows that is the ``n * n`` real entries as per-entry
-    vectors (the diagonal, then the real and imaginary parts of ``g12``),
-    summed column by column in real arithmetic; for three or more rows, the
-    complex ``(..., n, n)`` matrices from ``matmul``.  The quadratic is
+    ``h`` and ``e`` may each be real or complex; the sweep passes a real
+    ``h``.  The blocks are stored as :func:`eig_ascending` forms its Gram
+    matrix.  For one and two rows that is the ``n * n`` real entries as
+    per-entry vectors (the diagonal, then the real and imaginary parts of
+    ``g12``), summed column by column in real arithmetic, with no product of
+    a real operand's zero imaginary part: the blocks equal those of the
+    complex-cast operands up to the sign of an exact zero.  For three or
+    more rows they are the complex ``(..., n, n)`` matrices from ``matmul``
+    on complex copies.  The quadratic is
     evaluated on float64 views in both cases, so every product is correctly
     rounded and a trial's result does not depend on its batch.  At ``c = 0``
     the quadratic is ``A`` exactly, so ``spectrum(0.0)`` equals
     ``eig_ascending(h)`` bit for bit.  Each instance evaluates into one
-    scratch Gram, so it serves one thread at a time.
+    scratch Gram, in which the two-row spectrum is then worked out, so it
+    serves one thread at a time; every spectrum it returns is a new array.
 
     Measured against ``eig_ascending(h + c * e)`` on 18.1 million complex
     Gaussian inputs with ``n`` in 1..4 and 6, ``n <= m <= 9``, ``c`` in
@@ -253,8 +261,7 @@ class GramPolynomial:
     """
 
     def __init__(self, h, e):
-        h = np.asarray(h, dtype=np.complex128)
-        e = np.asarray(e, dtype=np.complex128)
+        h, e = _real_or_complex(h), _real_or_complex(e)
         if h.ndim < 2 or h.shape != e.shape:
             raise ValueError("expected two batches of matrices of one shape")
         _check_finite(h)
@@ -267,13 +274,14 @@ class GramPolynomial:
         else:
             self._a, self._b, self._c = (
                 np.empty(h.shape[:-1] + (n,), dtype=np.complex128) for _ in range(3))
-            # matmul wants C-ordered matrices.  Copying a trial-last batch a
-            # chunk of trials at a time keeps the copies and the products'
-            # temporaries small beside the three blocks.
+            # matmul wants C-ordered complex matrices.  Copying a trial-last
+            # batch a chunk of trials at a time keeps the copies and the
+            # products' temporaries small beside the three blocks.
             chunks = ([slice(s, s + _GRAM_CHUNK) for s in range(0, len(h), _GRAM_CHUNK)]
                       if h.ndim > 2 else [slice(None)])
             for part in chunks:
-                hp, ep = np.ascontiguousarray(h[part]), np.ascontiguousarray(e[part])
+                hp, ep = (np.ascontiguousarray(x[part], dtype=np.complex128)
+                          for x in (h, e))
                 self._a[part] = _gram(hp)
                 self._b[part] = _cross_gram(hp, ep)
                 self._c[part] = _gram(ep)
@@ -281,14 +289,25 @@ class GramPolynomial:
 
     def spectrum(self, c):
         """Ascending spectrum of ``(h + c e)(h + c e)^H``, in the shape and
-        layout of :func:`eig_ascending`'s result."""
+        layout of :func:`eig_ascending`'s result.  The result is a new
+        array, which later calls leave unchanged."""
         c = float(c)
         gram = self._gram.view(np.float64)
-        np.multiply(self._c.view(np.float64), c, out=gram)
-        gram += self._b.view(np.float64)
-        gram *= c
-        gram += self._a.view(np.float64)
+        if c == 0.0:
+            # The quadratic at c = 0 is A exactly.
+            np.copyto(gram, self._a.view(np.float64))
+        else:
+            np.multiply(self._c.view(np.float64), c, out=gram)
+            gram += self._b.view(np.float64)
+            gram *= c
+            gram += self._a.view(np.float64)
         return np.moveaxis(_gram_spectrum(self._gram, self._n), 0, -1)
+
+
+def _real_or_complex(x):
+    """``x`` as float64 if its dtype is real, else as complex128."""
+    x = np.asarray(x)
+    return x.astype(np.complex128 if np.iscomplexobj(x) else np.float64, copy=False)
 
 
 def _check_finite(x):
@@ -306,11 +325,12 @@ def _gram(x):
         x = np.ascontiguousarray(x)
         return x @ np.conj(np.swapaxes(x, -1, -2))
     g = np.empty((n * n,) + x.shape[:-2])
-    g[0] = _row_dot(x, 0, x, 0)
+    rows = _rows(g)
+    _row_sum(_dot_term, x, 0, x, 0, rows[0])
     if n == 2:
-        g[1] = _row_dot(x, 1, x, 1)
-        g[2] = _row_dot(x, 0, x, 1)
-        g[3] = _row_cross(x, 0, x, 1)
+        _row_sum(_dot_term, x, 1, x, 1, rows[1])
+        _row_sum(_dot_term, x, 0, x, 1, rows[2])
+        _row_sum(_cross_term, x, 0, x, 1, rows[3])
     return g
 
 
@@ -325,77 +345,122 @@ def _cross_gram(x, y):
         g += p
         return g
     g = np.empty((n * n,) + x.shape[:-2])
-    g[0] = 2.0 * _row_dot(x, 0, y, 0)
+    rows = _rows(g)
+    for i in range(n):
+        _row_sum(_dot_term, x, i, y, i, rows[i])
+        rows[i] *= 2.0
     if n == 2:
-        g[1] = 2.0 * _row_dot(x, 1, y, 1)
-        g[2] = _row_dot(x, 0, y, 1) + _row_dot(y, 0, x, 1)
-        g[3] = _row_cross(x, 0, y, 1) + _row_cross(y, 0, x, 1)
+        part = np.empty_like(rows[0])
+        for k, term in ((2, _dot_term), (3, _cross_term)):
+            _row_sum(term, x, 0, y, 1, rows[k])
+            rows[k] += _row_sum(term, y, 0, x, 1, part)
     return g
+
+
+def _rows(g):
+    """The rows of ``g`` as arrays, which for a single matrix's Gram
+    entries would be scalars."""
+    return g[:, np.newaxis]
 
 
 def _gram_spectrum(g, n):
     """Ascending spectrum, eigenvalue index first, of a Gram matrix stored
-    as :func:`_gram` stores it."""
+    as :func:`_gram` stores it, in a new array.  Two-row spectra are worked
+    out in ``g``'s rows, which they overwrite."""
     if n == 1:
         # The squared norm of a sum of rows can round below zero.
         return np.maximum(g, 0.0)
     if n == 2:
-        return np.stack(_two_row_spectrum(*g))
+        return _two_row_spectrum(g)
     vals = np.empty((n,) + g.shape[:-2])
     np.clip(np.moveaxis(np.linalg.eigvalsh(g), -1, 0), 0.0, None, out=vals)
     return vals
 
 
-def _row_dot(x, i, y, k):
-    """Real part of row ``i`` of ``x`` times conjugated row ``k`` of ``y``
-    for every matrix, summed column by column.
+def _row_sum(term, x, i, y, k, out):
+    """``term`` of row ``i`` of ``x`` and row ``k`` of ``y`` for every
+    matrix, summed column by column into ``out``, which is returned.
 
     Real arithmetic keeps every product correctly rounded, so the result
     does not depend on the batch's size or layout, as NumPy's complex
     multiply (fused or not, by code path) would make it.
     """
-    a, b = x[..., i, 0], y[..., k, 0]
-    re = a.real * b.real + a.imag * b.imag
-    for j in range(1, x.shape[-1]):
-        a, b = x[..., i, j], y[..., k, j]
-        re += a.real * b.real + a.imag * b.imag
-    return re
+    term(x[..., i, 0], y[..., k, 0], out)
+    if x.shape[-1] > 1:
+        part = np.empty_like(out)
+        for j in range(1, x.shape[-1]):
+            out += term(x[..., i, j], y[..., k, j], part)
+    return out
 
 
-def _row_cross(x, i, y, k):
-    """Imaginary part of row ``i`` of ``x`` times conjugated row ``k`` of
-    ``y``, summed as :func:`_row_dot` sums the real part."""
-    a, b = x[..., i, 0], y[..., k, 0]
-    im = a.imag * b.real - a.real * b.imag
-    for j in range(1, x.shape[-1]):
-        a, b = x[..., i, j], y[..., k, j]
-        im += a.imag * b.real - a.real * b.imag
-    return im
+# The two products of a pair of entries, real or complex.  A real operand's
+# imaginary part is zero, and so is every product with it: skipping them
+# changes no result but the sign of an exact zero.
+
+def _dot_term(a, b, out):
+    """``Re(a * conj(b)) = a.real * b.real + a.imag * b.imag`` into ``out``."""
+    np.multiply(a.real, b.real, out=out)
+    if np.iscomplexobj(a) and np.iscomplexobj(b):
+        out += a.imag * b.imag
+    return out
 
 
-def _two_row_spectrum(g11, g22, g_re, g_im):
+def _cross_term(a, b, out):
+    """``Im(a * conj(b)) = a.imag * b.real - a.real * b.imag`` into ``out``."""
+    if np.iscomplexobj(a):
+        np.multiply(a.imag, b.real, out=out)
+        if np.iscomplexobj(b):
+            out -= a.real * b.imag
+    elif np.iscomplexobj(b):
+        np.negative(a * b.imag, out=out)
+    else:
+        out.fill(0.0)
+    return out
+
+
+def _two_row_spectrum(g):
     """Closed-form ascending spectrum of two-row Gram matrices, from their
-    diagonal and the real and imaginary parts of ``g12``."""
+    diagonal and the real and imaginary parts of ``g12`` in the rows of
+    ``g``, which it overwrites, into a new ``(2, ...)`` array."""
+    g11, g22, g_re, g_im = _rows(g)
+    out = np.empty_like(g[:2])
+    lam_min, lam_max = _rows(out)
     # A diagonal entry of a Gram polynomial can round below zero.
-    g11 = np.maximum(g11, 0.0)
-    g22 = np.maximum(g22, 0.0)
-    tr = g11 + g22
+    np.maximum(g11, 0.0, out=g11)
+    np.maximum(g22, 0.0, out=g22)
+    tr = np.add(g11, g22, out=lam_max)
     # A zero matrix has trace 0; dividing by 1 instead yields (0, 0).
-    scale = np.where(tr > 0.0, tr, 1.0)
-    a = g11 / scale
-    c = g22 / scale
+    scale = lam_min
+    scale.fill(1.0)
+    np.copyto(scale, tr, where=tr > 0.0)
+    a = np.divide(g11, scale, out=g11)
+    c = np.divide(g22, scale, out=g22)
     # A Gram matrix has |g12| <= sqrt(g11 * g22) <= tr / 2.  Rounding in a
     # Gram polynomial can break that bound by far when the sum cancels;
     # clipping each scaled part to it keeps the squares finite.
-    o_sq = (np.clip(g_re / scale, -0.5, 0.5) ** 2
-            + np.clip(g_im / scale, -0.5, 0.5) ** 2)
-    d = a - c
-    half = 0.5 * (1.0 + np.sqrt(d * d + 4.0 * o_sq))
-    det = np.maximum(a * c - o_sq, 0.0)
-    lam_max = tr * half
+    for part in (g_re, g_im):
+        part /= scale
+        np.clip(part, -0.5, 0.5, out=part)
+        np.square(part, out=part)
+    o_sq = np.add(g_re, g_im, out=g_re)
+    d = np.subtract(a, c, out=g_im)
+    det = a
+    det *= c
+    det -= o_sq
+    np.maximum(det, 0.0, out=det)
+    # half = (1 + sqrt(d**2 + 4 o_sq)) / 2, in d's row; c's row takes 4 o_sq.
+    half = d
+    half *= d
+    half += np.multiply(o_sq, 4.0, out=c)
+    np.sqrt(half, out=half)
+    half += 1.0
+    half *= 0.5
+    lam_max *= half
     # The minimum keeps the pair ascending where rounding would cross it.
-    lam_min = np.minimum(scale * (det / half), lam_max)
-    return lam_min, lam_max
+    det /= half
+    det *= scale
+    np.minimum(det, lam_max, out=lam_min)
+    return out
 
 
 def wishart_log_norm_const(m, n):

@@ -113,8 +113,11 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
-    db_grid = np.linspace(args.rho_start_db, args.rho_stop_db, args.rho_points)
-    rho_grid = [10.0 ** (db / 10.0) for db in db_grid]
+    # A dB value past about 3080 has no finite SNR; the sweep rejects the
+    # non-finite point, so NumPy need not warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        db_grid = np.linspace(args.rho_start_db, args.rho_stop_db, args.rho_points)
+        rho_grid = [10.0 ** (db / 10.0) for db in db_grid]
     cmd_simulate(cfg=cfg, r=args.r, rho_grid=rho_grid, trials=args.trials,
                  policy=PowerPolicy(t=args.t), seed=args.seed,
                  workers=args.workers, out=args.out, fmt=args.format)

@@ -279,6 +279,9 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     rho = [float(x) for x in rho_grid]
+    bad = [x for x in rho if not math.isfinite(x)]
+    if bad:
+        raise ValueError(f"rho_grid values must be finite, got {bad[0]}")
     if len(rho) < 2 or any(b <= a for a, b in zip(rho, rho[1:])):
         raise ValueError("rho_grid must be strictly increasing with >= 2 points")
     if rho[0] <= 0.0:

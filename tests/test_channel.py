@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 from scipy.special import gammaln
 
+from mimo_dmt import channel
 from mimo_dmt.channel import (
     ChannelConfig,
     GramPolynomial,
@@ -94,7 +95,8 @@ class TestSampleChannel:
         h, e = sample_channel_block(cfg, rho=10.0, seed=5, count=1)
         assert h.shape == (1, 2, 4)
         assert e.shape == (1, 2, 4)
-        assert h.dtype == np.complex128
+        assert h.dtype == np.float64
+        assert e.dtype == np.complex128
 
     def test_determinism(self):
         cfg = ChannelConfig(3, 3, 0.5)
@@ -449,6 +451,147 @@ class TestGramPolynomial:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
+
+
+class TestRealChannel:
+    """The sweep's channel is real.  For one and two rows the blocks skip
+    its zero imaginary part, which may change the sign of an exact zero
+    and nothing else: every block and spectrum equals the complex path's."""
+
+    @staticmethod
+    def _real_h(kind, n, m, rng):
+        h = rng.normal(size=(200, n, m))
+        if kind == "bidiagonal":
+            h = np.abs(h) * np.tri(n, m)
+            h[:, 1:, 1:] *= np.eye(n - 1, m - 1)
+        elif kind == "zero":
+            h[50:150] = 0.0
+        elif kind == "rank1":
+            h[:, 1:] = -0.6 * h[:, :1]
+        return h
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 6),
+           kind=st.sampled_from(["bidiagonal", "dense", "zero", "rank1"]),
+           scale=st.sampled_from([1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100]),
+           cs=st.lists(st.sampled_from([0.0, 1.0, 0.3, 1e-3, 1e-12, 7.5]),
+                       min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_and_spectra_match_complex_path(self, seed, n, m, kind, scale, cs):
+        m = max(m, n)
+        rng = np.random.default_rng(seed)
+        h = scale * self._real_h(kind, n, m, rng)
+        e = scale * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+        real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
+        for block in ("_a", "_b", "_c"):
+            assert np.array_equal(getattr(real, block), getattr(cplx, block)), block
+        for c in cs:
+            assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
+    def test_sampled_channel_matches_complex_path(self, m, n):
+        h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
+        assert h.dtype == np.float64
+        real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
+        for c in (0.0, 1.0, 0.05):
+            assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
+
+
+def reference_two_row_spectrum(g11, g22, g_re, g_im):
+    """The out-of-place two-row closed form that the in-place kernel
+    replaced, kept as the kernel's reference."""
+    g11 = np.maximum(g11, 0.0)
+    g22 = np.maximum(g22, 0.0)
+    tr = g11 + g22
+    scale = np.where(tr > 0.0, tr, 1.0)
+    a = g11 / scale
+    c = g22 / scale
+    o_sq = (np.clip(g_re / scale, -0.5, 0.5) ** 2
+            + np.clip(g_im / scale, -0.5, 0.5) ** 2)
+    d = a - c
+    half = 0.5 * (1.0 + np.sqrt(d * d + 4.0 * o_sq))
+    det = np.maximum(a * c - o_sq, 0.0)
+    lam_max = tr * half
+    lam_min = np.minimum(scale * (det / half), lam_max)
+    return lam_min, lam_max
+
+
+class TestTwoRowKernel:
+    """The in-place two-row kernel computes what the out-of-place closed
+    form did, bit for bit, on the Gram matrices it is given."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        # Record each input to the kernel, which overwrites it.
+        seen = []
+        kernel = channel._two_row_spectrum
+
+        def spy(g):
+            seen.append(g.copy())
+            return kernel(g)
+
+        monkeypatch.setattr(channel, "_two_row_spectrum", spy)
+        return seen
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel", "equal"])
+    @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e10, 1e100])
+    def test_matches_reference_on_gram_polynomials(self, kind, scale, monkeypatch):
+        seen = self._spy(monkeypatch)
+        rng = np.random.default_rng(7)
+        for c in (1.0, 1e-3, 1e-12):
+            if kind == "equal":
+                # Orthonormal rows: the double eigenvalue of h h^H, and of
+                # the estimate's as c goes to zero.
+                z = rng.normal(size=(300, 3, 3)) + 1j * rng.normal(size=(300, 3, 3))
+                h = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
+                e = 1e-9 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+            else:
+                h, e = TestGramPolynomial._pairs(2, 3, kind, c, rng)
+            grams = GramPolynomial(scale * h, scale * e)
+            results = [grams.spectrum(c), grams.spectrum(0.0),
+                       eig_ascending(scale * h), eig_ascending(scale * (h + c * e))]
+            for got, g in zip(results, seen[-4:]):
+                want = np.stack(reference_two_row_spectrum(*g), axis=-1)
+                assert np.array_equal(got, want), (c, kind)
+        assert len(seen) == 12
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_on_any_rows(self, seed):
+        # Rows no Gram matrix has: negative diagonals, off-diagonal parts
+        # far past the bound the kernel clips to, exact zeros and traces of
+        # zero, at mixed scales from 1e-150 to 1e150.
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(4, 500)) * 10.0 ** rng.integers(-150, 150, size=(4, 500))
+        g[:, rng.random(500) < 0.1] = 0.0
+        g[0, :20] = -g[1, :20]
+        g[rng.random((4, 500)) < 0.1] = 0.0
+        want = np.stack(reference_two_row_spectrum(*g))
+        assert np.array_equal(channel._two_row_spectrum(g.copy()), want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_do_not_alias_scratch(self, n):
+        # The sweep keeps the channel spectrum while it reads seven more
+        # from the same instance; eig_ascending must leave its input and
+        # earlier results alone too.
+        rng = np.random.default_rng(n)
+        h = rng.normal(size=(500, n, 4))
+        e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        grams = GramPolynomial(h, e)
+        first = [grams.spectrum(c) for c in (0.0, 1.0)]
+        kept = [x.copy() for x in first]
+        for c in (0.5, 0.0, 2.0, 1e-3):
+            grams.spectrum(c)
+        for x, y in zip(first, kept):
+            assert np.array_equal(x, y)
+        x = h + e
+        x_kept = x.copy()
+        vals = eig_ascending(x)
+        vals_kept = vals.copy()
+        eig_ascending(x)
+        eig_ascending(e)
+        assert np.array_equal(x, x_kept)
+        assert np.array_equal(vals, vals_kept)
 
 
 class TestPerturbationBound:

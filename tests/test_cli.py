@@ -167,8 +167,12 @@ class TestUsageErrors:
          "c.csv"),
         (["oracle-check", "--m", "6", "--n", "6", "--alpha", "0.1", "--r-step", "1e-9"],
          "o.csv"),
+        # 3100 dB has no finite SNR; NumPy once warned of the overflow and
+        # the sweep wrote p_out 0 at an infinite point.
+        (SIM + ["--rho-stop-db", "3100", "--rho-points", "2"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "curve-r-step",
-            "oracle-r-step"])
+            "oracle-r-step", "rho-overflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.
         with pytest.raises(SystemExit) as exc:

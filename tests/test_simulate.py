@@ -527,3 +527,11 @@ class TestRunSweep:
         cfg = ChannelConfig(2, 1, 0.0)
         with pytest.raises(ValueError):
             run_sweep(cfg, 0.5, [10.0, 50.0], 2000, PowerPolicy(t=0.0), seed=1)
+
+    @pytest.mark.parametrize("grid", [[10.0, math.nan, 1000.0],
+                                      [10.0, 100.0, math.inf]])
+    def test_rejects_nonfinite_points(self, grid):
+        # Both grids once ran and reported p_out 0 at the bad point.
+        cfg = ChannelConfig(2, 2, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            run_sweep(cfg, 1.0, grid, 2000, PowerPolicy(), seed=1)
