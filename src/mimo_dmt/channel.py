@@ -46,7 +46,6 @@ __all__ = [
     "wishart_log_norm_const",
 ]
 
-_MASK64 = (1 << 64) - 1
 # One Philox counter tick yields four 64-bit words = four doubles.  A trial
 # consumes 3 * n_rx * m_tx doubles (n_rx * m_tx for the channel, twice that
 # for the error) rounded up to whole ticks, so trial boundaries always fall
@@ -112,7 +111,14 @@ def eigen_decay_weights(m, n):
 
 
 def _bit_generator(seed, stream):
-    return np.random.Philox(key=[int(seed) & _MASK64, int(stream) & _MASK64])
+    """The Philox generator keyed by ``(seed, stream)``, both 64-bit words.
+
+    A seed outside ``[0, 2**64)`` is a ``ValueError``: it has no key of its
+    own, and masking it would alias it to another seed's draws."""
+    seed = int(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
 
 
 def _bidiagonal_entries(n, m):

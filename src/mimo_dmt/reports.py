@@ -1,18 +1,17 @@
 """Tabular report builders shared by the command-line tool.
 
-Every builder returns a flat list of ``(series, x, y, aux_k, aux_note)`` rows
-and optionally writes them to disk.  Two on-disk formats are supported, CSV
-and JSON; both serialize non-finite numbers as the lowercase tokens ``inf``,
-``-inf`` and ``nan`` so the files stay strictly valid for their format and
-round-trip bit-for-bit.
+Every builder returns a flat list of :class:`Row` named tuples
+``(series, x, y, aux_k, aux_note)``, so a row equals the plain tuple of its
+fields, and optionally writes them to disk.  Two on-disk formats are
+supported, CSV and JSON; both serialize non-finite numbers as the lowercase
+tokens ``inf``, ``-inf`` and ``nan`` so the files stay strictly valid for
+their format and round-trip bit-for-bit.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import csv
 import json
@@ -42,14 +41,14 @@ __all__ = [
     "write_dataset",
 ]
 
-_FIELDS = ("series", "x", "y", "aux_k", "aux_note")
 # Relative agreement the closed form and the exact oracle must reach.
 _ORACLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Row:
-    """One dataset point: a named series, an (x, y) pair, and annotations."""
+class Row(NamedTuple):
+    """One dataset point: a named series, an (x, y) pair, and annotations.
+
+    A named tuple, so it equals the plain tuple of its five fields."""
 
     series: str
     x: float
@@ -63,18 +62,9 @@ class Row:
 # ---------------------------------------------------------------------------
 
 
-def _float_token(value: float) -> str:
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return "%.17g" % value
-
-
 def _json_number(value: float):
     value = float(value)
-    return value if math.isfinite(value) else _float_token(value)
+    return value if np.isfinite(value) else "%.17g" % value
 
 
 def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
@@ -83,15 +73,14 @@ def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
     if fmt == "csv":
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(_FIELDS)
-            for row in rows:
-                writer.writerow([
-                    row.series,
-                    _float_token(row.x),
-                    _float_token(row.y),
-                    "" if row.aux_k is None else str(int(row.aux_k)),
-                    "" if row.aux_note is None else row.aux_note,
-                ])
+            writer.writerow(Row._fields)
+            # "%.17g" round-trips every finite float and spells the others
+            # inf, -inf and nan.
+            writer.writerows(
+                (series, "%.17g" % x, "%.17g" % y,
+                 "" if aux_k is None else str(int(aux_k)),
+                 "" if aux_note is None else aux_note)
+                for series, x, y, aux_k, aux_note in rows)
     elif fmt == "json":
         payload = {
             "rows": [

@@ -111,6 +111,34 @@ class TestSampleChannel:
         h2, _ = sample_channel_block(cfg, rho=50.0, seed=2, count=1)
         assert not np.array_equal(h1, h2)
 
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 2])
+    def test_large_seeds_keep_their_own_key(self, seed):
+        # A key list holding a word >= 2**63 once became float64, so seeds
+        # 2**63 and 2**63 + 1 drew the same trials.
+        cfg = ChannelConfig(2, 2, 0.5)
+        h1, e1 = sample_channel_block(cfg, rho=50.0, seed=seed, count=4)
+        h2, e2 = sample_channel_block(cfg, rho=50.0, seed=seed + 1, count=4)
+        assert not np.array_equal(h1, h2)
+        assert not np.array_equal(e1, e2)
+
+    def test_seed_key_unchanged_below_two_to_63(self):
+        # Seeds that fit an int64 keep the key they had as a list.
+        for seed in (0, 7, 1729, 2 ** 63 - 1):
+            for stream in (0, 1, 2):
+                got = channel._bit_generator(seed, stream).random_raw(8)
+                want = np.random.Philox(key=[seed, stream]).random_raw(8)
+                npt.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # -1 once aliased 2**64 - 1 (and 2**65 - 1) after a warning of an
+        # invalid cast.
+        cfg = ChannelConfig(2, 2, 0.5)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            sample_channel_block(cfg, rho=50.0, seed=seed, count=1)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            channel._bit_generator(seed, 1)
+
     # Links whose 3*n*m uniforms per trial fill whole Philox ticks (2x2)
     # or leave padding (1x1, 2x1, 3x2, 3x3), and 20x2, whose Gamma(20)
     # entry is drawn as two products of uniforms.

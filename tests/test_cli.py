@@ -170,8 +170,10 @@ class TestUsageErrors:
         # 3100 dB has no finite SNR; NumPy once warned of the overflow and
         # the sweep wrote p_out 0 at an infinite point.
         (SIM + ["--rho-stop-db", "3100", "--rho-points", "2"], "s.csv"),
+        # A negative seed once warned of an invalid cast and aliased 2**64 - 1.
+        (SIM + ["--seed=-1"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "curve-r-step",
-            "oracle-r-step", "rho-overflow"])
+            "oracle-r-step", "rho-overflow", "seed-negative"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.

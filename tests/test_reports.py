@@ -1,10 +1,12 @@
 """Tests for dataset emission: round-tripping and report commands."""
+import csv
 import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mimo_dmt import reports
 from mimo_dmt.channel import ChannelConfig
@@ -66,6 +68,119 @@ class TestRoundTrip:
         path = tmp_path / "data.csv"
         write_dataset([Row("s", 0.0, INF, None, None)], path, "csv")
         assert "inf" in path.read_text()
+
+
+class TestRow:
+    def test_field_order_and_defaults(self):
+        assert Row._fields == ("series", "x", "y", "aux_k", "aux_note")
+        row = Row("s", 1.0, 2.0)
+        assert row.aux_k is None and row.aux_note is None
+        assert Row(series="s", y=2.0, x=1.0, aux_note="n") == ("s", 1.0, 2.0, None, "n")
+
+    def test_equality_and_hash(self):
+        row = Row("s", 0.5, INF, 3, "note")
+        same = Row("s", 0.5, INF, 3, "note")
+        assert row == same and hash(row) == hash(same)
+        # A row equals, and hashes like, the plain tuple of its fields.
+        assert row == ("s", 0.5, INF, 3, "note")
+        assert hash(row) == hash(("s", 0.5, INF, 3, "note"))
+        assert row != Row("s", 0.5, INF, 3, None)
+        assert len({row, same, Row("t", 0.5, INF, 3, "note")}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        row = Row("s", 0.5, 1.5)
+        with pytest.raises(AttributeError):
+            row.x = 2.0
+        with pytest.raises(AttributeError):
+            row.extra = 1
+
+
+def per_row_write_dataset(rows, path, fmt):
+    """Reference writer: the dataset writer as it was when rows were frozen
+    dataclasses, one ``writerow`` call per row and a branch per non-finite
+    float."""
+
+    def float_token(value):
+        value = float(value)
+        if math.isnan(value):
+            return "nan"
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return "%.17g" % value
+
+    def json_number(value):
+        value = float(value)
+        return value if math.isfinite(value) else float_token(value)
+
+    if fmt == "csv":
+        with path.open("w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(("series", "x", "y", "aux_k", "aux_note"))
+            for row in rows:
+                writer.writerow([
+                    row.series,
+                    float_token(row.x),
+                    float_token(row.y),
+                    "" if row.aux_k is None else str(int(row.aux_k)),
+                    "" if row.aux_note is None else row.aux_note,
+                ])
+    else:
+        payload = {
+            "rows": [
+                {
+                    "series": row.series,
+                    "x": json_number(row.x),
+                    "y": json_number(row.y),
+                    "aux_k": None if row.aux_k is None else int(row.aux_k),
+                    "aux_note": row.aux_note,
+                }
+                for row in rows
+            ]
+        }
+        with path.open("w") as handle:
+            json.dump(payload, handle, allow_nan=False, indent=1)
+            handle.write("\n")
+
+
+# Text with the characters a CSV writer must quote or escape, and non-ASCII.
+texts = st.one_of(
+    st.text(),
+    st.sampled_from(["", "a,b", 'say "hi"', "two\nlines", "cr\rlf\r\n",
+                     " lead", "d_k[k=2,alpha=0.5]", "\u03b1 = \u00bd", "\u2212\u221e"]),
+)
+numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, INF, -INF, math.nan, -math.nan, 5e-324,
+                     2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+                     np.float64(-np.nan), np.float32(np.inf)]),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-10 ** 300, 10 ** 300),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans(),
+)
+rows_strategy = st.lists(st.builds(
+    Row,
+    series=texts,
+    x=numbers,
+    y=numbers,
+    aux_k=st.one_of(st.none(), st.integers(-10 ** 20, 10 ** 20),
+                    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)),
+    aux_note=st.one_of(st.none(), texts),
+), max_size=12)
+
+
+class TestWriterBytes:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(rows=rows_strategy)
+    @settings(max_examples=150,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_bytes_as_per_row_writer(self, fmt, rows, tmp_path):
+        # Each example overwrites both files.
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        write_dataset(rows, got, fmt)
+        per_row_write_dataset(rows, want, fmt)
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestCmdCurve:
