@@ -5,7 +5,11 @@ Every builder returns a flat list of :class:`Row` named tuples
 fields, and optionally writes them to disk.  Two on-disk formats are
 supported, CSV and JSON; both serialize non-finite numbers as the lowercase
 tokens ``inf``, ``-inf`` and ``nan`` so the files stay strictly valid for
-their format and round-trip bit-for-bit.
+their format and round-trip bit-for-bit.  An existing output file is
+rewritten in place and then cut to the length written, rather than truncated
+to zero first; a pipe or device gets the bytes as they are.  A run killed
+mid-write can leave new bytes followed by old ones, as it could leave a
+partial file before.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+import contextlib
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -67,11 +74,33 @@ def _json_number(value: float):
     return value if np.isfinite(value) else "%.17g" % value
 
 
+@contextlib.contextmanager
+def _rewritten(path, newline):
+    """Open ``path`` for writing as text without truncating it, and cut a
+    regular file to the length written on the way out, also when the body
+    raises."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    with open(fd, "w", newline=newline) as handle:
+        try:
+            yield handle
+        finally:
+            if regular:
+                handle.truncate()
+
+
 def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
-    """Write ``rows`` to ``path`` as ``fmt`` ("csv" or "json")."""
-    path = Path(path)
+    """Write ``rows`` to ``path`` as ``fmt`` ("csv" or "json").
+
+    A regular file is rewritten in place and then cut to the length written,
+    so it never keeps a stale tail, also when a write raises.  It is not
+    truncated to zero first: on ext4 that makes the next rewrite of the file
+    wait for writeback.  A run killed mid-write can leave new bytes followed
+    by old ones, as it could leave a partial file before.  A pipe or device
+    (such as ``/dev/stdout`` or ``/dev/null``) gets the bytes as they are.
+    """
     if fmt == "csv":
-        with path.open("w", newline="") as handle:
+        with _rewritten(path, "") as handle:
             writer = csv.writer(handle)
             writer.writerow(Row._fields)
             # "%.17g" round-trips every finite float and spells the others
@@ -94,7 +123,7 @@ def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
                 for row in rows
             ]
         }
-        with path.open("w") as handle:
+        with _rewritten(path, None) as handle:
             json.dump(payload, handle, allow_nan=False, indent=1)
             handle.write("\n")
     else:

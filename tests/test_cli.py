@@ -29,7 +29,7 @@ def series_map(rows, name):
     return {row.x: row.y for row in rows if row.series == name}
 
 
-def run_fresh(args, cwd=None):
+def run_fresh(args, cwd=None, text=True):
     """Run ``python <args>`` in a fresh interpreter that imports this
     package's source."""
     env = dict(os.environ)
@@ -37,7 +37,7 @@ def run_fresh(args, cwd=None):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=text, timeout=120)
 
 
 class TestCurveCommand:
@@ -151,6 +151,27 @@ class TestFiguresCommand:
         with pytest.raises(SystemExit) as exc:
             main(["figures", "--fig", "9", "--out", str(tmp_path / "f.csv")])
         assert exc.value.code == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+class TestNonRegularOutputs:
+    """A device or a pipe takes the bytes as they are: it is not cut to
+    length as a regular output file is."""
+
+    CURVE = ["curve", "--m", "2", "--n", "2", "--alpha", "0.5", "--r-step", "0.25"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dev_null(self, fmt):
+        assert main(self.CURVE + ["--format", fmt, "--out", "/dev/null"]) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dev_stdout_into_pipe_matches_file(self, fmt, tmp_path):
+        out = tmp_path / f"curve.{fmt}"
+        assert main(self.CURVE + ["--format", fmt, "--out", str(out)]) == 0
+        done = run_fresh(["-m", "mimo_dmt", *self.CURVE, "--format", fmt,
+                          "--out", "/dev/stdout"], text=False)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == out.read_bytes()
 
 
 class TestUsageErrors:

@@ -1,12 +1,16 @@
 """Tests for dataset emission: round-tripping and report commands."""
+import builtins
 import csv
 import hashlib
+import io
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from mimo_dmt import reports
 from mimo_dmt.channel import ChannelConfig
@@ -181,6 +185,112 @@ class TestWriterBytes:
         write_dataset(rows, got, fmt)
         per_row_write_dataset(rows, want, fmt)
         assert got.read_bytes() == want.read_bytes()
+
+
+# A dataset much longer than SHORT, with quoted text and non-finite values.
+LONG = [Row('long, "quoted" series', i / 3.0, INF if i % 7 == 0 else -i / 7.0,
+            i, "note") for i in range(40)]
+SHORT = [Row("s", 0.5, 1.5)]
+
+
+class TestRewriteInPlace:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @given(old=rows_strategy, new=rows_strategy)
+    @example(old=LONG, new=SHORT)  # the rewrite is shorter
+    @example(old=SHORT, new=LONG)  # the rewrite is longer
+    @example(old=LONG, new=[])  # the rewrite is empty
+    @settings(max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rewrite_equals_fresh_write(self, fmt, old, new, tmp_path):
+        target, fresh = tmp_path / f"target.{fmt}", tmp_path / f"fresh.{fmt}"
+        write_dataset(old, target, fmt)
+        write_dataset(new, target, fmt)
+        fresh.unlink(missing_ok=True)
+        write_dataset(new, fresh, fmt)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_csv_write_that_raises_leaves_no_stale_tail(self, tmp_path):
+        target, fresh = tmp_path / "target.csv", tmp_path / "fresh.csv"
+        write_dataset(LONG, target, "csv")
+        write_dataset(SHORT, fresh, "csv")
+        # The last row cannot be formatted, so the write raises part way:
+        # the rows before it are written and the old tail is cut.
+        with pytest.raises(TypeError):
+            write_dataset(SHORT + [Row("bad", "not a number", 0.0)], target, "csv")
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_json_that_cannot_be_built_leaves_the_file_alone(self, tmp_path):
+        target = tmp_path / "target.json"
+        write_dataset(LONG, target, "json")
+        before = target.read_bytes()
+        with pytest.raises(ValueError):
+            write_dataset(SHORT + [Row("bad", "not a number", 0.0)], target, "json")
+        assert target.read_bytes() == before
+
+    def test_rewrite_keeps_inode_and_mode(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_dataset(LONG, path, "csv")
+        path.chmod(0o640)
+        before = path.stat()
+        write_dataset(SHORT, path, "csv")
+        after = path.stat()
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o640
+        assert read_dataset(path) == SHORT
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=oct)
+    def test_new_file_mode_follows_umask(self, umask, tmp_path):
+        path = tmp_path / "d.csv"
+        previous = os.umask(umask)
+        try:
+            write_dataset(SHORT, path, "csv")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+
+    def test_unknown_format_touches_nothing(self, tmp_path):
+        existing, missing = tmp_path / "d.csv", tmp_path / "new.xml"
+        write_dataset(LONG, existing, "csv")
+        before = existing.read_bytes()
+        with pytest.raises(ValueError, match="unknown dataset format"):
+            write_dataset(SHORT, existing, "xml")
+        assert existing.read_bytes() == before
+        with pytest.raises(ValueError, match="unknown dataset format"):
+            write_dataset(SHORT, missing, "xml")
+        assert not missing.exists()
+
+    def test_never_truncates_to_zero(self, tmp_path, monkeypatch):
+        # Truncating a file that holds data and then rewriting it makes the
+        # next rewrite wait for writeback on ext4; a regular file is cut to
+        # length after writing instead.
+        paths = [tmp_path / "d.csv", tmp_path / "d.json"]
+        for path in paths:
+            path.write_text("stale\n" * 1000)
+        calls = []
+        real_os_open, real_open = os.open, io.open
+
+        def spy_os_open(path, flags, *args, **kwargs):
+            calls.append(("os.open", path, flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            calls.append(("open", file, mode))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(io, "open", spy_open)  # what Path.open calls
+        monkeypatch.setattr(builtins, "open", spy_open)
+        for path in paths:
+            write_dataset(SHORT, path, path.suffix[1:])
+        monkeypatch.undo()
+        assert [kind for kind, _, _ in calls].count("os.open") == len(paths)
+        for kind, target, how in calls:
+            if kind == "os.open":
+                assert not how & os.O_TRUNC, target
+            else:
+                assert isinstance(target, int) or "w" not in how, (target, how)
+        for path in paths:
+            assert read_dataset(path) == SHORT
 
 
 class TestCmdCurve:
