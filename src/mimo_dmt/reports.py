@@ -6,10 +6,9 @@ fields, and optionally writes them to disk.  Two on-disk formats are
 supported, CSV and JSON; both serialize non-finite numbers as the lowercase
 tokens ``inf``, ``-inf`` and ``nan`` so the files stay strictly valid for
 their format and round-trip bit-for-bit.  An existing output file is
-rewritten in place and then cut to the length written, rather than truncated
-to zero first; a pipe or device gets the bytes as they are.  A run killed
-mid-write can leave new bytes followed by old ones, as it could leave a
-partial file before.
+rewritten in place, cut to one byte before the write rather than to zero,
+and to the bytes written after it; a pipe or device gets the bytes as they
+are.
 """
 
 from __future__ import annotations
@@ -76,28 +75,40 @@ def _json_number(value: float):
 
 @contextlib.contextmanager
 def _rewritten(path, newline):
-    """Open ``path`` for writing as text without truncating it, and cut a
-    regular file to the length written on the way out, also when the body
-    raises."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    regular = stat.S_ISREG(os.fstat(fd).st_mode)
-    with open(fd, "w", newline=newline) as handle:
+    """Open ``path`` for writing as text and rewrite a regular file in place.
+
+    The file is cut to one byte, not to zero, before the body writes, and to
+    the bytes that reached it afterwards, also when a write raises.  On ext4
+    (with ``auto_da_alloc`` and ``discard``) a truncate to zero made each
+    rewrite of a file that holds data several times slower.  A pipe or
+    device is never cut."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        if regular and info.st_size > 1:
+            os.ftruncate(fd, 1)
         try:
-            yield handle
+            with open(fd, "w", newline=newline, closefd=False) as handle:
+                yield handle
         finally:
             if regular:
-                handle.truncate()
+                # Where the writes ended, without flushing again: after a
+                # failed write a flush would fail too.
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
 
 
 def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
     """Write ``rows`` to ``path`` as ``fmt`` ("csv" or "json").
 
-    A regular file is rewritten in place and then cut to the length written,
-    so it never keeps a stale tail, also when a write raises.  It is not
-    truncated to zero first: on ext4 that makes the next rewrite of the file
-    wait for writeback.  A run killed mid-write can leave new bytes followed
-    by old ones, as it could leave a partial file before.  A pipe or device
-    (such as ``/dev/stdout`` or ``/dev/null``) gets the bytes as they are.
+    A regular file is rewritten in place, keeping its inode and mode.  It
+    ends where the writes ended, also when a write raises.  A run killed
+    part way leaves a short file, as a truncate to zero would, except that
+    its first byte may be the old file's.  A pipe or device (such as
+    ``/dev/stdout`` or ``/dev/null``) gets the bytes as they are.
     """
     if fmt == "csv":
         with _rewritten(path, "") as handle:

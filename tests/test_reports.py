@@ -1,6 +1,7 @@
 """Tests for dataset emission: round-tripping and report commands."""
 import builtins
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -193,6 +194,42 @@ LONG = [Row('long, "quoted" series', i / 3.0, INF if i % 7 == 0 else -i / 7.0,
 SHORT = [Row("s", 0.5, 1.5)]
 
 
+class _SpyFile(io.RawIOBase):
+    """A raw file over ``fd`` that records the bytes of ``path`` before each
+    write, which is what a run killed at that write would leave, and fails
+    every write from number ``fail_at`` on with ENOSPC."""
+
+    def __init__(self, fd, path, fail_at=None):
+        super().__init__()
+        self.fd, self.path, self.fail_at = fd, path, fail_at
+        self.seen, self.written = [], 0
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.seen.append(self.path.read_bytes())
+        if self.fail_at is not None and len(self.seen) > self.fail_at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        done = os.write(self.fd, data)
+        self.written += done
+        return done
+
+
+def spy_on_writes(monkeypatch, path, fail_at=None):
+    """Make ``write_dataset`` write through a :class:`_SpyFile` with a small
+    buffer, so a dataset reaches the file in many writes."""
+    spies = []
+
+    def spy_open(fd, mode, newline=None, closefd=True):
+        spies.append(_SpyFile(fd, path, fail_at))
+        return io.TextIOWrapper(io.BufferedWriter(spies[-1], buffer_size=64),
+                                newline=newline, write_through=True)
+
+    monkeypatch.setattr(reports, "open", spy_open, raising=False)
+    return spies
+
+
 class TestRewriteInPlace:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @given(old=rows_strategy, new=rows_strategy)
@@ -218,6 +255,39 @@ class TestRewriteInPlace:
         with pytest.raises(TypeError):
             write_dataset(SHORT + [Row("bad", "not a number", 0.0)], target, "csv")
         assert target.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_kill_at_any_write_leaves_a_prefix(self, fmt, tmp_path, monkeypatch):
+        target, fresh = tmp_path / f"target.{fmt}", tmp_path / f"fresh.{fmt}"
+        write_dataset(LONG, target, fmt)
+        write_dataset(LONG[:10], fresh, fmt)
+        want = fresh.read_bytes()
+        spies = spy_on_writes(monkeypatch, target)
+        write_dataset(LONG[:10], target, fmt)
+        monkeypatch.undo()
+        assert target.read_bytes() == want
+        (spy,) = spies
+        assert len(spy.seen) > 10
+        for before in spy.seen:
+            assert want.startswith(before), before
+
+    @pytest.mark.parametrize("fail_at", [0, 3])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_write_that_fails_leaves_what_reached_the_file(
+            self, fmt, fail_at, tmp_path, monkeypatch):
+        # A full disk fails the flush on close as well, so the file is cut
+        # where the writes ended, not where the text layer thinks it is.
+        target, fresh = tmp_path / f"target.{fmt}", tmp_path / f"fresh.{fmt}"
+        write_dataset(LONG, target, fmt)
+        write_dataset(LONG[:10], fresh, fmt)
+        spies = spy_on_writes(monkeypatch, target, fail_at=fail_at)
+        with pytest.raises(OSError) as err:
+            write_dataset(LONG[:10], target, fmt)
+        monkeypatch.undo()
+        assert err.value.errno == errno.ENOSPC
+        got = target.read_bytes()
+        assert len(got) == spies[0].written < len(fresh.read_bytes())
+        assert fresh.read_bytes().startswith(got)
 
     def test_json_that_cannot_be_built_leaves_the_file_alone(self, tmp_path):
         target = tmp_path / "target.json"
@@ -260,30 +330,37 @@ class TestRewriteInPlace:
         assert not missing.exists()
 
     def test_never_truncates_to_zero(self, tmp_path, monkeypatch):
-        # Truncating a file that holds data and then rewriting it makes the
-        # next rewrite wait for writeback on ext4; a regular file is cut to
-        # length after writing instead.
+        # On ext4 a truncate to zero makes each rewrite of a file that holds
+        # data several times slower; a regular file is cut to one byte
+        # before writing and to length after instead.
         paths = [tmp_path / "d.csv", tmp_path / "d.json"]
         for path in paths:
             path.write_text("stale\n" * 1000)
-        calls = []
+        calls, cuts = [], []
         real_os_open, real_open = os.open, io.open
+        real_ftruncate = os.ftruncate
 
         def spy_os_open(path, flags, *args, **kwargs):
             calls.append(("os.open", path, flags))
             return real_os_open(path, flags, *args, **kwargs)
+
+        def spy_ftruncate(fd, length):
+            cuts.append(length)
+            return real_ftruncate(fd, length)
 
         def spy_open(file, mode="r", *args, **kwargs):
             calls.append(("open", file, mode))
             return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(os, "open", spy_os_open)
+        monkeypatch.setattr(os, "ftruncate", spy_ftruncate)
         monkeypatch.setattr(io, "open", spy_open)  # what Path.open calls
         monkeypatch.setattr(builtins, "open", spy_open)
         for path in paths:
             write_dataset(SHORT, path, path.suffix[1:])
         monkeypatch.undo()
         assert [kind for kind, _, _ in calls].count("os.open") == len(paths)
+        assert cuts and min(cuts) >= 1, cuts
         for kind, target, how in calls:
             if kind == "os.open":
                 assert not how & os.O_TRUNC, target
