@@ -190,9 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        parser.error(f"output directory {str(out_dir)!r} does not exist")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        parser.error(f"output directory {str(out.parent)!r} does not exist")
+    if out.is_dir():
+        parser.error(f"output path {args.out!r} is a directory")
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

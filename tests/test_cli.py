@@ -215,6 +215,16 @@ class TestUsageErrors:
             main(self.SIM + ["--out", str(tmp_path / "nodir" / "s.csv")])
         assert exc.value.code == 2
 
+    def test_directory_out_fails_before_running(self, tmp_path, monkeypatch, capsys):
+        def sweep_ran(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(reports, "run_sweep", sweep_ran)
+        with pytest.raises(SystemExit) as exc:
+            main(self.SIM + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "is a directory" in capsys.readouterr().err
+
 
 class TestTopLevel:
     def test_unknown_command(self):

@@ -78,68 +78,81 @@ def _grid_min(cfg, r, step, free_errors=False):
     return best
 
 
-def _reference_region(c, alpha, p, q):
-    """One region's rows ``A @ v >= b`` and delivered rate ``g @ v + g0``,
-    with alpha in the numbers (the reference's own copy of the region)."""
+def _reference_region(c, p, q):
+    """One region's rows ``A @ v >= b`` and delivered rate ``g @ v + g0``
+    (the reference's own copy of the region).  ``b`` is given as its
+    coefficients on ``(1, alpha)``, and ``g0 = (n - q) * (1 + alpha *
+    c[:p].sum())`` as the pair ``(n - q, c[:p].sum())``."""
     n = c.size
     eye = np.eye(n)
     term = np.where(np.arange(n) >= p, c, 0.0) - eye
-    t0 = 1.0 + alpha * c[:p].sum()
+    boost = c[:p].sum()
     rows = [eye[j] - eye[j + 1] for j in range(n - 1)] + [eye[n - 1]]
-    rhs = [0.0] * n
+    rhs = [(0.0, 0.0)] * n
     if p > 0:
         rows.append(eye[p - 1])
-        rhs.append(alpha)
+        rhs.append((0.0, 1.0))
     if p < n:
         rows.append(-eye[p])
-        rhs.append(-alpha)
+        rhs.append((0.0, -1.0))
     if q > 0:
         rows.append(-term[q - 1])
-        rhs.append(t0)
+        rhs.append((1.0, boost))
     if q < n:
         rows.append(term[q])
-        rhs.append(-t0)
-    return np.array(rows), np.array(rhs), term[q:].sum(axis=0), (n - q) * t0
+        rhs.append((-1.0, -boost))
+    return np.array(rows), np.array(rhs), term[q:].sum(axis=0), (n - q, boost)
 
 
 def reference_oracle_curve(cfg, r_probes):
     """Reference for ``exact_oracle_curve``: every region built, solved and
-    tested against all probes on its own, in one loop, with the same
-    arithmetic and slacks."""
-    n = cfg.n_rx
+    tested against all probes on its own, in one loop, keeping every
+    system and caching nothing, with the same arithmetic and slacks.
+
+    Each system is solved against the coefficients of its right-hand side
+    on ``(1, alpha, r)``, with every -0 made +0, and its vertex is formed
+    at alpha, then at each probe.  One matrix product per region gives the
+    region rows, the decay cost and the delivered rate at every vertex and
+    probe; a lone probe is evaluated twice, so that it is a matrix product
+    too."""
+    n, alpha = cfg.n_rx, cfg.alpha
     rs = np.asarray(r_probes, dtype=float)
+    size = rs.size
+    rs = np.repeat(rs, 2) if size == 1 else rs
     c = eigen_decay_weights(cfg.m_tx, n)
     left_limit = np.full(rs.size, np.inf)
     attained = np.full(rs.size, np.inf)
     within = rs * (1.0 + oracle._RATE_TOL)
     for p in range(n + 1):
         for q in range(n + 1):
-            a, b, g, g0 = _reference_region(c, cfg.alpha, p, q)
+            a, b, g, (free, boost) = _reference_region(c, p, q)
             k = a.shape[0]
             mat = np.vstack([a, g])
-            rhs = np.zeros((k + 1, 2))
-            rhs[:k, 0] = b
-            rhs[k] = (-g0, 1.0)
+            rhs = np.zeros((k + 1, 3))
+            rhs[:k, :2] = b
+            rhs[k] = (-free, -free * boost, 1.0)
             subsets = np.array(list(itertools.combinations(range(k + 1), n)))
             systems = mat[subsets]
             solvable = np.abs(np.linalg.det(systems)) > 0.5
             subsets, systems = subsets[solvable], systems[solvable]
-            sol = np.linalg.solve(systems, rhs[subsets])
-            v = sol[:, None, :, 0] + rs[None, :, None] * sol[:, None, :, 1]
-            inside = (v @ a.T >= b - oracle._EDGE_TOL).all(axis=2)
+            sol = np.linalg.solve(systems, rhs[subsets]) + 0.0
+            v = (sol[:, :, 0] + alpha * sol[:, :, 1])[:, :, None] + sol[:, :, 2, None] * rs
+            prod = np.vstack([a, c, g]) @ v
+            edge = b[:, 0] + alpha * b[:, 1] - oracle._EDGE_TOL
+            inside = (prod[:, :k] >= edge[:, None]).all(axis=1)
+            cost = prod[:, k]
+            rate = prod[:, k + 1] + free * (1.0 + alpha * boost)
             own = (subsets < k).all(axis=1)
-            rate = sol[:, :, 0] @ g + g0
-            own_inside = own & (sol[:, :, 0] @ a.T >= b - oracle._EDGE_TOL).all(axis=1)
-            floor = np.min(rate, where=own_inside, initial=np.inf)
-            admitted = inside & (~own[:, None] | (rate[:, None] <= within))
-            best = np.where(admitted, v @ c, np.inf).min(axis=0, initial=np.inf)
+            floor = np.min(rate, where=own[:, None] & inside, initial=np.inf)
+            admitted = inside & (~own[:, None] | (rate <= within))
+            best = np.where(admitted, cost, np.inf).min(axis=0, initial=np.inf)
             best = np.where(floor <= within, best, np.inf)
             if p == q == 0:
                 best = np.where(rs < n, np.inf, best)
             attained = np.minimum(attained, best)
             below = floor < rs * (1.0 - oracle._EDGE_TOL)
             left_limit = np.where(below, np.minimum(left_limit, best), left_limit)
-    return left_limit, attained
+    return left_limit[:size], attained[:size]
 
 
 def assert_same_arrays(got, want):
@@ -270,12 +283,14 @@ class TestGridOracle:
         assert attained[1] == 0.0
 
     def test_curve_helper_matches_pointwise(self):
-        cfg = ChannelConfig(2, 2, 0.35)
-        rs = [0.3, 0.9, 1.35, 1.8]
-        batch = np.array(exact_oracle_curve(cfg, rs))
-        for i, r in enumerate(rs):
-            single = np.array(exact_oracle_curve(cfg, [r]))
-            npt.assert_allclose(batch[:, i], single[:, 0], rtol=1e-12)
+        # A probe reads the same alone as among others, bit for bit.
+        for cfg in (ChannelConfig(2, 2, 0.35), ChannelConfig(4, 3, 0.1),
+                    ChannelConfig(6, 6, 1.0 / 3.0)):
+            rs = reference_probes(cfg, 0.1)
+            batch = exact_oracle_curve(cfg, rs)
+            for i, r in enumerate(rs):
+                assert_same_arrays(exact_oracle_curve(cfg, [r]),
+                                   [values[i:i + 1] for values in batch])
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
@@ -338,6 +353,32 @@ class TestReference:
         for cfg, want in zip(cfgs, fresh):
             assert_same_arrays(exact_oracle_curve(cfg, rs), want)
         assert oracle._vertex_table.cache_info().hits == 3
+
+    def test_cached_link_solves_nothing(self, monkeypatch):
+        cfg = ChannelConfig(5, 4, 0.25)
+        rs = reference_probes(cfg, 0.05)
+        want = exact_oracle_curve(cfg, rs)
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a cached link was solved again")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        for alpha in (0.0, 0.25, 2.0):
+            exact_oracle_curve(ChannelConfig(5, 4, alpha), rs)
+        assert_same_arrays(exact_oracle_curve(cfg, rs), want)
+        # The patch is seen: a link built afresh needs it.
+        oracle._vertex_table.cache_clear()
+        with pytest.raises(AssertionError, match="solved again"):
+            exact_oracle_curve(cfg, rs)
+
+    @pytest.mark.parametrize("m,n", ALL_LINKS)
+    def test_cached_vertices_are_distinct(self, m, n):
+        # Each (region, own, vertex) row is kept once.
+        table = oracle._vertex_table(m, n)
+        for region, vertices in ((table.own_region, table.own),
+                                 (table.moving_region, table.moving)):
+            rows = [row.tobytes() for row in np.column_stack([region, *vertices])]
+            assert len(set(rows)) == len(rows)
 
     def test_cached_arrays_are_read_only(self):
         for array in oracle._vertex_table(3, 2):
