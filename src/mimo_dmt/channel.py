@@ -15,16 +15,17 @@ Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11), 2002).  The error
 is isotropic and independent of the channel, so ``Q^H E P`` has the law of
 ``E``, and the pair ``([B 0], E)`` gives the spectra of ``H H^H`` and of
 ``(H + c E)(H + c E)^H`` their joint law for every ``c``.  The sampler
-returns ``[B 0]`` as a real float64 array, and the one- and two-row Gram
-blocks of :class:`GramPolynomial` skip its zero imaginary part.
+returns ``[B 0]`` as a real float64 array, and the Gram blocks of
+:class:`GramPolynomial` skip its zero imaginary part.
 
 Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
 yields the same matrices regardless of how trials are batched or which worker
 draws them, which makes parallel Monte Carlo bit-reproducible.
 
 Batches are trial-contiguous: a ``(count, n, m)`` batch is stored trial-last,
-so each matrix entry's trials form one contiguous vector, and the closed-form
-spectra of one- and two-row links are whole-vector arithmetic over them.
+so each matrix entry's trials form one contiguous vector.  Gram entries, and
+the closed-form spectra of one- and two-row links, are whole-vector
+arithmetic over them.
 
 SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
 density's normalizer (``gammaln``), and is imported on first use, so the
@@ -58,9 +59,6 @@ _HALF_ULP = 2.0 ** -54
 # products of at most this many.
 _MAX_PRODUCT = 18
 _TRIAL_PAD = 8
-# Trials per C-ordered copy when GramPolynomial forms matmul blocks: 2.4 MB
-# per copy at 6x6.
-_GRAM_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -200,16 +198,17 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
 def eig_ascending(x):
     """Ascending eigenvalues of ``x @ x^H`` for one matrix or a batch.
 
-    Accepts shape ``(..., n, m)`` in any memory layout and returns shape
-    ``(..., n)``, sorted ascending and non-negative, with the batch axes
-    contiguous: each eigenvalue index is one vector over the batch.  Inputs
-    with one or two rows take a closed form whose Gram entries are summed
-    column by column over the per-entry vectors ``x[..., i, j]``, which are
-    contiguous for the trial-last draws of :func:`sample_channel_block`.
-    Three or more rows go through ``numpy.linalg.eigvalsh`` on the Gram
-    matrix, whose tiny negative values on rank-deficient inputs are clamped
-    to zero.  :class:`GramPolynomial` forms and reads its Gram matrices the
-    same way.
+    Accepts shape ``(..., n, m)``, real or complex, in any memory layout
+    and returns shape ``(..., n)``, sorted ascending and non-negative, with
+    the batch axes contiguous: each eigenvalue index is one vector over the
+    batch.  The Gram entries are summed column by column over the per-entry
+    vectors ``x[..., i, j]``, which are contiguous for the trial-last draws
+    of :func:`sample_channel_block`, in real arithmetic that skips a real
+    input's zero imaginary part.  Inputs with one or two rows take a closed
+    form.  Three or more rows fill Hermitian matrices from the entries for
+    ``numpy.linalg.eigvalsh``, whose tiny negative values on rank-deficient
+    inputs are clamped to zero.  :class:`GramPolynomial` forms and reads its
+    Gram matrices the same way.
 
     * ``n == 1``: the one eigenvalue is the row's squared norm.
     * ``n == 2``: from the Gram entries ``g11``, ``g22`` and ``g12``, each
@@ -221,9 +220,13 @@ def eig_ascending(x):
     Measured against ``eigvalsh`` on 15.4 million complex Gaussian inputs
     with ``m <= 6`` and entries scaled from 1e-100 to 1e100 in seven steps,
     rank-1, equal-eigenvalue and zero inputs among them, the closed forms
-    differed by at most ``1.78e-15 * lambda_max``.
+    differed by at most ``1.78e-15 * lambda_max``.  For three or more rows,
+    against ``eigvalsh`` of the Gram matrix formed by ``matmul``, on 11.4
+    million complex Gaussian inputs with ``n`` in 3, 4 and 6,
+    ``n <= m <= 9``, the same scales and rank-1, zero and near-cancelling
+    inputs, the spectra differed by at most ``2.9e-15 * lambda_max``.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = _real_or_complex(x)
     if x.ndim < 2:
         raise ValueError("expected a matrix or a batch of matrices")
     _check_finite(x)
@@ -243,26 +246,25 @@ class GramPolynomial:
 
     ``h`` and ``e`` may each be real or complex; the sweep passes a real
     ``h``.  The blocks are stored as :func:`eig_ascending` forms its Gram
-    matrix.  For one and two rows that is the ``n * n`` real entries as
-    per-entry vectors (the diagonal, then the real and imaginary parts of
-    ``g12``), summed column by column in real arithmetic, with no product of
-    a real operand's zero imaginary part: the blocks equal those of the
-    complex-cast operands up to the sign of an exact zero.  For three or
-    more rows they are the complex ``(..., n, n)`` matrices from ``matmul``
-    on complex copies.  The quadratic is
-    evaluated on float64 views in both cases, so every product is correctly
-    rounded and a trial's result does not depend on its batch.  At ``c = 0``
+    matrix: the ``n * n`` real entries as per-entry vectors (the diagonal,
+    then the real and imaginary part of each entry above it, row by row),
+    summed column by column in real arithmetic, with no product of a real
+    operand's zero imaginary part.  The blocks equal those of the
+    complex-cast operands up to the sign of an exact zero.  The quadratic
+    is evaluated entry by entry, so every product is correctly rounded and
+    a trial's result does not depend on its batch.  At ``c = 0``
     the quadratic is ``A`` exactly, so ``spectrum(0.0)`` equals
     ``eig_ascending(h)`` bit for bit.  Each instance evaluates into one
     scratch Gram, in which the two-row spectrum is then worked out, so it
     serves one thread at a time; every spectrum it returns is a new array.
 
-    Measured against ``eig_ascending(h + c * e)`` on 18.1 million complex
+    Measured against ``eig_ascending(h + c * e)`` on 22.8 million complex
     Gaussian inputs with ``n`` in 1..4 and 6, ``n <= m <= 9``, ``c`` in
     {1, 1e-3, 1e-12} and entries scaled from 1e-100 to 1e100 in seven
     steps, rank-1, zero and cancelling (``e`` near ``-h / c``) inputs among
-    them, the spectra differed by at most ``1.9e-15 * tr(A + c**2 C)``.
-    That bound is on the size of the two terms: where they cancel, the
+    them, the spectra differed by at most ``9.4e-16 * tr(A + c**2 C)`` for
+    ``n <= 2`` and ``2.2e-15 * tr(A + c**2 C)`` for ``n >= 3``.  Both
+    bounds are on the size of the two terms: where they cancel, the
     estimate's own eigenvalues can be far smaller.
     """
 
@@ -272,25 +274,10 @@ class GramPolynomial:
             raise ValueError("expected two batches of matrices of one shape")
         _check_finite(h)
         _check_finite(e)
-        self._n = n = h.shape[-2]
-        if n <= 2:
-            self._a = _gram(h)
-            self._b = _cross_gram(h, e)
-            self._c = _gram(e)
-        else:
-            self._a, self._b, self._c = (
-                np.empty(h.shape[:-1] + (n,), dtype=np.complex128) for _ in range(3))
-            # matmul wants C-ordered complex matrices.  Copying a trial-last
-            # batch a chunk of trials at a time keeps the copies and the
-            # products' temporaries small beside the three blocks.
-            chunks = ([slice(s, s + _GRAM_CHUNK) for s in range(0, len(h), _GRAM_CHUNK)]
-                      if h.ndim > 2 else [slice(None)])
-            for part in chunks:
-                hp, ep = (np.ascontiguousarray(x[part], dtype=np.complex128)
-                          for x in (h, e))
-                self._a[part] = _gram(hp)
-                self._b[part] = _cross_gram(hp, ep)
-                self._c[part] = _gram(ep)
+        self._n = h.shape[-2]
+        self._a = _gram(h)
+        self._b = _cross_gram(h, e)
+        self._c = _gram(e)
         self._gram = np.empty_like(self._a)
 
     def spectrum(self, c):
@@ -298,15 +285,15 @@ class GramPolynomial:
         layout of :func:`eig_ascending`'s result.  The result is a new
         array, which later calls leave unchanged."""
         c = float(c)
-        gram = self._gram.view(np.float64)
+        gram = self._gram
         if c == 0.0:
             # The quadratic at c = 0 is A exactly.
-            np.copyto(gram, self._a.view(np.float64))
+            np.copyto(gram, self._a)
         else:
-            np.multiply(self._c.view(np.float64), c, out=gram)
-            gram += self._b.view(np.float64)
+            np.multiply(self._c, c, out=gram)
+            gram += self._b
             gram *= c
-            gram += self._a.view(np.float64)
+            gram += self._a
         return np.moveaxis(_gram_spectrum(self._gram, self._n), 0, -1)
 
 
@@ -322,45 +309,42 @@ def _check_finite(x):
 
 
 def _gram(x):
-    """``x @ x^H``: the ``n * n`` real entries for one or two rows, else the
-    complex matrices."""
+    """``x @ x^H`` as its ``n * n`` real entries, one per-entry vector each:
+    the diagonal, then the real and imaginary part of each entry above it
+    in row-major order (:func:`_pairs`)."""
     n = x.shape[-2]
-    if n >= 3:
-        # matmul and eigvalsh work matrix by matrix and run fastest on
-        # contiguous matrices, so a trial-last batch is copied first.
-        x = np.ascontiguousarray(x)
-        return x @ np.conj(np.swapaxes(x, -1, -2))
     g = np.empty((n * n,) + x.shape[:-2])
     rows = _rows(g)
-    _row_sum(_dot_term, x, 0, x, 0, rows[0])
-    if n == 2:
-        _row_sum(_dot_term, x, 1, x, 1, rows[1])
-        _row_sum(_dot_term, x, 0, x, 1, rows[2])
-        _row_sum(_cross_term, x, 0, x, 1, rows[3])
+    for i in range(n):
+        _row_sum(_dot_term, x, i, x, i, rows[i])
+    for p, (i, k) in _pairs(n):
+        _row_sum(_dot_term, x, i, x, k, rows[p])
+        _row_sum(_cross_term, x, i, x, k, rows[p + 1])
     return g
 
 
 def _cross_gram(x, y):
     """``x @ y^H + y @ x^H``, stored as :func:`_gram` stores a Gram matrix."""
     n = x.shape[-2]
-    if n >= 3:
-        p = x @ np.conj(np.swapaxes(y, -1, -2))
-        # Adding an entry to a conjugate entry rounds each part once.
-        g = np.empty_like(p)
-        np.conj(np.swapaxes(p, -1, -2), out=g)
-        g += p
-        return g
     g = np.empty((n * n,) + x.shape[:-2])
     rows = _rows(g)
     for i in range(n):
         _row_sum(_dot_term, x, i, y, i, rows[i])
         rows[i] *= 2.0
-    if n == 2:
-        part = np.empty_like(rows[0])
-        for k, term in ((2, _dot_term), (3, _cross_term)):
-            _row_sum(term, x, 0, y, 1, rows[k])
-            rows[k] += _row_sum(term, y, 0, x, 1, part)
+    part = np.empty_like(rows[0])
+    for p, (i, k) in _pairs(n):
+        for row, term in ((rows[p], _dot_term), (rows[p + 1], _cross_term)):
+            _row_sum(term, x, i, y, k, row)
+            row += _row_sum(term, y, i, x, k, part)
     return g
+
+
+def _pairs(n):
+    """``(row, (i, k))`` for each entry ``i < k`` of an ``n``-row Gram
+    matrix in row-major order: its real part is stored in that row of
+    :func:`_gram`'s result, and its imaginary part in the next."""
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    return [(n + 2 * p, ik) for p, ik in enumerate(pairs)]
 
 
 def _rows(g):
@@ -378,8 +362,17 @@ def _gram_spectrum(g, n):
         return np.maximum(g, 0.0)
     if n == 2:
         return _two_row_spectrum(g)
-    vals = np.empty((n,) + g.shape[:-2])
-    np.clip(np.moveaxis(np.linalg.eigvalsh(g), -1, 0), 0.0, None, out=vals)
+    # Trial-last matrices fill from the rows with unit-stride writes.
+    # eigvalsh reads the diagonal's real part and the upper triangle.
+    matrices = np.zeros((n, n) + g.shape[1:], dtype=np.complex128)
+    for i in range(n):
+        matrices.real[i, i] = g[i]
+    for p, (i, k) in _pairs(n):
+        matrices.real[i, k] = g[p]
+        matrices.imag[i, k] = g[p + 1]
+    lam = np.linalg.eigvalsh(np.moveaxis(matrices, (0, 1), (-2, -1)), UPLO="U")
+    vals = np.empty((n,) + g.shape[1:])
+    np.clip(np.moveaxis(lam, -1, 0), 0.0, None, out=vals)
     return vals
 
 

@@ -51,7 +51,6 @@ __all__ = [
     # Re-exported: perfbench/tracing.py times the eigenvalue layer under
     # this name.  The sweep reads its spectra from a GramPolynomial.
     "eig_ascending",
-    "estimate_mean_power",
     "run_sweep",
 ]
 
@@ -162,7 +161,15 @@ def _mean_damped_weight(cfg, rho, t, batch, seed, stream):
     return mean, rel_err
 
 
-def _check_batch_rho(batch, rho):
+def calibrate_kappa(cfg, rho, policy, batch, seed):
+    """Normalizer that restores the average-power budget for ``policy``.
+
+    With no damping the power is already constant at the budget, so the
+    normalizer is exactly 1.  Otherwise ``kappa`` is the reciprocal of the
+    mean damped weight, estimated by importance sampling on stream 1 of
+    ``seed``; a warning reports an achieved relative error that misses the
+    convergence target.
+    """
     batch = int(batch)
     if batch < _MIN_CAL_BATCH:
         raise ValueError(
@@ -170,21 +177,9 @@ def _check_batch_rho(batch, rho):
     rho = float(rho)
     if not (rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")
-    return batch, rho
-
-
-def calibrate_kappa(cfg, rho, policy, batch, seed, stream=1):
-    """Normalizer that restores the average-power budget for ``policy``.
-
-    With no damping the power is already constant at the budget, so the
-    normalizer is exactly 1.  Otherwise ``kappa`` is the reciprocal of the
-    mean damped weight, estimated by importance sampling; a warning reports
-    an achieved relative error that misses the convergence target.
-    """
-    batch, rho = _check_batch_rho(batch, rho)
     if policy.t == 0.0:
         return 1.0
-    mean, rel_err = _mean_damped_weight(cfg, rho, policy.t, batch, seed, stream)
+    mean, rel_err = _mean_damped_weight(cfg, rho, policy.t, batch, seed, 1)
     if rel_err > _REL_ERR_TARGET:
         warnings.warn(
             f"calibration achieved relative error {rel_err:.4f}, above the "
@@ -193,30 +188,11 @@ def calibrate_kappa(cfg, rho, policy, batch, seed, stream=1):
     return 1.0 / mean
 
 
-def estimate_mean_power(cfg, rho, policy, kappa, batch, seed, stream=2):
-    """Monte Carlo estimate of the average transmit power under ``policy``
-    normalized by ``kappa``.
-
-    Validates the power constraint: with the calibrated kappa it should
-    return about ``rho`` (the budget).  Uses the same importance-sampling
-    machinery as calibration, so re-running it on the calibration stream
-    returns the budget to within an ulp.
-    """
-    kappa = float(kappa)
-    if not (kappa > 0.0):
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    batch, rho = _check_batch_rho(batch, rho)
-    if policy.t == 0.0:
-        return kappa * rho
-    mean, _ = _mean_damped_weight(cfg, rho, policy.t, batch, seed, stream)
-    return kappa * rho * mean
-
-
 def _grid_kappas(cfg, rho, policy, seed):
     """One kappa per SNR point: one calibrated at ``rho[0]`` and scaled by
     ``(s_g/s_0)**(t*m*n)`` with ``s = 1 + rho**-alpha``, exact since the
     calibration is a scale family in ``s``."""
-    kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed, stream=1)
+    kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed)
     s = [1.0 + x ** -cfg.alpha for x in rho]
     exponent = policy.t * cfg.m_tx * cfg.n_rx
     return [kappa0 * (s_g / s[0]) ** exponent for s_g in s]

@@ -482,9 +482,9 @@ class TestGramPolynomial:
 
 
 class TestRealChannel:
-    """The sweep's channel is real.  For one and two rows the blocks skip
-    its zero imaginary part, which may change the sign of an exact zero
-    and nothing else: every block and spectrum equals the complex path's."""
+    """The sweep's channel is real.  The blocks skip its zero imaginary
+    part, which may change the sign of an exact zero and nothing else:
+    every block and spectrum equals the complex-cast operands'."""
 
     @staticmethod
     def _real_h(kind, n, m, rng):
@@ -498,7 +498,7 @@ class TestRealChannel:
             h[:, 1:] = -0.6 * h[:, :1]
         return h
 
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
            m=st.integers(1, 6),
            kind=st.sampled_from(["bidiagonal", "dense", "zero", "rank1"]),
            scale=st.sampled_from([1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100]),
@@ -516,7 +516,8 @@ class TestRealChannel:
         for c in cs:
             assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3),
+                                     (4, 4), (6, 6)])
     def test_sampled_channel_matches_complex_path(self, m, n):
         h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
         assert h.dtype == np.float64

@@ -1,5 +1,6 @@
 """Tests for dataset emission: round-tripping and report commands."""
 import builtins
+import contextlib
 import csv
 import errno
 import hashlib
@@ -628,14 +629,24 @@ class TestCmdFigures:
         (2, 2): "64e6673b6168bff5a4f968147f558efada203e31c96ae75cb3a2da3eccc91405",
         (3, 2): "3ad57c60ef65d22db29e549c495acc10ebe8edf084c0d1c080aef1d9c41141b3",
         (3, 3): "55651306a042e2b52224de9a7792db44e2a3460f5f6af55d27f06ab165391ad8",
+        (4, 4): "584707870d330235ebe34eb8a87fca6d1decde27216d9a03a7c86f7e06305b0c",
+        (6, 6): "3b682f2e10a2f8625221e534054f558725866bbde0add9b1c37d1b86f479b728",
     }
+
+    # At these settings the calibration at CAL_BATCH misses its 0.003
+    # error target on 4x4 and 6x6 (0.0057 and 0.0156), and must say so.
+    # 3x3 misses it by less (0.0034); its warning is left to show.
+    CALIBRATION_WARNS = {(4, 4), (6, 6)}
 
     @pytest.mark.parametrize("m,n", sorted(SIMULATE_SHA256))
     def test_simulate_bytes_stable(self, m, n, tmp_path):
         path = tmp_path / f"sim{m}{n}.csv"
-        cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
-                     rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
-                     policy=PowerPolicy(t=0.9), seed=1000, out=str(path),
-                     fmt="csv")
+        warns = (pytest.warns(UserWarning, match="relative error")
+                 if (m, n) in self.CALIBRATION_WARNS else contextlib.nullcontext())
+        with warns:
+            cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
+                         rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
+                         policy=PowerPolicy(t=0.9), seed=1000, out=str(path),
+                         fmt="csv")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.SIMULATE_SHA256[(m, n)]
