@@ -7,15 +7,18 @@ vertex-enumeration oracle, ``simulate`` runs the finite-SNR outage sweep, and
 documented seed below so runs are reproducible by default.
 
 Exit codes: 0 on success, 1 when ``oracle-check`` finds a disagreement, and
-2 for a usage error (bad flags or values, or an unwritable output path).
+2 for a usage error (bad flags or values, or an output path that cannot be
+opened for writing).  The output is opened, or created, before the run; a
+run that fails removes a file it created and leaves an existing one as it
+was.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-from pathlib import Path
-from typing import List, Optional, Sequence
+import os
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,22 +99,22 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="output format (default: csv)")
 
 
-def _run_curve(args: argparse.Namespace) -> int:
+def _run_curve(args: argparse.Namespace, out: int) -> int:
     cfgs = [ChannelConfig(args.m, args.n, alpha) for alpha in _alpha_values(args)]
     cmd_curve(cfgs=cfgs, r_grid=_rate_grid(cfgs[0].n_rx, args.r_step),
-              out=args.out, fmt=args.format)
+              out=out, fmt=args.format)
     return 0
 
 
-def _run_oracle_check(args: argparse.Namespace) -> int:
+def _run_oracle_check(args: argparse.Namespace, out: int) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
     _, ok = cmd_oracle_check(
         cfg=cfg, r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False),
-        out=args.out, fmt=args.format)
+        out=out, fmt=args.format)
     return 0 if ok else 1
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
+def _run_simulate(args: argparse.Namespace, out: int) -> int:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
     # A dB value past about 3080 has no finite SNR; the sweep rejects the
     # non-finite point, so NumPy need not warn of it.
@@ -120,12 +123,12 @@ def _run_simulate(args: argparse.Namespace) -> int:
         rho_grid = [10.0 ** (db / 10.0) for db in db_grid]
     cmd_simulate(cfg=cfg, r=args.r, rho_grid=rho_grid, trials=args.trials,
                  policy=PowerPolicy(t=args.t), seed=args.seed,
-                 workers=args.workers, out=args.out, fmt=args.format)
+                 workers=args.workers, out=out, fmt=args.format)
     return 0
 
 
-def _run_figures(args: argparse.Namespace) -> int:
-    cmd_figures(fig=args.fig, out=args.out, fmt=args.format)
+def _run_figures(args: argparse.Namespace, out: int) -> int:
+    cmd_figures(fig=args.fig, out=out, fmt=args.format)
     return 0
 
 
@@ -187,18 +190,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_output(path: str) -> Tuple[int, bool]:
+    """A descriptor open for writing on ``path``, and whether this call
+    created the file.  An existing file is opened unchanged."""
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    try:
+        return os.open(path, flags | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        return os.open(path, flags, 0o666), False
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    out = Path(args.out)
-    if not out.parent.is_dir():
-        parser.error(f"output directory {str(out.parent)!r} does not exist")
-    if out.is_dir():
-        parser.error(f"output path {args.out!r} is a directory")
+    # The output is opened before the run, so that a path that cannot be
+    # written is a usage error that costs no computation.
     try:
-        return args.handler(args)
+        out, created = _open_output(args.out)
+    except IsADirectoryError:
+        parser.error(f"output path {args.out!r} is a directory")
+    except OSError as exc:
+        parser.error(f"cannot open output path {args.out!r}: {exc.strerror}")
+    done = False
+    try:
+        code = args.handler(args, out)
+        done = True
+        return code
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
+    finally:
+        os.close(out)
+        # A failed run removes the file it created.  An existing file is
+        # written only once the run has its rows, so a run that fails
+        # before then leaves its bytes as they were.
+        if created and not done:
+            os.unlink(args.out)
 
 
 if __name__ == "__main__":

@@ -220,7 +220,10 @@ def exact_oracle_curve(cfg, r_probes):
     if n > _MAX_RX:
         raise ValueError(
             f"exact enumeration supports at most {_MAX_RX} fade directions, got {n}")
-    rs = np.asarray([_validate_probe(cfg, r) for r in r_probes], dtype=float)
+    rs = np.array(r_probes, dtype=float)
+    if rs.ndim != 1 or not ((rs > 0.0) & (rs <= n)).all():
+        # Probe by probe, so that the error names the first bad probe.
+        rs = np.asarray([_validate_probe(cfg, r) for r in r_probes], dtype=float)
     if not rs.size:
         return rs, rs.copy()
     table = _vertex_table(cfg.m_tx, n)

@@ -5,10 +5,12 @@ Every builder returns a flat list of :class:`Row` named tuples
 fields, and optionally writes them to disk.  Two on-disk formats are
 supported, CSV and JSON; both serialize non-finite numbers as the lowercase
 tokens ``inf``, ``-inf`` and ``nan`` so the files stay strictly valid for
-their format and round-trip bit-for-bit.  An existing output file is
-rewritten in place, cut to one byte before the write rather than to zero,
-and to the bytes written after it; a pipe or device gets the bytes as they
-are.
+their format and round-trip bit-for-bit.  A CSV row is written with one
+``%`` format, its text fields quoted exactly as ``csv.writer`` quotes them.
+The command line opens its output before a run and hands the writer the
+open descriptor.  An existing output file is rewritten in place, cut to one
+byte before the write rather than to zero, and to the bytes written after
+it; a pipe or device gets the bytes as they are.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import contextlib
 import csv
+import io
 import json
 import os
 import stat
@@ -75,15 +78,17 @@ def _json_number(value: float):
 
 @contextlib.contextmanager
 def _rewritten(path, newline):
-    """Open ``path`` for writing as text and rewrite a regular file in place.
+    """Write to ``path`` as text, and rewrite a regular file in place.
 
-    The file is cut to one byte, not to zero, before the body writes, and to
-    the bytes that reached it afterwards, also when a write raises.  On ext4
-    (with ``auto_da_alloc`` and ``discard``) a truncate to zero made each
-    rewrite of a file that holds data several times slower.  A pipe or
-    device is never cut."""
+    ``path`` is opened, and closed afterwards, unless it is already an open
+    descriptor.  The file is cut to one byte, not to zero, before the body
+    writes, and to the bytes that reached it afterwards, also when a write
+    raises.  On ext4 (with ``auto_da_alloc`` and ``discard``) a truncate to
+    zero made each rewrite of a file that holds data several times slower.
+    A pipe or device is never cut."""
+    opened = not isinstance(path, int)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
-                 0o666)
+                 0o666) if opened else path
     try:
         info = os.fstat(fd)
         regular = stat.S_ISREG(info.st_mode)
@@ -98,28 +103,57 @@ def _rewritten(path, newline):
                 # failed write a flush would fail too.
                 os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
     finally:
-        os.close(fd)
+        if opened:
+            os.close(fd)
+
+
+class _CsvFields(dict):
+    """Each distinct text as ``csv.writer`` writes it as a field, and
+    ``None`` as the empty field.  The writer quotes each new text once, in
+    a row with a second, empty field, since it quotes a row's lone empty
+    field."""
+
+    def __init__(self):
+        super().__init__({None: ""})
+        self._buffer = io.StringIO()
+        self._writer = csv.writer(self._buffer)
+
+    def __missing__(self, text):
+        self._buffer.seek(0)
+        self._buffer.truncate()
+        self._writer.writerow((text, ""))
+        field = self[text] = self._buffer.getvalue()[:-3]  # less ",\r\n"
+        return field
 
 
 def write_dataset(rows: Sequence[Row], path, fmt: str) -> None:
     """Write ``rows`` to ``path`` as ``fmt`` ("csv" or "json").
 
+    ``path`` is a file path, or a descriptor open for writing at offset 0,
+    which is written and left open: the command line opens its output
+    before the run and hands the descriptor here.
+
+    A CSV row is one ``%`` format: ``"%.17g"`` for x and y, which
+    round-trips every finite float and spells the others inf, -inf and nan,
+    and the series and note quoted as ``csv.writer`` quotes them, decided
+    once per distinct text and call.  The bytes equal those of
+    ``csv.writer.writerows`` over the same fields.
+
     A regular file is rewritten in place, keeping its inode and mode.  It
-    ends where the writes ended, also when a write raises.  A run killed
-    part way leaves a short file, as a truncate to zero would, except that
-    its first byte may be the old file's.  A pipe or device (such as
-    ``/dev/stdout`` or ``/dev/null``) gets the bytes as they are.
+    ends where the writes ended, also when a write raises, so a row that
+    cannot be formatted leaves the rows before it.  A run killed part way
+    leaves a short file, as a truncate to zero would, except that its first
+    byte may be the old file's.  A pipe or device (such as ``/dev/stdout``
+    or ``/dev/null``) gets the bytes as they are.
     """
     if fmt == "csv":
+        field = _CsvFields()
         with _rewritten(path, "") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(Row._fields)
-            # "%.17g" round-trips every finite float and spells the others
-            # inf, -inf and nan.
-            writer.writerows(
-                (series, "%.17g" % x, "%.17g" % y,
-                 "" if aux_k is None else str(int(aux_k)),
-                 "" if aux_note is None else aux_note)
+            handle.write("series,x,y,aux_k,aux_note\r\n")
+            handle.writelines(
+                "%s,%.17g,%.17g,%s,%s\r\n"
+                % (field[series], x, y, "" if aux_k is None else int(aux_k),
+                   field[aux_note])
                 for series, x, y, aux_k, aux_note in rows)
     elif fmt == "json":
         payload = {
@@ -251,7 +285,8 @@ def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
     # The closed form reads a probe this close to a jump at the jump itself,
     # so the oracle is asked there too.
     rates = [r if jump is None else jump[0] for r, jump in zip(probes, jumps)]
-    left_limit, attained = exact_oracle_curve(cfg, rates)
+    # Plain floats, so that each gap and verdict is float arithmetic.
+    left_limit, attained = np.asarray(exact_oracle_curve(cfg, rates)).tolist()
     rows: List[Row] = []
     ok = True
     for r, jump, oracle_limit, oracle_value in zip(probes, jumps, left_limit, attained):
@@ -266,10 +301,10 @@ def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
             _, cf_y, cf_value = jump
             note = "left_limit"
             gap = max(abs(cf_y - oracle_limit), abs(cf_value - oracle_value))
-        passed = bool(gap <= _ORACLE_TOL * max(1.0, abs(cf_y)))
+        passed = gap <= _ORACLE_TOL * max(1.0, abs(cf_y))
         ok = ok and passed
         rows.append(Row("closed_form", r, cf_y, None, note))
-        rows.append(Row("exact_oracle", r, float(oracle_limit), None, None))
+        rows.append(Row("exact_oracle", r, oracle_limit, None, None))
         rows.append(Row("gap", r, gap, None, "pass" if passed else "fail"))
     _maybe_write(rows, out, fmt)
     return rows, ok

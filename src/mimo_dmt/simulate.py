@@ -236,6 +236,18 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     return counts
 
 
+def _least_squares_slope(x, y):
+    """Slope of the least-squares line through the points ``(x, y)``.
+
+    Closed form in Python floats with ``math.fsum``, so that no BLAS kernel
+    takes part and the slope reads the same on every machine."""
+    mean_x = math.fsum(x) / len(x)
+    mean_y = math.fsum(y) / len(y)
+    dx = [a - mean_x for a in x]
+    return (math.fsum(d * (b - mean_y) for d, b in zip(dx, y))
+            / math.fsum(d * d for d in dx))
+
+
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     """Outage probability across an SNR grid, with a fitted decay slope.
 
@@ -243,9 +255,10 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     calibrated on stream 1, both at the first point, so results depend only
     on ``(seed, grid)``, never on the worker count.  The calibration runs on
     the calling thread while the worker spans draw; if it raises, the sweep
-    re-raises its error.  The slope is fitted in log-log coordinates over
-    the points with at least ``_MIN_EVENTS_FOR_FIT`` outage events and is
-    NaN when fewer than two points qualify.
+    re-raises its error.  The slope is the least-squares fit in log-log
+    coordinates over the points with at least ``_MIN_EVENTS_FOR_FIT``
+    outage events (:func:`_least_squares_slope`), and is NaN when fewer
+    than two points qualify.
     """
     r = float(r)
     n = cfg.n_rx
@@ -288,9 +301,6 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
              if cnt >= _MIN_EVENTS_FOR_FIT]
     fit_y = [math.log(cnt / trials) for cnt in counts
              if cnt >= _MIN_EVENTS_FOR_FIT]
-    if len(fit_x) >= 2:
-        slope = float(np.polyfit(fit_x, fit_y, 1)[0])
-    else:
-        slope = math.nan
+    slope = _least_squares_slope(fit_x, fit_y) if len(fit_x) >= 2 else math.nan
     return OutageSweep(rho_grid=rho, p_out=p_out, ci_half_width=ci,
                        fitted_slope=slope, trials=trials)

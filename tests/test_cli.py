@@ -225,6 +225,74 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "is a directory" in capsys.readouterr().err
 
+    ORACLE = ["oracle-check", "--m", "2", "--n", "2", "--alpha", "0.5"]
+
+    @pytest.mark.parametrize("argv", [ORACLE, SIM], ids=["oracle-check", "simulate"])
+    def test_unopenable_out_fails_before_running(self, argv, tmp_path, monkeypatch,
+                                                 capsys):
+        # A 300-byte name cannot be opened (ENAMETOOLONG); that is a usage
+        # error, not the exit code 1 of a disagreement.
+        def ran(*args, **kwargs):
+            raise AssertionError("the run started before the output was opened")
+
+        monkeypatch.setattr(reports, "exact_oracle_curve", ran)
+        monkeypatch.setattr(reports, "run_sweep", ran)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / ("x" * 296 + ".csv"))])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [line for line in err.splitlines() if "error:" in line]
+        assert "cannot open output path" in line
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    @pytest.mark.parametrize("failure", [ValueError, RuntimeError])
+    def test_failed_run_leaves_no_file_of_its_own(self, existing, failure, tmp_path,
+                                                   monkeypatch):
+        # A file the run created is removed; one that was there keeps its
+        # bytes and inode.
+        out = tmp_path / "o.csv"
+        if existing:
+            out.write_bytes(b"kept\n")
+            inode = out.stat().st_ino
+
+        def fails(*args, **kwargs):
+            raise failure("the oracle failed")
+
+        monkeypatch.setattr(reports, "exact_oracle_curve", fails)
+        with pytest.raises(SystemExit if failure is ValueError else failure):
+            main(self.ORACLE + ["--out", str(out)])
+        if existing:
+            assert out.read_bytes() == b"kept\n"
+            assert out.stat().st_ino == inode
+        else:
+            assert not out.exists()
+
+    def test_output_is_opened_once_and_never_stat(self, tmp_path, monkeypatch):
+        # Opening the output takes over the checks of its path: a run opens
+        # a fresh output once, an existing one twice (the first open asks
+        # for a new file), and stats no path.
+        calls = []
+        real_open, real_stat = os.open, os.stat
+
+        def spy_open(*args, **kwargs):
+            calls.append("open")
+            return real_open(*args, **kwargs)
+
+        def spy_stat(*args, **kwargs):
+            calls.append("stat")
+            return real_stat(*args, **kwargs)
+
+        out = tmp_path / "o.csv"
+        monkeypatch.setattr(os, "open", spy_open)
+        monkeypatch.setattr(os, "stat", spy_stat)
+        for want in (["open"], ["open", "open"]):
+            calls.clear()
+            assert main(self.ORACLE + ["--out", str(out)]) == 0
+            assert calls == want
+        monkeypatch.undo()
+        assert read_dataset(out)
+
 
 class TestTopLevel:
     def test_unknown_command(self):

@@ -303,6 +303,22 @@ class TestGridOracle:
         with pytest.raises(ValueError):
             exact_oracle_curve(cfg, [2.1])
 
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -0.5, 2.1, math.inf, math.nan])
+    @pytest.mark.parametrize("at", [0, 17, 39])
+    def test_bad_probe_among_valid_ones_is_named(self, bad, at):
+        # The probes are checked together; the error still names the first
+        # bad one, in the message a lone bad probe gets.
+        cfg = ChannelConfig(2, 2, 0.5)
+        rs = [0.05 * i for i in range(1, 41)]
+        rs[at] = bad
+        rs.append(3.0)  # a second bad probe, after the first
+        with pytest.raises(ValueError) as err:
+            exact_oracle_curve(cfg, rs)
+        assert str(err.value) == f"probe rate must lie in (0, 2], got {bad}"
+        with pytest.raises(ValueError) as alone:
+            exact_oracle_curve(cfg, [bad])
+        assert str(alone.value) == str(err.value)
+
 
 ALL_LINKS = [(m, n) for m in range(1, 7) for n in range(1, m + 1)]
 REFERENCE_ALPHAS = [0.0, 1e-12, 1e-9, 0.1, 1.0 / 6.0, 1.0 / 3.0, 0.5, 1.0, 2.0]

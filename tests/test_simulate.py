@@ -24,6 +24,7 @@ from mimo_dmt.simulate import (
     _count_outages_span,
     _damped_weight,
     _grid_kappas,
+    _least_squares_slope,
     _log_is_weights,
     _mean_damped_weight,
     calibrate_kappa,
@@ -403,6 +404,16 @@ class TestRunSweep:
         assert all(0.0 <= p <= 1.0 for p in sweep.p_out)
         for p, ci in zip(sweep.p_out, sweep.ci_half_width):
             npt.assert_allclose(ci, 1.96 * math.sqrt(p * (1 - p) / 2000), rtol=1e-12)
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 7, 12])
+    def test_slope_matches_polyfit(self, points):
+        # The fitted slope is a closed form in Python floats, so no BLAS
+        # kernel changes it; it agrees with np.polyfit's least squares.
+        rng = np.random.default_rng(points)
+        x = np.log(np.logspace(1, rng.uniform(2, 12), points))
+        y = rng.uniform(-3, 0) * x + rng.normal(0, 0.3, points) - 1.0
+        got = _least_squares_slope(x.tolist(), y.tolist())
+        assert got == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
 
     def test_zero_rate_flags_undefined_slope(self):
         cfg = ChannelConfig(2, 1, 0.0)
