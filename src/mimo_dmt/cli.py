@@ -3,14 +3,16 @@
 Four subcommands mirror the report builders: ``curve`` tabulates the
 closed-form tradeoff, ``oracle-check`` cross-validates it against the exact
 vertex-enumeration oracle, ``simulate`` runs the finite-SNR outage sweep, and
-``figures`` emits the canned datasets.  All randomized work defaults to the
-documented seed below so runs are reproducible by default.
+``figures`` emits the canned datasets.  Each builder returns its rows, and
+:func:`main` writes them to ``--out``: it is the one place a dataset is
+written.  All randomized work defaults to the documented seed below so runs
+are reproducible by default.
 
 Exit codes: 0 on success, 1 when ``oracle-check`` finds a disagreement, and
 2 for a usage error (bad flags or values, or an output path that cannot be
-opened for writing).  The output is opened, or created, before the run; a
-run that fails removes a file it created and leaves an existing one as it
-was.
+opened for writing), reported under the subcommand's usage line.  The output
+is opened, or created, before the run; a run that fails removes a file it
+created and leaves an existing one as it was.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import reports
 from .channel import ChannelConfig
-from .reports import cmd_curve, cmd_figures, cmd_oracle_check, cmd_simulate
+from .reports import Row, cmd_curve, cmd_figures, cmd_oracle_check, cmd_simulate
 from .simulate import PowerPolicy
 
 __all__ = ["DEFAULT_SEED", "main"]
@@ -99,37 +102,32 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
                         help="output format (default: csv)")
 
 
-def _run_curve(args: argparse.Namespace, out: int) -> int:
+def _run_curve(args: argparse.Namespace) -> Tuple[List[Row], int]:
     cfgs = [ChannelConfig(args.m, args.n, alpha) for alpha in _alpha_values(args)]
-    cmd_curve(cfgs=cfgs, r_grid=_rate_grid(cfgs[0].n_rx, args.r_step),
-              out=out, fmt=args.format)
-    return 0
+    return cmd_curve(cfgs=cfgs, r_grid=_rate_grid(cfgs[0].n_rx, args.r_step)), 0
 
 
-def _run_oracle_check(args: argparse.Namespace, out: int) -> int:
+def _run_oracle_check(args: argparse.Namespace) -> Tuple[List[Row], int]:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
-    _, ok = cmd_oracle_check(
-        cfg=cfg, r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False),
-        out=out, fmt=args.format)
-    return 0 if ok else 1
+    rows, ok = cmd_oracle_check(
+        cfg=cfg, r_grid=_rate_grid(cfg.n_rx, args.r_step, include_zero=False))
+    return rows, 0 if ok else 1
 
 
-def _run_simulate(args: argparse.Namespace, out: int) -> int:
+def _run_simulate(args: argparse.Namespace) -> Tuple[List[Row], int]:
     cfg = ChannelConfig(args.m, args.n, args.alpha)
     # A dB value past about 3080 has no finite SNR; the sweep rejects the
     # non-finite point, so NumPy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         db_grid = np.linspace(args.rho_start_db, args.rho_stop_db, args.rho_points)
         rho_grid = [10.0 ** (db / 10.0) for db in db_grid]
-    cmd_simulate(cfg=cfg, r=args.r, rho_grid=rho_grid, trials=args.trials,
-                 policy=PowerPolicy(t=args.t), seed=args.seed,
-                 workers=args.workers, out=out, fmt=args.format)
-    return 0
+    return cmd_simulate(cfg=cfg, r=args.r, rho_grid=rho_grid, trials=args.trials,
+                        policy=PowerPolicy(t=args.t), seed=args.seed,
+                        workers=args.workers), 0
 
 
-def _run_figures(args: argparse.Namespace, out: int) -> int:
-    cmd_figures(fig=args.fig, out=out, fmt=args.format)
-    return 0
+def _run_figures(args: argparse.Namespace) -> Tuple[List[Row], int]:
+    return cmd_figures(fig=args.fig), 0
 
 
 @functools.cache
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curve.add_argument("--r-step", type=_positive_float, default=0.05,
                        help="spacing of the multiplexing-rate grid (default: 0.05)")
     _add_output_flags(curve)
-    curve.set_defaults(handler=_run_curve)
+    curve.set_defaults(handler=_run_curve, command_parser=curve)
 
     oracle = sub.add_parser(
         "oracle-check",
@@ -159,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--r-step", type=_positive_float, default=0.1,
                         help="spacing of the probe-rate grid (default: 0.1)")
     _add_output_flags(oracle)
-    oracle.set_defaults(handler=_run_oracle_check)
+    oracle.set_defaults(handler=_run_oracle_check, command_parser=oracle)
 
     sim = sub.add_parser("simulate", help="Monte Carlo outage sweep over SNR")
     _add_link_flags(sim, alpha_choice=False)
@@ -172,20 +170,20 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="number of SNR points (default: 7)")
     sim.add_argument("--trials", type=_positive_int, required=True,
                      help="Monte Carlo trials per SNR point")
-    sim.add_argument("--t", type=float, default=0.9,
-                     help="power-adaptation damping exponent (default: 0.9)")
+    sim.add_argument("--t", type=float, default=PowerPolicy.t,
+                     help="power-adaptation damping exponent (default: %(default)s)")
     sim.add_argument("--seed", type=int, default=DEFAULT_SEED,
                      help=f"random seed (default: {DEFAULT_SEED})")
     sim.add_argument("--workers", type=_positive_int, default=1,
                      help="worker threads for the sweep (default: 1)")
     _add_output_flags(sim)
-    sim.set_defaults(handler=_run_simulate)
+    sim.set_defaults(handler=_run_simulate, command_parser=sim)
 
     figures = sub.add_parser("figures", help="emit a canned dataset by id")
     figures.add_argument("--fig", type=int, choices=(2, 3, 4, 5), required=True,
                          help="figure id")
     _add_output_flags(figures)
-    figures.set_defaults(handler=_run_figures)
+    figures.set_defaults(handler=_run_figures, command_parser=figures)
 
     return parser
 
@@ -201,23 +199,25 @@ def _open_output(path: str) -> Tuple[int, bool]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # Errors found after parsing are reported under the subcommand's usage.
+    error = args.command_parser.error
     # The output is opened before the run, so that a path that cannot be
     # written is a usage error that costs no computation.
     try:
         out, created = _open_output(args.out)
     except IsADirectoryError:
-        parser.error(f"output path {args.out!r} is a directory")
+        error(f"output path {args.out!r} is a directory")
     except OSError as exc:
-        parser.error(f"cannot open output path {args.out!r}: {exc.strerror}")
+        error(f"cannot open output path {args.out!r}: {exc.strerror}")
     done = False
     try:
-        code = args.handler(args, out)
+        rows, code = args.handler(args)
+        reports.write_dataset(rows, out, args.format)
         done = True
         return code
     except (ValueError, OSError) as exc:
-        parser.error(str(exc))
+        error(str(exc))
     finally:
         os.close(out)
         # A failed run removes the file it created.  An existing file is

@@ -2,11 +2,12 @@
 
 Every builder returns a flat list of :class:`Row` named tuples
 ``(series, x, y, aux_k, aux_note)``, so a row equals the plain tuple of its
-fields, and optionally writes them to disk.  Two on-disk formats are
-supported, CSV and JSON; both serialize non-finite numbers as the lowercase
-tokens ``inf``, ``-inf`` and ``nan`` so the files stay strictly valid for
-their format and round-trip bit-for-bit.  A CSV row is written with one
-``%`` format, its text fields quoted exactly as ``csv.writer`` quotes them.
+fields, and writes nothing: the command line writes the rows a command
+returns with :func:`write_dataset`.  Two on-disk formats are supported, CSV
+and JSON; both serialize non-finite numbers as the lowercase tokens ``inf``,
+``-inf`` and ``nan`` so the files stay strictly valid for their format and
+round-trip bit-for-bit.  A CSV row is written with one ``%`` format, its
+text fields quoted exactly as ``csv.writer`` quotes them.
 The command line opens its output before a run and hands the writer the
 open descriptor.  An existing output file is rewritten in place, cut to one
 byte before the write rather than to zero, and to the bytes written after
@@ -209,11 +210,6 @@ def read_dataset(path) -> List[Row]:
     return rows
 
 
-def _maybe_write(rows: Sequence[Row], out, fmt: str) -> None:
-    if out is not None:
-        write_dataset(rows, out, fmt)
-
-
 # ---------------------------------------------------------------------------
 # curve reports
 # ---------------------------------------------------------------------------
@@ -223,7 +219,11 @@ def _format_alpha(alpha: float) -> str:
     return "%g" % float(alpha)
 
 
-def _curve_rows(cfgs: Sequence[ChannelConfig], r_grid: Sequence[float]) -> List[Row]:
+def cmd_curve(*, cfgs: Sequence[ChannelConfig], r_grid: Sequence[float]) -> List[Row]:
+    """Tabulate the tradeoff curve, its segments, and the per-subset overlays
+    for each link configuration, one series label per estimate-quality
+    exponent.  A rate outside ``[0, n]`` for a link with ``n`` receive
+    antennas is a ``ValueError``."""
     grid = [float(r) for r in r_grid]
     rows: List[Row] = []
     for cfg in cfgs:
@@ -259,23 +259,13 @@ def _curve_rows(cfgs: Sequence[ChannelConfig], r_grid: Sequence[float]) -> List[
     return rows
 
 
-def cmd_curve(*, cfgs: Sequence[ChannelConfig], r_grid: Sequence[float],
-              out=None, fmt: str = "csv") -> List[Row]:
-    """Tabulate the tradeoff curve, its segments, and the per-subset overlays
-    for each link configuration, one series label per estimate-quality
-    exponent."""
-    rows = _curve_rows(list(cfgs), list(r_grid))
-    _maybe_write(rows, out, fmt)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # oracle cross-check report
 # ---------------------------------------------------------------------------
 
 
-def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
-                     out=None, fmt: str = "csv") -> Tuple[List[Row], bool]:
+def cmd_oracle_check(*, cfg: ChannelConfig,
+                     r_grid: Sequence[float]) -> Tuple[List[Row], bool]:
     """Compare the closed-form curve against the exact vertex-enumeration
     oracle at each probe rate and flag any disagreement beyond float
     precision: ``1e-9 * max(1, |d|)``."""
@@ -306,7 +296,6 @@ def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
         rows.append(Row("closed_form", r, cf_y, None, note))
         rows.append(Row("exact_oracle", r, oracle_limit, None, None))
         rows.append(Row("gap", r, gap, None, "pass" if passed else "fail"))
-    _maybe_write(rows, out, fmt)
     return rows, ok
 
 
@@ -316,8 +305,8 @@ def cmd_oracle_check(*, cfg: ChannelConfig, r_grid: Sequence[float],
 
 
 def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
-                 trials: int, policy: PowerPolicy, seed: int, workers: int = 1,
-                 out=None, fmt: str = "csv") -> List[Row]:
+                 trials: int, policy: PowerPolicy, seed: int,
+                 workers: int = 1) -> List[Row]:
     """Run the outage sweep and tabulate probabilities, confidence intervals,
     and the fitted high-SNR slope."""
     sweep = run_sweep(cfg, r, list(rho_grid), trials, policy, seed=seed,
@@ -329,7 +318,6 @@ def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
         rows.append(Row("ci", float(rho), float(half), trials, None))
     rows.append(Row("summary", float(policy.t), float(sweep.fitted_slope), None,
                     "calibrated"))
-    _maybe_write(rows, out, fmt)
     return rows
 
 
@@ -340,17 +328,17 @@ def cmd_simulate(*, cfg: ChannelConfig, r: float, rho_grid: Sequence[float],
 
 def _figure_curve_family() -> List[Row]:
     # 2x2 link: full curve for several estimate qualities, jump rows included.
-    return _curve_rows(
-        [ChannelConfig(2, 2, alpha) for alpha in (0.0, 0.5, 1.0)],
-        list(np.linspace(0.0, 2.0, 81)),
+    return cmd_curve(
+        cfgs=[ChannelConfig(2, 2, alpha) for alpha in (0.0, 0.5, 1.0)],
+        r_grid=np.linspace(0.0, 2.0, 81),
     )
 
 
 def _figure_subset_overlays() -> List[Row]:
     # Asymmetric link: the per-subset pieces that assemble the full curve.
-    return _curve_rows(
-        [ChannelConfig(4, 2, 0.1)],
-        list(np.linspace(0.0, 2.0, 81)),
+    return cmd_curve(
+        cfgs=[ChannelConfig(4, 2, 0.1)],
+        r_grid=np.linspace(0.0, 2.0, 81),
     )
 
 
@@ -396,11 +384,9 @@ _FIGURES = {
 }
 
 
-def cmd_figures(*, fig: int, out=None, fmt: str = "csv") -> List[Row]:
+def cmd_figures(*, fig: int) -> List[Row]:
     """Build one of the canned datasets by figure id."""
     builder = _FIGURES.get(fig)
     if builder is None:
         raise ValueError(f"unknown figure id: {fig!r}")
-    rows = builder()
-    _maybe_write(rows, out, fmt)
-    return rows
+    return builder()

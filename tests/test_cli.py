@@ -184,6 +184,7 @@ class TestUsageErrors:
         (["curve", "--m", "2", "--n", "2", "--alpha-list", ","], "c.csv"),
         (["oracle-check", "--m", "7", "--n", "7", "--alpha", "0.1"], "o.csv"),
         (["figures", "--fig", "2"], "nodir/f.csv"),
+        (["figures", "--fig", "9"], "f.csv"),
         (["curve", "--m", "6", "--n", "6", "--alpha", "0.1", "--r-step", "1e-9"],
          "c.csv"),
         (["oracle-check", "--m", "6", "--n", "6", "--alpha", "0.1", "--r-step", "1e-9"],
@@ -193,15 +194,17 @@ class TestUsageErrors:
         (SIM + ["--rho-stop-db", "3100", "--rho-points", "2"], "s.csv"),
         # A negative seed once warned of an invalid cast and aliased 2**64 - 1.
         (SIM + ["--seed=-1"], "s.csv"),
-    ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "curve-r-step",
-            "oracle-r-step", "rho-overflow", "seed-negative"])
+    ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "fig",
+            "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
-        # Exit code 1 is reserved for an oracle-check disagreement.
+        # Exit code 1 is reserved for an oracle-check disagreement.  The
+        # error comes under the usage line of the subcommand that was run.
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / out_name)])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: mimo-dmt {argv[0]} "), err
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
@@ -226,8 +229,11 @@ class TestUsageErrors:
         assert "is a directory" in capsys.readouterr().err
 
     ORACLE = ["oracle-check", "--m", "2", "--n", "2", "--alpha", "0.5"]
+    CURVE = ["curve", "--m", "2", "--n", "2", "--alpha", "0.5"]
+    FIGURE = ["figures", "--fig", "2"]
 
-    @pytest.mark.parametrize("argv", [ORACLE, SIM], ids=["oracle-check", "simulate"])
+    @pytest.mark.parametrize("argv", [ORACLE, SIM, CURVE, FIGURE],
+                             ids=["oracle-check", "simulate", "curve", "figures"])
     def test_unopenable_out_fails_before_running(self, argv, tmp_path, monkeypatch,
                                                  capsys):
         # A 300-byte name cannot be opened (ENAMETOOLONG); that is a usage
@@ -235,12 +241,13 @@ class TestUsageErrors:
         def ran(*args, **kwargs):
             raise AssertionError("the run started before the output was opened")
 
-        monkeypatch.setattr(reports, "exact_oracle_curve", ran)
-        monkeypatch.setattr(reports, "run_sweep", ran)
+        for name in ("exact_oracle_curve", "run_sweep", "compute_dmt_curve"):
+            monkeypatch.setattr(reports, name, ran)
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path / ("x" * 296 + ".csv"))])
         assert exc.value.code == 2
         err = capsys.readouterr().err
+        assert err.startswith(f"usage: mimo-dmt {argv[0]} "), err
         assert "Traceback" not in err
         (line,) = [line for line in err.splitlines() if "error:" in line]
         assert "cannot open output path" in line
@@ -292,6 +299,44 @@ class TestUsageErrors:
             assert calls == want
         monkeypatch.undo()
         assert read_dataset(out)
+
+
+class TestTracedNames:
+    """``main`` reaches each report command as ``cli.cmd_*`` and the writer
+    as ``reports.write_dataset``, module attributes that a tracer can patch.
+    A rename, or a name bound by a direct import, would leave that layer's
+    counts at 0."""
+
+    COMMANDS = [
+        ("cmd_curve", ["curve", "--m", "2", "--n", "2", "--alpha", "0.5"]),
+        ("cmd_oracle_check", ["oracle-check", "--m", "2", "--n", "2", "--alpha", "0.5"]),
+        ("cmd_simulate", ["simulate", "--m", "1", "--n", "1", "--alpha", "0",
+                          "--r", "0.5", "--trials", "1000", "--rho-points", "2"]),
+        ("cmd_figures", ["figures", "--fig", "5"]),
+    ]
+
+    @pytest.mark.parametrize("name,argv", COMMANDS, ids=[c[1][0] for c in COMMANDS])
+    def test_main_writes_the_rows_the_command_returned(self, name, argv, tmp_path,
+                                                       monkeypatch):
+        command, write = getattr(cli, name), reports.write_dataset
+        returned, written = [], []
+
+        def spy_command(**kwargs):
+            returned.append(command(**kwargs))
+            return returned[-1]
+
+        def spy_write(rows, path, fmt):
+            written.append(rows)
+            return write(rows, path, fmt)
+
+        monkeypatch.setattr(cli, name, spy_command)
+        monkeypatch.setattr(reports, "write_dataset", spy_write)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert len(returned) == 1 and len(written) == 1
+        rows = returned[0][0] if name == "cmd_oracle_check" else returned[0]
+        assert written[0] is rows
+        assert read_dataset(out) == rows
 
 
 class TestTopLevel:

@@ -435,22 +435,19 @@ class TestRewriteInPlace:
 
 
 class TestCmdCurve:
-    def test_single_line_config(self, tmp_path):
+    def test_single_line_config(self):
         rows = cmd_curve(
             cfgs=[ChannelConfig(3, 3, 0.5)],
-            r_grid=list(np.linspace(0.0, 3.0, 7)),
-            out=str(tmp_path / "c.csv"), fmt="csv")
+            r_grid=list(np.linspace(0.0, 3.0, 7)))
         segs = rows_by_series(rows, "segments[alpha=0.5]")
         assert len(segs) == 2  # one segment: left + right endpoint rows
         d0 = [row for row in rows_by_series(rows, "d_O[alpha=0.5]") if row.x == 0.0]
         assert d0[0].y == pytest.approx(49.5, rel=1e-12)
-        assert (tmp_path / "c.csv").exists()
 
-    def test_jump_rows(self, tmp_path):
+    def test_jump_rows(self):
         rows = cmd_curve(
             cfgs=[ChannelConfig(4, 2, 0.1)],
-            r_grid=list(np.linspace(0.0, 2.0, 21)),
-            out=str(tmp_path / "c.csv"), fmt="csv")
+            r_grid=list(np.linspace(0.0, 2.0, 21)))
         jump = [row for row in rows_by_series(rows, "d_O[alpha=0.1]")
                 if abs(row.x - 1.3) < 1e-9]
         notes = {row.aux_note: row.y for row in jump}
@@ -489,22 +486,20 @@ class TestCmdCurve:
         for x, y in value.items():
             assert overlay[x] == pytest.approx(y, rel=1e-12, abs=1e-12), x
 
-    def test_baseline_reduction_corners(self, tmp_path):
+    def test_baseline_reduction_corners(self):
         rows = cmd_curve(
             cfgs=[ChannelConfig(2, 2, 0.0)],
-            r_grid=[0.0, 0.5, 1.0, 1.5, 2.0],
-            out=str(tmp_path / "c.json"), fmt="json")
+            r_grid=[0.0, 0.5, 1.0, 1.5, 2.0])
         d_o = rows_by_series(rows, "d_O[alpha=0]")
         got = {(row.x, row.y) for row in d_o}
         assert {(0.0, 4.0), (1.0, 1.0), (2.0, 0.0)} <= got
         # the curve is continuous at alpha=0: no jump annotations
         assert not any(row.aux_note in ("limit", "value") for row in d_o)
 
-    def test_subset_overlays(self, tmp_path):
+    def test_subset_overlays(self):
         rows = cmd_curve(
             cfgs=[ChannelConfig(4, 2, 0.1)],
-            r_grid=[0.0, 1.0, 2.0],
-            out=str(tmp_path / "c.csv"), fmt="csv")
+            r_grid=[0.0, 1.0, 2.0])
         d1 = rows_by_series(rows, "d_k[k=1,alpha=0.1]")
         d2 = rows_by_series(rows, "d_k[k=2,alpha=0.1]")
         assert {row.x for row in d1} == {0.0, 1.0, 2.0}
@@ -515,27 +510,24 @@ class TestCmdCurve:
         by_x2 = {row.x: row.y for row in d2}
         assert by_x2[1.0] == pytest.approx(9.4, rel=1e-12)
 
-    def test_multiple_alphas(self, tmp_path):
+    def test_multiple_alphas(self):
         rows = cmd_curve(
             cfgs=[ChannelConfig(2, 2, alpha) for alpha in (0.1, 0.5)],
-            r_grid=[0.0, 1.0, 2.0],
-            out=str(tmp_path / "c.csv"), fmt="csv")
+            r_grid=[0.0, 1.0, 2.0])
         assert rows_by_series(rows, "d_O[alpha=0.1]")
         assert rows_by_series(rows, "d_O[alpha=0.5]")
 
-    def test_rejects_out_of_range_grid(self, tmp_path):
+    def test_rejects_out_of_range_grid(self):
         with pytest.raises(ValueError):
             cmd_curve(
                 cfgs=[ChannelConfig(2, 2, 0.5)],
-                r_grid=[0.0, 2.5],
-                out=str(tmp_path / "c.csv"), fmt="csv")
+                r_grid=[0.0, 2.5])
 
 
 class TestCmdOracleCheck:
-    def test_scalar_case(self, tmp_path):
+    def test_scalar_case(self):
         rows, ok = cmd_oracle_check(
-            cfg=ChannelConfig(1, 1, 0.0), r_grid=[0.5],
-            out=str(tmp_path / "o.csv"), fmt="csv")
+            cfg=ChannelConfig(1, 1, 0.0), r_grid=[0.5])
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(0.5, rel=1e-12)
@@ -544,11 +536,10 @@ class TestCmdOracleCheck:
         gap = rows_by_series(rows, "gap")[0]
         assert gap.aux_note == "pass"
 
-    def test_two_by_two_with_jump(self, tmp_path):
+    def test_two_by_two_with_jump(self):
         rows, ok = cmd_oracle_check(
             cfg=ChannelConfig(2, 2, 0.5),
-            r_grid=[round(0.05 * i, 10) for i in range(1, 41)],
-            out=str(tmp_path / "o.csv"), fmt="csv")
+            r_grid=[round(0.05 * i, 10) for i in range(1, 41)])
         assert ok
         gaps = rows_by_series(rows, "gap")
         assert all(row.aux_note == "pass" for row in gaps)
@@ -560,47 +551,43 @@ class TestCmdOracleCheck:
         assert cf_jump.aux_note == "left_limit"
         assert cf_jump.y == pytest.approx(7.5, rel=1e-12)
 
-    def test_three_by_three_segment_region(self, tmp_path):
+    def test_three_by_three_segment_region(self):
         rows, ok = cmd_oracle_check(
-            cfg=ChannelConfig(3, 3, 1.0 / 3.0), r_grid=[2.2],
-            out=str(tmp_path / "o.csv"), fmt="csv")
+            cfg=ChannelConfig(3, 3, 1.0 / 3.0), r_grid=[2.2])
         assert ok
         cf = rows_by_series(rows, "closed_form")[0]
         assert cf.y == pytest.approx(25.0, rel=1e-12)
 
-    def test_failure_reported(self, tmp_path, monkeypatch):
+    def test_failure_reported(self, monkeypatch):
         # An oracle that misses the closed form by more than float
         # precision makes rows fail and flips ok.
         monkeypatch.setattr(reports, "exact_oracle_curve",
                             lambda cfg, r_probes: ([100.0] * len(r_probes),) * 2)
         rows, ok = cmd_oracle_check(
-            cfg=ChannelConfig(2, 2, 0.5), r_grid=[0.4],
-            out=str(tmp_path / "o.csv"), fmt="csv")
+            cfg=ChannelConfig(2, 2, 0.5), r_grid=[0.4])
         assert not ok
         assert rows_by_series(rows, "gap")[0].aux_note == "fail"
 
-    def test_attained_value_checked_at_jump(self, tmp_path, monkeypatch):
+    def test_attained_value_checked_at_jump(self, monkeypatch):
         # On the 2x2 link at alpha = 0.5 the curve drops from 7.5 to 1.5 at
         # r = 1.5: an oracle that gets the left limit right but the attained
         # value wrong fails that probe.
         monkeypatch.setattr(reports, "exact_oracle_curve",
                             lambda cfg, r_probes: ([7.5], [2.0]))
         rows, ok = cmd_oracle_check(
-            cfg=ChannelConfig(2, 2, 0.5), r_grid=[1.5],
-            out=str(tmp_path / "o.csv"), fmt="csv")
+            cfg=ChannelConfig(2, 2, 0.5), r_grid=[1.5])
         assert not ok
         assert rows_by_series(rows, "gap")[0].y == pytest.approx(0.5)
 
 
 class TestCmdSimulate:
-    def _run(self, tmp_path):
+    def _run(self):
         return cmd_simulate(
             cfg=ChannelConfig(1, 1, 0.0), r=0.5, rho_grid=[10.0, 100.0, 1000.0],
-            trials=2000, policy=PowerPolicy(t=0.0), seed=1729, workers=1,
-            out=str(tmp_path / "s.csv"), fmt="csv")
+            trials=2000, policy=PowerPolicy(t=0.0), seed=1729, workers=1)
 
-    def test_rows_and_summary(self, tmp_path):
-        rows = self._run(tmp_path)
+    def test_rows_and_summary(self):
+        rows = self._run()
         p_rows = rows_by_series(rows, "p_out")
         assert [row.x for row in p_rows] == [10.0, 100.0, 1000.0]
         assert all(row.aux_k == 2000 for row in p_rows)
@@ -610,15 +597,15 @@ class TestCmdSimulate:
         assert summary.aux_note == "calibrated"
         assert math.isfinite(summary.y)
 
-    def test_deterministic(self, tmp_path):
-        a = self._run(tmp_path)
-        b = self._run(tmp_path)
+    def test_deterministic(self):
+        a = self._run()
+        b = self._run()
         assert a == b
 
 
 class TestCmdFigures:
-    def test_fig4_series_values(self, tmp_path):
-        rows = cmd_figures(fig=4, out=str(tmp_path / "f4.csv"), fmt="csv")
+    def test_fig4_series_values(self):
+        rows = cmd_figures(fig=4)
         at = {}
         for name in ("no_csit", "rate_adaptation", "power_adaptation", "gap_power_minus_rate"):
             series = rows_by_series(rows, name)
@@ -631,8 +618,8 @@ class TestCmdFigures:
         assert at["power_adaptation"][0.5] == pytest.approx(8.0, rel=1e-12)
         assert at["gap_power_minus_rate"][0.5] == pytest.approx(6.0, rel=1e-12)
 
-    def test_fig5_branches(self, tmp_path):
-        rows = cmd_figures(fig=5, out=str(tmp_path / "f5.csv"), fmt="csv")
+    def test_fig5_branches(self):
+        rows = cmd_figures(fig=5)
         series = rows_by_series(rows, "d_full_rate")
         by_x = {row.x: row for row in series}
         assert by_x[0.2].y == pytest.approx(18.8, rel=1e-12)
@@ -647,20 +634,21 @@ class TestCmdFigures:
         assert by_x[0.25].aux_k == 3
 
     def test_fig2_and_fig3_datasets(self, tmp_path):
-        rows2 = cmd_figures(fig=2, out=str(tmp_path / "f2.csv"), fmt="csv")
+        rows2 = cmd_figures(fig=2)
         names = {row.series for row in rows2}
         assert any("alpha=0.5" in s and s.startswith("d_O") for s in names)
         assert any("alpha=1" in s and s.startswith("d_O") for s in names)
-        rows3 = cmd_figures(fig=3, out=str(tmp_path / "f3.json"), fmt="json")
+        rows3 = cmd_figures(fig=3)
+        write_dataset(rows3, tmp_path / "f3.json", "json")
         names3 = {row.series for row in rows3}
         assert "d_k[k=1,alpha=0.1]" in names3
         assert "d_k[k=2,alpha=0.1]" in names3
         loaded = read_dataset(tmp_path / "f3.json")
         assert len(loaded) == len(rows3)
 
-    def test_unknown_fig_rejected(self, tmp_path):
+    def test_unknown_fig_rejected(self):
         with pytest.raises(ValueError):
-            cmd_figures(fig=7, out=str(tmp_path / "f.csv"), fmt="csv")
+            cmd_figures(fig=7)
 
     # SHA-256 of each canned dataset file.  Any change to these bytes is a
     # change to a published result and must be made on purpose.
@@ -678,7 +666,7 @@ class TestCmdFigures:
     @pytest.mark.parametrize("fig,fmt", sorted(FIGURE_SHA256))
     def test_dataset_bytes_stable(self, fig, fmt, tmp_path):
         path = tmp_path / f"fig{fig}.{fmt}"
-        cmd_figures(fig=fig, out=str(path), fmt=fmt)
+        write_dataset(cmd_figures(fig=fig), path, fmt)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.FIGURE_SHA256[(fig, fmt)]
 
@@ -707,9 +695,9 @@ class TestCmdFigures:
         warns = (pytest.warns(UserWarning, match="relative error")
                  if (m, n) in self.CALIBRATION_WARNS else contextlib.nullcontext())
         with warns:
-            cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
-                         rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
-                         policy=PowerPolicy(t=0.9), seed=1000, out=str(path),
-                         fmt="csv")
+            rows = cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
+                                rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
+                                policy=PowerPolicy(t=0.9), seed=1000)
+        write_dataset(rows, path, "csv")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.SIMULATE_SHA256[(m, n)]
