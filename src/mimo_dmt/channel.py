@@ -436,10 +436,12 @@ def _two_row_spectrum(g):
     c = np.divide(g22, scale, out=g22)
     # A Gram matrix has |g12| <= sqrt(g11 * g22) <= tr / 2.  Rounding in a
     # Gram polynomial can break that bound by far when the sum cancels;
-    # clipping each scaled part to it keeps the squares finite.
+    # clipping each scaled part to it keeps the squares finite.  The
+    # ufuncs clip as np.clip does, without its Python wrapper.
     for part in (g_re, g_im):
         part /= scale
-        np.clip(part, -0.5, 0.5, out=part)
+        np.minimum(part, 0.5, out=part)
+        np.maximum(part, -0.5, out=part)
         np.square(part, out=part)
     o_sq = np.add(g_re, g_im, out=g_re)
     d = np.subtract(a, c, out=g_im)

@@ -20,10 +20,15 @@ estimate spectrum from the quadratic ``A + c_g (B + c_g C)``
 (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  Each span works on
-trial-contiguous batches and computes every point's kappa-free damped weight
-first; the one kappa calibration runs on the calling thread meanwhile and
-reaches the spans through a future.  The calibration works one eigenvalue
-index at a time, each a contiguous vector over its draws.
+trial-contiguous batches and computes every point's kappa-free log damped
+weight first; the one kappa calibration runs on the calling thread meanwhile
+and reaches the spans through a future.  The calibration works one
+eigenvalue index at a time, each a contiguous vector over its draws.
+
+Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
+forms the power ``P`` in the log domain and tests ``prod(1 + P a_i) <
+rho ** r`` over the channel eigenvalues ``a_i``, one in-place pass per SNR
+point.  At constant power (``t = 0``) it reads no estimate spectrum.
 """
 from __future__ import annotations
 
@@ -37,6 +42,7 @@ import numpy as np
 from .channel import (
     GramPolynomial,
     _bit_generator,
+    _integer,
     eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
@@ -93,19 +99,29 @@ class OutageSweep:
     trials: int
 
 
+def _log_damped_weight(cfg, b, t, out=None):
+    """Log of the kappa-free damped weight, ``-t * sum(w_n * log b_n)``, of
+    ascending eigenvalues stored one row per eigenvalue index, shape
+    ``(n_rx, trials)``, summed one row at a time into ``out``.
+
+    Eigenvalues below the smallest normal float count as that float.  The
+    rows of ``b`` are overwritten."""
+    c = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
+    np.maximum(b, np.finfo(float).tiny, out=b)
+    log_b = np.log(b, out=b)
+    out = np.multiply(log_b[0], c[0], out=out)
+    for i in range(1, cfg.n_rx):
+        log_b[i] *= c[i]
+        out += log_b[i]
+    out *= -t
+    return out
+
+
 def _damped_weight(cfg, b, t):
     """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
-    batch of ascending eigenvalues, summed in the log domain one eigenvalue
-    index at a time."""
-    if t == 0.0:
-        return np.ones(len(b))
-    c = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
-    log_b = np.log(np.maximum(b, np.finfo(float).tiny))
-    exponent = c[0] * log_b[:, 0]
-    for i in range(1, cfg.n_rx):
-        exponent += c[i] * log_b[:, i]
-    exponent *= -t
-    return np.exp(exponent, out=exponent)
+    batch of ascending eigenvalues: the exponential of
+    :func:`_log_damped_weight`, the log weight a sweep's spans form."""
+    return np.exp(_log_damped_weight(cfg, np.array(b, dtype=float).T, t))
 
 
 def _log_is_weights(cfg, s, t, batch, seed, stream):
@@ -170,7 +186,7 @@ def calibrate_kappa(cfg, rho, policy, batch, seed):
     ``seed``; a warning reports an achieved relative error that misses the
     convergence target.
     """
-    batch = int(batch)
+    batch = _integer(batch, "batch")
     if batch < _MIN_CAL_BATCH:
         raise ValueError(
             f"sampling batch must be at least {_MIN_CAL_BATCH}, got {batch}")
@@ -202,37 +218,54 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
     drawn once on stream 0 at ``rho[0]``, under damping ``t``.
 
-    The span forms the draws' Gram blocks once.  The channel spectrum is the
-    Gram polynomial at ``c = 0``, which equals ``eig_ascending(h)`` bit for
-    bit, and each point's estimate spectrum is the polynomial at that
-    point's error scale; no estimate matrix is formed.
+    The span forms the draws' Gram blocks once.  The channel spectrum ``a``
+    is the Gram polynomial at ``c = 0``, which equals ``eig_ascending(h)``
+    bit for bit, and each point's estimate spectrum is the polynomial at
+    that point's error scale; no estimate matrix is formed.  Each point's
+    log damped weight (:func:`_log_damped_weight`) goes into one row of a
+    per-span buffer; at ``t = 0`` the power is constant and no estimate
+    spectrum is read.
 
     ``kappas()`` returns one kappa per point.  It is called only once every
-    point's kappa-free damped weight is computed, so a sweep can calibrate
-    while its spans draw.
+    point's log weight is computed, so a sweep can calibrate while its spans
+    draw.  The power ``P = kappa * rho_g * weight / m`` is then one ``exp``
+    of the log weight plus ``log(kappa * rho_g / m)``, and a trial is in
+    outage when ``det(I + P h h^H) = prod(1 + P a_i) < rho_g ** r``, the
+    test ``log2 det < r log2 rho_g`` without a logarithm per eigenvalue.
     """
     h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
     grams = GramPolynomial(h, e)
     # Every spectrum below comes from the Gram blocks; free the draws.
     del h, e
-    a = grams.spectrum(0.0)
-    # The estimate at each point is h + c_g e with c_g = sigma_g / sigma_0,
-    # taken as a ratio of SNRs so that large alpha does not underflow.
-    weights = [_damped_weight(cfg, grams.spectrum((rho[0] / rho_g)
-                                                  ** (cfg.alpha / 2)), t)
-               for rho_g in rho]
+    a = grams.spectrum(0.0).T
+    if t != 0.0:
+        log_weights = np.empty((len(rho), count))
+        for rho_g, log_weight in zip(rho, log_weights):
+            # The estimate is h + c_g e with c_g = sigma_g / sigma_0, taken
+            # as a ratio of SNRs so that large alpha does not underflow.
+            c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
+            _log_damped_weight(cfg, grams.spectrum(c_g).T, t, out=log_weight)
     counts = []
-    term = np.empty(count)
-    for rho_g, kappa, power in zip(rho, kappas(), weights):
-        power *= kappa * rho_g
-        power /= cfg.m_tx
-        # The capacity sum_i log2(1 + power * a_i), one eigenvalue at a time.
-        capacity = np.zeros(count)
-        for i in range(cfg.n_rx):
-            np.multiply(power, a[:, i], out=term)
-            term += 1.0
-            capacity += np.log2(term, out=term)
-        counts.append(int(np.count_nonzero(capacity < r * math.log2(rho_g))))
+    det = np.empty(count)
+    factor = np.empty(count)
+    for g, (rho_g, kappa) in enumerate(zip(rho, kappas())):
+        scale = kappa * rho_g / cfg.m_tx
+        if t == 0.0:
+            power = scale
+        else:
+            power = log_weights[g]
+            power += math.log(scale)
+            np.exp(power, out=power)
+        np.multiply(a[0], power, out=det)
+        det += 1.0
+        # A product past the largest float reads inf: no outage, as its
+        # true value exceeds the finite rho_g ** r.
+        with np.errstate(over="ignore"):
+            for i in range(1, cfg.n_rx):
+                np.multiply(a[i], power, out=factor)
+                factor += 1.0
+                det *= factor
+        counts.append(int(np.count_nonzero(det < rho_g ** r)))
     return counts
 
 
@@ -264,7 +297,7 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     n = cfg.n_rx
     if not (0.0 <= r <= n):
         raise ValueError(f"r must lie in [0, {n}], got {r}")
-    trials = int(trials)
+    trials = _integer(trials, "trials")
     if trials < _MIN_TRIALS:
         raise ValueError(f"need at least {_MIN_TRIALS} trials, got {trials}")
     rho = [float(x) for x in rho_grid]
@@ -279,7 +312,15 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
         raise ValueError(
             f"rho_grid must span at least a factor of {_MIN_RHO_RATIO} "
             f"for a meaningful slope")
-    workers = max(1, int(workers))
+    try:
+        # A span's outage threshold at the grid's largest point.
+        rho[-1] ** r
+    except OverflowError:
+        raise ValueError(f"rho ** r must be a finite float at every point; "
+                         f"{rho[-1]} ** {r} overflows") from None
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     kappas = Future()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         spans = [pool.submit(_count_outages_span, cfg, rho, r, policy.t,

@@ -2,6 +2,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +13,9 @@ from scipy.special import gammainc, gammaln, logsumexp
 from mimo_dmt import simulate
 from mimo_dmt.channel import (
     ChannelConfig,
+    GramPolynomial,
     _bit_generator,
+    eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
@@ -25,6 +28,7 @@ from mimo_dmt.simulate import (
     _damped_weight,
     _grid_kappas,
     _least_squares_slope,
+    _log_damped_weight,
     _log_is_weights,
     _mean_damped_weight,
     calibrate_kappa,
@@ -147,6 +151,23 @@ class TestAdaptedPower:
         npt.assert_allclose(0.5 * 10.0 * _damped_weight(cfg, b, 0.9), want,
                             rtol=1e-13)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (4, 4)])
+    def test_weight_is_exp_of_span_log_weight(self, m, n):
+        # The weight that the power-budget test averages is the one a span
+        # forms: the exponential of its log weight, bit for bit, on the
+        # span's row layout of an estimate spectrum.
+        cfg = ChannelConfig(m, n, 0.5)
+        h, e = sample_channel_block(cfg, 10.0, 3, count=5000)
+        grams = GramPolynomial(h, e)
+        b = grams.spectrum(0.7)
+        kept = b.copy()
+        for t in (0.0, 0.4, 0.9):
+            log_weight = _log_damped_weight(cfg, grams.spectrum(0.7).T, t,
+                                            out=np.empty(5000))
+            npt.assert_array_equal(_damped_weight(cfg, b, t), np.exp(log_weight))
+        # The helper overwrites its rows; the weight leaves its input alone.
+        npt.assert_array_equal(b, kept)
+
 
 class TestCalibrateKappa:
     def test_t_zero_exact_unity(self):
@@ -182,6 +203,12 @@ class TestCalibrateKappa:
         cfg = ChannelConfig(2, 2, 0.5)
         with pytest.raises(ValueError):
             calibrate_kappa(cfg, 1000.0, PowerPolicy(), batch=5000, seed=1)
+
+    def test_rejects_non_integral_batch(self):
+        # It was truncated to 20,000 and ran.
+        cfg = ChannelConfig(2, 2, 0.5)
+        with pytest.raises(ValueError, match="batch must be an integer"):
+            calibrate_kappa(cfg, 1000.0, PowerPolicy(), batch=20000.5, seed=1)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("t", [0.5, 0.9])
@@ -326,7 +353,9 @@ class TestOutageTrial:
         a = eigvalsh_gram(h)
 
         def outages(kappa, rho_g, weight):
-            # The same product of two doubles the kernel forms.
+            # The capacity test as the paper states it, a sum of log2 over
+            # the eigenvalues; the kernel forms the power in the log domain
+            # and compares prod(1 + power * a_i) with rho_g ** r.
             power = kappa * rho_g * weight
             capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
             return int((capacity < r * math.log2(rho_g)).sum())
@@ -351,6 +380,34 @@ class TestOutageTrial:
         got = _count_outages_span(cfg, grid, r, 0.9, lambda: kappas, seed,
                                   start=start, count=count)
         assert got == want
+
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
+    def test_constant_power_reads_only_the_channel_spectrum(
+            self, m, n, monkeypatch):
+        # At t = 0 the power is the constant rho / m: each span reads the
+        # channel spectrum once and no estimate spectrum, and its counts
+        # equal the capacity test on eig_ascending of the same draws.
+        cfg = ChannelConfig(m, n, 0.5)
+        grid, r, trials, seed = [10.0, 100.0, 1000.0], 0.6 * n, 5000, 43
+        calls = []
+        spectrum = GramPolynomial.spectrum
+
+        def spy(self, c):
+            calls.append(c)
+            return spectrum(self, c)
+
+        monkeypatch.setattr(GramPolynomial, "spectrum", spy)
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
+        sweep = run_sweep(cfg, r, grid, trials, PowerPolicy(t=0.0), seed,
+                          workers=2)
+        assert calls == [0.0] * 4
+        h, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
+        a = eig_ascending(h)
+        for rho, p in zip(grid, sweep.p_out):
+            capacity = np.log2(1.0 + rho / m * a).sum(axis=1)
+            want = np.count_nonzero(capacity < r * math.log2(rho))
+            assert round(p * trials) == want
 
 
 class TestRunSweep:
@@ -532,6 +589,38 @@ class TestRunSweep:
         cfg = ChannelConfig(2, 1, 0.0)
         with pytest.raises(ValueError):
             run_sweep(cfg, 0.5, [10.0, 50.0], 2000, PowerPolicy(t=0.0), seed=1)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        pytest.param({name: value}, match, id=f"{name}={value}")
+        for name, value, match in [
+            ("workers", 0, "workers must be at least 1"),
+            ("workers", -3, "workers must be at least 1"),
+            ("workers", 2.5, "workers must be an integer"),
+            ("trials", 2500.7, "trials must be an integer")]])
+    def test_rejects_bad_counts(self, kwargs, match):
+        # Each was once changed silently: workers <= 0 to one worker, a
+        # fraction of a worker or trial truncated.
+        args = {"trials": 2000, "workers": 1} | kwargs
+        with pytest.raises(ValueError, match=match):
+            run_sweep(ChannelConfig(2, 2, 0.5), 1.0, [10.0, 1000.0],
+                      policy=PowerPolicy(t=0.0), seed=1, **args)
+
+    def test_rejects_overflowing_threshold(self):
+        # The outage threshold rho ** r must be a float at every point.
+        with pytest.raises(ValueError, match="overflows"):
+            run_sweep(ChannelConfig(2, 2, 0.5), 2.0, [10.0, 1e200], 2000,
+                      PowerPolicy(t=0.0), seed=1)
+
+    def test_determinant_past_largest_float_is_no_outage(self):
+        # At 1e100 each factor 1 + P a_i of a 4x4 trial is near 1e100, so
+        # the product overflows to inf.  The log2 capacity, about 1300,
+        # is far above r log2 rho, so no trial is in outage, and the
+        # overflow raises no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sweep = run_sweep(ChannelConfig(4, 4, 0.5), 1.0, [10.0, 1e100],
+                              2000, PowerPolicy(t=0.0), seed=1)
+        assert sweep.p_out[-1] == 0.0
 
     @pytest.mark.parametrize("grid", [[10.0, math.nan, 1000.0],
                                       [10.0, 100.0, math.inf]])
