@@ -381,7 +381,6 @@ class TestOutageTrial:
                                   start=start, count=count)
         assert got == want
 
-
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
     def test_constant_power_reads_only_the_channel_spectrum(
             self, m, n, monkeypatch):
