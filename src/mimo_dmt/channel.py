@@ -6,17 +6,21 @@ plus an independent complex Gaussian error whose per-entry variance decays as
 ``rho ** -alpha``, so ``alpha`` measures how fast estimate quality improves
 with SNR (0 = never, large = very fast).
 
-Everything downstream reads the channel and its estimate only through Gram
-spectra, so the sampler draws a representative of the channel rather than an
-iid-entry matrix.  An iid channel bidiagonalizes as ``H = Q [B 0] P^H`` with
-``Q`` and ``P`` unitary and ``B`` real lower bidiagonal, its entries
+An outage sweep reads the channel only through ``det(I + P H H^H)`` and the
+estimate only through Gram spectra, so the sampler draws a representative of
+the channel rather than an iid-entry matrix.  An iid channel bidiagonalizes
+as ``H = Q [B 0] P^H`` with ``Q`` and ``P`` unitary and ``B`` real lower
+bidiagonal, its entries
 independent with ``B_ii**2 ~ Gamma(m - i + 1)`` and ``B_{i+1,i}**2 ~
 Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11), 2002).  The error
 is isotropic and independent of the channel, so ``Q^H E P`` has the law of
 ``E``, and the pair ``([B 0], E)`` gives the spectra of ``H H^H`` and of
 ``(H + c E)(H + c E)^H`` their joint law for every ``c``.  The sampler
 returns ``[B 0]`` as a real float64 array, and the Gram blocks of
-:class:`GramPolynomial` skip its zero imaginary part.
+:class:`GramPolynomial` skip its zero imaginary part.  The channel's
+determinant ``det(I + P B B^T)`` is a polynomial in ``P`` whose coefficients
+are sums of squared minors of ``B`` (:func:`bidiagonal_minor_sums`), built
+from sums and products of non-negative numbers with no eigenvalue.
 
 Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
 yields the same matrices regardless of how trials are batched or which worker
@@ -41,6 +45,7 @@ import numpy as np
 __all__ = [
     "ChannelConfig",
     "GramPolynomial",
+    "bidiagonal_minor_sums",
     "eig_ascending",
     "eigen_decay_weights",
     "sample_channel_block",
@@ -54,6 +59,7 @@ __all__ = [
 # changing the draws.
 _DOUBLES_PER_TICK = 4
 _HALF_ULP = 2.0 ** -54
+_BELOW_ONE = 1.0 - 2.0 ** -53
 # A product of k uniforms, each at least 2**-54, stays a normal float for
 # k <= 18 (2**-972 > 2**-1022); longer products are summed as logs of
 # products of at most this many.
@@ -163,8 +169,10 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
     bg.advance(start * ticks_per_trial)
     gen = np.random.Generator(bg)
     u = gen.random(count * ticks_per_trial * _DOUBLES_PER_TICK).reshape(count, -1)
-    # Shift the half-open [0,1) uniforms into (0,1) so neither the log nor
-    # the normal quantile transform sees an exact zero.
+    # Shift the half-open [0,1) uniforms up by half an ulp so neither the
+    # log nor the normal quantile transform sees an exact zero.  The
+    # largest, 1 - 2**-53, then rounds to 1.0, whose normal quantile is
+    # infinite: the error's uniforms are clamped back below it.
     u += _HALF_ULP
     # Trial-last storage: each matrix entry's trials lie contiguous, so the
     # per-entry arithmetic downstream runs over whole vectors.  Padding
@@ -186,6 +194,9 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0):
             b -= np.log(prod, out=prod)
         np.sqrt(b, out=b)
         col += shape
+    # The channel's uniforms are spent, so the clamp runs over the whole
+    # contiguous buffer: on the error's strided block alone it costs more.
+    np.minimum(u, _BELOW_ONE, out=u)
     # The error's normal quantiles run in place, so a span holds one buffer
     # of uniforms rather than two.
     z = ndtri(u[:, nm:3 * nm], out=u[:, nm:3 * nm]).reshape(count, 2, n, m)
@@ -231,6 +242,43 @@ def eig_ascending(x):
         raise ValueError("expected a matrix or a batch of matrices")
     _check_finite(x)
     return np.moveaxis(_gram_spectrum(_gram(x), x.shape[-2]), 0, -1)
+
+
+def bidiagonal_minor_sums(h):
+    """Coefficients ``e_1 .. e_n`` of ``det(I + P h h^T) = 1 + P e_1 + ...
+    + P**n e_n`` for trial-last draws ``h = [B 0]`` of
+    :func:`sample_channel_block`, as a new ``(n, count)`` array.  Only the
+    diagonal and subdiagonal of ``B`` are read.
+
+    ``e_k`` is the sum of the squared ``k x k`` minors of ``B``
+    (Cauchy-Binet).  Each nonzero minor of a lower-bidiagonal matrix is one
+    product, each chosen row taking its diagonal or subdiagonal entry and no
+    two rows one column.  So a two-state recursion over the rows builds the
+    coefficients: ``e`` sums the products over the first ``i`` rows, and
+    ``f`` those that leave row ``i``'s diagonal column free for row
+    ``i + 1``.  Both are sums of products of squares, with no cancellation,
+    so each coefficient is accurate to a few ulps at any fade depth; an
+    eigenvalue of the Gram matrix loses everything below about
+    ``eps * lambda_max``.  Beside its output the recursion holds three
+    scratch rows and ``n - 2`` rows of ``f``.
+    """
+    count, n = h.shape[0], h.shape[1]
+    e = np.empty((n, count))
+    f = np.empty((max(n - 2, 0), count))
+    d, s, prod = np.empty((3, count))
+    np.square(h[:, 0, 0], out=e[0])
+    for i in range(1, n):
+        np.square(h[:, i, i], out=d)
+        np.square(h[:, i, i - 1], out=s)
+        np.multiply(e[i - 1], d, out=e[i])
+        # Descending, so that e[k - 1] and f[k - 1] still hold row i - 1's
+        # values when e[k] is formed.  Row n - 1's f is not needed.
+        for k in range(i - 1, -1, -1):
+            e[k] += np.multiply(f[k - 1], s, out=prod) if k else s
+            if i < n - 1:
+                np.copyto(f[k], e[k])
+            e[k] += np.multiply(e[k - 1], d, out=prod) if k else d
+    return e
 
 
 class GramPolynomial:

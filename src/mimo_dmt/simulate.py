@@ -14,21 +14,24 @@ does not overflow.
 
 A sweep draws each trial once and reuses it at every SNR point, where the
 estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
-deviation to the drawn one.  Each span forms the Gram blocks ``h h^H``,
-``h e^H + e h^H`` and ``e e^H`` of its trials once, and reads every point's
-estimate spectrum from the quadratic ``A + c_g (B + c_g C)``
+deviation to the drawn one.  Under damping each span forms the Gram blocks
+``h h^H``, ``h e^H + e h^H`` and ``e e^H`` of its trials once, and reads
+every point's estimate spectrum from the quadratic ``A + c_g (B + c_g C)``
 (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  Each span works on
 trial-contiguous batches and computes every point's kappa-free log damped
 weight first; the one kappa calibration runs on the calling thread meanwhile
 and reaches the spans through a future.  The calibration works one
-eigenvalue index at a time, each a contiguous vector over its draws.
+eigenvalue index at a time, each a contiguous vector over its draws, with
+no scalar loop.
 
 Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
-forms the power ``P`` in the log domain and tests ``prod(1 + P a_i) <
-rho ** r`` over the channel eigenvalues ``a_i``, one in-place pass per SNR
-point.  At constant power (``t = 0``) it reads no estimate spectrum.
+forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
+rho ** r`` with the determinant a polynomial in ``P`` whose coefficients are
+the sums of squared minors of the drawn bidiagonal, one Horner pass per SNR
+point.  It reads no channel spectrum, and at constant power (``t = 0``) it
+builds no Gram blocks and reads no spectrum at all.
 """
 from __future__ import annotations
 
@@ -43,6 +46,7 @@ from .channel import (
     GramPolynomial,
     _bit_generator,
     _integer,
+    bidiagonal_minor_sums,
     eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
@@ -134,6 +138,10 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     entries have per-entry variance ``s``.  Gamma deviates with shape below
     one are formed as ``Gamma(shape+1) * U**(1/shape)`` in the log domain,
     so tiny shapes (t near 1) stay finite.
+
+    The draws are made trial-major, then worked on as one contiguous row
+    per eigenvalue index, each log of a sum of two exponentials as ``max +
+    log1p(exp(-|a - b|))`` over whole rows (:func:`_log_add_exp`).
     """
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import gammaln
@@ -142,30 +150,54 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     c = eigen_decay_weights(m, n)
     g = (1.0 - t) * c
     beta = s / np.arange(n, 0, -1)
+    log_beta = np.log(beta)
     rng = np.random.Generator(_bit_generator(seed, stream))
-    boost = rng.gamma(g + 1.0, 1.0, size=(batch, n))
-    logu = np.log1p(-rng.random((batch, n)))
-    log_sp = np.log(boost) + logu / g + np.log(beta)
-    # One row per eigenvalue index, each a contiguous vector over the
-    # batch: every sum below runs across rows, one trial at a time.
-    log_sp = np.ascontiguousarray(log_sp.T)
+    log_sp = np.log(rng.standard_gamma(g + 1.0, size=(batch, n)).T, order="C")
+    logu = np.negative(rng.random((batch, n)).T, order="C")
+    np.log1p(logu, out=logu)
+    logu /= g[:, None]
+    log_sp += logu
+    log_sp += log_beta[:, None]
+    scratch = np.empty(batch)
+    # log b_i is the log of the sum of spacings 0 .. i.
     log_b = np.empty_like(log_sp)
     log_b[0] = log_sp[0]
     for i in range(1, n):
-        np.logaddexp(log_b[i - 1], log_sp[i], out=log_b[i])
-    logp = (-wishart_log_norm_const(m, n) - m * n * math.log(s)
-            + (m - n) * log_b.sum(axis=0) - np.exp(log_b).sum(axis=0) / s)
+        _log_add_exp(log_b[i - 1], log_sp[i], log_b[i], scratch)
+    logp = (m - n) * log_b.sum(axis=0)
+    logp += -wishart_log_norm_const(m, n) - m * n * math.log(s)
+    logp -= np.exp(log_b).sum(axis=0) / s
+    log_gap = np.empty(batch)
     for i in range(n - 1):
         # b_j - b_i is the sum of spacings i+1 .. j, accumulated over j.
-        log_gap = log_sp[i + 1]
-        logp += 2.0 * log_gap
+        np.copyto(log_gap, log_sp[i + 1])
+        logp += np.multiply(log_gap, 2.0, out=scratch)
         for j in range(i + 2, n):
-            log_gap = np.logaddexp(log_gap, log_sp[j])
-            logp += 2.0 * log_gap
-    logq = ((g - 1.0)[:, None] * log_sp - np.exp(log_sp) / beta[:, None]
-            - (gammaln(g) + g * np.log(beta))[:, None]).sum(axis=0)
-    log_damped = -((t * c)[:, None] * log_b).sum(axis=0)
+            _log_add_exp(log_gap, log_sp[j], log_gap, scratch)
+            logp += np.multiply(log_gap, 2.0, out=scratch)
+    logq = np.zeros(batch)
+    log_damped = np.zeros(batch)
+    log_norm_q = gammaln(g) + g * log_beta
+    for i in range(n):
+        log_damped -= np.multiply(log_b[i], t * c[i], out=scratch)
+        # Each spacing's log density, formed whole before it is summed.
+        np.divide(np.exp(log_sp[i], out=scratch), beta[i], out=scratch)
+        term = np.multiply(log_sp[i], g[i] - 1.0, out=log_sp[i])
+        term -= scratch
+        term -= log_norm_q[i]
+        logq += term
     return logp - logq + log_damped
+
+
+def _log_add_exp(a, b, out, scratch):
+    """``log(exp(a) + exp(b))`` into ``out``, as ``max(a, b) + log1p(exp(
+    min(a, b) - max(a, b)))``; ``scratch`` is overwritten."""
+    np.minimum(a, b, out=scratch)
+    np.maximum(a, b, out=out)
+    scratch -= out
+    np.exp(scratch, out=scratch)
+    np.log1p(scratch, out=scratch)
+    out += scratch
 
 
 def _mean_damped_weight(cfg, rho, t, batch, seed, stream):
@@ -218,26 +250,30 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
     drawn once on stream 0 at ``rho[0]``, under damping ``t``.
 
-    The span forms the draws' Gram blocks once.  The channel spectrum ``a``
-    is the Gram polynomial at ``c = 0``, which equals ``eig_ascending(h)``
-    bit for bit, and each point's estimate spectrum is the polynomial at
-    that point's error scale; no estimate matrix is formed.  Each point's
-    log damped weight (:func:`_log_damped_weight`) goes into one row of a
-    per-span buffer; at ``t = 0`` the power is constant and no estimate
-    spectrum is read.
+    A trial is in outage when ``det(I + P h h^H) < rho_g ** r``, the test
+    ``log2 det < r log2 rho_g`` with no logarithm.  The channel side is the
+    polynomial ``1 + P e_1 + ... + P**n e_n`` whose coefficients are the
+    sums of squared minors of the drawn bidiagonal
+    (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), evaluated by
+    Horner's rule: no channel spectrum is formed.
+
+    At ``t > 0`` the span forms the draws' Gram blocks once, and each
+    point's estimate spectrum is the Gram polynomial at that point's error
+    scale; no estimate matrix is formed.  Each point's log damped weight
+    (:func:`_log_damped_weight`) goes into one row of a per-span buffer.
+    At ``t = 0`` the power is constant, and the span builds no Gram blocks.
 
     ``kappas()`` returns one kappa per point.  It is called only once every
     point's log weight is computed, so a sweep can calibrate while its spans
     draw.  The power ``P = kappa * rho_g * weight / m`` is then one ``exp``
-    of the log weight plus ``log(kappa * rho_g / m)``, and a trial is in
-    outage when ``det(I + P h h^H) = prod(1 + P a_i) < rho_g ** r``, the
-    test ``log2 det < r log2 rho_g`` without a logarithm per eigenvalue.
+    of the log weight plus ``log(kappa * rho_g / m)``.
     """
     h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
-    grams = GramPolynomial(h, e)
-    # Every spectrum below comes from the Gram blocks; free the draws.
-    del h, e
-    a = grams.spectrum(0.0).T
+    if t != 0.0:
+        grams = GramPolynomial(h, e)
+    del e
+    coeffs = bidiagonal_minor_sums(h)
+    del h
     if t != 0.0:
         log_weights = np.empty((len(rho), count))
         for rho_g, log_weight in zip(rho, log_weights):
@@ -245,9 +281,9 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
             # as a ratio of SNRs so that large alpha does not underflow.
             c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
             _log_damped_weight(cfg, grams.spectrum(c_g).T, t, out=log_weight)
+        del grams
     counts = []
     det = np.empty(count)
-    factor = np.empty(count)
     for g, (rho_g, kappa) in enumerate(zip(rho, kappas())):
         scale = kappa * rho_g / cfg.m_tx
         if t == 0.0:
@@ -256,15 +292,14 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
             power = log_weights[g]
             power += math.log(scale)
             np.exp(power, out=power)
-        np.multiply(a[0], power, out=det)
-        det += 1.0
-        # A product past the largest float reads inf: no outage, as its
-        # true value exceeds the finite rho_g ** r.
+        # A value past the largest float reads inf: no outage, as its true
+        # value exceeds the finite rho_g ** r.
         with np.errstate(over="ignore"):
-            for i in range(1, cfg.n_rx):
-                np.multiply(a[i], power, out=factor)
-                factor += 1.0
-                det *= factor
+            np.multiply(coeffs[-1], power, out=det)
+            for coeff in coeffs[-2::-1]:
+                det += coeff
+                det *= power
+        det += 1.0
         counts.append(int(np.count_nonzero(det < rho_g ** r)))
     return counts
 

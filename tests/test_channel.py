@@ -1,5 +1,6 @@
 """Tests for channel sampling, eigenvalue extraction, and the perturbation bound."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import numpy.testing as npt
@@ -12,6 +13,7 @@ from mimo_dmt import channel
 from mimo_dmt.channel import (
     ChannelConfig,
     GramPolynomial,
+    bidiagonal_minor_sums,
     eig_ascending,
     sample_channel_block,
     wishart_log_norm_const,
@@ -263,6 +265,102 @@ class TestSampleChannel:
         npt.assert_array_equal(h, h_ref)
         npt.assert_array_equal(e, e_ref)
 
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2)])
+    def test_largest_uniform_gives_a_finite_error(self, m, n, monkeypatch):
+        # Shifted up by half an ulp, the largest uniform, 1 - 2**-53, rounds
+        # to 1.0, whose normal quantile is inf.  The generator returns it
+        # here as trial 1's first error uniform: that entry must be finite,
+        # and every other entry as drawn.
+        cfg = ChannelConfig(m, n, 0.5)
+        h_ref, e_ref = sample_channel_block(cfg, rho=10.0, seed=4, count=3)
+        ticks_per_trial = -(-3 * n * m // 4)
+        index = 4 * ticks_per_trial + n * m
+
+        class LargestUniform(np.random.Generator):
+            def random(self, size=None):
+                u = super().random(size)
+                u[index] = 1.0 - 2.0 ** -53
+                return u
+
+        monkeypatch.setattr(np.random, "Generator", LargestUniform)
+        h, e = sample_channel_block(cfg, rho=10.0, seed=4, count=3)
+        assert np.isfinite(e).all()
+        npt.assert_array_equal(h, h_ref)
+        changed = e != e_ref
+        assert changed.sum() == 1 and changed[1, 0, 0]
+        # ndtri(1 - 2**-53) is 8.21; the error's deviation is 10**-0.25.
+        npt.assert_allclose(e.real[1, 0, 0], 8.2095 * math.sqrt(0.5 * 10.0 ** -0.5),
+                            rtol=1e-4)
+
+
+def exact_det(h, power):
+    """``det(I + P h h^T)`` of one real matrix, in rational arithmetic, by
+    Gaussian elimination of the positive definite matrix without pivoting."""
+    rows = [[Fraction(float(x)) for x in row] for row in h]
+    p = Fraction(float(power))
+    n = len(rows)
+    a = [[int(i == k) + p * sum(x * y for x, y in zip(rows[i], rows[k]))
+          for k in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        det *= a[col][col]
+        for row in range(col + 1, n):
+            ratio = a[row][col] / a[col][col]
+            for k in range(col, n):
+                a[row][k] -= ratio * a[col][k]
+    return det
+
+
+class TestBidiagonalMinorSums:
+    """``det(I + P B B^T) = 1 + P e_1 + ... + P**n e_n``, evaluated by
+    Horner's rule as the sweep does."""
+
+    @staticmethod
+    def horner(coeffs, power):
+        det = coeffs[-1] * power
+        for coeff in coeffs[-2::-1]:
+            det = (det + coeff) * power
+        return det + 1.0
+
+    @given(n=st.integers(1, 6), zero_columns=st.integers(0, 3),
+           entries=st.lists(st.one_of(
+               st.just(0.0),
+               st.builds(lambda x, k: x * 10.0 ** k,
+                         st.floats(1.0, 10.0), st.integers(-300, 149))),
+               min_size=11, max_size=11),
+           log_power=st.floats(0.0, 8.0))
+    @settings(max_examples=300)
+    def test_matches_exact_determinant(self, n, zero_columns, entries, log_power):
+        # Entries of B from 1e-300 to 1e150, whose squares reach the ends of
+        # the float range, with exact zeros among them; h = [B 0] has zero
+        # columns past B.  A coefficient past the largest float reads inf,
+        # or nan where it meets a zero entry.  With P >= 1 each partial sum
+        # of Horner's rule is at most det / P**k, so the result is finite
+        # wherever the determinant is.  Every coefficient is a sum of
+        # products of squares, with no cancellation.  A term passes at most
+        # one rounding per squared entry, three per row of the recursion
+        # and two per coefficient in Horner's rule, so the relative error is
+        # at most gamma_(6n), with u = 2**-53 (4.2 u at most on 3,000
+        # random inputs).  What underflows is at most 2**-1074 * P times
+        # the determinant.
+        h = np.zeros((1, n, n + zero_columns))
+        for i in range(n):
+            h[0, i, i] = entries[2 * i]
+            if i:
+                h[0, i, i - 1] = entries[2 * i - 1]
+        power = 10.0 ** log_power
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = bidiagonal_minor_sums(h)
+            got = self.horner(coeffs[:, 0], power)
+        assert coeffs.shape == (n, 1)
+        want = exact_det(h[0], power)
+        k = 6 * n
+        bound = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
+        if not math.isfinite(got):
+            assert want >= (1 - bound) * Fraction(np.finfo(float).max)
+        else:
+            assert abs(Fraction(got) - want) <= bound * want
+
 
 class TestEigAscending:
     def test_known_spectrum(self):
@@ -445,8 +543,8 @@ class TestGramPolynomial:
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (3, 3),
                                      (4, 4)])
     def test_zero_scale_is_channel_spectrum(self, m, n):
-        # At c = 0 the quadratic is h h^H exactly: the sweep's channel
-        # spectrum equals eig_ascending's bit for bit, on trial-last draws.
+        # At c = 0 the quadratic is h h^H exactly: its spectrum equals
+        # eig_ascending's bit for bit, on trial-last draws.
         h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
                                     count=3000)
         got = GramPolynomial(h, e).spectrum(0.0)

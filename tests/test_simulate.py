@@ -226,13 +226,14 @@ class TestCalibrateKappa:
                             rtol=1e-12)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3),
-                                     (4, 4)])
+                                     (4, 4), (5, 3), (6, 6)])
     @pytest.mark.parametrize("seed", [1, 7, 1000, 1729])
     def test_weights_match_rowwise_reference(self, m, n, seed):
-        # The calibration reduces across eigenvalue rows with logaddexp and
-        # a plain sum of exponentials; the reference reduces each trial's
-        # row with logsumexp.  The rounding differs, so the weights and
-        # kappa = 1 / mean agree to tolerances set from float64 rounding.
+        # The calibration reduces across eigenvalue rows with a vectorized
+        # log-add-exp and a plain sum of exponentials; the reference
+        # reduces each trial's row with logsumexp.  The rounding differs, so
+        # the weights and kappa = 1 / mean agree to tolerances set from
+        # float64 rounding.
         cfg = ChannelConfig(m, n, 0.5)
         for rho in (10.0, 1e3):
             for t in (0.5, 0.9):
@@ -381,32 +382,57 @@ class TestOutageTrial:
                                   start=start, count=count)
         assert got == want
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
-    def test_constant_power_reads_only_the_channel_spectrum(
-            self, m, n, monkeypatch):
-        # At t = 0 the power is the constant rho / m: each span reads the
-        # channel spectrum once and no estimate spectrum, and its counts
-        # equal the capacity test on eig_ascending of the same draws.
-        cfg = ChannelConfig(m, n, 0.5)
-        grid, r, trials, seed = [10.0, 100.0, 1000.0], 0.6 * n, 5000, 43
-        calls = []
-        spectrum = GramPolynomial.spectrum
+    @staticmethod
+    def _spy_grams(monkeypatch):
+        # Record each GramPolynomial built and each spectrum it is asked for.
+        built, scales = [], []
+        init, spectrum = GramPolynomial.__init__, GramPolynomial.spectrum
 
-        def spy(self, c):
-            calls.append(c)
+        def spy_init(self, h, e):
+            built.append(h.shape[0])
+            init(self, h, e)
+
+        def spy_spectrum(self, c):
+            scales.append(c)
             return spectrum(self, c)
 
-        monkeypatch.setattr(GramPolynomial, "spectrum", spy)
+        monkeypatch.setattr(GramPolynomial, "__init__", spy_init)
+        monkeypatch.setattr(GramPolynomial, "spectrum", spy_spectrum)
+        return built, scales
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
+    def test_constant_power_reads_no_spectrum(self, m, n, monkeypatch):
+        # At t = 0 the power is the constant rho / m: a span builds no Gram
+        # blocks and reads no spectrum, and its counts equal the capacity
+        # test on eig_ascending of the same draws.
+        built, scales = self._spy_grams(monkeypatch)
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
+        cfg = ChannelConfig(m, n, 0.5)
+        grid, r, trials, seed = [10.0, 100.0, 1000.0], 0.6 * n, 5000, 43
         sweep = run_sweep(cfg, r, grid, trials, PowerPolicy(t=0.0), seed,
                           workers=2)
-        assert calls == [0.0] * 4
+        assert built == [] and scales == []
         h, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
         a = eig_ascending(h)
         for rho, p in zip(grid, sweep.p_out):
             capacity = np.log2(1.0 + rho / m * a).sum(axis=1)
             want = np.count_nonzero(capacity < r * math.log2(rho))
             assert round(p * trials) == want
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
+    def test_damped_power_reads_one_estimate_spectrum_per_point(
+            self, m, n, monkeypatch):
+        # At t = 0.9 a span builds one GramPolynomial and reads each
+        # point's estimate spectrum once, at its error scale, and never the
+        # channel spectrum at c = 0.
+        built, scales = self._spy_grams(monkeypatch)
+        cfg = ChannelConfig(m, n, 0.5)
+        grid = [10.0, 100.0, 1000.0]
+        _count_outages_span(cfg, grid, 0.6 * n, 0.9, lambda: [1.0] * 3, 43,
+                            start=0, count=500)
+        assert built == [500]
+        assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid]
+        assert 0.0 not in scales
 
 
 class TestRunSweep:
