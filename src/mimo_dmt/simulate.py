@@ -14,9 +14,13 @@ does not overflow.
 
 A sweep draws each trial once and reuses it at every SNR point, where the
 estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
-deviation to the drawn one.  Under damping each span forms the Gram blocks
-``h h^H``, ``h e^H + e h^H`` and ``e e^H`` of its trials once, and reads
-every point's estimate spectrum from the quadratic ``A + c_g (B + c_g C)``
+deviation to the drawn one.  Under damping each span builds, once for its
+trials, polynomials in ``c_g`` that give every point's estimate spectrum.
+On one- and two-row links they are the estimate's Gram determinant, from
+its minors, and its trace (:class:`~mimo_dmt.channel.EstimateMinors`),
+which give the two eigenvalues in closed form.  On links with more rows
+they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, and
+``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
 (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  Each span works on
@@ -31,7 +35,8 @@ forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
 rho ** r`` with the determinant a polynomial in ``P`` whose coefficients are
 the sums of squared minors of the drawn bidiagonal, one Horner pass per SNR
 point.  It reads no channel spectrum, and at constant power (``t = 0``) it
-builds no Gram blocks and reads no spectrum at all.
+reads no estimate either: the error's uniforms are drawn, which keeps the
+draws' layout, but not transformed.
 """
 from __future__ import annotations
 
@@ -43,8 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (
+    EstimateMinors,
     GramPolynomial,
     _bit_generator,
+    _horner,
     _integer,
     bidiagonal_minor_sums,
     eig_ascending,
@@ -59,7 +66,8 @@ __all__ = [
     "PowerPolicy",
     "calibrate_kappa",
     # Re-exported: perfbench/tracing.py times the eigenvalue layer under
-    # this name.  The sweep reads its spectra from a GramPolynomial.
+    # this name.  The sweep reads its spectra from an EstimateMinors or a
+    # GramPolynomial.
     "eig_ascending",
     "run_sweep",
 ]
@@ -119,13 +127,6 @@ def _log_damped_weight(cfg, b, t, out=None):
         out += log_b[i]
     out *= -t
     return out
-
-
-def _damped_weight(cfg, b, t):
-    """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
-    batch of ascending eigenvalues: the exponential of
-    :func:`_log_damped_weight`, the log weight a sweep's spans form."""
-    return np.exp(_log_damped_weight(cfg, np.array(b, dtype=float).T, t))
 
 
 def _log_is_weights(cfg, s, t, batch, seed, stream):
@@ -257,36 +258,42 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), evaluated by
     Horner's rule: no channel spectrum is formed.
 
-    At ``t > 0`` the span forms the draws' Gram blocks once, and each
-    point's estimate spectrum is the Gram polynomial at that point's error
-    scale; no estimate matrix is formed.  Each point's log damped weight
-    (:func:`_log_damped_weight`) goes into one row of a per-span buffer.
-    At ``t = 0`` the power is constant, and the span builds no Gram blocks.
+    At ``t > 0`` the span builds one estimate object from its draws, and
+    each point's estimate spectrum is read from it at that point's error
+    scale; no estimate matrix is formed.  With one or two rows it is an
+    :class:`~mimo_dmt.channel.EstimateMinors`, whose ascending pair comes
+    from the estimate's determinant and trace with no Gram block and no
+    eigenvalue routine, and with more rows a
+    :class:`~mimo_dmt.channel.GramPolynomial`.  Each point's log damped
+    weight (:func:`_log_damped_weight`) goes into one row of a per-span
+    buffer.  At ``t = 0`` the power is constant: the sampler leaves the
+    error's uniforms untransformed, and the span builds no estimate.
 
     ``kappas()`` returns one kappa per point.  It is called only once every
     point's log weight is computed, so a sweep can calibrate while its spans
     draw.  The power ``P = kappa * rho_g * weight / m`` is then one ``exp``
     of the log weight plus ``log(kappa * rho_g / m)``.
     """
-    h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count)
-    if t != 0.0:
-        grams = GramPolynomial(h, e)
-    del e
+    damped = t != 0.0
+    h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
+                                error=damped)
     coeffs = bidiagonal_minor_sums(h)
-    del h
-    if t != 0.0:
+    if damped:
+        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(h, e)
+    del h, e
+    if damped:
         log_weights = np.empty((len(rho), count))
         for rho_g, log_weight in zip(rho, log_weights):
             # The estimate is h + c_g e with c_g = sigma_g / sigma_0, taken
             # as a ratio of SNRs so that large alpha does not underflow.
             c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
-            _log_damped_weight(cfg, grams.spectrum(c_g).T, t, out=log_weight)
-        del grams
+            _log_damped_weight(cfg, estimate.spectrum(c_g).T, t, out=log_weight)
+        del estimate
     counts = []
     det = np.empty(count)
     for g, (rho_g, kappa) in enumerate(zip(rho, kappas())):
         scale = kappa * rho_g / cfg.m_tx
-        if t == 0.0:
+        if not damped:
             power = scale
         else:
             power = log_weights[g]
@@ -295,11 +302,7 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
         # A value past the largest float reads inf: no outage, as its true
         # value exceeds the finite rho_g ** r.
         with np.errstate(over="ignore"):
-            np.multiply(coeffs[-1], power, out=det)
-            for coeff in coeffs[-2::-1]:
-                det += coeff
-                det *= power
-        det += 1.0
+            _horner(det, power, 1.0, *coeffs)
         counts.append(int(np.count_nonzero(det < rho_g ** r)))
     return counts
 

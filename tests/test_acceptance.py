@@ -137,6 +137,7 @@ def test_criterion_06_perturbation_bound_suite():
             cfg = ChannelConfig(3, 2, alpha)
             seed += 1
             h, e = sample_channel_block(cfg, rho=rho, seed=seed, start=0, count=per_cell)
+            e = e[:, 0] + 1j * e[:, 1]
             a = eig_ascending(h)
             b = eig_ascending(h + e)
             c = eig_ascending(e)

@@ -1,4 +1,6 @@
 """Tests for channel sampling, eigenvalue extraction, and the perturbation bound."""
+import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,12 +14,25 @@ from scipy.special import gammaln
 from mimo_dmt import channel
 from mimo_dmt.channel import (
     ChannelConfig,
+    EstimateMinors,
     GramPolynomial,
     bidiagonal_minor_sums,
     eig_ascending,
+    eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
 )
+from mimo_dmt.simulate import _log_damped_weight
+
+
+def complex_error(e):
+    """The sampler's error planes as one complex array."""
+    return e[:, 0] + 1j * e[:, 1]
+
+
+def planes(x):
+    """A complex batch as the real planes that ``GramPolynomial`` takes."""
+    return np.stack((x.real, x.imag), axis=-3)
 
 
 class TestChannelConfig:
@@ -84,21 +99,20 @@ class TestSampleChannel:
         # error of 0.18%.
         cfg = ChannelConfig(4, 4, 1.0)
         _, e = sample_channel_block(cfg, rho=100.0, seed=0, count=20_000)
-        npt.assert_allclose(np.mean(np.abs(e) ** 2), 0.01, rtol=0.01)
+        npt.assert_allclose(np.mean(np.abs(complex_error(e)) ** 2), 0.01, rtol=0.01)
 
     def test_alpha_zero_unit_error_variance(self):
         # 80,000 entries: a relative standard error of 0.35%.
         cfg = ChannelConfig(2, 2, 0.0)
         _, e = sample_channel_block(cfg, rho=1000.0, seed=0, count=20_000)
-        npt.assert_allclose(np.mean(np.abs(e) ** 2), 1.0, rtol=0.02)
+        npt.assert_allclose(np.mean(np.abs(complex_error(e)) ** 2), 1.0, rtol=0.02)
 
     def test_shapes(self):
         cfg = ChannelConfig(4, 2, 0.3)
         h, e = sample_channel_block(cfg, rho=10.0, seed=5, count=1)
         assert h.shape == (1, 2, 4)
-        assert e.shape == (1, 2, 4)
-        assert h.dtype == np.float64
-        assert e.dtype == np.complex128
+        assert e.shape == (1, 2, 2, 4)
+        assert h.dtype == e.dtype == np.float64
 
     def test_determinism(self):
         cfg = ChannelConfig(3, 3, 0.5)
@@ -200,6 +214,7 @@ class TestSampleChannel:
         cfg = ChannelConfig(m, n, 0.5)
         count = 20_000
         h, e = sample_channel_block(cfg, rho=4.0, seed=12, count=count)
+        e = complex_error(e)
         rng = np.random.default_rng(1200 + 10 * m + n)
         ref_h, ref_e = (
             (rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m)))
@@ -219,7 +234,7 @@ class TestSampleChannel:
         # standard error of the mean ~ 0.0006 on sigma**2 = 0.1.
         cfg = ChannelConfig(2, 2, 0.5)
         _, e = sample_channel_block(cfg, rho=100.0, seed=77, start=0, count=40000)
-        e = e.reshape(-1)
+        e = complex_error(e).reshape(-1)
         sigma_sq = 100.0 ** -0.5
         assert abs(e.real.mean()) < 0.005
         assert abs(e.imag.mean()) < 0.005
@@ -250,6 +265,25 @@ class TestSampleChannel:
         npt.assert_array_equal(h_one[0], h[2])
         npt.assert_array_equal(e_one[0], e[2])
 
+    @pytest.mark.parametrize("m,n", LINKS)
+    def test_error_planes_are_trial_last(self, m, n):
+        # Each plane of each error entry is one contiguous vector of trials.
+        _, e = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=9,
+                                    count=50)
+        for q, i, j in itertools.product(range(2), range(n), range(m)):
+            assert e[:, q, i, j].flags.c_contiguous
+
+    @pytest.mark.parametrize("m,n", LINKS)
+    def test_untransformed_error_keeps_the_channel(self, m, n):
+        # Without the error transform the error's uniforms are still drawn:
+        # the channels are the same trials, and no error is returned.
+        cfg = ChannelConfig(m, n, 0.5)
+        h_ref, _ = sample_channel_block(cfg, rho=10.0, seed=9, start=3, count=50)
+        h, e = sample_channel_block(cfg, rho=10.0, seed=9, start=3, count=50,
+                                    error=False)
+        assert e is None
+        npt.assert_array_equal(h, h_ref)
+
     @pytest.mark.parametrize("start,count", [(2.9, 3), (2, 3.7), (2.9, 3.7),
                                              (float("nan"), 1), (0, float("inf"))])
     def test_rejects_nonintegral_range(self, start, count):
@@ -277,9 +311,15 @@ class TestSampleChannel:
         index = 4 * ticks_per_trial + n * m
 
         class LargestUniform(np.random.Generator):
-            def random(self, size=None):
-                u = super().random(size)
-                u[index] = 1.0 - 2.0 ** -53
+            # Counts the uniforms drawn, which may come in several calls.
+            drawn = 0
+
+            def random(self, size=None, dtype=np.float64, out=None):
+                u = super().random(size, dtype, out)
+                flat = u.reshape(-1)
+                if 0 <= index - self.drawn < flat.size:
+                    flat[index - self.drawn] = 1.0 - 2.0 ** -53
+                self.drawn += flat.size
                 return u
 
         monkeypatch.setattr(np.random, "Generator", LargestUniform)
@@ -287,9 +327,9 @@ class TestSampleChannel:
         assert np.isfinite(e).all()
         npt.assert_array_equal(h, h_ref)
         changed = e != e_ref
-        assert changed.sum() == 1 and changed[1, 0, 0]
+        assert changed.sum() == 1 and changed[1, 0, 0, 0]
         # ndtri(1 - 2**-53) is 8.21; the error's deviation is 10**-0.25.
-        npt.assert_allclose(e.real[1, 0, 0], 8.2095 * math.sqrt(0.5 * 10.0 ** -0.5),
+        npt.assert_allclose(e[1, 0, 0, 0], 8.2095 * math.sqrt(0.5 * 10.0 ** -0.5),
                             rtol=1e-4)
 
 
@@ -468,8 +508,9 @@ class TestEigAscending:
         parts = [sample_channel_block(cfg, 10.0, 4, start=s,
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
-        got = np.concatenate([eig_ascending(h + e) for h, e in parts])
-        assert np.array_equal(got, eig_ascending(whole[0] + whole[1]))
+        got = np.concatenate([eig_ascending(h + complex_error(e))
+                              for h, e in parts])
+        assert np.array_equal(got, eig_ascending(whole[0] + complex_error(whole[1])))
 
     def test_equal_eigenvalues_stay_ascending(self):
         # Orthonormal row pairs have the double eigenvalue 1; the closed
@@ -528,7 +569,7 @@ class TestGramPolynomial:
             unit_h, unit_e = self._pairs(n, m, kind, c, rng)
             for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
                 h, e = scale * unit_h, scale * unit_e
-                got = GramPolynomial(h, e).spectrum(c)
+                got = GramPolynomial(h, planes(e)).spectrum(c)
                 want = eig_ascending(h + c * e)
                 size = (np.sum(np.abs(h) ** 2, axis=(-2, -1))
                         + c * c * np.sum(np.abs(e) ** 2, axis=(-2, -1)))
@@ -570,13 +611,173 @@ class TestGramPolynomial:
         e = h.copy()
         e[2, n - 1, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            GramPolynomial(h, e)
+            GramPolynomial(h, planes(e))
         with pytest.raises(ValueError, match="finite"):
-            GramPolynomial(e, h)
+            GramPolynomial(e, planes(h))
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
+
+
+def exact_estimate(h, e, c):
+    """Gram determinant and trace of one estimate ``X = h + c e``, with
+    ``e`` as planes, in rational arithmetic.  The determinant sums
+    ``|X_1j X_2k - X_1k X_2j|**2`` over the column pairs (Cauchy-Binet); a
+    one-row Gram matrix is its trace."""
+    c = Fraction(c)
+    x = [[(Fraction(float(a)) + c * Fraction(float(b)), c * Fraction(float(d)))
+          for a, b, d in zip(*rows)] for rows in zip(h, e[0], e[1])]
+    tr = sum(a * a + b * b for row in x for a, b in row)
+    if len(x) == 1:
+        return tr, tr
+    det = Fraction(0)
+    for j, k in itertools.combinations(range(len(x[0])), 2):
+        (a, ai), (b, bi) = x[0][j], x[1][k]
+        (f, fi), (g, gi) = x[0][k], x[1][j]
+        det += (a * b - ai * bi - f * g + fi * gi) ** 2
+        det += (a * bi + ai * b - f * gi - fi * g) ** 2
+    return det, tr
+
+
+def estimate_sizes(h, e, c):
+    """Sizes of the terms summed into an estimate's determinant and trace,
+    in rational arithmetic.  With ``Y = |h| + c |e|`` entry by entry, the
+    trace's is ``sum(Y**2)`` and the determinant's ``sum_{j<k} (Y_1j Y_2k +
+    Y_1k Y_2j)**2``, which bounds every product the minors and their fold
+    sum, whatever cancels."""
+    y = [[Fraction(float(v)) for v in row]
+         for row in np.abs(h) + c * np.hypot(e[0], e[1])]
+    tr = sum(v * v for row in y for v in row)
+    if len(y) == 1:
+        return tr, tr
+    det = sum((y[0][j] * y[1][k] + y[0][k] * y[1][j]) ** 2
+              for j, k in itertools.combinations(range(len(y[0])), 2))
+    return det, tr
+
+
+class TestEstimateMinors:
+    """One- and two-row estimate spectra from the determinant's minors and
+    the trace, against exact rational arithmetic and against
+    ``eig_ascending`` of the estimate formed directly."""
+
+    U = Fraction(1, 2 ** 53)
+
+    @staticmethod
+    def _draws(n, m, kind, c, scale, rng, count=4):
+        h = np.zeros((count, n, m))
+        for i, j in [(0, 0), (1, 0), (1, 1)][:2 * n - 1]:
+            h[:, i, j] = np.abs(rng.normal(size=count))
+        e = rng.normal(size=(count, 2, n, m))
+        if kind == "cancel":
+            # e near -h / c: the estimate is tiny next to both terms.
+            e *= 1e-6
+            e[:, 0] -= h / c
+        elif kind == "rank1" and n == 2:
+            # A nearly rank-1 channel and a tiny error: the Gram matrix's
+            # entries lose its small eigenvalue, the minors do not.
+            h[:, 1, 1] *= 1e-6
+            e *= 1e-8
+        return scale * h, scale * e
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 6),
+           kind=st.sampled_from(["generic", "cancel", "rank1"]),
+           c=st.sampled_from([1.0, 0.3, 1e-3]),
+           scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_determinant_and_trace(self, seed, n, m, kind, c, scale):
+        # The determinant, read as lambda_min * lambda_max, lies within
+        # 32 u of its terms' size of the exact determinant, and lambda_min +
+        # lambda_max within 16 u of the trace's size; on 3,000 random
+        # inputs of these kinds the errors were at most 5.8 u and 4.5 u.
+        # Every product is correctly rounded, so what cancels loses only
+        # what the terms' size allows, the fold of the pairs past B
+        # included.  The per-trial power-of-two scaling keeps the quartic
+        # determinant in range from 1e-100 to 1e100.
+        m = max(m, n)
+        h, e = self._draws(n, m, kind, c, scale, np.random.default_rng(seed))
+        got = EstimateMinors(h, e).spectrum(c)
+        assert got.shape == (4, n)
+        assert np.all(got >= 0.0)
+        assert np.all(np.diff(got, axis=-1) >= 0.0)
+        for lam, h_i, e_i in zip(got, h, e):
+            det, tr = exact_estimate(h_i, e_i, c)
+            det_size, tr_size = estimate_sizes(h_i, e_i, c)
+            product = math.prod(Fraction(float(x)) for x in lam)
+            assert abs(product - det) <= 32 * self.U * det_size
+            assert abs(sum(Fraction(float(x)) for x in lam) - tr) <= 16 * self.U * tr_size
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 6), c=st.sampled_from([1.0, 0.3, 1e-3]),
+           scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]),
+           t=st.sampled_from([0.3, 0.9]))
+    @settings(max_examples=150, deadline=None)
+    def test_log_weight_matches_formed_estimate(self, seed, n, m, c, scale, t):
+        # On generic draws the log damped weight agrees with the one read
+        # from eig_ascending(h + c e) within 32 u times t * sum(w) *
+        # lambda_max / lambda_min (the eigenvalue errors) plus t * sum(w *
+        # |log lambda|) (the logs' rounding); on 3,000 random inputs the
+        # difference was at most 11.8 u of that.
+        m = max(m, n)
+        cfg = ChannelConfig(m, n, 0.5)
+        h, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
+        want = eig_ascending(h + c * complex_error(e))
+        got = _log_damped_weight(cfg, EstimateMinors(h, e).spectrum(c).T.copy(), t)
+        w = eigen_decay_weights(m, n)
+        size = t * (w.sum() * want[:, -1] / want[:, 0]
+                    + (w * np.abs(np.log(want))).sum(axis=1))
+        ref = _log_damped_weight(cfg, want.T.copy(), t)
+        assert np.all(np.abs(got - ref) <= 32 * 2.0 ** -53 * size)
+
+    @staticmethod
+    def _exact_log_weight(h, e, c, cfg, t):
+        """The log damped weight from the exact determinant and trace, in
+        60-digit decimal arithmetic."""
+        det, tr = exact_estimate(h, e, c)
+        w = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            det, tr = (decimal.Decimal(x.numerator) / x.denominator for x in (det, tr))
+            lam_max = tr / 2 * (1 + (1 - 4 * det / (tr * tr)).sqrt())
+            lam = [det / lam_max, lam_max][2 - cfg.n_rx:]
+            return float(-decimal.Decimal(t) * sum(decimal.Decimal(float(wi)) * x.ln()
+                                                   for wi, x in zip(w, lam)))
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_nearly_rank_one_weight_is_exact(self, m):
+        # A nearly rank-1 estimate: its small eigenvalue is about 1e-12 of
+        # its large one.  The weight from the minors is within 1e-13 of the
+        # exact weight; the Gram matrix's closed form misses it by far more.
+        cfg, t, c = ChannelConfig(m, 2, 0.5), 0.9, 0.3
+        h, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
+        exact = np.array([self._exact_log_weight(h_i, e_i, c, cfg, t)
+                          for h_i, e_i in zip(h, e)])
+        minors = _log_damped_weight(cfg, EstimateMinors(h, e).spectrum(c).T.copy(), t)
+        grams = _log_damped_weight(cfg, GramPolynomial(h, e).spectrum(c).T.copy(), t)
+        assert np.abs(minors - exact).max() <= 1e-13
+        assert np.abs(grams - exact).max() > 1e3 * np.abs(minors - exact).max()
+
+    def test_zero_estimate_has_zero_spectrum(self):
+        # A zero trace gives two zero eigenvalues, not NaN.
+        h, e = np.zeros((3, 2, 4)), np.zeros((3, 2, 2, 4))
+        assert np.array_equal(EstimateMinors(h, e).spectrum(0.7), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (6, 2)])
+    def test_sampled_draws_match_gram_polynomial(self, m, n):
+        # On the sweep's own draws, within 1e-13 * lambda_max of the Gram
+        # closed form at every scale a sweep reads.
+        h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
+        minors, grams = EstimateMinors(h, e), GramPolynomial(h, e)
+        for c in (1.0, 0.3, 1e-4):
+            got, want = minors.spectrum(c), grams.spectrum(c)
+            assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:]), c
+
+    def test_rejects_three_rows_and_mismatched_shapes(self):
+        with pytest.raises(ValueError, match="shape"):
+            EstimateMinors(np.ones((4, 3, 3)), np.ones((4, 2, 3, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            EstimateMinors(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
 
 
 class TestRealChannel:
@@ -608,6 +809,7 @@ class TestRealChannel:
         rng = np.random.default_rng(seed)
         h = scale * self._real_h(kind, n, m, rng)
         e = scale * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+        e = planes(e)
         real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
         for block in ("_a", "_b", "_c"):
             assert np.array_equal(getattr(real, block), getattr(cplx, block)), block
@@ -674,7 +876,7 @@ class TestTwoRowKernel:
                 e = 1e-9 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
             else:
                 h, e = TestGramPolynomial._pairs(2, 3, kind, c, rng)
-            grams = GramPolynomial(scale * h, scale * e)
+            grams = GramPolynomial(scale * h, planes(scale * e))
             results = [grams.spectrum(c), grams.spectrum(0.0),
                        eig_ascending(scale * h), eig_ascending(scale * (h + c * e))]
             for got, g in zip(results, seen[-4:]):
@@ -704,7 +906,7 @@ class TestTwoRowKernel:
         rng = np.random.default_rng(n)
         h = rng.normal(size=(500, n, 4))
         e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
-        grams = GramPolynomial(h, e)
+        grams = GramPolynomial(h, planes(e))
         first = [grams.spectrum(c) for c in (0.0, 1.0)]
         kept = [x.copy() for x in first]
         for c in (0.5, 0.0, 2.0, 1e-3):
@@ -731,6 +933,7 @@ class TestPerturbationBound:
         for rho, alpha in [(10.0, 0.5), (100.0, 0.0), (1000.0, 1.0)]:
             cfg_a = ChannelConfig(m, n, alpha)
             h, e = sample_channel_block(cfg_a, rho=rho, seed=1900 + m, start=0, count=2000)
+            e = complex_error(e)
             a = eig_ascending(h)
             b = eig_ascending(h + e)
             c = eig_ascending(e)
@@ -798,7 +1001,7 @@ class TestExponentOrderSupport:
         cfg = ChannelConfig(1, 1, 0.5)
         rho = 1e4
         _, e = sample_channel_block(cfg, rho=rho, seed=404, start=0, count=10_000)
-        c = eig_ascending(e)[:, -1]
+        c = eig_ascending(complex_error(e))[:, -1]
         exponent = -np.log(c) / np.log(rho)
         frac = np.mean(exponent > cfg.alpha - 0.15)
         assert frac >= 0.95

@@ -11,10 +11,11 @@ check stops there.
 """
 import math
 
+import numpy as np
 import pytest
 
 from mimo_dmt.channel import ChannelConfig, GramPolynomial, sample_channel_block
-from mimo_dmt.simulate import CAL_BATCH, _damped_weight, _mean_damped_weight
+from mimo_dmt.simulate import CAL_BATCH, _log_damped_weight, _mean_damped_weight
 
 RHO = 10.0
 TRIALS = 1 << 19
@@ -30,7 +31,7 @@ def sampled_mean_weights(cfg, ts, trials, seed):
                                     count=min(SPAN, trials - start))
         spectra = GramPolynomial(h, e).spectrum(1.0)
         for t in ts:
-            w = _damped_weight(cfg, spectra, t)
+            w = np.exp(_log_damped_weight(cfg, spectra.T.copy(), t))
             sums[t][0] += float(w.sum())
             sums[t][1] += float((w * w).sum())
     out = {}

@@ -13,6 +13,7 @@ from scipy.special import gammainc, gammaln, logsumexp
 from mimo_dmt import simulate
 from mimo_dmt.channel import (
     ChannelConfig,
+    EstimateMinors,
     GramPolynomial,
     _bit_generator,
     eig_ascending,
@@ -25,7 +26,6 @@ from mimo_dmt.simulate import (
     OutageSweep,
     PowerPolicy,
     _count_outages_span,
-    _damped_weight,
     _grid_kappas,
     _least_squares_slope,
     _log_damped_weight,
@@ -42,6 +42,13 @@ from mimo_dmt.simulate import (
 # then adaptive quadrature on z; two independent quadrature routes agree
 # to 2e-14 relative.  The live recomputation below re-derives it.)
 MEAN_WEIGHT_2X2_T09 = 16.97897080792607
+
+
+def _damped_weight(cfg, b, t):
+    """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
+    batch of ascending eigenvalues: the exponential of
+    ``_log_damped_weight``, the log weight a sweep's spans form."""
+    return np.exp(_log_damped_weight(cfg, np.array(b, dtype=float).T, t))
 
 
 def reduced_quadrature_mean_weight():
@@ -350,7 +357,8 @@ class TestOutageTrial:
             gram = x @ np.conj(np.swapaxes(x, -1, -2))
             return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
-        h, e = np.ascontiguousarray(h), np.ascontiguousarray(e)
+        h = np.ascontiguousarray(h)
+        e = np.ascontiguousarray(e[:, 0] + 1j * e[:, 1])
         a = eigvalsh_gram(h)
 
         def outages(kappa, rho_g, weight):
@@ -383,10 +391,11 @@ class TestOutageTrial:
         assert got == want
 
     @staticmethod
-    def _spy_grams(monkeypatch):
-        # Record each GramPolynomial built and each spectrum it is asked for.
+    def _spy_estimates(monkeypatch, cls):
+        # Record each estimate object of class cls built, by its trial
+        # count, and each spectrum it is asked for, by its scale.
         built, scales = [], []
-        init, spectrum = GramPolynomial.__init__, GramPolynomial.spectrum
+        init, spectrum = cls.__init__, cls.spectrum
 
         def spy_init(self, h, e):
             built.append(h.shape[0])
@@ -396,8 +405,8 @@ class TestOutageTrial:
             scales.append(c)
             return spectrum(self, c)
 
-        monkeypatch.setattr(GramPolynomial, "__init__", spy_init)
-        monkeypatch.setattr(GramPolynomial, "spectrum", spy_spectrum)
+        monkeypatch.setattr(cls, "__init__", spy_init)
+        monkeypatch.setattr(cls, "spectrum", spy_spectrum)
         return built, scales
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
@@ -405,7 +414,7 @@ class TestOutageTrial:
         # At t = 0 the power is the constant rho / m: a span builds no Gram
         # blocks and reads no spectrum, and its counts equal the capacity
         # test on eig_ascending of the same draws.
-        built, scales = self._spy_grams(monkeypatch)
+        built, scales = self._spy_estimates(monkeypatch, GramPolynomial)
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
         cfg = ChannelConfig(m, n, 0.5)
         grid, r, trials, seed = [10.0, 100.0, 1000.0], 0.6 * n, 5000, 43
@@ -419,19 +428,58 @@ class TestOutageTrial:
             want = np.count_nonzero(capacity < r * math.log2(rho))
             assert round(p * trials) == want
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (3, 3)])
+    def test_constant_power_skips_the_error_transform(self, m, n, monkeypatch):
+        # At t = 0 no span reads the error: its uniforms are drawn, so the
+        # Philox layout is kept, but their normal quantiles are not taken.
+        # The counts equal those of spans whose sampler takes them.
+        import scipy.special
+
+        calls = []
+        ndtri = scipy.special.ndtri
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return ndtri(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "ndtri", spy)
+        cfg = ChannelConfig(m, n, 0.5)
+
+        def counts():
+            return [_count_outages_span(cfg, [10.0, 100.0], 0.6 * n, 0.0,
+                                        lambda: [1.0, 1.0], 43, start=start,
+                                        count=700)
+                    for start in (0, 700)]
+
+        got = counts()
+        assert calls == []
+        monkeypatch.setattr(simulate, "sample_channel_block",
+                            lambda *args, **kwargs: sample_channel_block(
+                                *args, **{**kwargs, "error": True}))
+        assert counts() == got
+        assert calls == [(2 * n * m, 700)] * 2
+        assert sum(map(sum, got)) > 0
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
     def test_damped_power_reads_one_estimate_spectrum_per_point(
             self, m, n, monkeypatch):
-        # At t = 0.9 a span builds one GramPolynomial and reads each
+        # At t = 0.9 each span builds one estimate object and reads each
         # point's estimate spectrum once, at its error scale, and never the
-        # channel spectrum at c = 0.
-        built, scales = self._spy_grams(monkeypatch)
+        # channel spectrum at c = 0.  One- and two-row links take it from
+        # the determinant's minors and the trace, and build no
+        # GramPolynomial; three or more rows build one per span.
+        grams = self._spy_estimates(monkeypatch, GramPolynomial)
+        minors = self._spy_estimates(monkeypatch, EstimateMinors)
         cfg = ChannelConfig(m, n, 0.5)
         grid = [10.0, 100.0, 1000.0]
-        _count_outages_span(cfg, grid, 0.6 * n, 0.9, lambda: [1.0] * 3, 43,
-                            start=0, count=500)
-        assert built == [500]
-        assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid]
+        for start, count in [(0, 500), (500, 200)]:
+            _count_outages_span(cfg, grid, 0.6 * n, 0.9, lambda: [1.0] * 3, 43,
+                                start=start, count=count)
+        used, unused = (minors, grams) if n <= 2 else (grams, minors)
+        assert unused == ([], [])
+        built, scales = used
+        assert built == [500, 200]
+        assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid] * 2
         assert 0.0 not in scales
 
 
