@@ -309,9 +309,10 @@ class GramPolynomial:
     product: :meth:`spectrum` evaluates the quadratic and takes its
     spectrum as :func:`eig_ascending` does.
 
-    ``h`` is a batch of matrices, real or complex; the sweep passes a real
-    ``h``.  ``e`` is given as real planes, as :func:`sample_channel_block`
-    returns it: shape ``h.shape[:-2] + (2, n, m)``, real parts first.  The
+    ``h`` is a batch of matrices, real or complex; a sweep passes a real
+    ``h`` on links with three or more rows.  ``e`` is given as real planes,
+    as :func:`sample_channel_block` returns it: shape ``h.shape[:-2] + (2,
+    n, m)``, real parts first.  The
     blocks are stored as :func:`eig_ascending` forms its Gram matrix: the
     ``n * n`` real entries as per-entry vectors (the diagonal, then the
     real and imaginary part of each entry above it, row by row), summed
@@ -331,7 +332,9 @@ class GramPolynomial:
     them, the spectra differed by at most ``9.4e-16 * tr(A + c**2 C)`` for
     ``n <= 2`` and ``2.2e-15 * tr(A + c**2 C)`` for ``n >= 3``.  Both
     bounds are on the size of the two terms: where they cancel, the
-    estimate's own eigenvalues can be far smaller.
+    estimate's own eigenvalues can be far smaller.  That measurement took
+    ``e`` as a complex array; the real and imaginary planes of the same
+    ``e`` give the same blocks and spectra bit for bit.
     """
 
     def __init__(self, h, e):

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -359,6 +358,10 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     workers = _integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    # Imported on first use: only sweeps need the pool, and loading it
+    # would add to every import of the package.
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     kappas = Future()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         spans = [pool.submit(_count_outages_span, cfg, rho, r, policy.t,
