@@ -401,7 +401,7 @@ class EstimateMinors:
         if n > 2 or e.shape != (count, 2, n, m):
             raise ValueError("expected one- or two-row matrices and error "
                              "planes of one shape")
-        self._n, self._unscale = n, 1.0
+        self._n = n
         self._scratch = part = np.empty(count)
         d1, planes = h[:, 0, 0], e.reshape(count, -1).T
         if n == 1:
