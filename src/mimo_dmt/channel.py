@@ -71,6 +71,7 @@ _BELOW_ONE = 1.0 - 2.0 ** -53
 # products of at most this many.
 _MAX_PRODUCT = 18
 _TINY = np.finfo(np.float64).tiny
+_LOG_TINY = math.log(_TINY)
 _TRIAL_PAD = 8
 # Trials per block of the sampler's trial-major to trial-last copy.
 _COPY_TRIALS = 4096
@@ -121,6 +122,24 @@ def eigen_decay_weights(m, n):
     deep fades of the weakest direction are the cheapest.
     """
     return 2.0 * np.arange(1, n + 1) - 1.0 + (m - n)
+
+
+def _log_damped_weight(b, w, t, out=None):
+    """Log of the kappa-free damped weight, ``-t * sum(w_i * log b_i)``,
+    of ascending eigenvalues stored one row per eigenvalue index, shape
+    ``(n, ...)``, with decay weights ``w`` (:func:`eigen_decay_weights`),
+    summed one row at a time into ``out`` or a new array.
+
+    Eigenvalues below the smallest normal float count as that float.  The
+    rows of ``b`` are overwritten."""
+    np.maximum(b, _TINY, out=b)
+    log_b = np.log(b, out=b)
+    out = np.multiply(log_b[0], w[0], out=out)
+    for i in range(1, len(w)):
+        log_b[i] *= w[i]
+        out += log_b[i]
+    out *= -t
+    return out
 
 
 def _bit_generator(seed, stream):
@@ -345,6 +364,7 @@ class GramPolynomial:
         _check_finite(h)
         _check_finite(e)
         self._n = h.shape[-2]
+        self._weights = eigen_decay_weights(h.shape[-1], self._n)
         self._a = _gram(h)
         self._b = _cross_gram(h, e)
         self._c = _gram(e)
@@ -360,11 +380,18 @@ class GramPolynomial:
         gram += self._a
         return np.moveaxis(_gram_spectrum(gram, self._n), 0, -1)
 
+    def log_damped_weight(self, c, t, out=None):
+        """Log of the kappa-free damped weight of :meth:`spectrum` at scale
+        ``c`` (:func:`_log_damped_weight`), into ``out`` or a new array."""
+        return _log_damped_weight(np.moveaxis(self.spectrum(c), -1, 0),
+                                  self._weights, t, out)
+
 
 class EstimateMinors:
-    """Ascending spectra of the estimate ``h + c e`` of one- or two-row
-    draws of :func:`sample_channel_block`, for any real ``c``, from the
-    estimate's Gram determinant and trace as polynomials in ``c``.
+    """Log damped weights and ascending spectra of the estimate ``h + c e``
+    of one- or two-row draws of :func:`sample_channel_block`, for any real
+    ``c``, from the estimate's Gram determinant and trace as polynomials in
+    ``c``.
 
     ``h = [B 0]`` has ``d1``, ``d2`` on its diagonal and ``s1`` below it,
     and ``e`` is given as planes.  By Cauchy-Binet, ``det(X X^H)`` sums
@@ -375,24 +402,36 @@ class EstimateMinors:
     past it ``c**2 Q``, ``Q`` a minor of ``e``; their squares fold into
     ``c**2 (SL + 2 c SLQ + c**2 SQ)`` from three sums per trial, so a
     point's work does not grow with ``m``.  The trace is ``T0 + c T1 +
-    c**2 T2``.  Then ``lambda_max = tr/2 * (1 + sqrt(1 - 4 det / tr**2))``
-    and ``lambda_min = det / lambda_max``, and a zero trace gives (0, 0).
-    One row's eigenvalue is ``|d1 + c e11|**2 + c**2 sum_{k>1} |e1k|**2``.
-    The determinant is quartic, so a two-row batch's coefficients are
-    scaled by the power of two that brings its largest ``T0 + T2`` near 1,
-    and its spectra back; both scalings are exact.
+    c**2 T2``, whose coefficients are stored halved.  Then ``lambda_max =
+    tr/2 + sqrt((tr/2)**2 - det)``, which is 0 for a zero trace.  One row's
+    eigenvalue is ``|d1 + c e11|**2 + c**2 sum_{k>1} |e1k|**2``.  The
+    determinant is quartic, so a two-row batch's coefficients are scaled by
+    the power of two that brings its largest ``T0 + T2`` near 1; the
+    scaling is exact.  In the scaled units, an eigenvalue below about
+    1e-308 of that largest ``T0 + T2`` is subnormal and loses precision,
+    and where the trace is below about 1e-154 of it, ``(tr/2)**2`` and the
+    determinant are too, and ``lambda_max`` is only known to within a
+    factor of 2.
+
+    :meth:`log_damped_weight`, which a sweep's span reads at each point,
+    takes the weight from the determinant and ``lambda_max`` and forms no
+    ``lambda_min``.  :meth:`spectrum` gives the pair, with ``lambda_min =
+    det / lambda_max``.  A NaN or infinite entry raises ``ValueError``, as
+    does an entry past about 1.3e154, whose square overflows, or a trial
+    whose squared entries sum past the largest float: the constructor reads
+    that from the largest ``T0 + T2``.
 
     No eigenvalue routine is called, and every product is correctly
     rounded.  Against exact rational arithmetic, on 3,000 random inputs
     with ``m <= 6``, ``c`` from 1e-8 to 7.5 and entries scaled from 1e-100
     to 1e100, generic, cancelling and nearly rank-1 among them,
-    ``lambda_min * lambda_max`` was within 5.8 u of the size of the
-    determinant's terms and ``lambda_min + lambda_max`` within 4.5 u of
+    ``lambda_min * lambda_max`` was within 4.7 u of the size of the
+    determinant's terms and ``lambda_min + lambda_max`` within 4.1 u of
     the trace's (u = 2**-53).  On 600 nearly rank-1 two-row estimates
-    (``lambda_min / lambda_max`` from 5e-12 to 1.3e-10) the log damped
+    (``lambda_min / lambda_max`` from 5e-19 to 1.7e-8) the log damped
     weight at t 0.9 was within 2.8e-14 of a 60-digit reference, where
     :class:`GramPolynomial`'s, whose entries lose the small eigenvalue,
-    was off by up to 6.5.  An instance serves one thread at a time, and
+    was off by up to 604.  An instance serves one thread at a time, and
     every spectrum it returns is a new array.
     """
 
@@ -402,33 +441,49 @@ class EstimateMinors:
             raise ValueError("expected one- or two-row matrices and error "
                              "planes of one shape")
         self._n = n
-        self._scratch = part = np.empty(count)
+        self._weights = eigen_decay_weights(m, n)
+        self._scratch = np.empty((2, count))
+        part = self._scratch[0]
         d1, planes = h[:, 0, 0], e.reshape(count, -1).T
+        # Each trial's T0 + T2, the sum of its squared entries, is formed
+        # first: its largest is finite only if every entry is finite and
+        # small enough to square.
         if n == 1:
             self._coef = coef = np.zeros((3, count))
             np.copyto(coef[0], d1)
             np.copyto(coef[1], planes[0])
-            _add_squares(coef[2], part, *planes[1:])
+            sums = self._scratch[1]
+            with np.errstate(over="ignore"):
+                _add_squares(coef[2], part, *planes[1:])
+                np.square(d1, out=sums)
+                _add_squares(sums, part, planes[0])
+            _largest_square_sum(np.add(sums, coef[2], out=sums))
             return
         s1, d2 = h[:, 1, 0], h[:, 1, 1]
         self._coef = coef = np.zeros((8 if m == 2 else 11, count))
-        d0, d1r, d1i, d2r, d2i, t0, t1, t2 = coef[:8]
+        d0, d1r, d1i, d2r, d2i, ht0, ht1, ht2 = coef[:8]
+        # T0 and T2, halved below, and T1 / 2.
+        with np.errstate(over="ignore"):
+            _add_squares(ht0, part, d1, s1, d2)
+            _add_squares(ht2, part, *planes)
+        top = _largest_square_sum(np.add(ht0, ht2, out=part))
+        np.multiply(d1, e[:, 0, 0, 0], out=ht1)
+        ht1 += np.multiply(s1, e[:, 0, 1, 0], out=part)
+        ht1 += np.multiply(d2, e[:, 0, 1, 1], out=part)
         np.multiply(d1, d2, out=d0)
         for row, x in ((d1r, e[:, 0]), (d1i, e[:, 1])):
             np.multiply(d1, x[:, 1, 1], out=row)
             row += np.multiply(d2, x[:, 0, 0], out=part)
             row -= np.multiply(s1, x[:, 0, 1], out=part)
         _error_minor(e, 0, 1, d2r, d2i, part)
-        _add_squares(t0, part, d1, s1, d2)
-        np.multiply(d1, e[:, 0, 0, 0], out=t1)
-        t1 += np.multiply(s1, e[:, 0, 1, 0], out=part)
-        t1 += np.multiply(d2, e[:, 0, 1, 1], out=part)
-        t1 *= 2.0
-        _add_squares(t2, part, *planes)
-        shift = math.frexp(float(np.add(t0, t2, out=part).max()))[1] // 2
-        scale, self._unscale = math.ldexp(1.0, -2 * shift), math.ldexp(1.0, 2 * shift)
+        shift = math.frexp(top)[1] // 2
+        # The spectra are 2**exponent times those of the scaled batch.
+        self._exponent = 2 * shift
+        scale = math.ldexp(1.0, -self._exponent)
         if shift:
             coef[:8] *= scale
+        ht0 *= 0.5
+        ht2 *= 0.5
         if m == 2:
             return
         sl, slq, sq = coef[8:]
@@ -453,21 +508,82 @@ class EstimateMinors:
             _add_squares(sq, part, q_re, q_im)
         slq *= 2.0
 
+    def log_damped_weight(self, c, t, out=None):
+        """Log of the kappa-free damped weight ``-t * sum(w_i * log
+        lambda_i)`` of the ascending spectrum at scale ``c``, with ``w``
+        the decay weights (:func:`eigen_decay_weights`), into ``out`` or a
+        new row.  Eigenvalues below the smallest normal float count as that
+        float, as in :func:`_log_damped_weight`.
+
+        As ``lambda_min * lambda_max = det``, two rows read the weight as
+        ``-t * (w_1 log det + (w_2 - w_1) log lambda_max)`` from the scaled
+        determinant and ``lambda_max``, and the batch's scaling by
+        ``2**-exponent`` adds the constant ``-t * (w_1 + w_2) * exponent *
+        log 2``; one row reads it as ``-t * w_1 * log lambda``."""
+        c = float(c)
+        if out is None:
+            out = np.empty(self._scratch.shape[1])
+        w = self._weights
+        if self._n == 1:
+            lam = np.maximum(self._one_row(c, out), _TINY, out=out)
+            log = np.log(lam, out=lam)
+            log *= -t * w[0]
+            return log
+        log_scale = self._exponent * math.log(2.0)
+        lam_max = self._det_and_lam_max(c, out)
+        with np.errstate(divide="ignore"):
+            log_max = np.log(lam_max, out=lam_max)
+            log_det = np.log(out, out=out)
+        # The floor in the batch's scaled units: on lambda_max, then on
+        # lambda_min = det / lambda_max.  A sweep's draws do not come near
+        # it, so the rows are checked before they are floored.
+        floor = _LOG_TINY - log_scale
+        if log_max.min() < floor or log_det.min() - log_max.max() < floor:
+            np.maximum(log_max, floor, out=log_max)
+            np.maximum(log_det, np.add(log_max, floor, out=self._scratch[1]),
+                       out=log_det)
+        log_det *= -t * w[0]
+        log_max *= -t * (w[1] - w[0])
+        log_det += log_max
+        if log_scale:
+            log_det += -t * (w[0] + w[1]) * log_scale
+        return log_det
+
     def spectrum(self, c):
         """Ascending spectrum of ``(h + c e)(h + c e)^H``, in the shape and
-        layout of :func:`eig_ascending`'s result, as a new array."""
+        layout of :func:`eig_ascending`'s result, as a new array: on two
+        rows, ``lambda_min = det / lambda_max``."""
         c = float(c)
-        out = np.empty((self._n, self._scratch.size))
+        out = np.empty((self._n, self._scratch.shape[1]))
         if self._n == 1:
-            d1, e11, tail = self._coef
-            lam = _horner(out[0], c, d1, e11)
-            np.square(lam, out=lam)
-            lam += np.multiply(tail, c * c, out=self._scratch)
+            self._one_row(c, out[0])
             return np.moveaxis(out, 0, -1)
-        d0, d1r, d1i, d2r, d2i, t0, t1, t2 = self._coef[:8]
-        fold = self._coef[8:]
         lam_min, lam_max = out
-        det = np.square(_horner(lam_min, c, d0, d1r, d2r), out=lam_min)
+        np.copyto(lam_max, self._det_and_lam_max(c, lam_min))
+        # A zero lambda_max has a zero determinant, and lambda_min is 0.
+        with np.errstate(over="ignore"):
+            lam_min /= np.maximum(lam_max, _TINY, out=self._scratch[1])
+        # The minimum keeps the pair ascending where rounding would cross it.
+        np.minimum(lam_min, lam_max, out=lam_min)
+        np.ldexp(out, self._exponent, out=out)
+        return np.moveaxis(out, 0, -1)
+
+    def _one_row(self, c, out):
+        """One row's eigenvalue ``|d1 + c e11|**2 + c**2 sum_{k>1}
+        |e1k|**2`` into ``out``."""
+        d1, e11, tail = self._coef
+        lam = np.square(_horner(out, c, d1, e11), out=out)
+        lam += np.multiply(tail, c * c, out=self._scratch[0])
+        return lam
+
+    def _det_and_lam_max(self, c, det):
+        """Two rows' Gram determinant into ``det``, and their largest
+        eigenvalue into a scratch row, which is returned, both in the
+        batch's scaled units."""
+        d0, d1r, d1i, d2r, d2i, ht0, ht1, ht2 = self._coef[:8]
+        fold = self._coef[8:]
+        lam_max, root = self._scratch
+        np.square(_horner(det, c, d0, d1r, d2r), out=det)
         im = _horner(lam_max, c, d1i, d2i)
         im *= c
         det += np.square(im, out=im)
@@ -476,27 +592,16 @@ class EstimateMinors:
             part = np.maximum(_horner(lam_max, c, *fold), 0.0, out=lam_max)
             part *= c * c
             det += part
-        # A trace below the smallest normal float leaves both eigenvalues
-        # below it.  Where the trace is lost to cancellation (tr < 0, or
-        # det > tr**2 / 4), det / tr**2 overflows and the pair is (tr/2,
-        # tr/2), with tr clamped at 0.
-        tr = np.maximum(_horner(lam_max, c, t0, t1, t2), 0.0, out=lam_max)
-        scale = np.maximum(tr, _TINY, out=self._scratch)
-        with np.errstate(over="ignore"):
-            det /= scale
-            # half = 1/2 + sqrt(1/4 - det / tr**2) = lambda_max / tr.
-            half = np.divide(det, scale, out=scale)
-        np.subtract(0.25, half, out=half)
-        np.maximum(half, 0.0, out=half)
-        np.sqrt(half, out=half)
-        half += 0.5
-        lam_max *= half
-        # The minimum keeps the pair ascending where rounding would cross it.
-        lam_min /= half
-        np.minimum(lam_min, lam_max, out=lam_min)
-        if self._unscale != 1.0:
-            out *= self._unscale
-        return np.moveaxis(out, 0, -1)
+        # lambda_max = tr/2 + sqrt((tr/2)**2 - det).  Where the trace is
+        # lost to cancellation (tr < 0, or det > tr**2 / 4), it is tr/2,
+        # with tr clamped at 0.
+        half_tr = np.maximum(_horner(lam_max, c, ht0, ht1, ht2), 0.0, out=lam_max)
+        np.square(half_tr, out=root)
+        root -= det
+        np.maximum(root, 0.0, out=root)
+        np.sqrt(root, out=root)
+        half_tr += root
+        return half_tr
 
 
 def _horner(out, c, *coeffs):
@@ -537,6 +642,16 @@ def _error_minor(e, j, k, out_re, out_im, part):
     out_im += np.multiply(a_im, b_re, out=part)
     out_im -= np.multiply(c_re, d_im, out=part)
     out_im -= np.multiply(c_im, d_re, out=part)
+
+
+def _largest_square_sum(sums):
+    """The largest of ``sums``, each the sum of one matrix's squared
+    entries.  A NaN or infinite entry, or one whose square overflows,
+    leaves it non-finite, which is a ``ValueError``."""
+    top = float(sums.max())
+    if not math.isfinite(top):
+        raise ValueError("matrix entries must be finite")
+    return top
 
 
 def _check_finite(x):

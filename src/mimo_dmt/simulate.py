@@ -15,10 +15,12 @@ does not overflow.
 A sweep draws each trial once and reuses it at every SNR point, where the
 estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
 deviation to the drawn one.  Under damping each span builds, once for its
-trials, polynomials in ``c_g`` that give every point's estimate spectrum.
-On one- and two-row links they are the estimate's Gram determinant, from
-its minors, and its trace (:class:`~mimo_dmt.channel.EstimateMinors`),
-which give the two eigenvalues in closed form.  On links with more rows
+trials, polynomials in ``c_g`` from which it reads every point's log
+damped weight, one call per point.  On one- and two-row links they are the
+estimate's Gram determinant, from its minors, and its trace
+(:class:`~mimo_dmt.channel.EstimateMinors`): the weight is read from the
+determinant and the largest eigenvalue, ``lambda_min * lambda_max`` being
+the determinant, with no eigenvalue pair formed.  On links with more rows
 they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, and
 ``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
 (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
@@ -28,7 +30,7 @@ trial-contiguous batches and computes every point's kappa-free log damped
 weight first; the one kappa calibration runs on the calling thread meanwhile
 and reaches the spans through a future.  The calibration works one
 eigenvalue index at a time, each a contiguous vector over its draws, with
-no scalar loop.
+no scalar loop, and sums every term of a draw's log weight into one row.
 
 Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
 forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
@@ -65,7 +67,7 @@ __all__ = [
     "PowerPolicy",
     "calibrate_kappa",
     # Re-exported: perfbench/tracing.py times the eigenvalue layer under
-    # this name.  The sweep reads its spectra from an EstimateMinors or a
+    # this name.  The sweep reads its weights from an EstimateMinors or a
     # GramPolynomial.
     "eig_ascending",
     "run_sweep",
@@ -110,24 +112,6 @@ class OutageSweep:
     trials: int
 
 
-def _log_damped_weight(cfg, b, t, out=None):
-    """Log of the kappa-free damped weight, ``-t * sum(w_n * log b_n)``, of
-    ascending eigenvalues stored one row per eigenvalue index, shape
-    ``(n_rx, trials)``, summed one row at a time into ``out``.
-
-    Eigenvalues below the smallest normal float count as that float.  The
-    rows of ``b`` are overwritten."""
-    c = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
-    np.maximum(b, np.finfo(float).tiny, out=b)
-    log_b = np.log(b, out=b)
-    out = np.multiply(log_b[0], c[0], out=out)
-    for i in range(1, cfg.n_rx):
-        log_b[i] *= c[i]
-        out += log_b[i]
-    out *= -t
-    return out
-
-
 def _log_is_weights(cfg, s, t, batch, seed, stream):
     """Log of (density ratio x damped weight) for the calibration sampler.
 
@@ -139,9 +123,15 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     one are formed as ``Gamma(shape+1) * U**(1/shape)`` in the log domain,
     so tiny shapes (t near 1) stay finite.
 
+    The target's ``exp(-sum(b) / s)`` equals the proposal's ``exp(-sum(
+    spacing_i / scale_i))``: ``sum(b)`` counts spacing ``i`` (from 0) in
+    each of the ``n - i`` eigenvalues ``b_i .. b_{n-1}``, and its scale is
+    ``s / (n - i)``.  So the ratio leaves both out.  What remains is a multiple of the log of a spacing, of an
+    eigenvalue or of a gap between two eigenvalues, plus one constant.
     The draws are made trial-major, then worked on as one contiguous row
     per eigenvalue index, each log of a sum of two exponentials as ``max +
-    log1p(exp(-|a - b|))`` over whole rows (:func:`_log_add_exp`).
+    log1p(exp(-|a - b|))`` over whole rows (:func:`_log_add_exp`), and the
+    terms are summed into one row.
     """
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import gammaln
@@ -158,35 +148,34 @@ def _log_is_weights(cfg, s, t, batch, seed, stream):
     logu /= g[:, None]
     log_sp += logu
     log_sp += log_beta[:, None]
+    # log b_i is the log of the sum of spacings 0 .. i, in logu's rows,
+    # which are free once folded in.
+    log_b = logu
+    np.copyto(log_b[0], log_sp[0])
     scratch = np.empty(batch)
-    # log b_i is the log of the sum of spacings 0 .. i.
-    log_b = np.empty_like(log_sp)
-    log_b[0] = log_sp[0]
     for i in range(1, n):
         _log_add_exp(log_b[i - 1], log_sp[i], log_b[i], scratch)
-    logp = (m - n) * log_b.sum(axis=0)
-    logp += -wishart_log_norm_const(m, n) - m * n * math.log(s)
-    logp -= np.exp(log_b).sum(axis=0) / s
+    # Each row's log, by its coefficient: (m - n) log b_i from the target
+    # and -t w_i log b_i from the damped weight; (1 - g_i) log(spacing_i)
+    # from the proposal, and 2 log(spacing_i) from the target's gap b_i -
+    # b_{i-1}.  b_0 is spacing 0.
+    sp_coef = 1.0 - g + 2.0 * (np.arange(n) > 0)
+    b_coef = (m - n) - t * c
+    total = np.multiply(log_sp[0], sp_coef[0] + b_coef[0])
+    for i in range(1, n):
+        total += np.multiply(log_sp[i], sp_coef[i], out=scratch)
+        total += np.multiply(log_b[i], b_coef[i], out=scratch)
+    # The target's gaps b_j - b_i past adjacent ones: the sum of spacings
+    # i+1 .. j, accumulated over j.
     log_gap = np.empty(batch)
-    for i in range(n - 1):
-        # b_j - b_i is the sum of spacings i+1 .. j, accumulated over j.
+    for i in range(n - 2):
         np.copyto(log_gap, log_sp[i + 1])
-        logp += np.multiply(log_gap, 2.0, out=scratch)
         for j in range(i + 2, n):
             _log_add_exp(log_gap, log_sp[j], log_gap, scratch)
-            logp += np.multiply(log_gap, 2.0, out=scratch)
-    logq = np.zeros(batch)
-    log_damped = np.zeros(batch)
-    log_norm_q = gammaln(g) + g * log_beta
-    for i in range(n):
-        log_damped -= np.multiply(log_b[i], t * c[i], out=scratch)
-        # Each spacing's log density, formed whole before it is summed.
-        np.divide(np.exp(log_sp[i], out=scratch), beta[i], out=scratch)
-        term = np.multiply(log_sp[i], g[i] - 1.0, out=log_sp[i])
-        term -= scratch
-        term -= log_norm_q[i]
-        logq += term
-    return logp - logq + log_damped
+            total += np.multiply(log_gap, 2.0, out=scratch)
+    total += (-wishart_log_norm_const(m, n) - m * n * math.log(s)
+              + float(np.sum(gammaln(g) + g * log_beta)))
+    return total
 
 
 def _log_add_exp(a, b, out, scratch):
@@ -258,14 +247,14 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     Horner's rule: no channel spectrum is formed.
 
     At ``t > 0`` the span builds one estimate object from its draws, and
-    each point's estimate spectrum is read from it at that point's error
-    scale; no estimate matrix is formed.  With one or two rows it is an
-    :class:`~mimo_dmt.channel.EstimateMinors`, whose ascending pair comes
-    from the estimate's determinant and trace with no Gram block and no
-    eigenvalue routine, and with more rows a
-    :class:`~mimo_dmt.channel.GramPolynomial`.  Each point's log damped
-    weight (:func:`_log_damped_weight`) goes into one row of a per-span
-    buffer.  At ``t = 0`` the power is constant: the sampler leaves the
+    reads each point's log damped weight from it at that point's error
+    scale, into one row of a per-span buffer; no estimate matrix is formed.
+    With one or two rows it is an
+    :class:`~mimo_dmt.channel.EstimateMinors`, which reads the weight from
+    the estimate's determinant and largest eigenvalue with no Gram block
+    and no eigenvalue routine, and with more rows a
+    :class:`~mimo_dmt.channel.GramPolynomial`, which reads it from the
+    spectrum.  At ``t = 0`` the power is constant: the sampler leaves the
     error's uniforms untransformed, and the span builds no estimate.
 
     ``kappas()`` returns one kappa per point.  It is called only once every
@@ -286,7 +275,7 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
             # The estimate is h + c_g e with c_g = sigma_g / sigma_0, taken
             # as a ratio of SNRs so that large alpha does not underflow.
             c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
-            _log_damped_weight(cfg, estimate.spectrum(c_g).T, t, out=log_weight)
+            estimate.log_damped_weight(c_g, t, out=log_weight)
         del estimate
     counts = []
     det = np.empty(count)

@@ -16,13 +16,13 @@ from mimo_dmt.channel import (
     ChannelConfig,
     EstimateMinors,
     GramPolynomial,
+    _log_damped_weight,
     bidiagonal_minor_sums,
     eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
 )
-from mimo_dmt.simulate import _log_damped_weight
 
 
 def complex_error(e):
@@ -656,6 +656,79 @@ def estimate_sizes(h, e, c):
     return det, tr
 
 
+def exact_pair(h, e, c):
+    """Ascending eigenvalues of one estimate ``h + c e`` from its exact
+    determinant and trace (:func:`exact_estimate`), as 60-digit decimals;
+    one row has one."""
+    det, tr = exact_estimate(h, e, c)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        det, tr = (decimal.Decimal(x.numerator) / x.denominator for x in (det, tr))
+        if len(h) == 1:
+            return [tr]
+        if tr == 0:
+            return [tr, tr]
+        lam_max = tr / 2 * (1 + max(1 - 4 * det / (tr * tr), 0).sqrt())
+        return [det / lam_max, lam_max]
+
+
+def exact_log_weight(h, e, c, w, t):
+    """The log damped weight ``-t * sum(w_i log lambda_i)`` of
+    :func:`exact_pair`, in 60-digit arithmetic, with eigenvalues below the
+    smallest normal float counted as that float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        tiny = decimal.Decimal(float(np.finfo(float).tiny))
+        return float(-decimal.Decimal(t) * sum(
+            decimal.Decimal(float(w_i)) * max(x, tiny).ln()
+            for w_i, x in zip(w, exact_pair(h, e, c))))
+
+
+def log_weight_error_bound(h, e, c, w, t, top):
+    """Bound on the error of ``EstimateMinors.log_damped_weight`` for one
+    estimate, in a batch whose largest ``T0 + T2`` (sum of squared
+    entries) is ``top``.
+
+    It carries the determinant's 32 u and the trace's 16 u of their terms'
+    size (:func:`estimate_sizes`), the bounds of
+    ``test_matches_exact_determinant_and_trace``, into ``log det`` and into
+    ``lambda_max = tr/2 + sqrt((tr/2)**2 - det)``, whose root term takes
+    the smaller of its first-order and square-root bounds, and adds 8 u of
+    the logs the reader sums, in the batch's scaled units.  Ratios are
+    formed in rational or 60-digit arithmetic, so that no size underflows.
+    """
+    u = 2.0 ** -53
+    det, _ = exact_estimate(h, e, c)
+    det_size, tr_size = estimate_sizes(h, e, c)
+    pair = exact_pair(h, e, c)
+    # The batch's power-of-two scale, as a log: within a factor of 4 of
+    # top's.
+    log_scale = abs(math.log(top)) + math.log(4.0)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lam_max = pair[-1]
+        ratio = float(decimal.Decimal(tr_size.numerator) / tr_size.denominator / lam_max)
+        log_max = abs(float(lam_max.ln()))
+        if len(pair) == 1:
+            return t * w[0] * (16 * u * ratio + 8 * u * (log_max + log_scale))
+        det_ratio = float(det_size / det)
+        det_size = float(decimal.Decimal(det_size.numerator) / det_size.denominator
+                         / (lam_max * lam_max))
+        log_det = abs(float((decimal.Decimal(det.numerator) / det.denominator).ln()))
+        root_sq = float(((1 - pair[0] / lam_max) / 2) ** 2)
+    # Relative to lambda_max: tr/2's error, then (tr/2)**2 - det's.
+    half_tr = 8 * u * ratio
+    root_sq_err = 10 * u * ratio ** 2 + 32 * u * det_size
+    root_err = math.sqrt(root_sq_err)
+    if root_sq:
+        root_err = min(root_err, root_sq_err / (2 * math.sqrt(root_sq)))
+    max_err = half_tr + root_err + 2 * u
+    return t * (w[0] * 32 * u * det_ratio + (w[1] - w[0]) * max_err
+                + 8 * u * (w[0] * (log_det + 2 * log_scale)
+                           + (w[1] - w[0]) * (log_max + log_scale)
+                           + (w[0] + w[1]) * log_scale))
+
+
 class TestEstimateMinors:
     """One- and two-row estimate spectra from the determinant's minors and
     the trace, against exact rational arithmetic and against
@@ -690,7 +763,7 @@ class TestEstimateMinors:
         # The determinant, read as lambda_min * lambda_max, lies within
         # 32 u of its terms' size of the exact determinant, and lambda_min +
         # lambda_max within 16 u of the trace's size; on 3,000 random
-        # inputs of these kinds the errors were at most 5.8 u and 4.5 u.
+        # inputs of these kinds the errors were at most 4.7 u and 4.1 u.
         # Every product is correctly rounded, so what cancels loses only
         # what the terms' size allows, the fold of the pairs past B
         # included.  The per-trial power-of-two scaling keeps the quartic
@@ -718,43 +791,55 @@ class TestEstimateMinors:
         # from eig_ascending(h + c e) within 32 u times t * sum(w) *
         # lambda_max / lambda_min (the eigenvalue errors) plus t * sum(w *
         # |log lambda|) (the logs' rounding); on 3,000 random inputs the
-        # difference was at most 11.8 u of that.
+        # difference was at most 4.7 u of that.
         m = max(m, n)
-        cfg = ChannelConfig(m, n, 0.5)
         h, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
         want = eig_ascending(h + c * complex_error(e))
-        got = _log_damped_weight(cfg, EstimateMinors(h, e).spectrum(c).T.copy(), t)
+        got = EstimateMinors(h, e).log_damped_weight(c, t)
         w = eigen_decay_weights(m, n)
         size = t * (w.sum() * want[:, -1] / want[:, 0]
                     + (w * np.abs(np.log(want))).sum(axis=1))
-        ref = _log_damped_weight(cfg, want.T.copy(), t)
+        ref = _log_damped_weight(want.T.copy(), w, t)
         assert np.all(np.abs(got - ref) <= 32 * 2.0 ** -53 * size)
 
-    @staticmethod
-    def _exact_log_weight(h, e, c, cfg, t):
-        """The log damped weight from the exact determinant and trace, in
-        60-digit decimal arithmetic."""
-        det, tr = exact_estimate(h, e, c)
-        w = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
-        with decimal.localcontext() as ctx:
-            ctx.prec = 60
-            det, tr = (decimal.Decimal(x.numerator) / x.denominator for x in (det, tr))
-            lam_max = tr / 2 * (1 + (1 - 4 * det / (tr * tr)).sqrt())
-            lam = [det / lam_max, lam_max][2 - cfg.n_rx:]
-            return float(-decimal.Decimal(t) * sum(decimal.Decimal(float(wi)) * x.ln()
-                                                   for wi, x in zip(w, lam)))
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
+           m=st.integers(1, 6),
+           kind=st.sampled_from(["generic", "cancel", "rank1"]),
+           log_c=st.floats(-8.0, math.log10(7.5)),
+           log_scale=st.floats(-100.0, 100.0),
+           t=st.sampled_from([0.3, 0.9]))
+    @settings(max_examples=200, deadline=None)
+    def test_log_weight_matches_exact(self, seed, n, m, kind, log_c, log_scale, t):
+        # The weight a span reads, from the determinant and lambda_max,
+        # against the 60-digit weight of the exact determinant and trace,
+        # within log_weight_error_bound: the determinant's and the trace's
+        # error bounds carried through the logs and the closed form.  On
+        # 3,000 random inputs of these kinds the error was at most 0.17 of
+        # that bound.
+        m = max(m, n)
+        c = 10.0 ** log_c
+        h, e = self._draws(n, m, kind, c, 10.0 ** log_scale,
+                           np.random.default_rng(seed))
+        w = eigen_decay_weights(m, n)
+        got = EstimateMinors(h, e).log_damped_weight(c, t)
+        top = float((np.square(h).sum(axis=(1, 2))
+                     + np.square(e).sum(axis=(1, 2, 3))).max())
+        for got_i, h_i, e_i in zip(got, h, e):
+            want = exact_log_weight(h_i, e_i, c, w, t)
+            bound = log_weight_error_bound(h_i, e_i, c, w, t, top)
+            assert abs(got_i - want) <= bound, (got_i, want, bound)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_nearly_rank_one_weight_is_exact(self, m):
         # A nearly rank-1 estimate: its small eigenvalue is about 1e-12 of
         # its large one.  The weight from the minors is within 1e-13 of the
         # exact weight; the Gram matrix's closed form misses it by far more.
-        cfg, t, c = ChannelConfig(m, 2, 0.5), 0.9, 0.3
+        w, t, c = eigen_decay_weights(m, 2), 0.9, 0.3
         h, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
-        exact = np.array([self._exact_log_weight(h_i, e_i, c, cfg, t)
+        exact = np.array([exact_log_weight(h_i, e_i, c, w, t)
                           for h_i, e_i in zip(h, e)])
-        minors = _log_damped_weight(cfg, EstimateMinors(h, e).spectrum(c).T.copy(), t)
-        grams = _log_damped_weight(cfg, GramPolynomial(h, e).spectrum(c).T.copy(), t)
+        minors = EstimateMinors(h, e).log_damped_weight(c, t)
+        grams = GramPolynomial(h, e).log_damped_weight(c, t)
         assert np.abs(minors - exact).max() <= 1e-13
         assert np.abs(grams - exact).max() > 1e3 * np.abs(minors - exact).max()
 
@@ -762,6 +847,26 @@ class TestEstimateMinors:
         # A zero trace gives two zero eigenvalues, not NaN.
         h, e = np.zeros((3, 2, 4)), np.zeros((3, 2, 2, 4))
         assert np.array_equal(EstimateMinors(h, e).spectrum(0.7), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_weight_floors_eigenvalues_below_the_smallest_normal(self, n, scale):
+        # An eigenvalue below the smallest normal float counts as that
+        # float, as in _log_damped_weight, wherever the batch's scaling
+        # puts it: a zero estimate, an exactly rank-1 one (on two rows) and
+        # one whose small eigenvalue is about 1e-320, beside a generic
+        # estimate, which the floor leaves as it is.
+        c, t = 0.3, 0.9
+        h, e = self._draws(n, 3, "generic", c, 1.0, np.random.default_rng(5))
+        h[1], e[1] = 0.0, 0.0
+        e[2:] = 0.0
+        h[2, n - 1, n - 1] = 0.0
+        h, e = scale * h, scale * e
+        h[3, n - 1, n - 1] = 1e-160
+        w = eigen_decay_weights(3, n)
+        got = EstimateMinors(h, e).log_damped_weight(c, t)
+        want = [exact_log_weight(h_i, e_i, c, w, t) for h_i, e_i in zip(h, e)]
+        npt.assert_allclose(got, want, rtol=1e-14)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (6, 2)])
     def test_sampled_draws_match_gram_polynomial(self, m, n):
@@ -772,6 +877,35 @@ class TestEstimateMinors:
         for c in (1.0, 0.3, 1e-4):
             got, want = minors.spectrum(c), grams.spectrum(c)
             assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:]), c
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["h diagonal", "error real", "error imag"])
+    def test_rejects_nonfinite(self, n, bad, where):
+        # A NaN or infinite draw raises, as in GramPolynomial, rather than
+        # reading as a weight that counts no outage.
+        h, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
+        entries = ([(i, i) for i in range(n)] if where == "h diagonal"
+                   else [(0, 0), (n - 1, 2)])
+        for i, j in entries:
+            bad_h, bad_e = h.copy(), e.copy()
+            if where == "h diagonal":
+                bad_h[2, i, j] = bad
+            else:
+                bad_e[2, int(where == "error imag"), i, j] = bad
+            with pytest.raises(ValueError, match="matrix entries must be finite"):
+                EstimateMinors(bad_h, bad_e)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejects_entries_whose_squares_overflow(self, n):
+        # Past about 1.3e154 an entry's square overflows: it is rejected
+        # too.  Below it, the entry is accepted.
+        h, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
+        h[1, 0, 0] = 1e154
+        EstimateMinors(h, e)
+        h[1, 0, 0] = 1.4e154
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            EstimateMinors(h, e)
 
     def test_rejects_three_rows_and_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):

@@ -3,19 +3,25 @@
 Kappa is calibrated by importance sampling on the estimate's eigenvalue
 density (``simulate._log_is_weights``, normalized by
 ``channel.wishart_log_norm_const``).  The check here shares neither: it
-draws estimates with the sweep's own sampler, reads their spectra from a
-``GramPolynomial`` and averages ``kappa`` times the damped weight.  A wrong
-target density would bias the calibration and leave this average off the
-budget.  The squared weight has a finite mean only for ``t < 1/2``, so the
-check stops there.
+draws estimates with the sweep's own sampler, reads each one's damped
+weight as a sweep's span does, from an ``EstimateMinors`` on one- and
+two-row links and from a ``GramPolynomial`` on links with more rows, and
+averages ``kappa`` times that weight.  A wrong target density would bias
+the calibration and leave this average off the budget.  The squared weight
+has a finite mean only for ``t < 1/2``, so the check stops there.
 """
 import math
 
 import numpy as np
 import pytest
 
-from mimo_dmt.channel import ChannelConfig, GramPolynomial, sample_channel_block
-from mimo_dmt.simulate import CAL_BATCH, _log_damped_weight, _mean_damped_weight
+from mimo_dmt.channel import (
+    ChannelConfig,
+    EstimateMinors,
+    GramPolynomial,
+    sample_channel_block,
+)
+from mimo_dmt.simulate import CAL_BATCH, _mean_damped_weight
 
 RHO = 10.0
 TRIALS = 1 << 19
@@ -29,9 +35,9 @@ def sampled_mean_weights(cfg, ts, trials, seed):
     for start in range(0, trials, SPAN):
         h, e = sample_channel_block(cfg, RHO, seed, start=start,
                                     count=min(SPAN, trials - start))
-        spectra = GramPolynomial(h, e).spectrum(1.0)
+        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(h, e)
         for t in ts:
-            w = np.exp(_log_damped_weight(cfg, spectra.T.copy(), t))
+            w = np.exp(estimate.log_damped_weight(1.0, t))
             sums[t][0] += float(w.sum())
             sums[t][1] += float((w * w).sum())
     out = {}

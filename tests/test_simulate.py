@@ -16,6 +16,7 @@ from mimo_dmt.channel import (
     EstimateMinors,
     GramPolynomial,
     _bit_generator,
+    _log_damped_weight,
     eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
@@ -28,7 +29,6 @@ from mimo_dmt.simulate import (
     _count_outages_span,
     _grid_kappas,
     _least_squares_slope,
-    _log_damped_weight,
     _log_is_weights,
     _mean_damped_weight,
     calibrate_kappa,
@@ -48,7 +48,8 @@ def _damped_weight(cfg, b, t):
     """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
     batch of ascending eigenvalues: the exponential of
     ``_log_damped_weight``, the log weight a sweep's spans form."""
-    return np.exp(_log_damped_weight(cfg, np.array(b, dtype=float).T, t))
+    w = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
+    return np.exp(_log_damped_weight(np.array(b, dtype=float).T, w, t))
 
 
 def reduced_quadrature_mean_weight():
@@ -160,18 +161,24 @@ class TestAdaptedPower:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (4, 4)])
     def test_weight_is_exp_of_span_log_weight(self, m, n):
-        # The weight that the power-budget test averages is the one a span
-        # forms: the exponential of its log weight, bit for bit, on the
-        # span's row layout of an estimate spectrum.
+        # The weight of an estimate spectrum is the exponential of the log
+        # weight a span reads from its estimate object: bit for bit from a
+        # GramPolynomial, the reader on three or more rows, and within
+        # 1e-13 from an EstimateMinors, whose reader takes the weight from
+        # the determinant and lambda_max rather than from the pair.
         cfg = ChannelConfig(m, n, 0.5)
         h, e = sample_channel_block(cfg, 10.0, 3, count=5000)
         grams = GramPolynomial(h, e)
+        minors = EstimateMinors(h, e) if n <= 2 else None
         b = grams.spectrum(0.7)
         kept = b.copy()
         for t in (0.0, 0.4, 0.9):
-            log_weight = _log_damped_weight(cfg, grams.spectrum(0.7).T, t,
-                                            out=np.empty(5000))
+            log_weight = grams.log_damped_weight(0.7, t, out=np.empty(5000))
             npt.assert_array_equal(_damped_weight(cfg, b, t), np.exp(log_weight))
+            if minors is not None:
+                npt.assert_allclose(np.exp(minors.log_damped_weight(0.7, t)),
+                                    _damped_weight(cfg, minors.spectrum(0.7), t),
+                                    rtol=1e-13)
         # The helper overwrites its rows; the weight leaves its input alone.
         npt.assert_array_equal(b, kept)
 
@@ -393,20 +400,20 @@ class TestOutageTrial:
     @staticmethod
     def _spy_estimates(monkeypatch, cls):
         # Record each estimate object of class cls built, by its trial
-        # count, and each spectrum it is asked for, by its scale.
+        # count, and each log damped weight it is asked for, by its scale.
         built, scales = [], []
-        init, spectrum = cls.__init__, cls.spectrum
+        init, reader = cls.__init__, cls.log_damped_weight
 
         def spy_init(self, h, e):
             built.append(h.shape[0])
             init(self, h, e)
 
-        def spy_spectrum(self, c):
+        def spy_reader(self, c, t, out=None):
             scales.append(c)
-            return spectrum(self, c)
+            return reader(self, c, t, out)
 
         monkeypatch.setattr(cls, "__init__", spy_init)
-        monkeypatch.setattr(cls, "spectrum", spy_spectrum)
+        monkeypatch.setattr(cls, "log_damped_weight", spy_reader)
         return built, scales
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
@@ -464,12 +471,17 @@ class TestOutageTrial:
     def test_damped_power_reads_one_estimate_spectrum_per_point(
             self, m, n, monkeypatch):
         # At t = 0.9 each span builds one estimate object and reads each
-        # point's estimate spectrum once, at its error scale, and never the
-        # channel spectrum at c = 0.  One- and two-row links take it from
-        # the determinant's minors and the trace, and build no
-        # GramPolynomial; three or more rows build one per span.
+        # point's log damped weight from it once, at its error scale, and
+        # never the channel's at c = 0.  One- and two-row links read it from
+        # the determinant's minors and the trace, with no eigenvalue pair
+        # and no GramPolynomial; three or more rows build one per span.
         grams = self._spy_estimates(monkeypatch, GramPolynomial)
         minors = self._spy_estimates(monkeypatch, EstimateMinors)
+
+        def no_pair(self, c):
+            raise AssertionError("a span formed an eigenvalue pair")
+
+        monkeypatch.setattr(EstimateMinors, "spectrum", no_pair)
         cfg = ChannelConfig(m, n, 0.5)
         grid = [10.0, 100.0, 1000.0]
         for start, count in [(0, 500), (500, 200)]:
