@@ -33,8 +33,9 @@ draws them, which makes parallel Monte Carlo bit-reproducible.
 
 Batches are trial-contiguous: a ``(count, n, m)`` batch, and each plane of
 the error, is stored trial-last, so each matrix entry's trials form one
-contiguous vector.  Gram entries, minors, and the closed-form spectra of
-one- and two-row links are whole-vector arithmetic over them.
+contiguous vector.  Gram entries, minors, and :class:`EstimateMinors`'
+closed-form spectra of one- and two-row estimates are whole-vector
+arithmetic over them.
 
 SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
 density's normalizer (``gammaln``), and is imported on first use, so the
@@ -250,27 +251,16 @@ def eig_ascending(x):
     batch.  A complex input is split into its real and imaginary planes,
     and the Gram entries are summed column by column over the per-entry
     vectors of each plane, in real arithmetic that skips a real input's
-    zero imaginary part.  Inputs with one or two rows take a closed
-    form.  Three or more rows fill Hermitian matrices from the entries for
+    zero imaginary part.  The entries fill Hermitian matrices for
     ``numpy.linalg.eigvalsh``, whose tiny negative values on rank-deficient
     inputs are clamped to zero.  :class:`GramPolynomial` forms and reads its
     Gram matrices the same way.
 
-    * ``n == 1``: the one eigenvalue is the row's squared norm.
-    * ``n == 2``: from the Gram entries ``g11``, ``g22`` and ``g12``, each
-      divided by the trace so that no product overflows or underflows,
-      ``lambda_max = tr/2 * (1 + sqrt(d**2 + 4|o|**2))`` and
-      ``lambda_min = det / lambda_max``, with ``d`` and ``o`` the scaled
-      diagonal difference and off-diagonal entry and ``det`` clamped at 0.
-
-    Measured against ``eigvalsh`` on 15.4 million complex Gaussian inputs
-    with ``m <= 6`` and entries scaled from 1e-100 to 1e100 in seven steps,
-    rank-1, equal-eigenvalue and zero inputs among them, the closed forms
-    differed by at most ``1.78e-15 * lambda_max``.  For three or more rows,
-    against ``eigvalsh`` of the Gram matrix formed by ``matmul``, on 11.4
-    million complex Gaussian inputs with ``n`` in 3, 4 and 6,
-    ``n <= m <= 9``, the same scales and rank-1, zero and near-cancelling
-    inputs, the spectra differed by at most ``2.9e-15 * lambda_max``.
+    Measured against ``eigvalsh`` of the Gram matrix formed by ``matmul``,
+    on 9.5 million complex Gaussian inputs with ``n`` in 1..4 and 6,
+    ``n <= m <= 9`` and entries scaled from 1e-100 to 1e100 in seven
+    steps, rank-1, equal-eigenvalue and zero inputs among them, the spectra
+    differed by at most ``2.8e-15 * lambda_max``.
     """
     x = np.asarray(x)
     if x.ndim < 2:
@@ -340,17 +330,15 @@ class GramPolynomial:
     complex-cast operands up to the sign of an exact zero.  The quadratic
     is evaluated entry by entry, so every product is correctly rounded and
     a trial's result does not depend on its batch.  Each instance
-    evaluates into one scratch Gram, in which the two-row spectrum is then
-    worked out, so it serves one thread at a time; every spectrum it
-    returns is a new array.
+    evaluates into one scratch Gram, so it serves one thread at a time;
+    every spectrum it returns is a new array.
 
-    Measured against ``eig_ascending(h + c * e)`` on 22.8 million complex
+    Measured against ``eig_ascending(h + c * e)`` on 28.6 million complex
     Gaussian inputs with ``n`` in 1..4 and 6, ``n <= m <= 9``, ``c`` in
     {1, 1e-3, 1e-12} and entries scaled from 1e-100 to 1e100 in seven
     steps, rank-1, zero and cancelling (``e`` near ``-h / c``) inputs among
-    them, the spectra differed by at most ``9.4e-16 * tr(A + c**2 C)`` for
-    ``n <= 2`` and ``2.2e-15 * tr(A + c**2 C)`` for ``n >= 3``.  Both
-    bounds are on the size of the two terms: where they cancel, the
+    them, the spectra differed by at most ``2.4e-15 * tr(A + c**2 C)``.
+    The bound is on the size of the two terms: where they cancel, the
     estimate's own eigenvalues can be far smaller.  That measurement took
     ``e`` as a complex array; the real and imaginary planes of the same
     ``e`` give the same blocks and spectra bit for bit.
@@ -708,13 +696,7 @@ def _rows(g):
 
 def _gram_spectrum(g, n):
     """Ascending spectrum, eigenvalue index first, of a Gram matrix stored
-    as :func:`_gram` stores it, in a new array.  Two-row spectra are worked
-    out in ``g``'s rows, which they overwrite."""
-    if n == 1:
-        # The squared norm of a sum of rows can round below zero.
-        return np.maximum(g, 0.0)
-    if n == 2:
-        return _two_row_spectrum(g)
+    as :func:`_gram` stores it, in a new array."""
     # Trial-last matrices fill from the rows with unit-stride writes.
     # eigvalsh reads the diagonal's real part and the upper triangle.
     matrices = np.zeros((n, n) + g.shape[1:], dtype=np.complex128)
@@ -769,53 +751,6 @@ def _cross_term(a, b, out):
         np.negative(a[..., 0] * b[..., 1], out=out)
     else:
         out.fill(0.0)
-    return out
-
-
-def _two_row_spectrum(g):
-    """Closed-form ascending spectrum of two-row Gram matrices, from their
-    diagonal and the real and imaginary parts of ``g12`` in the rows of
-    ``g``, which it overwrites, into a new ``(2, ...)`` array."""
-    g11, g22, g_re, g_im = _rows(g)
-    out = np.empty_like(g[:2])
-    lam_min, lam_max = _rows(out)
-    # A diagonal entry of a Gram polynomial can round below zero.
-    np.maximum(g11, 0.0, out=g11)
-    np.maximum(g22, 0.0, out=g22)
-    tr = np.add(g11, g22, out=lam_max)
-    # A zero matrix has trace 0; dividing by 1 instead yields (0, 0).
-    scale = lam_min
-    scale.fill(1.0)
-    np.copyto(scale, tr, where=tr > 0.0)
-    a = np.divide(g11, scale, out=g11)
-    c = np.divide(g22, scale, out=g22)
-    # A Gram matrix has |g12| <= sqrt(g11 * g22) <= tr / 2.  Rounding in a
-    # Gram polynomial can break that bound by far when the sum cancels;
-    # clipping each scaled part to it keeps the squares finite.  The
-    # ufuncs clip as np.clip does, without its Python wrapper.
-    for part in (g_re, g_im):
-        part /= scale
-        np.minimum(part, 0.5, out=part)
-        np.maximum(part, -0.5, out=part)
-        np.square(part, out=part)
-    o_sq = np.add(g_re, g_im, out=g_re)
-    d = np.subtract(a, c, out=g_im)
-    det = a
-    det *= c
-    det -= o_sq
-    np.maximum(det, 0.0, out=det)
-    # half = (1 + sqrt(d**2 + 4 o_sq)) / 2, in d's row; c's row takes 4 o_sq.
-    half = d
-    half *= d
-    half += np.multiply(o_sq, 4.0, out=c)
-    np.sqrt(half, out=half)
-    half += 1.0
-    half *= 0.5
-    lam_max *= half
-    # The minimum keeps the pair ascending where rounding would cross it.
-    det /= half
-    det *= scale
-    np.minimum(det, lam_max, out=lam_min)
     return out
 
 

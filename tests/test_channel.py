@@ -458,18 +458,19 @@ class TestEigAscending:
         return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 3),
-                                     (2, 5)])
+                                     (2, 5), (3, 3), (3, 5), (4, 4)])
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
-    def test_closed_form_matches_eigvalsh(self, n, m, scale):
-        # One- and two-row inputs take a closed form; eigvalsh on the Gram
-        # matrix is the reference.  The batch mixes generic draws with a
-        # rank-1 input, orthogonal rows of equal norm (equal eigenvalues)
-        # and the zero matrix.  Bound: 1e-13 * lambda_max, which is no
-        # looser than 1e-13 * max(1, lambda_max) at any scale.
+    def test_per_entry_gram_matches_matmul_gram(self, n, m, scale):
+        # The Gram matrix summed entry by entry in real arithmetic, then
+        # eigvalsh, against eigvalsh of the Gram matrix formed by matmul.
+        # The batch mixes generic draws with a rank-1 input, orthogonal
+        # rows of equal norm (equal eigenvalues) and the zero matrix.
+        # Bound: 1e-13 * lambda_max, which is no looser than
+        # 1e-13 * max(1, lambda_max) at any scale.
         rng = np.random.default_rng(100 * n + m)
         x = rng.normal(size=(400, n, m)) + 1j * rng.normal(size=(400, n, m))
-        x[1, -1] = (0.3 - 0.7j) * x[1, 0]
-        if n == 2:
+        x[1, 1:] = (0.3 - 0.7j) * x[1, :1]
+        if n >= 2:
             q = np.linalg.qr(x[2].T)[0]
             x[2] = 2.5 * q.T
         x[3] = 0.0
@@ -481,8 +482,8 @@ class TestEigAscending:
         assert np.all(np.diff(got, axis=-1) >= 0.0)
         assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
         assert np.all(got[3] == 0.0)
-        if n == 2:
-            npt.assert_allclose(got[1, 0], 0.0, atol=1e-13 * got[1, 1])
+        if n >= 2:
+            npt.assert_allclose(got[1, :-1], 0.0, atol=1e-13 * got[1, -1])
             npt.assert_allclose(got[2], 6.25 * scale ** 2, rtol=1e-13)
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 4)])
@@ -513,8 +514,8 @@ class TestEigAscending:
         assert np.array_equal(got, eig_ascending(whole[0] + complex_error(whole[1])))
 
     def test_equal_eigenvalues_stay_ascending(self):
-        # Orthonormal row pairs have the double eigenvalue 1; the closed
-        # form's rounding must not return the pair out of order.
+        # Orthonormal row pairs have the double eigenvalue 1; rounding
+        # must not return the pair out of order.
         rng = np.random.default_rng(8)
         z = rng.normal(size=(4000, 3, 3)) + 1j * rng.normal(size=(4000, 3, 3))
         x = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
@@ -618,6 +619,30 @@ class TestGramPolynomial:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_do_not_alias_scratch(self, n):
+        # The sweep keeps the channel spectrum while it reads seven more
+        # from the same instance; eig_ascending must leave its input and
+        # earlier results alone too.
+        rng = np.random.default_rng(n)
+        h = rng.normal(size=(500, n, 4))
+        e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+        grams = GramPolynomial(h, planes(e))
+        first = [grams.spectrum(c) for c in (0.0, 1.0)]
+        kept = [x.copy() for x in first]
+        for c in (0.5, 0.0, 2.0, 1e-3):
+            grams.spectrum(c)
+        for x, y in zip(first, kept):
+            assert np.array_equal(x, y)
+        x = h + e
+        x_kept = x.copy()
+        vals = eig_ascending(x)
+        vals_kept = vals.copy()
+        eig_ascending(x)
+        eig_ascending(e)
+        assert np.array_equal(x, x_kept)
+        assert np.array_equal(vals, vals_kept)
 
 
 def exact_estimate(h, e, c):
@@ -833,7 +858,8 @@ class TestEstimateMinors:
     def test_nearly_rank_one_weight_is_exact(self, m):
         # A nearly rank-1 estimate: its small eigenvalue is about 1e-12 of
         # its large one.  The weight from the minors is within 1e-13 of the
-        # exact weight; the Gram matrix's closed form misses it by far more.
+        # exact weight; eigvalsh of the Gram matrix's entries misses it by
+        # far more.
         w, t, c = eigen_decay_weights(m, 2), 0.9, 0.3
         h, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
         exact = np.array([exact_log_weight(h_i, e_i, c, w, t)
@@ -870,8 +896,8 @@ class TestEstimateMinors:
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (6, 2)])
     def test_sampled_draws_match_gram_polynomial(self, m, n):
-        # On the sweep's own draws, within 1e-13 * lambda_max of the Gram
-        # closed form at every scale a sweep reads.
+        # On the sweep's own draws, within 1e-13 * lambda_max of
+        # eigvalsh of the Gram matrix's entries at every scale a sweep reads.
         h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
         minors, grams = EstimateMinors(h, e), GramPolynomial(h, e)
         for c in (1.0, 0.3, 1e-4):
@@ -958,103 +984,6 @@ class TestRealChannel:
         real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
         for c in (0.0, 1.0, 0.05):
             assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
-
-
-def reference_two_row_spectrum(g11, g22, g_re, g_im):
-    """The out-of-place two-row closed form that the in-place kernel
-    replaced, kept as the kernel's reference."""
-    g11 = np.maximum(g11, 0.0)
-    g22 = np.maximum(g22, 0.0)
-    tr = g11 + g22
-    scale = np.where(tr > 0.0, tr, 1.0)
-    a = g11 / scale
-    c = g22 / scale
-    o_sq = (np.clip(g_re / scale, -0.5, 0.5) ** 2
-            + np.clip(g_im / scale, -0.5, 0.5) ** 2)
-    d = a - c
-    half = 0.5 * (1.0 + np.sqrt(d * d + 4.0 * o_sq))
-    det = np.maximum(a * c - o_sq, 0.0)
-    lam_max = tr * half
-    lam_min = np.minimum(scale * (det / half), lam_max)
-    return lam_min, lam_max
-
-
-class TestTwoRowKernel:
-    """The in-place two-row kernel computes what the out-of-place closed
-    form did, bit for bit, on the Gram matrices it is given."""
-
-    @staticmethod
-    def _spy(monkeypatch):
-        # Record each input to the kernel, which overwrites it.
-        seen = []
-        kernel = channel._two_row_spectrum
-
-        def spy(g):
-            seen.append(g.copy())
-            return kernel(g)
-
-        monkeypatch.setattr(channel, "_two_row_spectrum", spy)
-        return seen
-
-    @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel", "equal"])
-    @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e10, 1e100])
-    def test_matches_reference_on_gram_polynomials(self, kind, scale, monkeypatch):
-        seen = self._spy(monkeypatch)
-        rng = np.random.default_rng(7)
-        for c in (1.0, 1e-3, 1e-12):
-            if kind == "equal":
-                # Orthonormal rows: the double eigenvalue of h h^H, and of
-                # the estimate's as c goes to zero.
-                z = rng.normal(size=(300, 3, 3)) + 1j * rng.normal(size=(300, 3, 3))
-                h = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
-                e = 1e-9 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
-            else:
-                h, e = TestGramPolynomial._pairs(2, 3, kind, c, rng)
-            grams = GramPolynomial(scale * h, planes(scale * e))
-            results = [grams.spectrum(c), grams.spectrum(0.0),
-                       eig_ascending(scale * h), eig_ascending(scale * (h + c * e))]
-            for got, g in zip(results, seen[-4:]):
-                want = np.stack(reference_two_row_spectrum(*g), axis=-1)
-                assert np.array_equal(got, want), (c, kind)
-        assert len(seen) == 12
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_reference_on_any_rows(self, seed):
-        # Rows no Gram matrix has: negative diagonals, off-diagonal parts
-        # far past the bound the kernel clips to, exact zeros and traces of
-        # zero, at mixed scales from 1e-150 to 1e150.
-        rng = np.random.default_rng(seed)
-        g = rng.normal(size=(4, 500)) * 10.0 ** rng.integers(-150, 150, size=(4, 500))
-        g[:, rng.random(500) < 0.1] = 0.0
-        g[0, :20] = -g[1, :20]
-        g[rng.random((4, 500)) < 0.1] = 0.0
-        want = np.stack(reference_two_row_spectrum(*g))
-        assert np.array_equal(channel._two_row_spectrum(g.copy()), want)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_results_do_not_alias_scratch(self, n):
-        # The sweep keeps the channel spectrum while it reads seven more
-        # from the same instance; eig_ascending must leave its input and
-        # earlier results alone too.
-        rng = np.random.default_rng(n)
-        h = rng.normal(size=(500, n, 4))
-        e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
-        grams = GramPolynomial(h, planes(e))
-        first = [grams.spectrum(c) for c in (0.0, 1.0)]
-        kept = [x.copy() for x in first]
-        for c in (0.5, 0.0, 2.0, 1e-3):
-            grams.spectrum(c)
-        for x, y in zip(first, kept):
-            assert np.array_equal(x, y)
-        x = h + e
-        x_kept = x.copy()
-        vals = eig_ascending(x)
-        vals_kept = vals.copy()
-        eig_ascending(x)
-        eig_ascending(e)
-        assert np.array_equal(x, x_kept)
-        assert np.array_equal(vals, vals_kept)
 
 
 class TestPerturbationBound:

@@ -519,7 +519,7 @@ class TestRunSweep:
         # t = 0 on an m x 2 link: every count within 3 binomial sigma of the
         # nested quadrature at each point with at least 20 events, and at
         # least four such points per case.  Unlike the n = 1 checks, this
-        # reads the two-row closed-form spectrum of a sampled channel.
+        # reads the two-row minor sums of a sampled channel's determinant.
         cfg = ChannelConfig(m, 2, 0.5)
         # Seven points over two decades; 4x2 at r = 1 falls below 20 events
         # past 20 dB, so its grid starts lower.
