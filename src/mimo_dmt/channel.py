@@ -23,9 +23,9 @@ are sums of squared minors of ``B`` (:func:`bidiagonal_minor_sums`), built
 from sums and products of non-negative numbers with no eigenvalue.  The
 estimate's spectra come from :class:`EstimateMinors` on one- and two-row
 links, whose Gram determinant and trace are polynomials in ``c`` built
-from ``B``'s entries and ``E``'s minors, and from the Gram blocks of
-:class:`GramPolynomial`, which skip ``[B 0]``'s zero imaginary part, on
-links with more rows.
+from ``B``'s entries and ``E``'s minors, and on links with more rows from
+the Gram blocks of :class:`GramPolynomial`.  Each of them reads ``[B 0]``
+through ``B``'s diagonal and subdiagonal alone.
 
 Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
 yields the same matrices regardless of how trials are batched or which worker
@@ -53,7 +53,6 @@ __all__ = [
     "EstimateMinors",
     "GramPolynomial",
     "bidiagonal_minor_sums",
-    "eig_ascending",
     "eigen_decay_weights",
     "sample_channel_block",
     "wishart_log_norm_const",
@@ -242,34 +241,6 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0, error=True)
     return h, z.reshape(2, n, m, count).transpose(3, 0, 1, 2)
 
 
-def eig_ascending(x):
-    """Ascending eigenvalues of ``x @ x^H`` for one matrix or a batch.
-
-    Accepts shape ``(..., n, m)``, real or complex, in any memory layout
-    and returns shape ``(..., n)``, sorted ascending and non-negative, with
-    the batch axes contiguous: each eigenvalue index is one vector over the
-    batch.  A complex input is split into its real and imaginary planes,
-    and the Gram entries are summed column by column over the per-entry
-    vectors of each plane, in real arithmetic that skips a real input's
-    zero imaginary part.  The entries fill Hermitian matrices for
-    ``numpy.linalg.eigvalsh``, whose tiny negative values on rank-deficient
-    inputs are clamped to zero.  :class:`GramPolynomial` forms and reads its
-    Gram matrices the same way.
-
-    Measured against ``eigvalsh`` of the Gram matrix formed by ``matmul``,
-    on 9.5 million complex Gaussian inputs with ``n`` in 1..4 and 6,
-    ``n <= m <= 9`` and entries scaled from 1e-100 to 1e100 in seven
-    steps, rank-1, equal-eigenvalue and zero inputs among them, the spectra
-    differed by at most ``2.8e-15 * lambda_max``.
-    """
-    x = np.asarray(x)
-    if x.ndim < 2:
-        raise ValueError("expected a matrix or a batch of matrices")
-    x = _planes(x)
-    _check_finite(x)
-    return np.moveaxis(_gram_spectrum(_gram(x), x.shape[-2]), 0, -1)
-
-
 def bidiagonal_minor_sums(h):
     """Coefficients ``e_1 .. e_n`` of ``det(I + P h h^T) = 1 + P e_1 + ...
     + P**n e_n`` for trial-last draws ``h = [B 0]`` of
@@ -309,59 +280,78 @@ def bidiagonal_minor_sums(h):
 
 class GramPolynomial:
     """Gram matrices of ``h + c * e`` for any real ``c``, from one batch of
-    ``(h, e)`` pairs.
+    draws ``(h, e)`` of :func:`sample_channel_block`.
 
-    ``(h + c e)(h + c e)^H = A + c * (B + c * C)`` with ``A = h h^H``,
-    ``B = h e^H + e h^H`` and ``C = e e^H``.  The constructor forms the
+    ``(h + c e)(h + c e)^H = A + c * (B + c * C)`` with ``A = h h^T``,
+    ``B = h e^H + e h^T`` and ``C = e e^H``.  The constructor forms the
     three blocks once, so an outage sweep that rescales one error draw to
     each SNR point forms neither a per-point estimate nor a per-point Gram
     product: :meth:`spectrum` evaluates the quadratic and takes its
-    spectrum as :func:`eig_ascending` does.
+    spectrum with ``numpy.linalg.eigvalsh``.
 
-    ``h`` is a batch of matrices, real or complex; a sweep passes a real
-    ``h`` on links with three or more rows.  ``e`` is given as real planes,
-    as :func:`sample_channel_block` returns it: shape ``h.shape[:-2] + (2,
-    n, m)``, real parts first.  The
-    blocks are stored as :func:`eig_ascending` forms its Gram matrix: the
-    ``n * n`` real entries as per-entry vectors (the diagonal, then the
-    real and imaginary part of each entry above it, row by row), summed
-    column by column in real arithmetic, with no product of a real
-    operand's zero imaginary part.  The blocks equal those of the
-    complex-cast operands up to the sign of an exact zero.  The quadratic
-    is evaluated entry by entry, so every product is correctly rounded and
-    a trial's result does not depend on its batch.  Each instance
-    evaluates into one scratch Gram, so it serves one thread at a time;
-    every spectrum it returns is a new array.
+    ``h = [B 0]`` is a real ``(count, n, m)`` batch, of which only ``B``'s
+    diagonal ``d_i = h_ii`` and subdiagonal ``s_i = h_{i+1,i}`` are read,
+    and ``e`` is given as real planes, shape ``(count, 2, n, m)``, real
+    parts first.  ``A`` is then tridiagonal, with ``A_ii = s_{i-1}**2 +
+    d_i**2`` and ``A_{i,i+1} = d_i s_i``.  With ``P_ik = s_{i-1} e_{k,i-1} +
+    d_i e_ki`` for each plane, ``B_ik = P_ik + conj(P_ki)``.  ``C`` is summed
+    column by column over ``e``'s planes.  Each block is stored as its ``n
+    * n`` real entries, one per-entry vector each: the diagonal, then the
+    real and imaginary part of each entry above it, row by row.  The
+    blocks equal the per-entry sums over every column of the complex-cast
+    operands up to the sign of an exact zero, and the quadratic is
+    evaluated entry by entry, so every product is correctly rounded and a
+    trial's result does not depend on its batch.  A NaN or infinite entry
+    of ``h`` or ``e`` raises ``ValueError``.  Each instance evaluates into
+    one scratch Gram, so it serves one thread at a time; every spectrum it
+    returns is a new array.
 
-    Measured against ``eig_ascending(h + c * e)`` on 28.6 million complex
-    Gaussian inputs with ``n`` in 1..4 and 6, ``n <= m <= 9``, ``c`` in
-    {1, 1e-3, 1e-12} and entries scaled from 1e-100 to 1e100 in seven
-    steps, rank-1, zero and cancelling (``e`` near ``-h / c``) inputs among
-    them, the spectra differed by at most ``2.4e-15 * tr(A + c**2 C)``.
-    The bound is on the size of the two terms: where they cancel, the
-    estimate's own eigenvalues can be far smaller.  That measurement took
-    ``e`` as a complex array; the real and imaginary planes of the same
-    ``e`` give the same blocks and spectra bit for bit.
+    Measured against ``eigvalsh`` of ``(h + c e)(h + c e)^H`` formed by
+    ``matmul``, on 28.6 million inputs with ``n`` in 1..4 and 6, ``n <= m
+    <= 9``, ``c`` in {1, 1e-3, 1e-12} and entries scaled from 1e-100 to
+    1e100 in seven steps, bidiagonal ``h`` with Gaussian entries,
+    zero-diagonal, zero and cancelling (``e`` near ``-h / c``) inputs among
+    them, the spectra differed by at most ``3.6e-15 * tr(A + c**2
+    C)``.  The bound is on the size of the two terms: where they cancel,
+    the estimate's own eigenvalues can be far smaller.
     """
 
     def __init__(self, h, e):
-        h, e = _planes(np.asarray(h)), np.asarray(e, dtype=np.float64)
-        if h.ndim < 3 or e.shape != h.shape[:-3] + (2,) + h.shape[-2:]:
+        if h.ndim != 3 or e.shape != (len(h), 2) + h.shape[1:]:
             raise ValueError("expected a batch of matrices and error planes "
                              "of one shape")
         _check_finite(h)
         _check_finite(e)
-        self._n = h.shape[-2]
-        self._weights = eigen_decay_weights(h.shape[-1], self._n)
-        self._a = _gram(h)
-        self._b = _cross_gram(h, e)
+        count, n, m = h.shape
+        self._n = n
+        self._weights = eigen_decay_weights(m, n)
+        # The entries of B, and each plane of e's first n columns
+        # transposed, as per-entry vectors over the trials.
+        h_t = np.moveaxis(h, 0, -1)
+        d, s = h_t[range(n), range(n)], h_t[range(1, n), range(n - 1)]
+        e_t = np.moveaxis(e, 0, -1)[:, :, :n].swapaxes(1, 2)
+        # The entries above the diagonal in row-major order, as in _pairs.
+        i, k = np.triu_indices(n, 1)
+        self._a = a = np.zeros((n * n, count))
+        np.square(d, out=a[:n])
+        a[1:n] += np.square(s)
+        a[n::2][k == i + 1] = d[:-1] * s
+        p = e_t * d[:, np.newaxis]
+        p[:, 1:] += e_t[:, :-1] * s[:, np.newaxis]
+        p_re, p_im = p
+        self._b = b = np.empty_like(a)
+        np.multiply(p_re[range(n), range(n)], 2.0, out=b[:n])
+        np.add(p_re[i, k], p_re[k, i], out=b[n::2])
+        np.subtract(p_im[k, i], p_im[i, k], out=b[n + 1::2])
         self._c = _gram(e)
-        self._gram = np.empty_like(self._a)
+        self._gram = np.empty_like(a)
 
     def spectrum(self, c):
-        """Ascending spectrum of ``(h + c e)(h + c e)^H``, in the shape and
-        layout of :func:`eig_ascending`'s result.  The result is a new
-        array, which later calls leave unchanged."""
+        """Ascending spectrum of ``(h + c e)(h + c e)^H``, shape ``(count,
+        n)``, non-negative, with the trial axis contiguous: each eigenvalue
+        index is one vector over the batch.  ``eigvalsh``'s tiny negative
+        values on rank-deficient inputs are clamped to zero.  The result is
+        a new array, which later calls leave unchanged."""
         gram = np.multiply(self._c, float(c), out=self._gram)
         gram += self._b
         gram *= c
@@ -539,8 +529,8 @@ class EstimateMinors:
 
     def spectrum(self, c):
         """Ascending spectrum of ``(h + c e)(h + c e)^H``, in the shape and
-        layout of :func:`eig_ascending`'s result, as a new array: on two
-        rows, ``lambda_min = det / lambda_max``."""
+        layout of :meth:`GramPolynomial.spectrum`'s result, as a new array:
+        on two rows, ``lambda_min = det / lambda_max``."""
         c = float(c)
         out = np.empty((self._n, self._scratch.shape[1]))
         if self._n == 1:
@@ -609,14 +599,6 @@ def _add_squares(out, part, *rows):
         out += np.square(row, out=part)
 
 
-def _planes(x):
-    """A batch of matrices as real planes, shape ``(..., p, n, m)``: one
-    plane for a real input, the real and imaginary parts of a complex one."""
-    if np.iscomplexobj(x):
-        return np.stack((x.real, x.imag), axis=-3).astype(np.float64, copy=False)
-    return x.astype(np.float64, copy=False)[..., np.newaxis, :, :]
-
-
 def _error_minor(e, j, k, out_re, out_im, part):
     """``e_1j e_2k - e_1k e_2j`` of error planes ``e``: its real part into
     ``out_re``, its imaginary part into ``out_im``; ``part`` is overwritten."""
@@ -647,36 +629,18 @@ def _check_finite(x):
         raise ValueError("matrix entries must be finite")
 
 
-def _gram(x):
-    """``x @ x^H`` of planes ``x`` (:func:`_planes`) as its ``n * n`` real
-    entries, one per-entry vector each: the diagonal, then the real and
-    imaginary part of each entry above it in row-major order
+def _gram(e):
+    """``e e^H`` of error planes ``e``, shape ``(count, 2, n, m)``, as its
+    ``n * n`` real entries, one per-entry vector each: the diagonal, then
+    the real and imaginary part of each entry above it in row-major order
     (:func:`_pairs`)."""
-    n = x.shape[-2]
-    g = np.empty((n * n,) + x.shape[:-3])
-    rows = _rows(g)
+    n = e.shape[-2]
+    g = np.empty((n * n, len(e)))
     for i in range(n):
-        _row_sum(_dot_term, x, i, x, i, rows[i])
+        _row_sum(_dot_term, e, i, i, g[i])
     for p, (i, k) in _pairs(n):
-        _row_sum(_dot_term, x, i, x, k, rows[p])
-        _row_sum(_cross_term, x, i, x, k, rows[p + 1])
-    return g
-
-
-def _cross_gram(x, y):
-    """``x @ y^H + y @ x^H`` of planes ``x`` and ``y``, stored as
-    :func:`_gram` stores a Gram matrix."""
-    n = x.shape[-2]
-    g = np.empty((n * n,) + x.shape[:-3])
-    rows = _rows(g)
-    for i in range(n):
-        _row_sum(_dot_term, x, i, y, i, rows[i])
-        rows[i] *= 2.0
-    part = np.empty_like(rows[0])
-    for p, (i, k) in _pairs(n):
-        for row, term in ((rows[p], _dot_term), (rows[p + 1], _cross_term)):
-            _row_sum(term, x, i, y, k, row)
-            row += _row_sum(term, y, i, x, k, part)
+        _row_sum(_dot_term, e, i, k, g[p])
+        _row_sum(_cross_term, e, i, k, g[p + 1])
     return g
 
 
@@ -686,12 +650,6 @@ def _pairs(n):
     :func:`_gram`'s result, and its imaginary part in the next."""
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
     return [(n + 2 * p, ik) for p, ik in enumerate(pairs)]
-
-
-def _rows(g):
-    """The rows of ``g`` as arrays, which for a single matrix's Gram
-    entries would be scalars."""
-    return g[:, np.newaxis]
 
 
 def _gram_spectrum(g, n):
@@ -711,46 +669,34 @@ def _gram_spectrum(g, n):
     return vals
 
 
-def _row_sum(term, x, i, y, k, out):
-    """``term`` of row ``i`` of planes ``x`` and row ``k`` of planes ``y``
-    for every matrix, summed column by column into ``out``, which is
-    returned.  Each entry reaches ``term`` with its planes on the last axis.
+def _row_sum(term, e, i, k, out):
+    """``term`` of rows ``i`` and ``k`` of error planes ``e`` for every
+    matrix, summed column by column into ``out``, which is returned.  Each
+    entry reaches ``term`` with its planes on the last axis.
 
     Real arithmetic keeps every product correctly rounded, so the result
     does not depend on the batch's size or layout, as NumPy's complex
     multiply (fused or not, by code path) would make it.
     """
-    term(x[..., i, 0], y[..., k, 0], out)
-    if x.shape[-1] > 1:
+    term(e[..., i, 0], e[..., k, 0], out)
+    if e.shape[-1] > 1:
         part = np.empty_like(out)
-        for j in range(1, x.shape[-1]):
-            out += term(x[..., i, j], y[..., k, j], part)
+        for j in range(1, e.shape[-1]):
+            out += term(e[..., i, j], e[..., k, j], part)
     return out
 
-
-# The two products of a pair of entries, each given as its planes: one for
-# a real operand, two for a complex one.  A real operand's imaginary part
-# is zero, and so is every product with it: skipping them changes no
-# result but the sign of an exact zero.
 
 def _dot_term(a, b, out):
     """``Re(a * conj(b)) = a.real * b.real + a.imag * b.imag`` into ``out``."""
     np.multiply(a[..., 0], b[..., 0], out=out)
-    if a.shape[-1] == b.shape[-1] == 2:
-        out += a[..., 1] * b[..., 1]
+    out += a[..., 1] * b[..., 1]
     return out
 
 
 def _cross_term(a, b, out):
     """``Im(a * conj(b)) = a.imag * b.real - a.real * b.imag`` into ``out``."""
-    if a.shape[-1] == 2:
-        np.multiply(a[..., 1], b[..., 0], out=out)
-        if b.shape[-1] == 2:
-            out -= a[..., 0] * b[..., 1]
-    elif b.shape[-1] == 2:
-        np.negative(a[..., 0] * b[..., 1], out=out)
-    else:
-        out.fill(0.0)
+    np.multiply(a[..., 1], b[..., 0], out=out)
+    out -= a[..., 0] * b[..., 1]
     return out
 
 

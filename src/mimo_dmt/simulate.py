@@ -21,9 +21,10 @@ estimate's Gram determinant, from its minors, and its trace
 (:class:`~mimo_dmt.channel.EstimateMinors`): the weight is read from the
 determinant and the largest eigenvalue, ``lambda_min * lambda_max`` being
 the determinant, with no eigenvalue pair formed.  On links with more rows
-they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, and
-``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
-(:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
+they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, the
+first two formed from the drawn bidiagonal's diagonal and subdiagonal,
+and ``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g
+C)`` (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  Each span works on
 trial-contiguous batches and computes every point's kappa-free log damped
@@ -55,7 +56,6 @@ from .channel import (
     _horner,
     _integer,
     bidiagonal_minor_sums,
-    eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
@@ -66,10 +66,6 @@ __all__ = [
     "OutageSweep",
     "PowerPolicy",
     "calibrate_kappa",
-    # Re-exported: perfbench/tracing.py times the eigenvalue layer under
-    # this name.  The sweep reads its weights from an EstimateMinors or a
-    # GramPolynomial.
-    "eig_ascending",
     "run_sweep",
 ]
 

@@ -18,11 +18,11 @@ from mimo_dmt.channel import (
     GramPolynomial,
     _log_damped_weight,
     bidiagonal_minor_sums,
-    eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
 )
+from reference import gram_spectrum
 
 
 def complex_error(e):
@@ -33,6 +33,14 @@ def complex_error(e):
 def planes(x):
     """A complex batch as the real planes that ``GramPolynomial`` takes."""
     return np.stack((x.real, x.imag), axis=-3)
+
+
+def error_spectrum(x):
+    """Ascending spectrum of ``x @ x^H`` for a complex batch ``x``, through
+    the package's per-entry Gram of generic complex matrices: the error
+    block of a :class:`GramPolynomial` with a zero channel, read at ``c =
+    1``."""
+    return GramPolynomial(np.zeros(x.shape), planes(x)).spectrum(1.0)
 
 
 class TestChannelConfig:
@@ -403,12 +411,17 @@ class TestBidiagonalMinorSums:
 
 
 class TestEigAscending:
+    """Ascending Gram spectra of generic complex matrices.  The package
+    forms such a Gram matrix only as :class:`GramPolynomial`'s error block,
+    so each matrix is read as the error of a zero channel
+    (:func:`error_spectrum`)."""
+
     def test_known_spectrum(self):
         # Rows scaled orthonormal: m m^H has eigenvalues {3, 1}.  (checked independently:
         # construct m = diag(sqrt(3), 1) V with V unitary; Gram = diag(3, 1).)
         v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
         m = np.diag([math.sqrt(3.0), 1.0]) @ v[:2, :]
-        vals = eig_ascending(m)
+        vals = error_spectrum(m[np.newaxis] + 0j)[0]
         npt.assert_allclose(vals, [1.0, 3.0], atol=1e-12)
 
     def test_trace_and_det_identities(self):
@@ -416,7 +429,7 @@ class TestEigAscending:
         # linear-algebra identities, evaluated with numpy on a fixed draw.)
         rng = np.random.default_rng(11)
         m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        vals = eig_ascending(m)
+        vals = error_spectrum(m[np.newaxis])[0]
         npt.assert_allclose(vals.sum(), np.linalg.norm(m) ** 2, rtol=1e-12)
         gram = m @ m.conj().T
         npt.assert_allclose(np.prod(vals), np.linalg.det(gram).real, rtol=1e-10)
@@ -425,7 +438,7 @@ class TestEigAscending:
         # Rank-1 tall-times-wide product: one eigenvalue exactly 0 after clamping.
         col = np.array([[1.0 + 0j], [2.0 + 0j]])
         m = col @ np.array([[1.0 + 0j, 1.0, 1.0]])
-        vals = eig_ascending(m)
+        vals = error_spectrum(m[np.newaxis])[0]
         assert vals[0] >= 0.0
         npt.assert_allclose(vals[0], 0.0, atol=1e-12)
         npt.assert_allclose(vals[1], 15.0, rtol=1e-12)
@@ -433,29 +446,24 @@ class TestEigAscending:
     def test_batch_shape(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(6, 2, 4)) + 1j * rng.normal(size=(6, 2, 4))
-        vals = eig_ascending(m)
+        vals = error_spectrum(m)
         assert vals.shape == (6, 2)
-        single = eig_ascending(m[2])
+        single = error_spectrum(m[2:3])[0]
         npt.assert_allclose(vals[2], single, rtol=1e-12)
 
     def test_rejects_nonfinite(self):
-        m = np.array([[1.0 + 0j, np.nan], [0.0, 1.0]])
+        m = np.array([[[1.0 + 0j, np.nan], [0.0, 1.0]]])
         with pytest.raises(ValueError):
-            eig_ascending(m)
+            error_spectrum(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
     def test_rejects_nonfinite_in_batch(self, n, bad):
-        # Every branch rejects one non-finite entry anywhere in a batch.
+        # One non-finite entry anywhere in a batch is rejected.
         x = np.ones((5, n, 3), dtype=complex)
         x[3, n - 1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            eig_ascending(x)
-
-    @staticmethod
-    def _eigvalsh_reference(x):
-        gram = x @ np.conj(np.swapaxes(x, -1, -2))
-        return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+            error_spectrum(x)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 3),
                                      (2, 5), (3, 3), (3, 5), (4, 4)])
@@ -475,8 +483,8 @@ class TestEigAscending:
             x[2] = 2.5 * q.T
         x[3] = 0.0
         x *= scale
-        got = eig_ascending(x)
-        want = self._eigvalsh_reference(x)
+        got = error_spectrum(x)
+        want = gram_spectrum(x)
         assert got.shape == want.shape == (400, n)
         assert np.all(got >= 0.0)
         assert np.all(np.diff(got, axis=-1) >= 0.0)
@@ -488,15 +496,16 @@ class TestEigAscending:
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 4)])
     def test_layout_invariance(self, n, m):
-        # The same batch stored C-ordered and trial-last must give the same
+        # The same planes stored C-ordered and trial-last must give the same
         # eigenvalues bit for bit; the sweep's draws are stored trial-last.
         rng = np.random.default_rng(10 * n + m)
-        x = rng.normal(size=(500, n, m)) + 1j * rng.normal(size=(500, n, m))
+        x = planes(rng.normal(size=(500, n, m)) + 1j * rng.normal(size=(500, n, m)))
         trial_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)),
                                  -1, 0)
-        assert trial_last[:, 0, 0].flags.c_contiguous
-        c_ordered = eig_ascending(np.ascontiguousarray(x))
-        assert np.array_equal(c_ordered, eig_ascending(trial_last))
+        assert trial_last[:, 0, 0, 0].flags.c_contiguous
+        zero = np.zeros((500, n, m))
+        c_ordered = GramPolynomial(zero, np.ascontiguousarray(x)).spectrum(1.0)
+        assert np.array_equal(c_ordered, GramPolynomial(zero, trial_last).spectrum(1.0))
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
     def test_batch_size_invariance(self, m, n):
@@ -509,9 +518,9 @@ class TestEigAscending:
         parts = [sample_channel_block(cfg, 10.0, 4, start=s,
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
-        got = np.concatenate([eig_ascending(h + complex_error(e))
+        got = np.concatenate([error_spectrum(h + complex_error(e))
                               for h, e in parts])
-        assert np.array_equal(got, eig_ascending(whole[0] + complex_error(whole[1])))
+        assert np.array_equal(got, error_spectrum(whole[0] + complex_error(whole[1])))
 
     def test_equal_eigenvalues_stay_ascending(self):
         # Orthonormal row pairs have the double eigenvalue 1; rounding
@@ -519,7 +528,7 @@ class TestEigAscending:
         rng = np.random.default_rng(8)
         z = rng.normal(size=(4000, 3, 3)) + 1j * rng.normal(size=(4000, 3, 3))
         x = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
-        vals = eig_ascending(x)
+        vals = error_spectrum(x)
         assert np.all(np.diff(vals, axis=-1) >= 0.0)
         npt.assert_allclose(vals, 1.0, rtol=1e-13)
 
@@ -530,11 +539,52 @@ class TestEigAscending:
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
         if m < n:
             n, m = m, n
-        x = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
-        vals = eig_ascending(x)
-        assert vals.shape == (n,)
+        x = rng.normal(size=(1, n, m)) + 1j * rng.normal(size=(1, n, m))
+        vals = error_spectrum(x)
+        assert vals.shape == (1, n)
         assert np.all(vals >= 0.0)
         assert np.all(np.diff(vals) >= 0.0)
+
+
+def bidiagonal(x):
+    """``x`` with every entry off the diagonal and subdiagonal zeroed: the
+    shape of the sampler's ``h = [B 0]``."""
+    n, m = x.shape[-2:]
+    return x * (np.tri(n, m) - np.tri(n, m, -2))
+
+
+def per_entry_blocks(h, e):
+    """The blocks ``A = h h^H``, ``B = h e^H + e h^H`` and ``C = e e^H`` of
+    a :class:`GramPolynomial`, each entry summed over every column of the
+    complex-cast channel and of the error planes in real arithmetic, and
+    stored as the package stores a Gram matrix."""
+    count, n, m = h.shape
+    x = np.stack((h, np.zeros_like(h)), axis=1)
+
+    def dot(u, v, i, k):
+        # Re(sum_j u_ij conj(v_kj)), column by column.
+        out = u[:, 0, i, 0] * v[:, 0, k, 0] + u[:, 1, i, 0] * v[:, 1, k, 0]
+        for j in range(1, m):
+            out += u[:, 0, i, j] * v[:, 0, k, j] + u[:, 1, i, j] * v[:, 1, k, j]
+        return out
+
+    def cross(u, v, i, k):
+        # Im(sum_j u_ij conj(v_kj)), column by column.
+        out = u[:, 1, i, 0] * v[:, 0, k, 0] - u[:, 0, i, 0] * v[:, 1, k, 0]
+        for j in range(1, m):
+            out += u[:, 1, i, j] * v[:, 0, k, j] - u[:, 0, i, j] * v[:, 1, k, j]
+        return out
+
+    def gram(u, v):
+        g = np.empty((n * n, count))
+        for i in range(n):
+            g[i] = dot(u, v, i, i)
+        for p, (i, k) in enumerate(itertools.combinations(range(n), 2)):
+            g[n + 2 * p] = dot(u, v, i, k)
+            g[n + 2 * p + 1] = cross(u, v, i, k)
+        return g
+
+    return gram(x, x), gram(x, e) + gram(e, x), gram(e, e)
 
 
 class TestGramPolynomial:
@@ -544,12 +594,18 @@ class TestGramPolynomial:
     @staticmethod
     def _pairs(n, m, kind, c, rng):
         shape = (300, n, m)
-        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h = bidiagonal(rng.normal(size=shape))
         e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if kind == "rank1":
-            # Proportional rows in h and e alike: h + c e has rank 1.
-            h[:, 1:] = (0.3 - 0.7j) * h[:, :1]
-            e[:, 1:] = (0.3 - 0.7j) * e[:, :1]
+            # Only B's first column, and error rows in the same proportion
+            # as its entries: h + c e has rank 1.
+            ratio = rng.normal(size=(300, n, 1))
+            ratio[:, 0], ratio[:, 2:] = 1.0, 0.0
+            h[:, :, 1:] = 0.0
+            h[:, :, :1] = ratio * h[:, :1, :1]
+            e = ratio * e[:, :1]
+        elif kind == "zero_diagonal":
+            h[:, range(n), range(n)] = 0.0
         elif kind == "zero":
             h[:100] = 0.0
             e[100:200] = 0.0
@@ -561,18 +617,21 @@ class TestGramPolynomial:
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3),
                                      (3, 5), (4, 4), (6, 6)])
-    @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel"])
+    @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel",
+                                      "zero_diagonal"])
     def test_matches_formed_estimate(self, n, m, kind):
-        # Bound: 1e-13 * tr(A + c**2 C), the size of the two terms whose
-        # sum is taken; a cancelling estimate can be far smaller than that.
+        # Bidiagonal h against eigvalsh of the estimate's Gram matrix
+        # formed by matmul.  Bound: 1e-13 * tr(A + c**2 C), the size of the
+        # two terms whose sum is taken; a cancelling estimate can be far
+        # smaller than that.
         rng = np.random.default_rng(10 * n + m)
         for c in (1.0, 1e-3, 1e-12):
             unit_h, unit_e = self._pairs(n, m, kind, c, rng)
             for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
                 h, e = scale * unit_h, scale * unit_e
                 got = GramPolynomial(h, planes(e)).spectrum(c)
-                want = eig_ascending(h + c * e)
-                size = (np.sum(np.abs(h) ** 2, axis=(-2, -1))
+                want = gram_spectrum(h + c * e)
+                size = (np.sum(h ** 2, axis=(-2, -1))
                         + c * c * np.sum(np.abs(e) ** 2, axis=(-2, -1)))
                 assert got.shape == want.shape == (300, n)
                 assert np.all(got >= 0.0)
@@ -585,12 +644,17 @@ class TestGramPolynomial:
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (3, 3),
                                      (4, 4)])
     def test_zero_scale_is_channel_spectrum(self, m, n):
-        # At c = 0 the quadratic is h h^H exactly: its spectrum equals
-        # eig_ascending's bit for bit, on trial-last draws.
+        # At c = 0 the quadratic is h h^H exactly: its spectrum is
+        # eigvalsh's of the per-entry channel block bit for bit, on
+        # trial-last draws, and within 1e-13 * lambda_max of the dense
+        # reference.
         h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
                                     count=3000)
         got = GramPolynomial(h, e).spectrum(0.0)
-        assert np.array_equal(got, eig_ascending(h))
+        a, _, _ = per_entry_blocks(h, e)
+        assert np.array_equal(got, channel._gram_spectrum(a, n).T)
+        want = gram_spectrum(h)
+        assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
     def test_batch_size_invariance(self, m, n):
@@ -606,43 +670,74 @@ class TestGramPolynomial:
                                   for h, e in parts])
             assert np.array_equal(got, GramPolynomial(*whole).spectrum(c))
 
+    def test_rank_deficient_clamped(self):
+        # B's last column is zero, so h h^H = [[1, 2], [2, 4]] has the
+        # eigenvalues {0, 5}; with error rows in proportion to h's rows,
+        # h + c e has rank 1 too.  eigvalsh's tiny negative values are
+        # clamped to zero.
+        h = np.zeros((1, 2, 3))
+        h[0, :, 0] = [1.0, 2.0]
+        vals = GramPolynomial(h, np.zeros((1, 2, 2, 3))).spectrum(0.0)[0]
+        assert vals[0] >= 0.0
+        npt.assert_allclose(vals[0], 0.0, atol=1e-12)
+        npt.assert_allclose(vals[1], 5.0, rtol=1e-12)
+        rng = np.random.default_rng(3)
+        for n, m in ((2, 3), (3, 4), (4, 4)):
+            h, e = self._pairs(n, m, "rank1", 0.7, rng)
+            got = GramPolynomial(h, planes(e)).spectrum(0.7)
+            assert np.all(got >= 0.0)
+            assert np.all(got[:, :-1] <= 1e-13 * got[:, -1:])
+
+    def test_equal_eigenvalues_stay_ascending(self):
+        # Estimates with orthonormal rows have the eigenvalue 1 n times;
+        # rounding must not return them out of order.
+        rng = np.random.default_rng(8)
+        for n, m in ((2, 3), (3, 3), (3, 5)):
+            z = rng.normal(size=(4000, m, m)) + 1j * rng.normal(size=(4000, m, m))
+            x = np.swapaxes(np.linalg.qr(z)[0][..., :n], -1, -2)
+            h = bidiagonal(np.abs(rng.normal(size=(4000, n, m))))
+            for c in (1.0, 0.5):
+                vals = GramPolynomial(h, planes((x - h) / c)).spectrum(c)
+                assert np.all(np.diff(vals, axis=-1) >= 0.0)
+                npt.assert_allclose(vals, 1.0, rtol=1e-13)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rejects_nonfinite(self, n):
-        h = np.ones((5, n, 3), dtype=complex)
-        e = h.copy()
-        e[2, n - 1, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            GramPolynomial(h, planes(e))
-        with pytest.raises(ValueError, match="finite"):
-            GramPolynomial(e, planes(h))
+        # A non-finite entry of B or of either error plane, anywhere in
+        # the batch, is rejected.
+        h, e = np.ones((5, n, 3)), np.ones((5, 2, n, 3))
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_h = h.copy()
+            bad_h[2, n - 1, n - 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                GramPolynomial(bad_h, e)
+            for q in (0, 1):
+                bad_e = e.copy()
+                bad_e[2, q, n - 1, 1] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    GramPolynomial(h, bad_e)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
             GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
+        # One matrix is not a batch.
+        with pytest.raises(ValueError, match="shape"):
+            GramPolynomial(np.ones((2, 3)), np.ones((2, 2, 3)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_results_do_not_alias_scratch(self, n):
-        # The sweep keeps the channel spectrum while it reads seven more
-        # from the same instance; eig_ascending must leave its input and
-        # earlier results alone too.
+        # The sweep reads seven spectra from the same instance; later
+        # calls must leave earlier results alone.
         rng = np.random.default_rng(n)
-        h = rng.normal(size=(500, n, 4))
-        e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
-        grams = GramPolynomial(h, planes(e))
+        h = bidiagonal(rng.normal(size=(500, n, 4)))
+        e = rng.normal(size=(500, 2, n, 4))
+        grams = GramPolynomial(h, e)
         first = [grams.spectrum(c) for c in (0.0, 1.0)]
         kept = [x.copy() for x in first]
         for c in (0.5, 0.0, 2.0, 1e-3):
             grams.spectrum(c)
         for x, y in zip(first, kept):
             assert np.array_equal(x, y)
-        x = h + e
-        x_kept = x.copy()
-        vals = eig_ascending(x)
-        vals_kept = vals.copy()
-        eig_ascending(x)
-        eig_ascending(e)
-        assert np.array_equal(x, x_kept)
-        assert np.array_equal(vals, vals_kept)
 
 
 def exact_estimate(h, e, c):
@@ -756,8 +851,8 @@ def log_weight_error_bound(h, e, c, w, t, top):
 
 class TestEstimateMinors:
     """One- and two-row estimate spectra from the determinant's minors and
-    the trace, against exact rational arithmetic and against
-    ``eig_ascending`` of the estimate formed directly."""
+    the trace, against exact rational arithmetic and against the dense
+    spectrum of the estimate formed directly."""
 
     U = Fraction(1, 2 ** 53)
 
@@ -813,13 +908,13 @@ class TestEstimateMinors:
     @settings(max_examples=150, deadline=None)
     def test_log_weight_matches_formed_estimate(self, seed, n, m, c, scale, t):
         # On generic draws the log damped weight agrees with the one read
-        # from eig_ascending(h + c e) within 32 u times t * sum(w) *
+        # from the dense spectrum of h + c e within 32 u times t * sum(w) *
         # lambda_max / lambda_min (the eigenvalue errors) plus t * sum(w *
         # |log lambda|) (the logs' rounding); on 3,000 random inputs the
         # difference was at most 4.7 u of that.
         m = max(m, n)
         h, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
-        want = eig_ascending(h + c * complex_error(e))
+        want = gram_spectrum(h + c * complex_error(e))
         got = EstimateMinors(h, e).log_damped_weight(c, t)
         w = eigen_decay_weights(m, n)
         size = t * (w.sum() * want[:, -1] / want[:, 0]
@@ -941,25 +1036,38 @@ class TestEstimateMinors:
 
 
 class TestRealChannel:
-    """The sweep's channel is real.  The blocks skip its zero imaginary
-    part, which may change the sign of an exact zero and nothing else:
-    every block and spectrum equals the complex-cast operands'."""
+    """The sweep's channel is real bidiagonal, and :class:`GramPolynomial`
+    reads only its diagonal and subdiagonal.  Its blocks, and so its
+    spectra, must equal the per-entry sums over every column of the
+    complex-cast operands (:func:`per_entry_blocks`) up to the sign of an
+    exact zero, which ``np.array_equal`` does not tell apart."""
 
     @staticmethod
     def _real_h(kind, n, m, rng):
-        h = rng.normal(size=(200, n, m))
-        if kind == "bidiagonal":
-            h = np.abs(h) * np.tri(n, m)
-            h[:, 1:, 1:] *= np.eye(n - 1, m - 1)
+        h = bidiagonal(rng.normal(size=(200, n, m)))
+        if kind == "zero_diagonal":
+            h[:, range(n), range(n)] = 0.0
         elif kind == "zero":
             h[50:150] = 0.0
         elif kind == "rank1":
-            h[:, 1:] = -0.6 * h[:, :1]
+            h[:, :, 1:] = 0.0
         return h
+
+    @staticmethod
+    def _assert_matches(h, e, cs):
+        grams = GramPolynomial(h, e)
+        blocks = per_entry_blocks(h, e)
+        for name, want in zip(("_a", "_b", "_c"), blocks):
+            assert np.array_equal(getattr(grams, name), want), name
+        a, b, c_block = blocks
+        for c in cs:
+            gram = (c_block * c + b) * c + a
+            want = channel._gram_spectrum(gram, h.shape[1]).T
+            assert np.array_equal(grams.spectrum(c), want), c
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
            m=st.integers(1, 6),
-           kind=st.sampled_from(["bidiagonal", "dense", "zero", "rank1"]),
+           kind=st.sampled_from(["bidiagonal", "zero_diagonal", "zero", "rank1"]),
            scale=st.sampled_from([1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100]),
            cs=st.lists(st.sampled_from([0.0, 1.0, 0.3, 1e-3, 1e-12, 7.5]),
                        min_size=1, max_size=4))
@@ -968,22 +1076,15 @@ class TestRealChannel:
         m = max(m, n)
         rng = np.random.default_rng(seed)
         h = scale * self._real_h(kind, n, m, rng)
-        e = scale * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
-        e = planes(e)
-        real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
-        for block in ("_a", "_b", "_c"):
-            assert np.array_equal(getattr(real, block), getattr(cplx, block)), block
-        for c in cs:
-            assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
+        e = scale * rng.normal(size=(200, 2, n, m))
+        self._assert_matches(h, e, cs)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3),
                                      (4, 4), (6, 6)])
     def test_sampled_channel_matches_complex_path(self, m, n):
         h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
         assert h.dtype == np.float64
-        real, cplx = GramPolynomial(h, e), GramPolynomial(h.astype(complex), e)
-        for c in (0.0, 1.0, 0.05):
-            assert np.array_equal(real.spectrum(c), cplx.spectrum(c)), c
+        self._assert_matches(h, e, (0.0, 1.0, 0.05))
 
 
 class TestPerturbationBound:
@@ -997,9 +1098,9 @@ class TestPerturbationBound:
             cfg_a = ChannelConfig(m, n, alpha)
             h, e = sample_channel_block(cfg_a, rho=rho, seed=1900 + m, start=0, count=2000)
             e = complex_error(e)
-            a = eig_ascending(h)
-            b = eig_ascending(h + e)
-            c = eig_ascending(e)
+            a = gram_spectrum(h)
+            b = gram_spectrum(h + e)
+            c = gram_spectrum(e)
             eps = 1e-9 * np.maximum(1.0, b[:, -1])
             assert np.all(b <= 2.0 * (a + c[:, -1:]) + eps[:, None])
 
@@ -1064,7 +1165,7 @@ class TestExponentOrderSupport:
         cfg = ChannelConfig(1, 1, 0.5)
         rho = 1e4
         _, e = sample_channel_block(cfg, rho=rho, seed=404, start=0, count=10_000)
-        c = eig_ascending(complex_error(e))[:, -1]
+        c = gram_spectrum(complex_error(e))[:, -1]
         exponent = -np.log(c) / np.log(rho)
         frac = np.mean(exponent > cfg.alpha - 0.15)
         assert frac >= 0.95

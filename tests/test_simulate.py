@@ -17,7 +17,6 @@ from mimo_dmt.channel import (
     GramPolynomial,
     _bit_generator,
     _log_damped_weight,
-    eig_ascending,
     eigen_decay_weights,
     sample_channel_block,
     wishart_log_norm_const,
@@ -34,6 +33,7 @@ from mimo_dmt.simulate import (
     calibrate_kappa,
     run_sweep,
 )
+from reference import gram_spectrum
 
 # Mean damped-eigenvalue-product weight E[prod b_n^{-t c_n}] for the 2x2
 # channel estimate at t=0.9, rho=1e3, alpha=0.5 (so the per-entry variance
@@ -68,25 +68,34 @@ def scalar_mean_weight(m, t, sigma_sq):
 
 def rowwise_log_is_weights(cfg, s, t, batch, seed, stream):
     """Reference for ``simulate._log_is_weights``: the same draws, reduced
-    trial by trial along each ``(batch, n)`` row with ``logsumexp``."""
+    trial by trial along each ``(batch, n)`` row with ``logsumexp``, in
+    long double arithmetic from the draws and the float64 shapes and
+    scales on, and rounded to float64 at the end.
+
+    Like ``_log_is_weights``, the log weights leave out the target's
+    ``exp(-sum(b) / s)`` and the proposal's ``exp(-sum(spacing_i /
+    scale_i))``, which are equal.  Returned beside them are both dropped
+    sums, one per trial."""
     n, m = cfg.n_rx, cfg.m_tx
     c = eigen_decay_weights(m, n)
     g = (1.0 - t) * c
     beta = s / np.arange(n, 0, -1)
+    log_beta = np.log(beta.astype(np.longdouble))
     rng = np.random.Generator(_bit_generator(seed, stream))
-    boost = rng.gamma(g + 1.0, 1.0, size=(batch, n))
-    logu = np.log1p(-rng.random((batch, n)))
-    log_sp = np.log(boost) + logu / g + np.log(beta)
+    boost = rng.gamma(g + 1.0, 1.0, size=(batch, n)).astype(np.longdouble)
+    logu = np.log1p(-rng.random((batch, n)).astype(np.longdouble))
+    log_sp = np.log(boost) + logu / g + log_beta
     log_b = np.logaddexp.accumulate(log_sp, axis=1)
-    logp = (-wishart_log_norm_const(m, n) - m * n * math.log(s)
-            + (m - n) * log_b.sum(axis=1)
-            - np.exp(logsumexp(log_b, axis=1)) / s)
+    logp = (-wishart_log_norm_const(m, n) - m * n * np.log(np.longdouble(s))
+            + (m - n) * log_b.sum(axis=1))
     for i in range(n - 1):
         for j in range(i + 1, n):
             logp += 2.0 * logsumexp(log_sp[:, i + 1:j + 1], axis=1)
-    logq = ((g - 1.0) * log_sp - np.exp(log_sp) / beta
-            - gammaln(g) - g * np.log(beta)).sum(axis=1)
-    return logp - logq - (t * c * log_b).sum(axis=1)
+    logq = ((g - 1.0) * log_sp - gammaln(g) - g * log_beta).sum(axis=1)
+    dropped = (np.exp(logsumexp(log_b, axis=1)) / s,
+               (np.exp(log_sp) / beta).sum(axis=1))
+    log_w = logp - logq - (t * c * log_b).sum(axis=1)
+    return log_w.astype(np.float64), [x.astype(np.float64) for x in dropped]
 
 
 def two_row_constant_power_outage(m, r, rho):
@@ -244,15 +253,20 @@ class TestCalibrateKappa:
     @pytest.mark.parametrize("seed", [1, 7, 1000, 1729])
     def test_weights_match_rowwise_reference(self, m, n, seed):
         # The calibration reduces across eigenvalue rows with a vectorized
-        # log-add-exp and a plain sum of exponentials; the reference
-        # reduces each trial's row with logsumexp.  The rounding differs, so
-        # the weights and kappa = 1 / mean agree to tolerances set from
-        # float64 rounding.
+        # log-add-exp in float64; the reference reduces each trial's row
+        # with logsumexp in long double.  So the weights and kappa = 1 /
+        # mean agree to tolerances set from the calibration's float64
+        # rounding; the weights' largest difference was 0.57 of its
+        # tolerance.  The exponents both sides leave out are equal to
+        # rounding.
         cfg = ChannelConfig(m, n, 0.5)
         for rho in (10.0, 1e3):
             for t in (0.5, 0.9):
                 s = 1.0 + rho ** -cfg.alpha
-                want = np.exp(rowwise_log_is_weights(cfg, s, t, 20_000, seed, 1))
+                want, (target, proposal) = rowwise_log_is_weights(
+                    cfg, s, t, 20_000, seed, 1)
+                npt.assert_allclose(target, proposal, rtol=1e-15)
+                want = np.exp(want)
                 got = np.exp(_log_is_weights(cfg, s, t, 20_000, seed, 1))
                 npt.assert_allclose(got, want, rtol=1e-13)
                 mean, _ = _mean_damped_weight(cfg, rho, t, 20_000, seed, 1)
@@ -360,13 +374,9 @@ class TestOutageTrial:
         h, e = sample_channel_block(cfg, grid[0], seed, start=start,
                                     count=count)
 
-        def eigvalsh_gram(x):
-            gram = x @ np.conj(np.swapaxes(x, -1, -2))
-            return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
-
         h = np.ascontiguousarray(h)
         e = np.ascontiguousarray(e[:, 0] + 1j * e[:, 1])
-        a = eigvalsh_gram(h)
+        a = gram_spectrum(h)
 
         def outages(kappa, rho_g, weight):
             # The capacity test as the paper states it, a sum of log2 over
@@ -379,7 +389,7 @@ class TestOutageTrial:
         kappas, want = [], []
         for rho_g in grid:
             ratio = math.sqrt(rho_g ** -cfg.alpha / grid[0] ** -cfg.alpha)
-            weight = _damped_weight(cfg, eigvalsh_gram(h + ratio * e), 0.9)
+            weight = _damped_weight(cfg, gram_spectrum(h + ratio * e), 0.9)
             # Each point's kappa is the first of the steps 2**(k/8) at which
             # at most half the trials are in outage (the count falls as
             # kappa grows), so that many trials lie near the threshold.
@@ -420,7 +430,7 @@ class TestOutageTrial:
     def test_constant_power_reads_no_spectrum(self, m, n, monkeypatch):
         # At t = 0 the power is the constant rho / m: a span builds no Gram
         # blocks and reads no spectrum, and its counts equal the capacity
-        # test on eig_ascending of the same draws.
+        # test on the dense spectrum of the same draws.
         built, scales = self._spy_estimates(monkeypatch, GramPolynomial)
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
         cfg = ChannelConfig(m, n, 0.5)
@@ -429,7 +439,7 @@ class TestOutageTrial:
                           workers=2)
         assert built == [] and scales == []
         h, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
-        a = eig_ascending(h)
+        a = gram_spectrum(h)
         for rho, p in zip(grid, sweep.p_out):
             capacity = np.log2(1.0 + rho / m * a).sum(axis=1)
             want = np.count_nonzero(capacity < r * math.log2(rho))
@@ -616,6 +626,19 @@ class TestRunSweep:
         runner.join(timeout=120)
         assert not runner.is_alive(), "run_sweep hung after a failed calibration"
         assert raised == ["calibration failed"]
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
+    def test_constant_power_counts_do_not_depend_on_alpha(self, m, n, monkeypatch):
+        # At t = 0 a span reads no estimate, and alpha only scales the
+        # estimation error, so it must not reach the counts: p_out is
+        # bit-identical across alpha, at one worker and at two.
+        monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
+        grid, pol = [10.0, 100.0, 1000.0], PowerPolicy(t=0.0)
+        sweeps = [run_sweep(ChannelConfig(m, n, alpha), 0.6 * n, grid, 5000, pol,
+                            seed=47, workers=workers)
+                  for alpha in (0.0, 0.5, 2.0) for workers in (1, 2)]
+        assert all(sweep.p_out == sweeps[0].p_out for sweep in sweeps)
+        assert sum(sweeps[0].p_out) > 0.0
 
     def test_first_point_independent_of_grid(self):
         # Each point's draws and kappa come from the seed and the first
