@@ -3,14 +3,11 @@
 The transmitter scales its power by ``kappa * (prod of estimate eigenvalues
 raised to damped decay weights) ** -t``: deeper estimated fades earn more
 power.  ``kappa`` normalizes the long-run average power back to the budget;
-it is the reciprocal of the mean weight, estimated by importance sampling.
-A :class:`PowerPolicy` sets only ``t``: a sweep always calibrates its kappa.
-
-The calibration samples eigenvalue spacings from gamma proposals whose
-shapes are the damped decay weights, which makes the weight estimator
-low-variance for every damping ``t < 1`` (and exact for one receive
-antenna).  All probability work is done in the log domain so heavy damping
-does not overflow.
+it is the reciprocal of the mean weight, which a Gauss–Jacobi tensor rule
+over the ratios of the ordered eigenvalues computes, refined until two
+successive rules agree to 1e-10 relative, on links with at most six receive
+antennas.  A :class:`PowerPolicy` sets only
+``t``: a sweep always computes its kappa.
 
 A sweep draws each trial once and reuses it at every SNR point, where the
 estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
@@ -26,12 +23,10 @@ first two formed from the drawn bidiagonal's diagonal and subdiagonal,
 and ``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g
 C)`` (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
-threads reproduces the single-thread result bit for bit.  Each span works on
-trial-contiguous batches and computes every point's kappa-free log damped
-weight first; the one kappa calibration runs on the calling thread meanwhile
-and reaches the spans through a future.  The calibration works one
-eigenvalue index at a time, each a contiguous vector over its draws, with
-no scalar loop, and sums every term of a draw's log weight into one row.
+threads reproduces the single-thread result bit for bit.  The kappas are
+computed once, on the calling thread, before any span starts; each span
+works on a trial-contiguous batch and computes every point's kappa-free log
+damped weight before it forms the powers.
 
 Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
 forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
@@ -44,7 +39,6 @@ draws' layout, but not transformed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +46,6 @@ import numpy as np
 from .channel import (
     EstimateMinors,
     GramPolynomial,
-    _bit_generator,
     _horner,
     _integer,
     bidiagonal_minor_sums,
@@ -62,21 +55,20 @@ from .channel import (
 )
 
 __all__ = [
-    "CAL_BATCH",
     "OutageSweep",
     "PowerPolicy",
     "calibrate_kappa",
     "run_sweep",
 ]
 
-#: Batch size used when a sweep calibrates its own kappa.
-CAL_BATCH = 100_000
-_MIN_CAL_BATCH = 10_000
 _MIN_TRIALS = 1000
 _MIN_RHO_RATIO = 100.0
 _MIN_EVENTS_FOR_FIT = 20
 _TRIAL_CHUNK = 32_768
-_REL_ERR_TARGET = 0.003
+# The oracle's bound (``oracle._MAX_RX``).  Kappa's quadrature costs
+# points**(n-1): on 7x7 it took 0.8 s at t 0.9 and 25 s at t 0.2, and 32
+# points per axis did not settle it at t 0.01.
+_MAX_DAMPED_RX = 6
 
 
 @dataclass(frozen=True)
@@ -85,7 +77,7 @@ class PowerPolicy:
 
     ``t`` in ``[0, 1)`` is the damping of the fade-inversion exponent
     (0 = constant power).  The average-power normalizer kappa is not a
-    setting: a sweep calibrates it (:func:`calibrate_kappa`).
+    setting: a sweep computes it exactly (:func:`calibrate_kappa`).
     """
 
     t: float = 0.9
@@ -108,124 +100,126 @@ class OutageSweep:
     trials: int
 
 
-def _log_is_weights(cfg, s, t, batch, seed, stream):
-    """Log of (density ratio x damped weight) for the calibration sampler.
+def _ratio_rule_sum(a, power, points):
+    """Gauss–Jacobi tensor rule, ``points`` nodes per axis, for the mean
+    weight's integral over the unit cube of eigenvalue ratios ``u_1 ..
+    u_{n-1}`` (see :func:`_log_mean_weight`): ``prod_j u_j ** (a_j - 1)``
+    is each axis's rule weight, and the rule sums the smooth remainder
+    ``prod_{i<j} (1 - pi_i / pi_j) ** 2 * S ** -power``.
 
-    Proposal: ascending eigenvalues built from independent gamma spacings
-    with shapes ``(1 - t) * w_n`` and scales ``s / (n, n-1, ..., 1)``, which
-    mimics where the damped weight ``prod(b ** (-t w))`` concentrates.
-    Target: the eigenvalue density of the estimate Gram matrix, whose
-    entries have per-entry variance ``s``.  Gamma deviates with shape below
-    one are formed as ``Gamma(shape+1) * U**(1/shape)`` in the log domain,
-    so tiny shapes (t near 1) stay finite.
+    The last axis is summed in a loop.  Every ``pi_k`` but ``pi_n = 1``
+    carries ``u_{n-1}``, so the gaps among ``pi_1 .. pi_{n-1}`` are formed
+    once over the grid of ``u_1 .. u_{n-2}``, and each array holds
+    ``points ** (n-2)`` values.
+    """
+    from scipy.special import roots_jacobi
 
-    The target's ``exp(-sum(b) / s)`` equals the proposal's ``exp(-sum(
-    spacing_i / scale_i))``: ``sum(b)`` counts spacing ``i`` (from 0) in
-    each of the ``n - i`` eigenvalues ``b_i .. b_{n-1}``, and its scale is
-    ``s / (n - i)``.  So the ratio leaves both out.  What remains is a multiple of the log of a spacing, of an
-    eigenvalue or of a gap between two eigenvalues, plus one constant.
-    The draws are made trial-major, then worked on as one contiguous row
-    per eigenvalue index, each log of a sum of two exponentials as ``max +
-    log1p(exp(-|a - b|))`` over whole rows (:func:`_log_add_exp`), and the
-    terms are summed into one row.
+    nodes, weights = [], []
+    for a_j in a:
+        # u = (1 + x) / 2 maps [-1, 1] to [0, 1], and u**(a-1) du is
+        # 2**-a (1 + x)**(a-1) dx.
+        x, w = roots_jacobi(points, 0.0, a_j - 1.0)
+        nodes.append((1.0 + x) / 2.0)
+        weights.append(w * 2.0 ** -a_j)
+    dims = len(a) - 1
+
+    def axis(v, j):
+        return v.reshape([points if k == j else 1 for k in range(dims)])
+
+    # pi_k / u_{n-1} for k = 1 .. n-1, over the grid of u_1 .. u_{n-2}.
+    pis = [np.ones((1,) * dims)]
+    inner = np.ones((points,) * dims)
+    for j in reversed(range(dims)):
+        pis.insert(0, pis[0] * axis(nodes[j], j))
+        inner *= axis(weights[j], j)
+    for i, pi_i in enumerate(pis):
+        for pi_j in pis[i + 1:]:
+            inner *= (1.0 - pi_i / pi_j) ** 2
+    pi_sum = sum(pis)
+    total = 0.0
+    f = np.empty(inner.shape)
+    for u, w in zip(nodes[-1], weights[-1]):
+        np.power(1.0 + u * pi_sum, -power, out=f)
+        for pi in pis:
+            f *= (1.0 - u * pi) ** 2
+        f *= inner
+        total += w * float(f.sum())
+    return total
+
+
+def _log_mean_weight(m, n, t):
+    """Log of ``E[prod lambda_k ** (-t c_k)]`` over the ordered Gram
+    spectrum of an ``n x m`` iid ``CN(0, 1)`` matrix, with decay weights
+    ``c`` (:func:`~mimo_dmt.channel.eigen_decay_weights`), by quadrature.
+
+    With ``p_k = (m - n) - t c_k`` the expectation integrates ``prod
+    lambda_k ** p_k * prod_{i<j} (lambda_j - lambda_i) ** 2 * exp(-sum
+    lambda)`` over the ascending spectrum, over the density's normalizer
+    (:func:`~mimo_dmt.channel.wishart_log_norm_const`).  Substitute
+    ``lambda_n = y`` and ``lambda_k = lambda_{k+1} u_k``, so that
+    ``lambda_k = y pi_k`` with ``pi_k = prod_{j>=k} u_j``, and let ``S =
+    sum pi_k``.  Then ``y`` integrates in closed form to ``Gamma(N+1) S **
+    (-N-1)`` with ``N = sum p_k + n**2 - 1``, and what is left is an
+    ``(n-1)``-cube integral whose endpoint powers ``u_j ** (a_j - 1)``,
+    ``a_j = 1 + sum_{k<=j} p_k + (j - 1) + j (j - 1)``, a Gauss–Jacobi rule
+    takes exactly on each axis (Golub & Welsch, Math. Comp. 23, 1969).  One
+    receive antenna needs no rule.
+
+    The rule starts at 12 points per axis and adds 4 until two successive
+    rules agree to 1e-10 relative; a link that 32 points do not settle is
+    a ``ValueError``.
     """
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import gammaln
 
-    n, m = cfg.n_rx, cfg.m_tx
-    c = eigen_decay_weights(m, n)
-    g = (1.0 - t) * c
-    beta = s / np.arange(n, 0, -1)
-    log_beta = np.log(beta)
-    rng = np.random.Generator(_bit_generator(seed, stream))
-    log_sp = np.log(rng.standard_gamma(g + 1.0, size=(batch, n)).T, order="C")
-    logu = np.negative(rng.random((batch, n)).T, order="C")
-    np.log1p(logu, out=logu)
-    logu /= g[:, None]
-    log_sp += logu
-    log_sp += log_beta[:, None]
-    # log b_i is the log of the sum of spacings 0 .. i, in logu's rows,
-    # which are free once folded in.
-    log_b = logu
-    np.copyto(log_b[0], log_sp[0])
-    scratch = np.empty(batch)
-    for i in range(1, n):
-        _log_add_exp(log_b[i - 1], log_sp[i], log_b[i], scratch)
-    # Each row's log, by its coefficient: (m - n) log b_i from the target
-    # and -t w_i log b_i from the damped weight; (1 - g_i) log(spacing_i)
-    # from the proposal, and 2 log(spacing_i) from the target's gap b_i -
-    # b_{i-1}.  b_0 is spacing 0.
-    sp_coef = 1.0 - g + 2.0 * (np.arange(n) > 0)
-    b_coef = (m - n) - t * c
-    total = np.multiply(log_sp[0], sp_coef[0] + b_coef[0])
-    for i in range(1, n):
-        total += np.multiply(log_sp[i], sp_coef[i], out=scratch)
-        total += np.multiply(log_b[i], b_coef[i], out=scratch)
-    # The target's gaps b_j - b_i past adjacent ones: the sum of spacings
-    # i+1 .. j, accumulated over j.
-    log_gap = np.empty(batch)
-    for i in range(n - 2):
-        np.copyto(log_gap, log_sp[i + 1])
-        for j in range(i + 2, n):
-            _log_add_exp(log_gap, log_sp[j], log_gap, scratch)
-            total += np.multiply(log_gap, 2.0, out=scratch)
-    total += (-wishart_log_norm_const(m, n) - m * n * math.log(s)
-              + float(np.sum(gammaln(g) + g * log_beta)))
-    return total
+    p = (m - n) - t * eigen_decay_weights(m, n)
+    power = float(p.sum()) + n * n
+    log_const = float(gammaln(power)) - wishart_log_norm_const(m, n)
+    if n == 1:
+        return log_const
+    j = np.arange(1, n)
+    a = 1.0 + np.cumsum(p)[:-1] + (j - 1) + j * (j - 1)
+    previous = math.nan
+    for points in range(12, 33, 4):
+        value = _ratio_rule_sum(a, power, points)
+        if abs(value - previous) <= 1e-10 * value:
+            return log_const + math.log(value)
+        previous = value
+    raise ValueError(
+        f"kappa's quadrature does not converge at 32 points per axis on a "
+        f"{m}x{n} link at t={t}")
 
 
-def _log_add_exp(a, b, out, scratch):
-    """``log(exp(a) + exp(b))`` into ``out``, as ``max(a, b) + log1p(exp(
-    min(a, b) - max(a, b)))``; ``scratch`` is overwritten."""
-    np.minimum(a, b, out=scratch)
-    np.maximum(a, b, out=out)
-    scratch -= out
-    np.exp(scratch, out=scratch)
-    np.log1p(scratch, out=scratch)
-    out += scratch
-
-
-def _mean_damped_weight(cfg, rho, t, batch, seed, stream):
-    """Importance-sampled mean of the damped weight, with its relative error."""
-    s = 1.0 + rho ** -cfg.alpha
-    w = np.exp(_log_is_weights(cfg, s, t, batch, seed, stream))
-    mean = float(w.mean())
-    rel_err = float(w.std() / (mean * math.sqrt(batch)))
-    return mean, rel_err
-
-
-def calibrate_kappa(cfg, rho, policy, batch, seed):
+def calibrate_kappa(cfg, rho, policy):
     """Normalizer that restores the average-power budget for ``policy``.
 
     With no damping the power is already constant at the budget, so the
     normalizer is exactly 1.  Otherwise ``kappa`` is the reciprocal of the
-    mean damped weight, estimated by importance sampling on stream 1 of
-    ``seed``; a warning reports an achieved relative error that misses the
-    convergence target.
+    mean damped weight of the estimate, whose entries have variance ``s =
+    1 + rho ** -alpha``: ``s ** (t m n)`` over the mean at ``s = 1``
+    (:func:`_log_mean_weight`), since the decay weights sum to ``m n``.
+    The quadrature covers links with at most six receive antennas.
     """
-    batch = _integer(batch, "batch")
-    if batch < _MIN_CAL_BATCH:
-        raise ValueError(
-            f"sampling batch must be at least {_MIN_CAL_BATCH}, got {batch}")
     rho = float(rho)
     if not (rho > 0.0):
         raise ValueError(f"rho must be positive, got {rho}")
-    if policy.t == 0.0:
+    t = policy.t
+    if t == 0.0:
         return 1.0
-    mean, rel_err = _mean_damped_weight(cfg, rho, policy.t, batch, seed, 1)
-    if rel_err > _REL_ERR_TARGET:
-        warnings.warn(
-            f"calibration achieved relative error {rel_err:.4f}, above the "
-            f"{_REL_ERR_TARGET} target; increase the batch for a tighter "
-            f"power constraint", UserWarning, stacklevel=2)
-    return 1.0 / mean
+    m, n = cfg.m_tx, cfg.n_rx
+    if n > _MAX_DAMPED_RX:
+        raise ValueError(
+            f"a damped power policy supports at most {_MAX_DAMPED_RX} receive "
+            f"antennas, got {n}: kappa's quadrature grows as points**(n-1)")
+    s = 1.0 + rho ** -cfg.alpha
+    return math.exp(t * m * n * math.log(s) - _log_mean_weight(m, n, t))
 
 
-def _grid_kappas(cfg, rho, policy, seed):
-    """One kappa per SNR point: one calibrated at ``rho[0]`` and scaled by
-    ``(s_g/s_0)**(t*m*n)`` with ``s = 1 + rho**-alpha``, exact since the
-    calibration is a scale family in ``s``."""
-    kappa0 = calibrate_kappa(cfg, rho[0], policy, CAL_BATCH, seed)
+def _grid_kappas(cfg, rho, policy):
+    """One kappa per SNR point: the one at ``rho[0]`` scaled by ``(s_g /
+    s_0) ** (t*m*n)`` with ``s = 1 + rho**-alpha``, exact since the mean
+    damped weight is a scale family in ``s``."""
+    kappa0 = calibrate_kappa(cfg, rho[0], policy)
     s = [1.0 + x ** -cfg.alpha for x in rho]
     exponent = policy.t * cfg.m_tx * cfg.n_rx
     return [kappa0 * (s_g / s[0]) ** exponent for s_g in s]
@@ -253,10 +247,9 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     spectrum.  At ``t = 0`` the power is constant: the sampler leaves the
     error's uniforms untransformed, and the span builds no estimate.
 
-    ``kappas()`` returns one kappa per point.  It is called only once every
-    point's log weight is computed, so a sweep can calibrate while its spans
-    draw.  The power ``P = kappa * rho_g * weight / m`` is then one ``exp``
-    of the log weight plus ``log(kappa * rho_g / m)``.
+    ``kappas`` holds one kappa per point.  The power ``P = kappa * rho_g *
+    weight / m`` is one ``exp`` of the log weight plus ``log(kappa * rho_g
+    / m)``.
     """
     damped = t != 0.0
     h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
@@ -275,7 +268,7 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
         del estimate
     counts = []
     det = np.empty(count)
-    for g, (rho_g, kappa) in enumerate(zip(rho, kappas())):
+    for g, (rho_g, kappa) in enumerate(zip(rho, kappas)):
         scale = kappa * rho_g / cfg.m_tx
         if not damped:
             power = scale
@@ -306,14 +299,16 @@ def _least_squares_slope(x, y):
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     """Outage probability across an SNR grid, with a fitted decay slope.
 
-    Every point counts the trials of stream 0 of the seed, and kappa is
-    calibrated on stream 1, both at the first point, so results depend only
-    on ``(seed, grid)``, never on the worker count.  The calibration runs on
-    the calling thread while the worker spans draw; if it raises, the sweep
-    re-raises its error.  The slope is the least-squares fit in log-log
-    coordinates over the points with at least ``_MIN_EVENTS_FOR_FIT``
-    outage events (:func:`_least_squares_slope`), and is NaN when fewer
-    than two points qualify.
+    Every point counts the trials of stream 0 of the seed, drawn at the
+    first point, and each point's kappa is a quadrature that draws nothing
+    (:func:`_grid_kappas`), so results depend only on ``(seed, grid)``,
+    never on the worker count.  The kappas are computed on the calling
+    thread before any span starts, so a link they do not cover (more than
+    six receive antennas under damping) fails before any draw.  The slope
+    is the least-squares fit in log-log coordinates over the points with at
+    least ``_MIN_EVENTS_FOR_FIT`` outage events
+    (:func:`_least_squares_slope`), and is NaN when fewer than two points
+    qualify.
     """
     r = float(r)
     n = cfg.n_rx
@@ -345,22 +340,15 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
         raise ValueError(f"workers must be at least 1, got {workers}")
     # Imported on first use: only sweeps need the pool, and loading it
     # would add to every import of the package.
-    from concurrent.futures import Future, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-    kappas = Future()
+    kappas = _grid_kappas(cfg, rho, policy)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        spans = [pool.submit(_count_outages_span, cfg, rho, r, policy.t,
-                             kappas.result, seed, start,
-                             min(_TRIAL_CHUNK, trials - start))
-                 for start in range(0, trials, _TRIAL_CHUNK)]
-        # Calibrate here while the spans draw; warnings stay on this thread.
-        try:
-            kappas.set_result(_grid_kappas(cfg, rho, policy, seed))
-        except BaseException as exc:
-            kappas.set_exception(exc)
-            pool.shutdown(cancel_futures=True)
-            raise
-        per_span = [span.result() for span in spans]
+        per_span = list(pool.map(
+            lambda start: _count_outages_span(
+                cfg, rho, r, policy.t, kappas, seed, start,
+                min(_TRIAL_CHUNK, trials - start)),
+            range(0, trials, _TRIAL_CHUNK)))
     counts = [sum(column) for column in zip(*per_span)]
     p_out = [cnt / trials for cnt in counts]
     ci = [1.96 * math.sqrt(p * (1.0 - p) / trials) for p in p_out]

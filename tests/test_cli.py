@@ -194,8 +194,12 @@ class TestUsageErrors:
         (SIM + ["--rho-stop-db", "3100", "--rho-points", "2"], "s.csv"),
         # A negative seed once warned of an invalid cast and aliased 2**64 - 1.
         (SIM + ["--seed=-1"], "s.csv"),
+        # Kappa's quadrature covers at most six receive antennas under damping.
+        (["simulate", "--m", "7", "--n", "7", "--alpha", "0.5", "--r", "1",
+          "--trials", "1000"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "fig",
-            "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative"])
+            "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative",
+            "simulate-size"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.  The

