@@ -10,32 +10,31 @@ An outage sweep reads the channel only through ``det(I + P H H^H)`` and the
 estimate only through Gram spectra, so the sampler draws a representative of
 the channel rather than an iid-entry matrix.  An iid channel bidiagonalizes
 as ``H = Q [B 0] P^H`` with ``Q`` and ``P`` unitary and ``B`` real lower
-bidiagonal, its entries
-independent with ``B_ii**2 ~ Gamma(m - i + 1)`` and ``B_{i+1,i}**2 ~
-Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11), 2002).  The error
-is isotropic and independent of the channel, so ``Q^H E P`` has the law of
-``E``, and the pair ``([B 0], E)`` gives the spectra of ``H H^H`` and of
-``(H + c E)(H + c E)^H`` their joint law for every ``c``.  The sampler
-returns ``[B 0]`` as a real float64 array, and ``E`` as its real and
-imaginary planes, so no complex array is formed.  The channel's
-determinant ``det(I + P B B^T)`` is a polynomial in ``P`` whose coefficients
-are sums of squared minors of ``B`` (:func:`bidiagonal_minor_sums`), built
-from sums and products of non-negative numbers with no eigenvalue.  The
-estimate's spectra come from :class:`EstimateMinors` on one- and two-row
-links, whose Gram determinant and trace are polynomials in ``c`` built
-from ``B``'s entries and ``E``'s minors, and on links with more rows from
-the Gram blocks of :class:`GramPolynomial`.  Each of them reads ``[B 0]``
-through ``B``'s diagonal and subdiagonal alone.
+bidiagonal, its diagonal ``d_i`` and subdiagonal ``s_i`` independent with
+``d_i**2 ~ Gamma(m - i + 1)`` and ``s_i**2 ~ Gamma(n - i)`` (Dumitriu &
+Edelman, J. Math. Phys. 43(11), 2002).  The error is isotropic and
+independent of the channel, so ``Q^H E P`` has the law of ``E``, and the
+pair ``(B, E)`` gives the spectra of ``H H^H`` and of ``(H + c E)(H + c
+E)^H`` their joint law for every ``c``.  The sampler returns ``B`` as its
+``2n - 1`` entries, one float64 row of trials each in the draw order ``d_1,
+s_1, d_2, ..., s_{n-1}, d_n``, and ``E`` as its real and imaginary planes,
+so no complex array is formed.  The channel's determinant ``det(I + P B
+B^T)`` is a polynomial in ``P`` whose coefficients are sums of squared
+minors of ``B`` (:func:`bidiagonal_minor_sums`), built from sums and
+products of non-negative numbers with no eigenvalue.  The estimate's spectra
+come from :class:`EstimateMinors` on one- and two-row links, whose Gram
+determinant and trace are polynomials in ``c`` built from ``B``'s entries
+and ``E``'s minors, and on links with more rows from the Gram blocks of
+:class:`GramPolynomial`.
 
-Sampling is counter-based: trial ``i`` of a given (seed, stream) pair always
-yields the same matrices regardless of how trials are batched or which worker
-draws them, which makes parallel Monte Carlo bit-reproducible.
+Sampling is counter-based: trial ``i`` of a given seed always yields the
+same matrices regardless of how trials are batched or which worker draws
+them, which makes parallel Monte Carlo bit-reproducible.
 
-Batches are trial-contiguous: a ``(count, n, m)`` batch, and each plane of
-the error, is stored trial-last, so each matrix entry's trials form one
-contiguous vector.  Gram entries, minors, and :class:`EstimateMinors`'
-closed-form spectra of one- and two-row estimates are whole-vector
-arithmetic over them.
+Batches are trial-contiguous: each entry of ``B``, and each plane of each
+entry of the error, is one contiguous vector of trials.  Gram entries,
+minors, and :class:`EstimateMinors`' determinants and traces of one- and
+two-row estimates are whole-vector arithmetic over them.
 
 SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
 density's normalizer (``gammaln``), and is imported on first use, so the
@@ -142,45 +141,45 @@ def _log_damped_weight(b, w, t, out=None):
     return out
 
 
-def _bit_generator(seed, stream):
-    """The Philox generator keyed by ``(seed, stream)``, both 64-bit words.
+def _bit_generator(seed):
+    """The Philox generator keyed by ``(seed, 0)``, both 64-bit words.
 
     A seed outside ``[0, 2**64)`` is a ``ValueError``: it has no key of its
     own, and masking it would alias it to another seed's draws."""
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    return np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
 
 
 def _bidiagonal_entries(n, m):
-    """``(row, column, shape)`` of each nonzero entry of ``[B 0]``, in draw
-    order; the squared entry is Gamma(shape) and the shapes sum to ``n*m``."""
+    """Gamma shape of each squared entry of ``B``, in the draw order ``d_1,
+    s_1, d_2, ..., s_{n-1}, d_n``; the shapes sum to ``n*m``."""
+    shapes = []
     for i in range(n):
-        yield i, i, m - i
-        if i + 1 < n:
-            yield i + 1, i, n - i - 1
+        shapes += [m - i, n - i - 1]
+    return shapes[:-1]
 
 
-def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0, error=True):
-    """Draw trials ``start .. start+count-1`` of a (seed, stream) sequence.
+def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
+    """Draw trials ``start .. start+count-1`` of a seed's sequence.
 
-    Returns the pair ``(h, e)``: the channels and the estimation errors,
-    whose per-entry variance is ``rho ** -alpha``.  ``h`` is the channel's
-    bidiagonal representative ``[B 0]`` (see the module docstring): a real
-    float64 array of shape ``(count, n, m)``, zero off the diagonal and
-    subdiagonal, with each squared entry gamma-distributed.  It is not an
-    iid-entry matrix, but with ``e`` it gives every Gram spectrum of the
-    channel and its estimate the law an iid channel would.  Each squared
-    entry of shape ``k`` is ``-log`` of a product of ``k`` uniforms, so a
-    trial takes a fixed ``3 * n * m`` uniforms.
+    Returns the pair ``(b, e)``: the channels and the estimation errors,
+    whose per-entry variance is ``rho ** -alpha``.  ``b`` holds the entries
+    of the channel's real lower bidiagonal ``B`` (see the module
+    docstring): a float64 array of shape ``(2n - 1, count)`` whose rows are
+    ``d_1, s_1, d_2, ..., s_{n-1}, d_n``, so that ``b[0::2]`` is the
+    diagonal and ``b[1::2]`` the subdiagonal.  With ``e`` it gives every
+    Gram spectrum of the channel and its estimate the law an iid channel
+    would.  Each squared entry of shape ``k`` is ``-log`` of a product of
+    ``k`` uniforms, so a trial takes a fixed ``3 * n * m`` uniforms.
 
     ``e`` has iid complex Gaussian entries, returned as real planes: a
     float64 array of shape ``(count, 2, n, m)`` with the real parts in
     ``e[:, 0]`` and the imaginary parts in ``e[:, 1]``.  With ``error``
     false the error's uniforms are drawn but not transformed, and ``e`` is
-    None.  Both arrays are stored trial-last: for each matrix entry (and
-    plane), the ``count`` trials are one contiguous vector.  Any contiguous
+    None.  Both arrays are stored trial-last: for each entry (and plane),
+    the ``count`` trials are one contiguous vector.  Any contiguous
     partition of the trial range reproduces the one-shot draw bit for bit.
     """
     rho = float(rho)
@@ -193,7 +192,7 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0, error=True)
     n, m = cfg.n_rx, cfg.m_tx
     nm = n * m
     width = -(-3 * nm // _DOUBLES_PER_TICK) * _DOUBLES_PER_TICK
-    bg = _bit_generator(seed, stream)
+    bg = _bit_generator(seed)
     bg.advance(start * width // _DOUBLES_PER_TICK)
     gen = np.random.Generator(bg)
     # Trial-last storage: each uniform's trials lie contiguous, so the
@@ -212,22 +211,21 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0, error=True)
         # quantile transform sees an exact zero.
         np.add(part[:, :rows].T, _HALF_ULP, out=u[:, lo:lo + len(part)])
     del block
-    h = np.zeros((n, m, count + _TRIAL_PAD))[..., :count].transpose(2, 0, 1)
+    b = np.zeros((2 * n - 1, count + _TRIAL_PAD))[:, :count]
     # Each entry of B sums -log of its products of uniforms, from zero, and
-    # takes the root; the rest of h stays zero.
+    # takes the root.
     col = 0
     prod = np.empty(count)
-    for i, j, shape in _bidiagonal_entries(n, m):
-        b = h[:, i, j]
+    for entry, shape in zip(b, _bidiagonal_entries(n, m)):
         for lo in range(col, col + shape, _MAX_PRODUCT):
             np.copyto(prod, u[lo])
             for k in range(lo + 1, min(col + shape, lo + _MAX_PRODUCT)):
                 prod *= u[k]
-            b -= np.log(prod, out=prod)
-        np.sqrt(b, out=b)
+            entry -= np.log(prod, out=prod)
+        np.sqrt(entry, out=entry)
         col += shape
     if not error:
-        return h, None
+        return b, None
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import ndtri
 
@@ -238,14 +236,25 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, stream=0, error=True)
     np.minimum(z, _BELOW_ONE, out=z)
     ndtri(z, out=z)
     z *= math.sqrt(0.5 * rho ** -cfg.alpha)
-    return h, z.reshape(2, n, m, count).transpose(3, 0, 1, 2)
+    return b, z.reshape(2, n, m, count).transpose(3, 0, 1, 2)
 
 
-def bidiagonal_minor_sums(h):
-    """Coefficients ``e_1 .. e_n`` of ``det(I + P h h^T) = 1 + P e_1 + ...
-    + P**n e_n`` for trial-last draws ``h = [B 0]`` of
-    :func:`sample_channel_block`, as a new ``(n, count)`` array.  Only the
-    diagonal and subdiagonal of ``B`` are read.
+def _draw_shape(b, e):
+    """``(n, m)`` of draws ``(b, e)`` of :func:`sample_channel_block`; a
+    ``ValueError`` unless ``e`` is a batch of error planes and ``b`` holds
+    ``2n - 1`` rows of the same trials."""
+    if (e.ndim != 4 or e.shape[1] != 2 or b.ndim != 2
+            or b.shape != (2 * e.shape[2] - 1, len(e))):
+        raise ValueError("expected B's 2n - 1 entries as rows of trials and "
+                         "error planes of shape (count, 2, n, m)")
+    return e.shape[2], e.shape[3]
+
+
+def bidiagonal_minor_sums(b):
+    """Coefficients ``e_1 .. e_n`` of ``det(I + P B B^T) = 1 + P e_1 + ...
+    + P**n e_n`` for the entries ``b`` of :func:`sample_channel_block`'s
+    ``B``, shape ``(2n - 1, count)``, as a new ``(n, count)`` array.  Any
+    other shape is a ``ValueError``.
 
     ``e_k`` is the sum of the squared ``k x k`` minors of ``B``
     (Cauchy-Binet).  Each nonzero minor of a lower-bidiagonal matrix is one
@@ -259,14 +268,17 @@ def bidiagonal_minor_sums(h):
     ``eps * lambda_max``.  Beside its output the recursion holds three
     scratch rows and ``n - 2`` rows of ``f``.
     """
-    count, n = h.shape[0], h.shape[1]
+    if b.ndim != 2 or len(b) % 2 == 0:
+        raise ValueError("expected B's 2n - 1 entries as rows of trials, "
+                         f"got shape {b.shape}")
+    n, count = (len(b) + 1) // 2, b.shape[1]
     e = np.empty((n, count))
     f = np.empty((max(n - 2, 0), count))
     d, s, prod = np.empty((3, count))
-    np.square(h[:, 0, 0], out=e[0])
+    np.square(b[0], out=e[0])
     for i in range(1, n):
-        np.square(h[:, i, i], out=d)
-        np.square(h[:, i, i - 1], out=s)
+        np.square(b[2 * i], out=d)
+        np.square(b[2 * i - 1], out=s)
         np.multiply(e[i - 1], d, out=e[i])
         # Descending, so that e[k - 1] and f[k - 1] still hold row i - 1's
         # values when e[k] is formed.  Row n - 1's f is not needed.
@@ -280,7 +292,7 @@ def bidiagonal_minor_sums(h):
 
 class GramPolynomial:
     """Gram matrices of ``h + c * e`` for any real ``c``, from one batch of
-    draws ``(h, e)`` of :func:`sample_channel_block`.
+    draws ``(b, e)`` of :func:`sample_channel_block`, with ``h = [B 0]``.
 
     ``(h + c e)(h + c e)^H = A + c * (B + c * C)`` with ``A = h h^T``,
     ``B = h e^H + e h^T`` and ``C = e e^H``.  The constructor forms the
@@ -289,46 +301,43 @@ class GramPolynomial:
     product: :meth:`spectrum` evaluates the quadratic and takes its
     spectrum with ``numpy.linalg.eigvalsh``.
 
-    ``h = [B 0]`` is a real ``(count, n, m)`` batch, of which only ``B``'s
-    diagonal ``d_i = h_ii`` and subdiagonal ``s_i = h_{i+1,i}`` are read,
-    and ``e`` is given as real planes, shape ``(count, 2, n, m)``, real
-    parts first.  ``A`` is then tridiagonal, with ``A_ii = s_{i-1}**2 +
-    d_i**2`` and ``A_{i,i+1} = d_i s_i``.  With ``P_ik = s_{i-1} e_{k,i-1} +
-    d_i e_ki`` for each plane, ``B_ik = P_ik + conj(P_ki)``.  ``C`` is summed
-    column by column over ``e``'s planes.  Each block is stored as its ``n
-    * n`` real entries, one per-entry vector each: the diagonal, then the
-    real and imaginary part of each entry above it, row by row.  The
-    blocks equal the per-entry sums over every column of the complex-cast
-    operands up to the sign of an exact zero, and the quadratic is
-    evaluated entry by entry, so every product is correctly rounded and a
-    trial's result does not depend on its batch.  A NaN or infinite entry
-    of ``h`` or ``e`` raises ``ValueError``.  Each instance evaluates into
-    one scratch Gram, so it serves one thread at a time; every spectrum it
-    returns is a new array.
+    ``b`` holds the bidiagonal's diagonal ``d_i = b[2i - 2]`` and
+    subdiagonal ``s_i = b[2i - 1]`` (1-based ``i``), shape ``(2n - 1,
+    count)``, and ``e`` is given as real planes, shape ``(count, 2, n,
+    m)``, real parts first; other shapes are a ``ValueError``.  ``A`` is
+    tridiagonal, with ``A_ii = s_{i-1}**2 + d_i**2`` and ``A_{i,i+1} = d_i
+    s_i``.  With ``P_ik = s_{i-1} e_{k,i-1} + d_i e_ki`` for each plane,
+    ``B_ik = P_ik + conj(P_ki)``.  ``C`` is summed column by column over
+    ``e``'s planes.  Each block is stored as its ``n * n`` real entries, one
+    per-entry vector each: the diagonal, then the real and imaginary part of
+    each entry above it, row by row.  The blocks equal the per-entry sums
+    over every column of the complex-cast operands up to the sign of an
+    exact zero, and the quadratic is evaluated entry by entry, so every
+    product is correctly rounded and a trial's result does not depend on its
+    batch.  A NaN or infinite entry of ``b`` or ``e`` raises ``ValueError``.
+    Each instance evaluates into one scratch Gram, so it serves one thread
+    at a time; every spectrum it returns is a new array.
 
     Measured against ``eigvalsh`` of ``(h + c e)(h + c e)^H`` formed by
     ``matmul``, on 28.6 million inputs with ``n`` in 1..4 and 6, ``n <= m
     <= 9``, ``c`` in {1, 1e-3, 1e-12} and entries scaled from 1e-100 to
-    1e100 in seven steps, bidiagonal ``h`` with Gaussian entries,
-    zero-diagonal, zero and cancelling (``e`` near ``-h / c``) inputs among
-    them, the spectra differed by at most ``3.6e-15 * tr(A + c**2
-    C)``.  The bound is on the size of the two terms: where they cancel,
-    the estimate's own eigenvalues can be far smaller.
+    1e100 in seven steps, bidiagonals with Gaussian entries, zero-diagonal,
+    zero and cancelling (``e`` near ``-h / c``) inputs among them, the spectra
+    differed by at most ``3.6e-15 * tr(A + c**2 C)``.  The bound is on the
+    size of the two terms: where they cancel, the estimate's own eigenvalues
+    can be far smaller.
     """
 
-    def __init__(self, h, e):
-        if h.ndim != 3 or e.shape != (len(h), 2) + h.shape[1:]:
-            raise ValueError("expected a batch of matrices and error planes "
-                             "of one shape")
-        _check_finite(h)
+    def __init__(self, b, e):
+        n, m = _draw_shape(b, e)
+        _check_finite(b)
         _check_finite(e)
-        count, n, m = h.shape
+        count = len(e)
         self._n = n
         self._weights = eigen_decay_weights(m, n)
-        # The entries of B, and each plane of e's first n columns
-        # transposed, as per-entry vectors over the trials.
-        h_t = np.moveaxis(h, 0, -1)
-        d, s = h_t[range(n), range(n)], h_t[range(1, n), range(n - 1)]
+        # Each plane of e's first n columns transposed, as per-entry
+        # vectors over the trials.
+        d, s = b[0::2], b[1::2]
         e_t = np.moveaxis(e, 0, -1)[:, :, :n].swapaxes(1, 2)
         # The entries above the diagonal in row-major order, as in _pairs.
         i, k = np.triu_indices(n, 1)
@@ -339,10 +348,10 @@ class GramPolynomial:
         p = e_t * d[:, np.newaxis]
         p[:, 1:] += e_t[:, :-1] * s[:, np.newaxis]
         p_re, p_im = p
-        self._b = b = np.empty_like(a)
-        np.multiply(p_re[range(n), range(n)], 2.0, out=b[:n])
-        np.add(p_re[i, k], p_re[k, i], out=b[n::2])
-        np.subtract(p_im[k, i], p_im[i, k], out=b[n + 1::2])
+        self._b = cross = np.empty_like(a)
+        np.multiply(p_re[range(n), range(n)], 2.0, out=cross[:n])
+        np.add(p_re[i, k], p_re[k, i], out=cross[n::2])
+        np.subtract(p_im[k, i], p_im[i, k], out=cross[n + 1::2])
         self._c = _gram(e)
         self._gram = np.empty_like(a)
 
@@ -366,63 +375,58 @@ class GramPolynomial:
 
 
 class EstimateMinors:
-    """Log damped weights and ascending spectra of the estimate ``h + c e``
-    of one- or two-row draws of :func:`sample_channel_block`, for any real
-    ``c``, from the estimate's Gram determinant and trace as polynomials in
-    ``c``.
+    """Log damped weights of the estimate ``h + c e``, ``h = [B 0]``, of
+    one- or two-row draws ``(b, e)`` of :func:`sample_channel_block`, for
+    any real ``c``, from the estimate's Gram determinant and trace as
+    polynomials in ``c``.
 
-    ``h = [B 0]`` has ``d1``, ``d2`` on its diagonal and ``s1`` below it,
-    and ``e`` is given as planes.  By Cauchy-Binet, ``det(X X^H)`` sums
-    ``|X_1j X_2k - X_1k X_2j|**2`` over the column pairs ``j < k`` of the
-    estimate ``X``.  Pair (1, 2) is ``D0 + c D1 + c**2 D2``, with ``D0 = d1
-    d2``, ``D1 = d1 e22 + d2 e11 - s1 e12`` and ``D2 = e11 e22 - e12 e21``.
-    A pair with one column past ``B`` is ``c (L + c Q)`` and one with both
-    past it ``c**2 Q``, ``Q`` a minor of ``e``; their squares fold into
-    ``c**2 (SL + 2 c SLQ + c**2 SQ)`` from three sums per trial, so a
-    point's work does not grow with ``m``.  The trace is ``T0 + c T1 +
-    c**2 T2``, whose coefficients are stored halved.  Then ``lambda_max =
-    tr/2 + sqrt((tr/2)**2 - det)``, which is 0 for a zero trace.  One row's
-    eigenvalue is ``|d1 + c e11|**2 + c**2 sum_{k>1} |e1k|**2``.  The
-    determinant is quartic, so a two-row batch's coefficients are scaled by
-    the power of two that brings its largest ``T0 + T2`` near 1; the
-    scaling is exact.  In the scaled units, an eigenvalue below about
-    1e-308 of that largest ``T0 + T2`` is subnormal and loses precision,
-    and where the trace is below about 1e-154 of it, ``(tr/2)**2`` and the
-    determinant are too, and ``lambda_max`` is only known to within a
-    factor of 2.
+    ``b`` holds ``B``'s entries ``d1``, ``s1``, ``d2`` (``d1`` alone on one
+    row), shape ``(2n - 1, count)``, and ``e`` is given as planes, shape
+    ``(count, 2, n, m)``; other shapes are a ``ValueError``.  By
+    Cauchy-Binet, ``det(X X^H)`` sums ``|X_1j X_2k - X_1k X_2j|**2`` over
+    the column pairs ``j < k`` of the estimate ``X``.  Pair (1, 2) is ``D0
+    + c D1 + c**2 D2``, with ``D0 = d1 d2``, ``D1 = d1 e22 + d2 e11 - s1
+    e12`` and ``D2 = e11 e22 - e12 e21``.  A pair with one column past
+    ``B`` is ``c (L + c Q)`` and one with both past it ``c**2 Q``, ``Q`` a
+    minor of ``e``; their squares fold into ``c**2 (SL + 2 c SLQ + c**2
+    SQ)`` from three sums per trial, so a point's work does not grow with
+    ``m``.  The trace is ``T0 + c T1 + c**2 T2``, whose coefficients are
+    stored halved.  Then ``lambda_max = tr/2 + sqrt((tr/2)**2 - det)``,
+    which is 0 for a zero trace.  One row's eigenvalue is ``|d1 + c
+    e11|**2 + c**2 sum_{k>1} |e1k|**2``.  The determinant is quartic, so a
+    two-row batch's coefficients are scaled by the power of two that brings
+    its largest ``T0 + T2`` near 1; the scaling is exact.  In the scaled
+    units, an eigenvalue below about 1e-308 of that largest ``T0 + T2`` is
+    subnormal and loses precision, and where the trace is below about
+    1e-154 of it, ``(tr/2)**2`` and the determinant are too, and
+    ``lambda_max`` is only known to within a factor of 2.
 
     :meth:`log_damped_weight`, which a sweep's span reads at each point,
     takes the weight from the determinant and ``lambda_max`` and forms no
-    ``lambda_min``.  :meth:`spectrum` gives the pair, with ``lambda_min =
-    det / lambda_max``.  A NaN or infinite entry raises ``ValueError``, as
-    does an entry past about 1.3e154, whose square overflows, or a trial
-    whose squared entries sum past the largest float: the constructor reads
-    that from the largest ``T0 + T2``.
+    ``lambda_min``.  A NaN or infinite entry raises ``ValueError``, as does
+    an entry past about 1.3e154, whose square overflows, or a trial whose
+    squared entries sum past the largest float: the constructor reads that
+    from the largest ``T0 + T2``.
 
     No eigenvalue routine is called, and every product is correctly
-    rounded.  Against exact rational arithmetic, on 3,000 random inputs
-    with ``m <= 6``, ``c`` from 1e-8 to 7.5 and entries scaled from 1e-100
-    to 1e100, generic, cancelling and nearly rank-1 among them,
-    ``lambda_min * lambda_max`` was within 4.7 u of the size of the
-    determinant's terms and ``lambda_min + lambda_max`` within 4.1 u of
-    the trace's (u = 2**-53).  On 600 nearly rank-1 two-row estimates
-    (``lambda_min / lambda_max`` from 5e-19 to 1.7e-8) the log damped
-    weight at t 0.9 was within 2.8e-14 of a 60-digit reference, where
-    :class:`GramPolynomial`'s, whose entries lose the small eigenvalue,
-    was off by up to 604.  An instance serves one thread at a time, and
-    every spectrum it returns is a new array.
+    rounded.  On 600 nearly rank-1 two-row estimates (``lambda_min /
+    lambda_max`` from 5e-19 to 1.7e-8) the log damped weight at t 0.9 was
+    within 2.8e-14 of a 60-digit reference, where :class:`GramPolynomial`'s,
+    whose entries lose the small eigenvalue, was off by up to 604.  An
+    instance serves one thread at a time.
     """
 
-    def __init__(self, h, e):
-        count, n, m = h.shape
-        if n > 2 or e.shape != (count, 2, n, m):
-            raise ValueError("expected one- or two-row matrices and error "
-                             "planes of one shape")
+    def __init__(self, b, e):
+        n, m = _draw_shape(b, e)
+        if n > 2:
+            raise ValueError("expected one- or two-row draws, got error "
+                             f"planes of shape {e.shape}")
+        count = len(e)
         self._n = n
         self._weights = eigen_decay_weights(m, n)
         self._scratch = np.empty((2, count))
         part = self._scratch[0]
-        d1, planes = h[:, 0, 0], e.reshape(count, -1).T
+        d1, planes = b[0], e.reshape(count, -1).T
         # Each trial's T0 + T2, the sum of its squared entries, is formed
         # first: its largest is finite only if every entry is finite and
         # small enough to square.
@@ -437,7 +441,7 @@ class EstimateMinors:
                 _add_squares(sums, part, planes[0])
             _largest_square_sum(np.add(sums, coef[2], out=sums))
             return
-        s1, d2 = h[:, 1, 0], h[:, 1, 1]
+        s1, d2 = b[1], b[2]
         self._coef = coef = np.zeros((8 if m == 2 else 11, count))
         d0, d1r, d1i, d2r, d2i, ht0, ht1, ht2 = coef[:8]
         # T0 and T2, halved below, and T1 / 2.
@@ -470,9 +474,10 @@ class EstimateMinors:
         for j, k in ((j, k) for j in range(m - 1) for k in range(max(j + 1, 2), m)):
             _error_minor(e, j, k, q_re, q_im, part)
             if j < 2:
-                # L = h_1j e_2k - h_2j e_1k, with h_1j = 0 past d1.
+                # L = h_1j e_2k - h_2j e_1k, with h_1j = 0 past d1 and
+                # h_2j = s1, d2.
                 for x, l in ((e[:, 0], l_re), (e[:, 1], l_im)):
-                    np.negative(h[:, 1, j], out=l)
+                    np.negative((s1, d2)[j], out=l)
                     l *= x[:, 0, k]
                     if j == 0:
                         l += np.multiply(d1, x[:, 1, k], out=part)
@@ -526,25 +531,6 @@ class EstimateMinors:
         if log_scale:
             log_det += -t * (w[0] + w[1]) * log_scale
         return log_det
-
-    def spectrum(self, c):
-        """Ascending spectrum of ``(h + c e)(h + c e)^H``, in the shape and
-        layout of :meth:`GramPolynomial.spectrum`'s result, as a new array:
-        on two rows, ``lambda_min = det / lambda_max``."""
-        c = float(c)
-        out = np.empty((self._n, self._scratch.shape[1]))
-        if self._n == 1:
-            self._one_row(c, out[0])
-            return np.moveaxis(out, 0, -1)
-        lam_min, lam_max = out
-        np.copyto(lam_max, self._det_and_lam_max(c, lam_min))
-        # A zero lambda_max has a zero determinant, and lambda_min is 0.
-        with np.errstate(over="ignore"):
-            lam_min /= np.maximum(lam_max, _TINY, out=self._scratch[1])
-        # The minimum keeps the pair ascending where rounding would cross it.
-        np.minimum(lam_min, lam_max, out=lam_min)
-        np.ldexp(out, self._exponent, out=out)
-        return np.moveaxis(out, 0, -1)
 
     def _one_row(self, c, out):
         """One row's eigenvalue ``|d1 + c e11|**2 + c**2 sum_{k>1}

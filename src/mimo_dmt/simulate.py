@@ -19,9 +19,9 @@ estimate's Gram determinant, from its minors, and its trace
 determinant and the largest eigenvalue, ``lambda_min * lambda_max`` being
 the determinant, with no eigenvalue pair formed.  On links with more rows
 they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, the
-first two formed from the drawn bidiagonal's diagonal and subdiagonal,
-and ``eigvalsh`` reads the spectrum of the quadratic ``A + c_g (B + c_g
-C)`` (:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
+first two formed from the drawn bidiagonal's entries, and ``eigvalsh``
+reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
+(:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  The kappas are
 computed once, on the calling thread, before any span starts; each span
@@ -198,7 +198,8 @@ def calibrate_kappa(cfg, rho, policy):
     mean damped weight of the estimate, whose entries have variance ``s =
     1 + rho ** -alpha``: ``s ** (t m n)`` over the mean at ``s = 1``
     (:func:`_log_mean_weight`), since the decay weights sum to ``m n``.
-    The quadrature covers links with at most six receive antennas.
+    The quadrature covers links with at most six receive antennas, and a
+    kappa past the largest float is a ``ValueError``.
     """
     rho = float(rho)
     if not (rho > 0.0):
@@ -212,7 +213,11 @@ def calibrate_kappa(cfg, rho, policy):
             f"a damped power policy supports at most {_MAX_DAMPED_RX} receive "
             f"antennas, got {n}: kappa's quadrature grows as points**(n-1)")
     s = 1.0 + rho ** -cfg.alpha
-    return math.exp(t * m * n * math.log(s) - _log_mean_weight(m, n, t))
+    try:
+        return math.exp(t * m * n * math.log(s) - _log_mean_weight(m, n, t))
+    except OverflowError:
+        raise ValueError(f"kappa passes the largest float at rho={rho}: the "
+                         f"power normalizer is finite only at a larger SNR") from None
 
 
 def _grid_kappas(cfg, rho, policy):
@@ -227,7 +232,7 @@ def _grid_kappas(cfg, rho, policy):
 
 def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
-    drawn once on stream 0 at ``rho[0]``, under damping ``t``.
+    drawn once at ``rho[0]``, under damping ``t``.
 
     A trial is in outage when ``det(I + P h h^H) < rho_g ** r``, the test
     ``log2 det < r log2 rho_g`` with no logarithm.  The channel side is the
@@ -252,12 +257,12 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     / m)``.
     """
     damped = t != 0.0
-    h, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
+    b, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
                                 error=damped)
-    coeffs = bidiagonal_minor_sums(h)
+    coeffs = bidiagonal_minor_sums(b)
     if damped:
-        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(h, e)
-    del h, e
+        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
+    del b, e
     if damped:
         log_weights = np.empty((len(rho), count))
         for rho_g, log_weight in zip(rho, log_weights):
@@ -299,12 +304,14 @@ def _least_squares_slope(x, y):
 def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     """Outage probability across an SNR grid, with a fitted decay slope.
 
-    Every point counts the trials of stream 0 of the seed, drawn at the
-    first point, and each point's kappa is a quadrature that draws nothing
+    Every point counts the same trials of the seed, drawn at the first
+    point, and each point's kappa is a quadrature that draws nothing
     (:func:`_grid_kappas`), so results depend only on ``(seed, grid)``,
     never on the worker count.  The kappas are computed on the calling
     thread before any span starts, so a link they do not cover (more than
-    six receive antennas under damping) fails before any draw.  The slope
+    six receive antennas under damping), or an SNR so low that a kappa
+    passes the largest float, fails before any draw, as does a grid whose
+    ``rho ** r`` or error variance ``rho ** -alpha`` overflows.  The slope
     is the least-squares fit in log-log coordinates over the points with at
     least ``_MIN_EVENTS_FOR_FIT`` outage events
     (:func:`_least_squares_slope`), and is NaN when fewer than two points
@@ -329,12 +336,14 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
         raise ValueError(
             f"rho_grid must span at least a factor of {_MIN_RHO_RATIO} "
             f"for a meaningful slope")
-    try:
-        # A span's outage threshold at the grid's largest point.
-        rho[-1] ** r
-    except OverflowError:
-        raise ValueError(f"rho ** r must be a finite float at every point; "
-                         f"{rho[-1]} ** {r} overflows") from None
+    # A span's outage threshold peaks at the grid's largest point, and the
+    # error variance at its smallest.
+    for name, base, power in (("r", rho[-1], r), ("-alpha", rho[0], -cfg.alpha)):
+        try:
+            base ** power
+        except OverflowError:
+            raise ValueError(f"rho ** {name} must be a finite float at every "
+                             f"point; {base} ** {power} overflows") from None
     workers = _integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

@@ -1,8 +1,21 @@
-"""References that the tests compare the package against: the dense Gram
-spectrum, and the 2x2 mean damped weight by one adaptive quadrature."""
+"""References that the tests compare the package against: the dense channel
+and its Gram spectrum, and the 2x2 mean damped weight by one adaptive
+quadrature."""
 import math
 
 import numpy as np
+
+
+def dense_channel(b, m):
+    """The ``(count, n, m)`` channel ``[B 0]`` of the bidiagonal entries
+    ``b``, shape ``(2n - 1, count)`` in the order ``d_1, s_1, d_2, ...,
+    s_{n-1}, d_n``: ``d_i`` at ``(i, i)`` and ``s_i`` at ``(i + 1, i)``,
+    zero elsewhere."""
+    n = (len(b) + 1) // 2
+    h = np.zeros((b.shape[1], n, m))
+    h[:, range(n), range(n)] = b[0::2].T
+    h[:, range(1, n), range(n - 1)] = b[1::2].T
+    return h
 
 
 def gram_spectrum(x):

@@ -19,7 +19,7 @@ from mimo_dmt.tradeoff import (
     eval_dmt,
     eval_dmt_jump,
 )
-from reference import gram_spectrum, reduced_quadrature_mean_weight
+from reference import dense_channel, gram_spectrum, reduced_quadrature_mean_weight
 
 
 def _report(num, desc):
@@ -137,8 +137,8 @@ def test_criterion_06_perturbation_bound_suite():
         for alpha in (0.0, 0.5, 1.0):
             cfg = ChannelConfig(3, 2, alpha)
             seed += 1
-            h, e = sample_channel_block(cfg, rho=rho, seed=seed, start=0, count=per_cell)
-            e = e[:, 0] + 1j * e[:, 1]
+            b, e = sample_channel_block(cfg, rho=rho, seed=seed, start=0, count=per_cell)
+            h, e = dense_channel(b, cfg.m_tx), e[:, 0] + 1j * e[:, 1]
             a = gram_spectrum(h)
             b = gram_spectrum(h + e)
             c = gram_spectrum(e)
@@ -209,3 +209,28 @@ def test_criterion_10_worker_determinism():
         rows_3 = rows(3)
         rows_5 = rows(5)
     assert one_span == rows_1 == rows_3 == rows_5
+
+
+@_report(11, "2x2 damped outage slope within 0.09 (r 1.2) and 0.06 (r 1.5) of d(r; alpha*t), < 1 min")
+def test_criterion_11_damped_exponent():
+    # At alpha 0.1 and t 0.5 plain sampling reaches the slope regime, so
+    # the fitted slope reads the curve at alpha * t = 0.05, not the
+    # paper's curve at alpha (1.0 and 0.7 at these rates).  The fit is
+    # fixed before the run: the last four decades with >= 20 events.
+    # Over seeds 1..20 the slope read 0.897 +- 0.020 at r 1.2 and 0.603 +-
+    # 0.013 at r 1.5; each tolerance is the mean's offset plus 4 sd,
+    # rounded up.  Seed 3 is the one ROADMAP item 9 measured with.
+    start = time.perf_counter()
+    rho_grid = [10.0 ** k for k in range(1, 11)]
+    trials = 1 << 21
+    target = compute_dmt_curve(ChannelConfig(2, 2, 0.05))
+    for r, tol in ((1.2, 0.09), (1.5, 0.06)):
+        sweep = run_sweep(ChannelConfig(2, 2, 0.1), r, rho_grid, trials,
+                          PowerPolicy(t=0.5), seed=3, workers=2)
+        fit = [(math.log(rho), math.log(p)) for rho, p in zip(rho_grid, sweep.p_out)
+               if round(p * trials) >= 20][-4:]
+        assert len(fit) == 4, sweep.p_out
+        slope = -np.polyfit(*zip(*fit), 1)[0]
+        d = eval_dmt(target, r)
+        assert abs(slope - d) <= tol, (r, slope, d)
+    assert time.perf_counter() - start < 60.0

@@ -22,7 +22,7 @@ from mimo_dmt.channel import (
     sample_channel_block,
     wishart_log_norm_const,
 )
-from reference import gram_spectrum
+from reference import dense_channel, gram_spectrum
 
 
 def complex_error(e):
@@ -40,7 +40,8 @@ def error_spectrum(x):
     the package's per-entry Gram of generic complex matrices: the error
     block of a :class:`GramPolynomial` with a zero channel, read at ``c =
     1``."""
-    return GramPolynomial(np.zeros(x.shape), planes(x)).spectrum(1.0)
+    zero = np.zeros((2 * x.shape[-2] - 1, len(x)))
+    return GramPolynomial(zero, planes(x)).spectrum(1.0)
 
 
 class TestChannelConfig:
@@ -117,10 +118,10 @@ class TestSampleChannel:
 
     def test_shapes(self):
         cfg = ChannelConfig(4, 2, 0.3)
-        h, e = sample_channel_block(cfg, rho=10.0, seed=5, count=1)
-        assert h.shape == (1, 2, 4)
+        b, e = sample_channel_block(cfg, rho=10.0, seed=5, count=1)
+        assert b.shape == (3, 1)
         assert e.shape == (1, 2, 2, 4)
-        assert h.dtype == e.dtype == np.float64
+        assert b.dtype == e.dtype == np.float64
 
     def test_determinism(self):
         cfg = ChannelConfig(3, 3, 0.5)
@@ -148,10 +149,9 @@ class TestSampleChannel:
     def test_seed_key_unchanged_below_two_to_63(self):
         # Seeds that fit an int64 keep the key they had as a list.
         for seed in (0, 7, 1729, 2 ** 63 - 1):
-            for stream in (0, 1, 2):
-                got = channel._bit_generator(seed, stream).random_raw(8)
-                want = np.random.Philox(key=[seed, stream]).random_raw(8)
-                npt.assert_array_equal(got, want)
+            got = channel._bit_generator(seed).random_raw(8)
+            want = np.random.Philox(key=[seed, 0]).random_raw(8)
+            npt.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1])
     def test_seed_outside_64_bits_rejected(self, seed):
@@ -161,7 +161,7 @@ class TestSampleChannel:
         with pytest.raises(ValueError, match="seed must lie in"):
             sample_channel_block(cfg, rho=50.0, seed=seed, count=1)
         with pytest.raises(ValueError, match="seed must lie in"):
-            channel._bit_generator(seed, 1)
+            channel._bit_generator(seed)
 
     # Links whose 3*n*m uniforms per trial fill whole Philox ticks (2x2)
     # or leave padding (1x1, 2x1, 3x2, 3x3), and 20x2, whose Gamma(20)
@@ -170,11 +170,12 @@ class TestSampleChannel:
 
     @staticmethod
     def _bidiagonal(m, n):
-        """``(row, column, gamma shape)`` of each nonzero entry of [B 0].
-        (checked independently: Dumitriu & Edelman 2002, Theorem 3.1 at
-        beta = 2, where chi_{2k}**2 / 2 is Gamma(k))"""
-        entries = [(i, i, m - i) for i in range(n)]
-        entries += [(i + 1, i, n - i - 1) for i in range(n - 1)]
+        """``(row of b, row of [B 0], column, gamma shape)`` of each entry
+        of B, in the sampler's order ``d_1, s_1, d_2, ...``.  (checked
+        independently: Dumitriu & Edelman 2002, Theorem 3.1 at beta = 2,
+        where chi_{2k}**2 / 2 is Gamma(k))"""
+        entries = [(2 * i, i, i, m - i) for i in range(n)]
+        entries += [(2 * i + 1, i + 1, i, n - i - 1) for i in range(n - 1)]
         return entries
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3), (20, 2)])
@@ -183,10 +184,10 @@ class TestSampleChannel:
         # squared subdiagonal entry B_{i+1,i}**2 is Gamma(n - i), 1-based.
         # A fixed seed makes each KS p-value one fixed number.  A shape off
         # by one reads p < 1e-100 at 20,000 draws.
-        h, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=31,
+        b, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=31,
                                     count=20_000)
-        for i, j, shape in self._bidiagonal(m, n):
-            b_sq = h.real[:, i, j] ** 2
+        for row, i, j, shape in self._bidiagonal(m, n):
+            b_sq = b[row] ** 2
             assert stats.kstest(b_sq, stats.gamma(shape).cdf).pvalue > 1e-3, (i, j)
 
     def test_long_products_do_not_underflow(self):
@@ -194,22 +195,28 @@ class TestSampleChannel:
         # sure to stay a normal float, but a product of k uniforms reaches
         # zero only around k = 745.  On 1000x1 every plain product would
         # underflow; the entry must still be sqrt of a Gamma(1000) draw.
-        h, _ = sample_channel_block(ChannelConfig(1000, 1, 0.5), rho=10.0, seed=5,
+        b, _ = sample_channel_block(ChannelConfig(1000, 1, 0.5), rho=10.0, seed=5,
                                     count=2_000)
-        b_sq = h.real[:, 0, 0] ** 2
+        b_sq = b[0] ** 2
         assert np.isfinite(b_sq).all()
         assert stats.kstest(b_sq, stats.gamma(1000).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("m,n", LINKS)
     def test_channel_zero_off_bidiagonal(self, m, n):
-        h, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=8,
+        # The sampler returns only B's 2n - 1 entries, each positive and
+        # one contiguous row of trials; the dense channel [B 0] that the
+        # tests build from them is zero everywhere else.
+        b, _ = sample_channel_block(ChannelConfig(m, n, 0.5), rho=10.0, seed=8,
                                     count=5_000)
-        assert not h.imag.any()
+        assert b.shape == (2 * n - 1, 5_000)
+        assert all(row.flags.c_contiguous for row in b)
+        assert (b > 0.0).all()
+        h = dense_channel(b, m)
         off = np.ones((n, m), dtype=bool)
-        for i, j, _ in self._bidiagonal(m, n):
+        for row, i, j, _ in self._bidiagonal(m, n):
             off[i, j] = False
+            assert np.array_equal(h[:, i, j], b[row])
         assert not h[:, off].any()
-        assert (h.real[:, ~off] > 0.0).all()
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (3, 3), (4, 3)])
     def test_spectra_match_iid_reference(self, m, n):
@@ -221,8 +228,8 @@ class TestSampleChannel:
         # variance 0.5 beside the channel's 1.
         cfg = ChannelConfig(m, n, 0.5)
         count = 20_000
-        h, e = sample_channel_block(cfg, rho=4.0, seed=12, count=count)
-        e = complex_error(e)
+        b, e = sample_channel_block(cfg, rho=4.0, seed=12, count=count)
+        h, e = dense_channel(b, m), complex_error(e)
         rng = np.random.default_rng(1200 + 10 * m + n)
         ref_h, ref_e = (
             (rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m)))
@@ -261,16 +268,17 @@ class TestSampleChannel:
             sample_channel_block(cfg, rho=30.0, seed=42, start=3, count=4),
             sample_channel_block(cfg, rho=30.0, seed=42, start=7, count=3),
         ]
-        npt.assert_array_equal(whole[0], np.concatenate([h for h, _ in parts]))
+        npt.assert_array_equal(whole[0], np.concatenate([b for b, _ in parts],
+                                                        axis=1))
         npt.assert_array_equal(whole[1], np.concatenate([e for _, e in parts]))
         assert np.isfinite(whole[0]).all()
 
     @pytest.mark.parametrize("m,n", LINKS)
     def test_single_draw_matches_block_row(self, m, n):
         cfg = ChannelConfig(m, n, 0.5)
-        h, e = sample_channel_block(cfg, rho=10.0, seed=3, start=0, count=4)
-        h_one, e_one = sample_channel_block(cfg, rho=10.0, seed=3, start=2, count=1)
-        npt.assert_array_equal(h_one[0], h[2])
+        b, e = sample_channel_block(cfg, rho=10.0, seed=3, start=0, count=4)
+        b_one, e_one = sample_channel_block(cfg, rho=10.0, seed=3, start=2, count=1)
+        npt.assert_array_equal(b_one[:, 0], b[:, 2])
         npt.assert_array_equal(e_one[0], e[2])
 
     @pytest.mark.parametrize("m,n", LINKS)
@@ -391,14 +399,11 @@ class TestBidiagonalMinorSums:
         # at most gamma_(6n), with u = 2**-53 (4.2 u at most on 3,000
         # random inputs).  What underflows is at most 2**-1074 * P times
         # the determinant.
-        h = np.zeros((1, n, n + zero_columns))
-        for i in range(n):
-            h[0, i, i] = entries[2 * i]
-            if i:
-                h[0, i, i - 1] = entries[2 * i - 1]
+        b = np.array(entries[:2 * n - 1])[:, np.newaxis]
+        h = dense_channel(b, n + zero_columns)
         power = 10.0 ** log_power
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = bidiagonal_minor_sums(h)
+            coeffs = bidiagonal_minor_sums(b)
             got = self.horner(coeffs[:, 0], power)
         assert coeffs.shape == (n, 1)
         want = exact_det(h[0], power)
@@ -408,6 +413,13 @@ class TestBidiagonalMinorSums:
             assert want >= (1 - bound) * Fraction(np.finfo(float).max)
         else:
             assert abs(Fraction(got) - want) <= bound * want
+
+    @pytest.mark.parametrize("shape", [(5, 2, 2), (4, 5), (5,), (0, 5)])
+    def test_rejects_other_shapes(self, shape):
+        # The old dense (count, n, m) channel, an even row count, one row
+        # and no rows are not B's 2n - 1 entries.
+        with pytest.raises(ValueError, match="shape"):
+            bidiagonal_minor_sums(np.ones(shape))
 
 
 class TestEigAscending:
@@ -503,7 +515,7 @@ class TestEigAscending:
         trial_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)),
                                  -1, 0)
         assert trial_last[:, 0, 0, 0].flags.c_contiguous
-        zero = np.zeros((500, n, m))
+        zero = np.zeros((2 * n - 1, 500))
         c_ordered = GramPolynomial(zero, np.ascontiguousarray(x)).spectrum(1.0)
         assert np.array_equal(c_ordered, GramPolynomial(zero, trial_last).spectrum(1.0))
 
@@ -518,9 +530,10 @@ class TestEigAscending:
         parts = [sample_channel_block(cfg, 10.0, 4, start=s,
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
-        got = np.concatenate([error_spectrum(h + complex_error(e))
-                              for h, e in parts])
-        assert np.array_equal(got, error_spectrum(whole[0] + complex_error(whole[1])))
+        got = np.concatenate([error_spectrum(dense_channel(b, m) + complex_error(e))
+                              for b, e in parts])
+        assert np.array_equal(got, error_spectrum(dense_channel(whole[0], m)
+                                                  + complex_error(whole[1])))
 
     def test_equal_eigenvalues_stay_ascending(self):
         # Orthonormal row pairs have the double eigenvalue 1; rounding
@@ -547,10 +560,15 @@ class TestEigAscending:
 
 
 def bidiagonal(x):
-    """``x`` with every entry off the diagonal and subdiagonal zeroed: the
-    shape of the sampler's ``h = [B 0]``."""
-    n, m = x.shape[-2:]
-    return x * (np.tri(n, m) - np.tri(n, m, -2))
+    """The diagonal and subdiagonal of a dense batch ``x``, as the sampler
+    returns ``B``'s entries: shape ``(2n - 1, count)``, in the order ``d_1,
+    s_1, d_2, ...``.  ``dense_channel(bidiagonal(x), m)`` is ``x`` with
+    every other entry zeroed."""
+    n = x.shape[-2]
+    b = np.empty((2 * n - 1, len(x)))
+    b[0::2] = x[:, range(n), range(n)].T
+    b[1::2] = x[:, range(1, n), range(n - 1)].T
+    return b
 
 
 def per_entry_blocks(h, e):
@@ -594,7 +612,7 @@ class TestGramPolynomial:
     @staticmethod
     def _pairs(n, m, kind, c, rng):
         shape = (300, n, m)
-        h = bidiagonal(rng.normal(size=shape))
+        h = dense_channel(bidiagonal(rng.normal(size=shape)), m)
         e = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         if kind == "rank1":
             # Only B's first column, and error rows in the same proportion
@@ -629,7 +647,7 @@ class TestGramPolynomial:
             unit_h, unit_e = self._pairs(n, m, kind, c, rng)
             for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
                 h, e = scale * unit_h, scale * unit_e
-                got = GramPolynomial(h, planes(e)).spectrum(c)
+                got = GramPolynomial(bidiagonal(h), planes(e)).spectrum(c)
                 want = gram_spectrum(h + c * e)
                 size = (np.sum(h ** 2, axis=(-2, -1))
                         + c * c * np.sum(np.abs(e) ** 2, axis=(-2, -1)))
@@ -648,9 +666,10 @@ class TestGramPolynomial:
         # eigvalsh's of the per-entry channel block bit for bit, on
         # trial-last draws, and within 1e-13 * lambda_max of the dense
         # reference.
-        h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
+        b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
                                     count=3000)
-        got = GramPolynomial(h, e).spectrum(0.0)
+        got = GramPolynomial(b, e).spectrum(0.0)
+        h = dense_channel(b, m)
         a, _, _ = per_entry_blocks(h, e)
         assert np.array_equal(got, channel._gram_spectrum(a, n).T)
         want = gram_spectrum(h)
@@ -666,8 +685,8 @@ class TestGramPolynomial:
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
         for c in (1.0, 0.3):
-            got = np.concatenate([GramPolynomial(h, e).spectrum(c)
-                                  for h, e in parts])
+            got = np.concatenate([GramPolynomial(b, e).spectrum(c)
+                                  for b, e in parts])
             assert np.array_equal(got, GramPolynomial(*whole).spectrum(c))
 
     def test_rank_deficient_clamped(self):
@@ -675,16 +694,15 @@ class TestGramPolynomial:
         # eigenvalues {0, 5}; with error rows in proportion to h's rows,
         # h + c e has rank 1 too.  eigvalsh's tiny negative values are
         # clamped to zero.
-        h = np.zeros((1, 2, 3))
-        h[0, :, 0] = [1.0, 2.0]
-        vals = GramPolynomial(h, np.zeros((1, 2, 2, 3))).spectrum(0.0)[0]
+        b = np.array([[1.0], [2.0], [0.0]])
+        vals = GramPolynomial(b, np.zeros((1, 2, 2, 3))).spectrum(0.0)[0]
         assert vals[0] >= 0.0
         npt.assert_allclose(vals[0], 0.0, atol=1e-12)
         npt.assert_allclose(vals[1], 5.0, rtol=1e-12)
         rng = np.random.default_rng(3)
         for n, m in ((2, 3), (3, 4), (4, 4)):
             h, e = self._pairs(n, m, "rank1", 0.7, rng)
-            got = GramPolynomial(h, planes(e)).spectrum(0.7)
+            got = GramPolynomial(bidiagonal(h), planes(e)).spectrum(0.7)
             assert np.all(got >= 0.0)
             assert np.all(got[:, :-1] <= 1e-13 * got[:, -1:])
 
@@ -695,9 +713,10 @@ class TestGramPolynomial:
         for n, m in ((2, 3), (3, 3), (3, 5)):
             z = rng.normal(size=(4000, m, m)) + 1j * rng.normal(size=(4000, m, m))
             x = np.swapaxes(np.linalg.qr(z)[0][..., :n], -1, -2)
-            h = bidiagonal(np.abs(rng.normal(size=(4000, n, m))))
+            b = bidiagonal(np.abs(rng.normal(size=(4000, n, m))))
+            h = dense_channel(b, m)
             for c in (1.0, 0.5):
-                vals = GramPolynomial(h, planes((x - h) / c)).spectrum(c)
+                vals = GramPolynomial(b, planes((x - h) / c)).spectrum(c)
                 assert np.all(np.diff(vals, axis=-1) >= 0.0)
                 npt.assert_allclose(vals, 1.0, rtol=1e-13)
 
@@ -705,33 +724,39 @@ class TestGramPolynomial:
     def test_rejects_nonfinite(self, n):
         # A non-finite entry of B or of either error plane, anywhere in
         # the batch, is rejected.
-        h, e = np.ones((5, n, 3)), np.ones((5, 2, n, 3))
+        b, e = np.ones((2 * n - 1, 5)), np.ones((5, 2, n, 3))
         for bad in (np.nan, np.inf, -np.inf):
-            bad_h = h.copy()
-            bad_h[2, n - 1, n - 1] = bad
+            bad_b = b.copy()
+            bad_b[2 * n - 2, 2] = bad
             with pytest.raises(ValueError, match="finite"):
-                GramPolynomial(bad_h, e)
+                GramPolynomial(bad_b, e)
             for q in (0, 1):
                 bad_e = e.copy()
                 bad_e[2, q, n - 1, 1] = bad
                 with pytest.raises(ValueError, match="finite"):
-                    GramPolynomial(h, bad_e)
+                    GramPolynomial(b, bad_e)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
-            GramPolynomial(np.ones((4, 2, 3)), np.ones((4, 2, 2)))
+            GramPolynomial(np.ones((3, 4)), np.ones((4, 2, 2)))
         # One matrix is not a batch.
         with pytest.raises(ValueError, match="shape"):
-            GramPolynomial(np.ones((2, 3)), np.ones((2, 2, 3)))
+            GramPolynomial(np.ones(3), np.ones((2, 2, 3)))
+        # The old dense (count, n, m) channel, and B's entries for another
+        # row count or another batch.
+        e = np.ones((4, 2, 2, 3))
+        for b in (np.ones((4, 2, 3)), np.ones((2, 4)), np.ones((3, 5))):
+            with pytest.raises(ValueError, match="shape"):
+                GramPolynomial(b, e)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_results_do_not_alias_scratch(self, n):
         # The sweep reads seven spectra from the same instance; later
         # calls must leave earlier results alone.
         rng = np.random.default_rng(n)
-        h = bidiagonal(rng.normal(size=(500, n, 4)))
+        b = bidiagonal(rng.normal(size=(500, n, 4)))
         e = rng.normal(size=(500, 2, n, 4))
-        grams = GramPolynomial(h, e)
+        grams = GramPolynomial(b, e)
         first = [grams.spectrum(c) for c in (0.0, 1.0)]
         kept = [x.copy() for x in first]
         for c in (0.5, 0.0, 2.0, 1e-3):
@@ -849,29 +874,43 @@ def log_weight_error_bound(h, e, c, w, t, top):
                            + (w[0] + w[1]) * log_scale))
 
 
+def scaled_det_and_lam_max(minors, c):
+    """The estimate's Gram determinant and largest eigenvalue that
+    ``EstimateMinors.log_damped_weight`` reads at scale ``c``, as new rows
+    in the batch's scaled units, and the exponent ``k`` such that the
+    determinant is ``2**(2k)`` and ``lambda_max`` ``2**k`` times them.  One
+    row's eigenvalue is both, with ``k = 0``."""
+    out = np.empty(minors._scratch.shape[1])
+    if minors._n == 1:
+        lam = minors._one_row(c, out)
+        return lam, lam.copy(), 0
+    lam_max = minors._det_and_lam_max(c, out).copy()
+    return out, lam_max, minors._exponent
+
+
 class TestEstimateMinors:
-    """One- and two-row estimate spectra from the determinant's minors and
-    the trace, against exact rational arithmetic and against the dense
-    spectrum of the estimate formed directly."""
+    """One- and two-row estimate determinants, largest eigenvalues and log
+    damped weights from the determinant's minors and the trace, against
+    exact rational arithmetic and against the dense spectrum of the
+    estimate formed directly."""
 
     U = Fraction(1, 2 ** 53)
 
     @staticmethod
     def _draws(n, m, kind, c, scale, rng, count=4):
-        h = np.zeros((count, n, m))
-        for i, j in [(0, 0), (1, 0), (1, 1)][:2 * n - 1]:
-            h[:, i, j] = np.abs(rng.normal(size=count))
+        # B's entries d1, s1, d2, in the sampler's order.
+        b = np.abs(rng.normal(size=(2 * n - 1, count)))
         e = rng.normal(size=(count, 2, n, m))
         if kind == "cancel":
             # e near -h / c: the estimate is tiny next to both terms.
             e *= 1e-6
-            e[:, 0] -= h / c
+            e[:, 0] -= dense_channel(b, m) / c
         elif kind == "rank1" and n == 2:
             # A nearly rank-1 channel and a tiny error: the Gram matrix's
             # entries lose its small eigenvalue, the minors do not.
-            h[:, 1, 1] *= 1e-6
+            b[2] *= 1e-6
             e *= 1e-8
-        return scale * h, scale * e
+        return scale * b, scale * e
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
            m=st.integers(1, 6),
@@ -880,26 +919,28 @@ class TestEstimateMinors:
            scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]))
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_determinant_and_trace(self, seed, n, m, kind, c, scale):
-        # The determinant, read as lambda_min * lambda_max, lies within
-        # 32 u of its terms' size of the exact determinant, and lambda_min +
-        # lambda_max within 16 u of the trace's size; on 3,000 random
-        # inputs of these kinds the errors were at most 4.7 u and 4.1 u.
-        # Every product is correctly rounded, so what cancels loses only
-        # what the terms' size allows, the fold of the pairs past B
-        # included.  The per-trial power-of-two scaling keeps the quartic
-        # determinant in range from 1e-100 to 1e100.
+        # The determinant that the weight reads lies within 32 u of its
+        # terms' size of the exact determinant, and lambda_max + det /
+        # lambda_max, formed exactly from the two, within 16 u of the
+        # trace's size.  Every product is correctly rounded, so what
+        # cancels loses only what the terms' size allows, the fold of the
+        # pairs past B included.  The per-trial power-of-two scaling keeps
+        # the quartic determinant in range from 1e-100 to 1e100.
         m = max(m, n)
-        h, e = self._draws(n, m, kind, c, scale, np.random.default_rng(seed))
-        got = EstimateMinors(h, e).spectrum(c)
-        assert got.shape == (4, n)
-        assert np.all(got >= 0.0)
-        assert np.all(np.diff(got, axis=-1) >= 0.0)
-        for lam, h_i, e_i in zip(got, h, e):
+        b, e = self._draws(n, m, kind, c, scale, np.random.default_rng(seed))
+        got_det, got_max, k = scaled_det_and_lam_max(EstimateMinors(b, e), c)
+        assert got_det.shape == got_max.shape == (4,)
+        assert np.all(got_det >= 0.0) and np.all(got_max >= 0.0)
+        for det_i, max_i, h_i, e_i in zip(got_det, got_max, dense_channel(b, m), e):
             det, tr = exact_estimate(h_i, e_i, c)
             det_size, tr_size = estimate_sizes(h_i, e_i, c)
-            product = math.prod(Fraction(float(x)) for x in lam)
-            assert abs(product - det) <= 32 * self.U * det_size
-            assert abs(sum(Fraction(float(x)) for x in lam) - tr) <= 16 * self.U * tr_size
+            got = Fraction(float(det_i)) * Fraction(2) ** (2 * k)
+            lam_max = Fraction(float(max_i)) * Fraction(2) ** k
+            assert abs(got - det) <= 32 * self.U * det_size
+            if n == 2:
+                # A zero lambda_max has a zero determinant.
+                lam_max += got / lam_max if lam_max else 0
+            assert abs(lam_max - tr) <= 16 * self.U * tr_size
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
            m=st.integers(1, 6), c=st.sampled_from([1.0, 0.3, 1e-3]),
@@ -913,9 +954,9 @@ class TestEstimateMinors:
         # |log lambda|) (the logs' rounding); on 3,000 random inputs the
         # difference was at most 4.7 u of that.
         m = max(m, n)
-        h, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
-        want = gram_spectrum(h + c * complex_error(e))
-        got = EstimateMinors(h, e).log_damped_weight(c, t)
+        b, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
+        want = gram_spectrum(dense_channel(b, m) + c * complex_error(e))
+        got = EstimateMinors(b, e).log_damped_weight(c, t)
         w = eigen_decay_weights(m, n)
         size = t * (w.sum() * want[:, -1] / want[:, 0]
                     + (w * np.abs(np.log(want))).sum(axis=1))
@@ -938,13 +979,13 @@ class TestEstimateMinors:
         # that bound.
         m = max(m, n)
         c = 10.0 ** log_c
-        h, e = self._draws(n, m, kind, c, 10.0 ** log_scale,
+        b, e = self._draws(n, m, kind, c, 10.0 ** log_scale,
                            np.random.default_rng(seed))
         w = eigen_decay_weights(m, n)
-        got = EstimateMinors(h, e).log_damped_weight(c, t)
-        top = float((np.square(h).sum(axis=(1, 2))
+        got = EstimateMinors(b, e).log_damped_weight(c, t)
+        top = float((np.square(b).sum(axis=0)
                      + np.square(e).sum(axis=(1, 2, 3))).max())
-        for got_i, h_i, e_i in zip(got, h, e):
+        for got_i, h_i, e_i in zip(got, dense_channel(b, m), e):
             want = exact_log_weight(h_i, e_i, c, w, t)
             bound = log_weight_error_bound(h_i, e_i, c, w, t, top)
             assert abs(got_i - want) <= bound, (got_i, want, bound)
@@ -956,18 +997,20 @@ class TestEstimateMinors:
         # exact weight; eigvalsh of the Gram matrix's entries misses it by
         # far more.
         w, t, c = eigen_decay_weights(m, 2), 0.9, 0.3
-        h, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
+        b, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
         exact = np.array([exact_log_weight(h_i, e_i, c, w, t)
-                          for h_i, e_i in zip(h, e)])
-        minors = EstimateMinors(h, e).log_damped_weight(c, t)
-        grams = GramPolynomial(h, e).log_damped_weight(c, t)
+                          for h_i, e_i in zip(dense_channel(b, m), e)])
+        minors = EstimateMinors(b, e).log_damped_weight(c, t)
+        grams = GramPolynomial(b, e).log_damped_weight(c, t)
         assert np.abs(minors - exact).max() <= 1e-13
         assert np.abs(grams - exact).max() > 1e3 * np.abs(minors - exact).max()
 
     def test_zero_estimate_has_zero_spectrum(self):
-        # A zero trace gives two zero eigenvalues, not NaN.
-        h, e = np.zeros((3, 2, 4)), np.zeros((3, 2, 2, 4))
-        assert np.array_equal(EstimateMinors(h, e).spectrum(0.7), np.zeros((3, 2)))
+        # A zero trace gives a zero determinant and lambda_max, not NaN.
+        b, e = np.zeros((3, 3)), np.zeros((3, 2, 2, 4))
+        det, lam_max, _ = scaled_det_and_lam_max(EstimateMinors(b, e), 0.7)
+        assert np.array_equal(det, np.zeros(3))
+        assert np.array_equal(lam_max, np.zeros(3))
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
@@ -978,26 +1021,41 @@ class TestEstimateMinors:
         # one whose small eigenvalue is about 1e-320, beside a generic
         # estimate, which the floor leaves as it is.
         c, t = 0.3, 0.9
-        h, e = self._draws(n, 3, "generic", c, 1.0, np.random.default_rng(5))
-        h[1], e[1] = 0.0, 0.0
+        b, e = self._draws(n, 3, "generic", c, 1.0, np.random.default_rng(5))
+        b[:, 1], e[1] = 0.0, 0.0
         e[2:] = 0.0
-        h[2, n - 1, n - 1] = 0.0
-        h, e = scale * h, scale * e
-        h[3, n - 1, n - 1] = 1e-160
+        # d_n of trials 2 and 3.
+        b[2 * n - 2, 2] = 0.0
+        b, e = scale * b, scale * e
+        b[2 * n - 2, 3] = 1e-160
         w = eigen_decay_weights(3, n)
-        got = EstimateMinors(h, e).log_damped_weight(c, t)
-        want = [exact_log_weight(h_i, e_i, c, w, t) for h_i, e_i in zip(h, e)]
+        got = EstimateMinors(b, e).log_damped_weight(c, t)
+        want = [exact_log_weight(h_i, e_i, c, w, t)
+                for h_i, e_i in zip(dense_channel(b, 3), e)]
         npt.assert_allclose(got, want, rtol=1e-14)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (6, 2)])
     def test_sampled_draws_match_gram_polynomial(self, m, n):
-        # On the sweep's own draws, within 1e-13 * lambda_max of
-        # eigvalsh of the Gram matrix's entries at every scale a sweep reads.
-        h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
-        minors, grams = EstimateMinors(h, e), GramPolynomial(h, e)
+        # On the sweep's own draws, lambda_max and det / lambda_max within
+        # 1e-13 * lambda_max of eigvalsh of the Gram matrix's entries at
+        # every scale a sweep reads.  The log weight a span reads from the
+        # determinant and lambda_max is, within 1e-13 relative, the weight
+        # of that pair.
+        b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
+        minors, grams = EstimateMinors(b, e), GramPolynomial(b, e)
+        w = eigen_decay_weights(m, n)
         for c in (1.0, 0.3, 1e-4):
-            got, want = minors.spectrum(c), grams.spectrum(c)
-            assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:]), c
+            det, lam_max, k = scaled_det_and_lam_max(minors, c)
+            pair = [np.ldexp(lam_max, k)]
+            if n == 2:
+                pair.insert(0, np.ldexp(det / lam_max, k))
+            pair = np.stack(pair)
+            want = grams.spectrum(c)
+            assert np.all(np.abs(pair.T - want) <= 1e-13 * want[:, -1:]), c
+            for t in (0.4, 0.9):
+                npt.assert_allclose(np.exp(minors.log_damped_weight(c, t)),
+                                    np.exp(_log_damped_weight(pair.copy(), w, t)),
+                                    rtol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1005,34 +1063,40 @@ class TestEstimateMinors:
     def test_rejects_nonfinite(self, n, bad, where):
         # A NaN or infinite draw raises, as in GramPolynomial, rather than
         # reading as a weight that counts no outage.
-        h, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
-        entries = ([(i, i) for i in range(n)] if where == "h diagonal"
+        b, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
+        entries = ([(2 * i, None) for i in range(n)] if where == "h diagonal"
                    else [(0, 0), (n - 1, 2)])
         for i, j in entries:
-            bad_h, bad_e = h.copy(), e.copy()
+            bad_b, bad_e = b.copy(), e.copy()
             if where == "h diagonal":
-                bad_h[2, i, j] = bad
+                bad_b[i, 2] = bad
             else:
                 bad_e[2, int(where == "error imag"), i, j] = bad
             with pytest.raises(ValueError, match="matrix entries must be finite"):
-                EstimateMinors(bad_h, bad_e)
+                EstimateMinors(bad_b, bad_e)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rejects_entries_whose_squares_overflow(self, n):
         # Past about 1.3e154 an entry's square overflows: it is rejected
         # too.  Below it, the entry is accepted.
-        h, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
-        h[1, 0, 0] = 1e154
-        EstimateMinors(h, e)
-        h[1, 0, 0] = 1.4e154
+        b, e = self._draws(n, 3, "generic", 1.0, 1.0, np.random.default_rng(9))
+        b[0, 1] = 1e154
+        EstimateMinors(b, e)
+        b[0, 1] = 1.4e154
         with pytest.raises(ValueError, match="matrix entries must be finite"):
-            EstimateMinors(h, e)
+            EstimateMinors(b, e)
 
     def test_rejects_three_rows_and_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shape"):
-            EstimateMinors(np.ones((4, 3, 3)), np.ones((4, 2, 3, 3)))
+            EstimateMinors(np.ones((5, 4)), np.ones((4, 2, 3, 3)))
         with pytest.raises(ValueError, match="shape"):
-            EstimateMinors(np.ones((4, 2, 3)), np.ones((4, 2, 3)))
+            EstimateMinors(np.ones((3, 4)), np.ones((4, 2, 3)))
+        # The old dense (count, n, m) channel, and B's entries for another
+        # row count or another batch.
+        e = np.ones((4, 2, 2, 3))
+        for b in (np.ones((4, 2, 3)), np.ones((1, 4)), np.ones((3, 5))):
+            with pytest.raises(ValueError, match="shape"):
+                EstimateMinors(b, e)
 
 
 class TestRealChannel:
@@ -1043,26 +1107,27 @@ class TestRealChannel:
     exact zero, which ``np.array_equal`` does not tell apart."""
 
     @staticmethod
-    def _real_h(kind, n, m, rng):
-        h = bidiagonal(rng.normal(size=(200, n, m)))
+    def _real_b(kind, n, m, rng):
+        b = bidiagonal(rng.normal(size=(200, n, m)))
         if kind == "zero_diagonal":
-            h[:, range(n), range(n)] = 0.0
+            b[0::2] = 0.0
         elif kind == "zero":
-            h[50:150] = 0.0
+            b[:, 50:150] = 0.0
         elif kind == "rank1":
-            h[:, :, 1:] = 0.0
-        return h
+            # B's first column alone.
+            b[2:] = 0.0
+        return b
 
     @staticmethod
-    def _assert_matches(h, e, cs):
-        grams = GramPolynomial(h, e)
-        blocks = per_entry_blocks(h, e)
+    def _assert_matches(b, e, cs):
+        grams = GramPolynomial(b, e)
+        blocks = per_entry_blocks(dense_channel(b, e.shape[-1]), e)
         for name, want in zip(("_a", "_b", "_c"), blocks):
             assert np.array_equal(getattr(grams, name), want), name
-        a, b, c_block = blocks
+        a, cross, c_block = blocks
         for c in cs:
-            gram = (c_block * c + b) * c + a
-            want = channel._gram_spectrum(gram, h.shape[1]).T
+            gram = (c_block * c + cross) * c + a
+            want = channel._gram_spectrum(gram, e.shape[-2]).T
             assert np.array_equal(grams.spectrum(c), want), c
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
@@ -1075,16 +1140,16 @@ class TestRealChannel:
     def test_blocks_and_spectra_match_complex_path(self, seed, n, m, kind, scale, cs):
         m = max(m, n)
         rng = np.random.default_rng(seed)
-        h = scale * self._real_h(kind, n, m, rng)
+        b = scale * self._real_b(kind, n, m, rng)
         e = scale * rng.normal(size=(200, 2, n, m))
-        self._assert_matches(h, e, cs)
+        self._assert_matches(b, e, cs)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3),
                                      (4, 4), (6, 6)])
     def test_sampled_channel_matches_complex_path(self, m, n):
-        h, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
-        assert h.dtype == np.float64
-        self._assert_matches(h, e, (0.0, 1.0, 0.05))
+        b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
+        assert b.dtype == np.float64
+        self._assert_matches(b, e, (0.0, 1.0, 0.05))
 
 
 class TestPerturbationBound:
@@ -1096,8 +1161,8 @@ class TestPerturbationBound:
         # it beyond a 1e-9 * max(1, largest estimate eigenvalue) allowance.
         for rho, alpha in [(10.0, 0.5), (100.0, 0.0), (1000.0, 1.0)]:
             cfg_a = ChannelConfig(m, n, alpha)
-            h, e = sample_channel_block(cfg_a, rho=rho, seed=1900 + m, start=0, count=2000)
-            e = complex_error(e)
+            b, e = sample_channel_block(cfg_a, rho=rho, seed=1900 + m, start=0, count=2000)
+            h, e = dense_channel(b, m), complex_error(e)
             a = gram_spectrum(h)
             b = gram_spectrum(h + e)
             c = gram_spectrum(e)

@@ -177,6 +177,8 @@ class TestNonRegularOutputs:
 class TestUsageErrors:
     SIM = ["simulate", "--m", "1", "--n", "1", "--alpha", "0", "--r", "0.5",
            "--trials", "1000"]
+    LOW_SNR = ["simulate", "--m", "2", "--n", "2", "--r", "1", "--rho-points",
+               "2", "--trials", "1000"]
 
     @pytest.mark.parametrize("argv,out_name", [
         (SIM + ["--t", "1.5"], "s.csv"),
@@ -197,9 +199,15 @@ class TestUsageErrors:
         # Kappa's quadrature covers at most six receive antennas under damping.
         (["simulate", "--m", "7", "--n", "7", "--alpha", "0.5", "--r", "1",
           "--trials", "1000"], "s.csv"),
+        # At -3000 dB kappa passes the largest float, and at -1000 dB with
+        # alpha 4 the error variance rho ** -alpha does, even at t = 0.
+        (LOW_SNR + ["--alpha", "1", "--rho-start-db", "-3000",
+                    "--rho-stop-db", "-2900"], "s.csv"),
+        (LOW_SNR + ["--alpha", "4", "--t", "0", "--rho-start-db", "-1000",
+                    "--rho-stop-db", "-900"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "fig",
             "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative",
-            "simulate-size"])
+            "simulate-size", "kappa-overflow", "error-variance-overflow"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.  The

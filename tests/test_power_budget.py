@@ -35,9 +35,9 @@ def sampled_mean_weights(cfg, ts, trials, seed):
     for each damping in ``ts``, with its relative standard error."""
     sums = {t: [0.0, 0.0] for t in ts}
     for start in range(0, trials, SPAN):
-        h, e = sample_channel_block(cfg, RHO, seed, start=start,
+        b, e = sample_channel_block(cfg, RHO, seed, start=start,
                                     count=min(SPAN, trials - start))
-        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(h, e)
+        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
         for t in ts:
             w = np.exp(estimate.log_damped_weight(1.0, t))
             sums[t][0] += float(w.sum())

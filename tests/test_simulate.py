@@ -28,7 +28,7 @@ from mimo_dmt.simulate import (
     calibrate_kappa,
     run_sweep,
 )
-from reference import gram_spectrum, reduced_quadrature_mean_weight
+from reference import dense_channel, gram_spectrum, reduced_quadrature_mean_weight
 
 # Mean damped-eigenvalue-product weight E[prod b_n^{-t c_n}] for the 2x2
 # channel estimate at t=0.9, rho=1e3, alpha=0.5 (so the per-entry variance
@@ -175,23 +175,17 @@ class TestAdaptedPower:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (4, 4)])
     def test_weight_is_exp_of_span_log_weight(self, m, n):
         # The weight of an estimate spectrum is the exponential of the log
-        # weight a span reads from its estimate object: bit for bit from a
-        # GramPolynomial, the reader on three or more rows, and within
-        # 1e-13 from an EstimateMinors, whose reader takes the weight from
-        # the determinant and lambda_max rather than from the pair.
+        # weight a span reads from a GramPolynomial, the reader on three or
+        # more rows, bit for bit.  EstimateMinors' weight, read from the
+        # determinant and lambda_max, is checked against that pair's in
+        # tests/test_channel.py (test_sampled_draws_match_gram_polynomial).
         cfg = ChannelConfig(m, n, 0.5)
-        h, e = sample_channel_block(cfg, 10.0, 3, count=5000)
-        grams = GramPolynomial(h, e)
-        minors = EstimateMinors(h, e) if n <= 2 else None
+        grams = GramPolynomial(*sample_channel_block(cfg, 10.0, 3, count=5000))
         b = grams.spectrum(0.7)
         kept = b.copy()
         for t in (0.0, 0.4, 0.9):
             log_weight = grams.log_damped_weight(0.7, t, out=np.empty(5000))
             npt.assert_array_equal(_damped_weight(cfg, b, t), np.exp(log_weight))
-            if minors is not None:
-                npt.assert_allclose(np.exp(minors.log_damped_weight(0.7, t)),
-                                    _damped_weight(cfg, minors.spectrum(0.7), t),
-                                    rtol=1e-13)
         # The helper overwrites its rows; the weight leaves its input alone.
         npt.assert_array_equal(b, kept)
 
@@ -311,10 +305,10 @@ class TestOutageTrial:
         # trial by trial.
         cfg = ChannelConfig(1, 1, 0.0)
         rho, r, seed = 50.0, 0.5, 3
-        h, _ = sample_channel_block(cfg, rho, seed, start=0, count=40)
+        b, _ = sample_channel_block(cfg, rho, seed, start=0, count=40)
         wants = set()
         for i in range(40):
-            a = abs(h[i, 0, 0]) ** 2
+            a = b[0, i] ** 2
             want = math.log2(1 + rho * a) < r * math.log2(rho)
             got = _count_outages_span(cfg, [rho], r, 0.0, [1.0], seed,
                                       start=i, count=1)
@@ -341,10 +335,10 @@ class TestOutageTrial:
         cfg = ChannelConfig(m, n, alpha)
         grid = [rho / 4, rho / 2, rho]
         r, start, count = 0.6 * n, 1000, 20_000
-        h, e = sample_channel_block(cfg, grid[0], seed, start=start,
+        b, e = sample_channel_block(cfg, grid[0], seed, start=start,
                                     count=count)
 
-        h = np.ascontiguousarray(h)
+        h = dense_channel(b, m)
         e = np.ascontiguousarray(e[:, 0] + 1j * e[:, 1])
         a = gram_spectrum(h)
 
@@ -384,9 +378,9 @@ class TestOutageTrial:
         built, scales = [], []
         init, reader = cls.__init__, cls.log_damped_weight
 
-        def spy_init(self, h, e):
-            built.append(h.shape[0])
-            init(self, h, e)
+        def spy_init(self, b, e):
+            built.append(len(e))
+            init(self, b, e)
 
         def spy_reader(self, c, t, out=None):
             scales.append(c)
@@ -408,8 +402,8 @@ class TestOutageTrial:
         sweep = run_sweep(cfg, r, grid, trials, PowerPolicy(t=0.0), seed,
                           workers=2)
         assert built == [] and scales == []
-        h, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
-        a = gram_spectrum(h)
+        b, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
+        a = gram_spectrum(dense_channel(b, m))
         for rho, p in zip(grid, sweep.p_out):
             capacity = np.log2(1.0 + rho / m * a).sum(axis=1)
             want = np.count_nonzero(capacity < r * math.log2(rho))
@@ -453,15 +447,10 @@ class TestOutageTrial:
         # At t = 0.9 each span builds one estimate object and reads each
         # point's log damped weight from it once, at its error scale, and
         # never the channel's at c = 0.  One- and two-row links read it from
-        # the determinant's minors and the trace, with no eigenvalue pair
-        # and no GramPolynomial; three or more rows build one per span.
+        # the determinant's minors and the trace, with no GramPolynomial;
+        # three or more rows build one per span.
         grams = self._spy_estimates(monkeypatch, GramPolynomial)
         minors = self._spy_estimates(monkeypatch, EstimateMinors)
-
-        def no_pair(self, c):
-            raise AssertionError("a span formed an eigenvalue pair")
-
-        monkeypatch.setattr(EstimateMinors, "spectrum", no_pair)
         cfg = ChannelConfig(m, n, 0.5)
         grid = [10.0, 100.0, 1000.0]
         for start, count in [(0, 500), (500, 200)]:
@@ -703,6 +692,24 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="overflows"):
             run_sweep(ChannelConfig(2, 2, 0.5), 2.0, [10.0, 1e200], 2000,
                       PowerPolicy(t=0.0), seed=1)
+
+    @pytest.mark.parametrize("alpha,t,grid,match", [
+        # The error variance rho ** -alpha at the first point, even at
+        # constant power, where no span reads the error.
+        (4.0, 0.0, [1e-100, 1e-90], r"rho \*\* -alpha must be a finite float"),
+        (4.0, 0.9, [1e-100, 1e-90], r"rho \*\* -alpha must be a finite float"),
+        # Kappa, s ** (t m n) over the mean weight with s = 1 + 1e300.
+        (1.0, 0.9, [1e-300, 1e-290], "kappa passes the largest float"),
+    ])
+    def test_rejects_overflow_at_low_snr_before_any_span(
+            self, alpha, t, grid, match, monkeypatch):
+        spans = []
+        monkeypatch.setattr(simulate, "_count_outages_span",
+                            lambda *args: spans.append(args))
+        with pytest.raises(ValueError, match=match):
+            run_sweep(ChannelConfig(2, 2, alpha), 1.0, grid, 2000,
+                      PowerPolicy(t=t), seed=1, workers=2)
+        assert spans == []
 
     def test_determinant_past_largest_float_is_no_outage(self):
         # At 1e100 each factor 1 + P a_i of a 4x4 trial is near 1e100, so
