@@ -179,8 +179,10 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
     ``e[:, 0]`` and the imaginary parts in ``e[:, 1]``.  With ``error``
     false the error's uniforms are drawn but not transformed, and ``e`` is
     None.  Both arrays are stored trial-last: for each entry (and plane),
-    the ``count`` trials are one contiguous vector.  Any contiguous
-    partition of the trial range reproduces the one-shot draw bit for bit.
+    the ``count`` trials are one contiguous vector.  They are views of one
+    buffer, the uniforms': each entry of ``B`` is written over spent
+    uniforms, and ``e``'s quantiles over its own.  Any contiguous partition
+    of the trial range reproduces the one-shot draw bit for bit.
     """
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0.0:
@@ -211,9 +213,12 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
         # quantile transform sees an exact zero.
         np.add(part[:, :rows].T, _HALF_ULP, out=u[:, lo:lo + len(part)])
     del block
-    b = np.zeros((2 * n - 1, count + _TRIAL_PAD))[:, :count]
-    # Each entry of B sums -log of its products of uniforms, from zero, and
-    # takes the root.
+    # Each entry of B sums -log of its products of uniforms and takes the
+    # root.  Entry i goes into row i of u: every shape is at least 1, so an
+    # entry's uniforms start at or after its own row, and the rows before
+    # them are spent.  The first product's -log is written as 0 - log, not
+    # negated, so that an entry whose uniforms are all 1.0 reads +0.
+    b = u[:2 * n - 1]
     col = 0
     prod = np.empty(count)
     for entry, shape in zip(b, _bidiagonal_entries(n, m)):
@@ -221,7 +226,11 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
             np.copyto(prod, u[lo])
             for k in range(lo + 1, min(col + shape, lo + _MAX_PRODUCT)):
                 prod *= u[k]
-            entry -= np.log(prod, out=prod)
+            np.log(prod, out=prod)
+            if lo == col:
+                np.subtract(0.0, prod, out=entry)
+            else:
+                entry -= prod
         np.sqrt(entry, out=entry)
         col += shape
     if not error:

@@ -6,8 +6,10 @@ power.  ``kappa`` normalizes the long-run average power back to the budget;
 it is the reciprocal of the mean weight, which a Gauss–Jacobi tensor rule
 over the ratios of the ordered eigenvalues computes, refined until two
 successive rules agree to 1e-10 relative, on links with at most six receive
-antennas.  A :class:`PowerPolicy` sets only
-``t``: a sweep always computes its kappa.
+antennas.  The rule's nodes are the eigenvalues of its Jacobi matrix, from
+NumPy's ``eigvalsh``, so a sweep loads ``scipy.special`` but not
+``scipy.linalg``.  A :class:`PowerPolicy` sets only ``t``: a sweep always
+computes its kappa.
 
 A sweep draws each trial once and reuses it at every SNR point, where the
 estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
@@ -100,6 +102,68 @@ class OutageSweep:
     trials: int
 
 
+def _gauss_jacobi(points, b):
+    """Nodes and weights of the ``points``-point Gauss rule on ``[-1, 1]``
+    for the weight ``(1 + x) ** b``, ``b > -1``: those of
+    ``scipy.special.roots_jacobi(points, 0, b)`` bit for bit, without the
+    ``scipy.linalg`` that it loads for a banded eigensolver.
+
+    The nodes are the eigenvalues of the rule's Jacobi matrix (Golub &
+    Welsch, Math. Comp. 23, 1969), dense and at most 32 x 32 here, from
+    NumPy's ``eigvalsh``.  The rest repeats SciPy's arithmetic: one Newton
+    step on the degree-``points`` polynomial refines the nodes, each weight
+    is the reciprocal of the derivative times the polynomial of one degree
+    less, both log-normalised, and the weights are rescaled to sum to the
+    weight's integral ``mu0``.  At ``b = 0`` the Jacobi recurrence's first
+    term is 0/0, and SciPy, as here, takes the Legendre route instead,
+    which symmetrises the nodes and weights.
+    """
+    from scipy.special import beta, betaln, eval_jacobi, eval_legendre
+
+    k = np.arange(1.0, points)
+    if b == 0.0:
+        diag = np.zeros(points)
+        off = k * np.sqrt(1.0 / (4 * k * k - 1))
+        mu0 = 2.0
+        f = eval_legendre
+
+        def df(n, x):
+            return (-n * x * eval_legendre(n, x)
+                    + n * eval_legendre(n - 1, x)) / (1 - x ** 2)
+    else:
+        diag = np.empty(points)
+        diag[0] = b / (2 + b)
+        diag[1:] = b * b / ((2.0 * k + b) * (2.0 * k + b + 2))
+        root = np.sqrt(k * (k + b) / (2.0 * k + b - 1))
+        root[0] = 1.0
+        off = 2.0 / (2.0 * k + b) * np.sqrt(k * (k + b) / (2 * k + b + 1)) * root
+        # SciPy's guard against overflow in the power and the beta function.
+        if b <= 1000:
+            mu0 = 2.0 ** (b + 1) * beta(1.0, b + 1)
+        else:
+            mu0 = np.exp((b + 1) * np.log(2.0) + betaln(1.0, b + 1))
+
+        def f(n, x):
+            return eval_jacobi(n, 0.0, b, x)
+
+        def df(n, x):
+            return 0.5 * (n + b + 1) * eval_jacobi(n - 1, 1.0, b + 1, x)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    dy = df(points, x)
+    x -= f(points, x) / dy
+    fm = f(points - 1, x)
+    # Both factors span many decades; each is scaled by the midpoint of its
+    # log range before they are multiplied.
+    for v in (fm, dy):
+        log_v = np.log(np.abs(v))
+        v /= np.exp((log_v.max() + log_v.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if b == 0.0:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    return x, w * (mu0 / w.sum())
+
+
 def _ratio_rule_sum(a, power, points):
     """Gauss–Jacobi tensor rule, ``points`` nodes per axis, for the mean
     weight's integral over the unit cube of eigenvalue ratios ``u_1 ..
@@ -112,13 +176,11 @@ def _ratio_rule_sum(a, power, points):
     once over the grid of ``u_1 .. u_{n-2}``, and each array holds
     ``points ** (n-2)`` values.
     """
-    from scipy.special import roots_jacobi
-
     nodes, weights = [], []
     for a_j in a:
         # u = (1 + x) / 2 maps [-1, 1] to [0, 1], and u**(a-1) du is
         # 2**-a (1 + x)**(a-1) dx.
-        x, w = roots_jacobi(points, 0.0, a_j - 1.0)
+        x, w = _gauss_jacobi(points, a_j - 1.0)
         nodes.append((1.0 + x) / 2.0)
         weights.append(w * 2.0 ** -a_j)
     dims = len(a) - 1
@@ -162,7 +224,8 @@ def _log_mean_weight(m, n, t):
     (-N-1)`` with ``N = sum p_k + n**2 - 1``, and what is left is an
     ``(n-1)``-cube integral whose endpoint powers ``u_j ** (a_j - 1)``,
     ``a_j = 1 + sum_{k<=j} p_k + (j - 1) + j (j - 1)``, a Gauss–Jacobi rule
-    takes exactly on each axis (Golub & Welsch, Math. Comp. 23, 1969).  One
+    takes exactly on each axis.  Its nodes are the eigenvalues of the rule's
+    Jacobi matrix from NumPy's ``eigvalsh`` (:func:`_gauss_jacobi`).  One
     receive antenna needs no rule.
 
     The rule starts at 12 points per axis and adds 4 until two successive
@@ -310,10 +373,11 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     never on the worker count.  The kappas are computed on the calling
     thread before any span starts, so a link they do not cover (more than
     six receive antennas under damping), or an SNR so low that a kappa
-    passes the largest float, fails before any draw, as does a grid whose
-    ``rho ** r`` or error variance ``rho ** -alpha`` overflows.  The slope
-    is the least-squares fit in log-log coordinates over the points with at
-    least ``_MIN_EVENTS_FOR_FIT`` outage events
+    passes the largest float or, under damping, that a point's power scale
+    ``kappa * rho / m`` underflows to zero, fails before any draw, as does a
+    grid whose ``rho ** r`` or error variance ``rho ** -alpha`` overflows.
+    The slope is the least-squares fit in log-log coordinates over the
+    points with at least ``_MIN_EVENTS_FOR_FIT`` outage events
     (:func:`_least_squares_slope`), and is NaN when fewer than two points
     qualify.
     """
@@ -352,6 +416,13 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     from concurrent.futures import ThreadPoolExecutor
 
     kappas = _grid_kappas(cfg, rho, policy)
+    # A damped span adds the log of each point's power scale to its weights.
+    if policy.t != 0.0:
+        for rho_g, kappa in zip(rho, kappas):
+            if kappa * rho_g / cfg.m_tx == 0.0:
+                raise ValueError(
+                    f"kappa * rho / m must be a positive float at every point "
+                    f"of a damped sweep; at rho={rho_g} it underflows to 0")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_span = list(pool.map(
             lambda start: _count_outages_span(

@@ -205,9 +205,14 @@ class TestUsageErrors:
                     "--rho-stop-db", "-2900"], "s.csv"),
         (LOW_SNR + ["--alpha", "4", "--t", "0", "--rho-start-db", "-1000",
                     "--rho-stop-db", "-900"], "s.csv"),
+        # At -3233 dB, the smallest subnormal, kappa * rho / m underflows
+        # to 0, and a span once failed on its log with "math domain error".
+        (LOW_SNR + ["--alpha", "0", "--rho-start-db", "-3233",
+                    "--rho-stop-db", "-3200"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "fig",
             "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative",
-            "simulate-size", "kappa-overflow", "error-variance-overflow"])
+            "simulate-size", "kappa-overflow", "error-variance-overflow",
+            "power-underflow"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.  The
@@ -388,7 +393,29 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
+DAMPED_SWEEPS = """
+import json, sys
+from mimo_dmt.channel import ChannelConfig
+from mimo_dmt.simulate import PowerPolicy, run_sweep
+
+for m, n, t in [(2, 2, 0.9), (3, 3, 0.9), (3, 2, 0.5)]:
+    run_sweep(ChannelConfig(m, n, 0.5), 1.0, [10.0, 1000.0], 1000,
+              PowerPolicy(t=t), seed=1)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
 class TestProcessCost:
+    def test_damped_sweeps_load_no_scipy_linalg(self):
+        # Kappa's rule takes its nodes from NumPy's eigvalsh; SciPy's
+        # roots_jacobi would load scipy.linalg, several MiB resident.  3x2
+        # at t 0.5 meets a_j = 1, SciPy's Legendre route.
+        done = run_fresh(["-c", DAMPED_SWEEPS])
+        assert done.returncode == 0, done.stderr
+        scipy = json.loads(done.stdout)
+        assert "scipy.special" in scipy
+        assert "scipy.linalg" not in scipy
+
     def test_cold_import_and_non_sampling_commands_load_no_scipy(self, tmp_path):
         # SciPy serves only the sweep, and is imported on its first use.
         done = run_fresh(["-c", COLD_RUN], cwd=tmp_path)

@@ -265,6 +265,41 @@ class TestCalibrateKappa:
             calibrate_kappa(cfg, 10.0, PowerPolicy(t=t))
 
 
+def _rule_exponents():
+    """Every ``a_j - 1`` that kappa's rule meets for n 2-6, m from n to
+    n + 4 and t in {0.2, 0.5, 2/3, 0.75, 0.9, 0.99}, in the rule's own
+    arithmetic (see ``simulate._log_mean_weight``)."""
+    bs = set()
+    for n in range(2, 7):
+        j = np.arange(1, n)
+        for m in range(n, n + 5):
+            for t in (0.2, 0.5, 2 / 3, 0.75, 0.9, 0.99):
+                p = (m - n) - t * eigen_decay_weights(m, n)
+                a = 1.0 + np.cumsum(p)[:-1] + (j - 1) + j * (j - 1)
+                bs.update(float(a_j - 1.0) for a_j in a)
+    return sorted(bs)
+
+
+class TestGaussJacobiRule:
+    """Kappa's rule, from NumPy's ``eigvalsh``, against SciPy's."""
+
+    @pytest.mark.parametrize("points", range(12, 33, 4))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_roots_jacobi_bit_for_bit(self, points):
+        # b = 0 (a_j = 1, as on 3x2 at t 0.5) takes SciPy's Legendre route,
+        # whose nodes and weights are symmetrised; the Jacobi route would
+        # divide 0/0 there.
+        from scipy.special import roots_jacobi
+
+        bs = _rule_exponents()
+        assert 0.0 in bs and len(bs) > 100
+        for b in bs:
+            x, w = simulate._gauss_jacobi(points, b)
+            want_x, want_w = roots_jacobi(points, 0.0, b)
+            assert x.tobytes() == want_x.tobytes(), b
+            assert w.tobytes() == want_w.tobytes(), b
+
+
 class TestMeanPowerValidation:
     """The kappas a sweep uses at its SNR points."""
 
@@ -462,6 +497,25 @@ class TestOutageTrial:
         assert built == [500, 200]
         assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid] * 2
         assert 0.0 not in scales
+
+    def test_damped_span_peak_memory(self):
+        # One 2x2 span of 32,768 trials at t 0.9 on 7 points peaks at about
+        # 6.30 MB: the uniforms' buffer, which B and the error are written
+        # into, the estimate's minors and the log weights.  A separate
+        # array for B adds 0.79 MB.
+        import tracemalloc
+
+        cfg = ChannelConfig(2, 2, 0.5)
+        grid = list(np.logspace(1.0, 4.0, 7))
+        kappas = _grid_kappas(cfg, grid, PowerPolicy(t=0.9))
+        _count_outages_span(cfg, grid, 1.0, 0.9, kappas, 1, 0, 1000)
+        tracemalloc.start()
+        try:
+            _count_outages_span(cfg, grid, 1.0, 0.9, kappas, 1, 0, 32_768)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.4e6
 
 
 class TestRunSweep:
@@ -700,6 +754,9 @@ class TestRunSweep:
         (4.0, 0.9, [1e-100, 1e-90], r"rho \*\* -alpha must be a finite float"),
         # Kappa, s ** (t m n) over the mean weight with s = 1 + 1e300.
         (1.0, 0.9, [1e-300, 1e-290], "kappa passes the largest float"),
+        # kappa * rho / m, whose log a damped span takes, at the smallest
+        # subnormal.
+        (0.0, 0.9, [5e-324, 1e-320], r"kappa \* rho / m must be a positive float"),
     ])
     def test_rejects_overflow_at_low_snr_before_any_span(
             self, alpha, t, grid, match, monkeypatch):
