@@ -27,8 +27,7 @@ reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
 counter-partitioned: a sweep cut into chunks across any number of worker
 threads reproduces the single-thread result bit for bit.  The kappas are
 computed once, on the calling thread, before any span starts; each span
-works on a trial-contiguous batch and computes every point's kappa-free log
-damped weight before it forms the powers.
+works on a trial-contiguous batch, one SNR point at a time in one row.
 
 Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
 forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
@@ -230,7 +229,8 @@ def _log_mean_weight(m, n, t):
 
     The rule starts at 12 points per axis and adds 4 until two successive
     rules agree to 1e-10 relative; a link that 32 points do not settle is
-    a ``ValueError``.
+    a ``ValueError``, as is one whose rule leaves the normal floats (its sum
+    underflows at 700x2 and t 0.2), with no ``RuntimeWarning``.
     """
     # Imported on first use: only sweeps need SciPy, and it is slow to load.
     from scipy.special import gammaln
@@ -244,7 +244,15 @@ def _log_mean_weight(m, n, t):
     a = 1.0 + np.cumsum(p)[:-1] + (j - 1) + j * (j - 1)
     previous = math.nan
     for points in range(12, 33, 4):
-        value = _ratio_rule_sum(a, power, points)
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                value = _ratio_rule_sum(a, power, points)
+        except FloatingPointError:
+            value = 0.0
+        if value < np.finfo(np.float64).tiny:
+            raise ValueError(
+                f"kappa's quadrature leaves the float range on a {m}x{n} link "
+                f"at t={t}: its integrand's powers grow with m - n")
         if abs(value - previous) <= 1e-10 * value:
             return log_const + math.log(value)
         previous = value
@@ -304,20 +312,18 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), evaluated by
     Horner's rule: no channel spectrum is formed.
 
-    At ``t > 0`` the span builds one estimate object from its draws, and
-    reads each point's log damped weight from it at that point's error
-    scale, into one row of a per-span buffer; no estimate matrix is formed.
-    With one or two rows it is an
+    At ``t > 0`` the span builds one estimate object from its draws and
+    takes the points in turn: it reads a point's log damped weight, at that
+    point's error scale, into one reused row, then adds ``log(kappa * rho_g
+    / m)`` there and takes the ``exp``, the power ``P = kappa * rho_g *
+    weight / m``, with one kappa per point in ``kappas``.  No estimate
+    matrix is formed: with one or two rows the estimate object is an
     :class:`~mimo_dmt.channel.EstimateMinors`, which reads the weight from
     the estimate's determinant and largest eigenvalue with no Gram block
     and no eigenvalue routine, and with more rows a
     :class:`~mimo_dmt.channel.GramPolynomial`, which reads it from the
     spectrum.  At ``t = 0`` the power is constant: the sampler leaves the
     error's uniforms untransformed, and the span builds no estimate.
-
-    ``kappas`` holds one kappa per point.  The power ``P = kappa * rho_g *
-    weight / m`` is one ``exp`` of the log weight plus ``log(kappa * rho_g
-    / m)``.
     """
     damped = t != 0.0
     b, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
@@ -326,24 +332,18 @@ def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
     if damped:
         estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
     del b, e
-    if damped:
-        log_weights = np.empty((len(rho), count))
-        for rho_g, log_weight in zip(rho, log_weights):
+    counts = []
+    det = np.empty(count)
+    row = np.empty(count) if damped else None
+    for rho_g, kappa in zip(rho, kappas):
+        power = kappa * rho_g / cfg.m_tx
+        if damped:
             # The estimate is h + c_g e with c_g = sigma_g / sigma_0, taken
             # as a ratio of SNRs so that large alpha does not underflow.
             c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
-            estimate.log_damped_weight(c_g, t, out=log_weight)
-        del estimate
-    counts = []
-    det = np.empty(count)
-    for g, (rho_g, kappa) in enumerate(zip(rho, kappas)):
-        scale = kappa * rho_g / cfg.m_tx
-        if not damped:
-            power = scale
-        else:
-            power = log_weights[g]
-            power += math.log(scale)
-            np.exp(power, out=power)
+            estimate.log_damped_weight(c_g, t, out=row)
+            row += math.log(power)
+            power = np.exp(row, out=row)
         # A value past the largest float reads inf: no outage, as its true
         # value exceeds the finite rho_g ** r.
         with np.errstate(over="ignore"):

@@ -209,10 +209,14 @@ class TestUsageErrors:
         # to 0, and a span once failed on its log with "math domain error".
         (LOW_SNR + ["--alpha", "0", "--rho-start-db", "-3233",
                     "--rho-stop-db", "-3200"], "s.csv"),
+        # On 1300 transmit antennas kappa's rule overflows, and it once let
+        # RuntimeWarnings out before its error.
+        (["simulate", "--m", "1300", "--n", "2", "--alpha", "0.5", "--r", "1",
+          "--trials", "1000", "--t", "0.2"], "s.csv"),
     ], ids=["t", "rho-points", "alpha-list", "oracle-size", "out-dir", "fig",
             "curve-r-step", "oracle-r-step", "rho-overflow", "seed-negative",
             "simulate-size", "kappa-overflow", "error-variance-overflow",
-            "power-underflow"])
+            "power-underflow", "many-tx"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_input_exits_2_with_one_line(self, argv, out_name, tmp_path, capsys):
         # Exit code 1 is reserved for an oracle-check disagreement.  The

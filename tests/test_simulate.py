@@ -498,15 +498,17 @@ class TestOutageTrial:
         assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid] * 2
         assert 0.0 not in scales
 
-    def test_damped_span_peak_memory(self):
-        # One 2x2 span of 32,768 trials at t 0.9 on 7 points peaks at about
-        # 6.30 MB: the uniforms' buffer, which B and the error are written
-        # into, the estimate's minors and the log weights.  A separate
-        # array for B adds 0.79 MB.
+    @pytest.mark.parametrize("points", [7, 50])
+    def test_damped_span_peak_memory(self, points):
+        # One 2x2 span of 32,768 trials at t 0.9 peaks at about 6.30 MB on
+        # any grid: the uniforms' buffer, which B and the error are written
+        # into, and the estimate's minors.  A separate array for B adds
+        # 0.79 MB, and a table of every point's log weights 0.26 MB a point
+        # (16.26 MB at 50 points).
         import tracemalloc
 
         cfg = ChannelConfig(2, 2, 0.5)
-        grid = list(np.logspace(1.0, 4.0, 7))
+        grid = list(np.logspace(1.0, 4.0, points))
         kappas = _grid_kappas(cfg, grid, PowerPolicy(t=0.9))
         _count_outages_span(cfg, grid, 1.0, 0.9, kappas, 1, 0, 1000)
         tracemalloc.start()
@@ -740,6 +742,28 @@ class TestRunSweep:
         sweep = run_sweep(ChannelConfig(7, 7, 0.5), 1.0, [10.0, 1000.0], 2000,
                           PowerPolicy(t=0.0), seed=1)
         assert sweep.trials == 2000
+
+    @pytest.mark.parametrize("m,n,t", [
+        # The rule's weight integral 2 ** a / a overflows.
+        (1300, 2, 0.2),
+        # The rule's sum underflows to 0, which once failed on its log with
+        # "math domain error".
+        (700, 2, 0.2),
+        (302, 3, 0.2),
+        # Two rules agreed on a subnormal sum, 2.5e-323, and kappa came out
+        # 1.54 times a 40-digit quadrature's.
+        (2648, 2, 0.8),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_kappa_rule_out_of_float_range_before_any_span(
+            self, m, n, t, monkeypatch):
+        spans = []
+        monkeypatch.setattr(simulate, "_count_outages_span",
+                            lambda *args: spans.append(args))
+        with pytest.raises(ValueError, match="leaves the float range"):
+            run_sweep(ChannelConfig(m, n, 0.5), 1.0, [10.0, 1000.0], 2000,
+                      PowerPolicy(t=t), seed=1, workers=2)
+        assert spans == []
 
     def test_rejects_overflowing_threshold(self):
         # The outage threshold rho ** r must be a float at every point.
