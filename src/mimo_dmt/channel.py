@@ -7,25 +7,22 @@ plus an independent complex Gaussian error whose per-entry variance decays as
 with SNR (0 = never, large = very fast).
 
 An outage sweep reads the channel only through ``det(I + P H H^H)`` and the
-estimate only through Gram spectra, so the sampler draws a representative of
-the channel rather than an iid-entry matrix.  An iid channel bidiagonalizes
-as ``H = Q [B 0] P^H`` with ``Q`` and ``P`` unitary and ``B`` real lower
-bidiagonal, its diagonal ``d_i`` and subdiagonal ``s_i`` independent with
-``d_i**2 ~ Gamma(m - i + 1)`` and ``s_i**2 ~ Gamma(n - i)`` (Dumitriu &
-Edelman, J. Math. Phys. 43(11), 2002).  The error is isotropic and
-independent of the channel, so ``Q^H E P`` has the law of ``E``, and the
-pair ``(B, E)`` gives the spectra of ``H H^H`` and of ``(H + c E)(H + c
-E)^H`` their joint law for every ``c``.  The sampler returns ``B`` as its
-``2n - 1`` entries, one float64 row of trials each in the draw order ``d_1,
-s_1, d_2, ..., s_{n-1}, d_n``, and ``E`` as its real and imaginary planes,
-so no complex array is formed.  The channel's determinant ``det(I + P B
-B^T)`` is a polynomial in ``P`` whose coefficients are sums of squared
-minors of ``B`` (:func:`bidiagonal_minor_sums`), built from sums and
-products of non-negative numbers with no eigenvalue.  The estimate's spectra
-come from :class:`EstimateMinors` on one- and two-row links, whose Gram
-determinant and trace are polynomials in ``c`` built from ``B``'s entries
-and ``E``'s minors, and on links with more rows from the Gram blocks of
-:class:`GramPolynomial`.
+estimate only through its Gram spectrum, so the sampler draws a real lower
+bidiagonal ``B`` and an error ``E`` rather than iid-entry matrices: an iid
+matrix is ``Q [B 0] P^H`` with ``Q`` and ``P`` unitary and ``B``'s diagonal
+``d_i`` and subdiagonal ``s_i`` independent, ``d_i**2 ~ Gamma(m - i + 1)``
+and ``s_i**2 ~ Gamma(n - i)`` (Dumitriu & Edelman, J. Math. Phys. 43(11),
+2002), and an isotropic error keeps its law under the rotation.  At
+constant power ``B`` is the channel's, and ``det(I + P B B^T)`` is a
+polynomial in ``P`` over sums of squared minors of ``B``
+(:func:`bidiagonal_minor_sums`).  Under damping ``B`` is the estimate's:
+the estimate is ``CN(0, s)``, ``s = 1 + sigma**2``, and the channel given
+it ``CN(estimate / s, sigma**2 / s)``, so with the estimate ``sqrt(s) [B
+0]`` the channel is ``X / sqrt(s)``, ``X = [B 0] + c E`` with ``c E`` of
+variance ``sigma**2``.  :class:`EstimateMinors` (one and two rows, exact at
+any fade depth) and :class:`GramPolynomial` (more rows, an LDL^H that loses
+the small eigenvalue once ``eps * P * lambda_max`` nears 1) read the
+estimate's weight at ``c = 0`` and ``det(I + P X X^H)`` at any ``c``.
 
 Sampling is counter-based: trial ``i`` of a given seed always yields the
 same matrices regardless of how trials are batched or which worker draws
@@ -33,8 +30,7 @@ them, which makes parallel Monte Carlo bit-reproducible.
 
 Batches are trial-contiguous: each entry of ``B``, and each plane of each
 entry of the error, is one contiguous vector of trials.  Gram entries,
-minors, and :class:`EstimateMinors`' determinants and traces of one- and
-two-row estimates are whole-vector arithmetic over them.
+minors, determinants and traces are whole-vector arithmetic over them.
 
 SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
 density's normalizer (``gammaln``), and is imported on first use, so the
@@ -164,10 +160,11 @@ def _bidiagonal_entries(n, m):
 def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
     """Draw trials ``start .. start+count-1`` of a seed's sequence.
 
-    Returns the pair ``(b, e)``: the channels and the estimation errors,
+    Returns the pair ``(b, e)``: the bidiagonals and the estimation errors,
     whose per-entry variance is ``rho ** -alpha``.  ``b`` holds the entries
-    of the channel's real lower bidiagonal ``B`` (see the module
-    docstring): a float64 array of shape ``(2n - 1, count)`` whose rows are
+    of a real lower bidiagonal ``B``, the channel's at constant power and
+    the scaled estimate's under damping (see the module docstring): a
+    float64 array of shape ``(2n - 1, count)`` whose rows are
     ``d_1, s_1, d_2, ..., s_{n-1}, d_n``, so that ``b[0::2]`` is the
     diagonal and ``b[1::2]`` the subdiagonal.  With ``e`` it gives every
     Gram spectrum of the channel and its estimate the law an iid channel
@@ -306,9 +303,11 @@ class GramPolynomial:
     ``(h + c e)(h + c e)^H = A + c * (B + c * C)`` with ``A = h h^T``,
     ``B = h e^H + e h^T`` and ``C = e e^H``.  The constructor forms the
     three blocks once, so an outage sweep that rescales one error draw to
-    each SNR point forms neither a per-point estimate nor a per-point Gram
-    product: :meth:`spectrum` evaluates the quadratic and takes its
-    spectrum with ``numpy.linalg.eigvalsh``.
+    each SNR point forms no per-point matrix or Gram product.
+    :meth:`spectrum` takes the quadratic's spectrum with ``eigvalsh``, and
+    :meth:`capacity_det` ``det(I + P X X^H)`` by an LDL^H, within ``10.3 u
+    (1 + P S)``, ``S = sum((|h| + c |e|)**2)``, of the exact value on 6x6
+    at entries from 1e-100 to 1e100, rank-1, zero and cancelling ones too.
 
     ``b`` holds the bidiagonal's diagonal ``d_i = b[2i - 2]`` and
     subdiagonal ``s_i = b[2i - 1]`` (1-based ``i``), shape ``(2n - 1,
@@ -363,6 +362,15 @@ class GramPolynomial:
         np.subtract(p_im[k, i], p_im[i, k], out=cross[n + 1::2])
         self._c = _gram(e)
         self._gram = np.empty_like(a)
+        self._rows = np.empty((4, count))
+
+    def _evaluate(self, c):
+        """``A + c * (B + c * C)`` into the scratch Gram, which is returned."""
+        gram = np.multiply(self._c, float(c), out=self._gram)
+        gram += self._b
+        gram *= c
+        gram += self._a
+        return gram
 
     def spectrum(self, c):
         """Ascending spectrum of ``(h + c e)(h + c e)^H``, shape ``(count,
@@ -370,11 +378,17 @@ class GramPolynomial:
         index is one vector over the batch.  ``eigvalsh``'s tiny negative
         values on rank-deficient inputs are clamped to zero.  The result is
         a new array, which later calls leave unchanged."""
-        gram = np.multiply(self._c, float(c), out=self._gram)
-        gram += self._b
-        gram *= c
-        gram += self._a
-        return np.moveaxis(_gram_spectrum(gram, self._n), 0, -1)
+        return np.moveaxis(_gram_spectrum(self._evaluate(c), self._n), 0, -1)
+
+    def capacity_det(self, c, weight, scale, out):
+        """``det(I + P X X^H)``, ``X = h + c e``, ``P = scale * weight``,
+        per trial, into ``out``: the product of the LDL^H pivots of ``I + P
+        (A + c (B + c C))``.  Past the largest float it reads inf or NaN."""
+        gram = self._evaluate(c)
+        power = np.multiply(weight, scale, out=self._rows[0])
+        gram *= power
+        gram[:self._n] += 1.0
+        return _hermitian_det(gram, self._n, out, self._rows)
 
     def log_damped_weight(self, c, t, out=None):
         """Log of the kappa-free damped weight of :meth:`spectrum` at scale
@@ -384,10 +398,10 @@ class GramPolynomial:
 
 
 class EstimateMinors:
-    """Log damped weights of the estimate ``h + c e``, ``h = [B 0]``, of
-    one- or two-row draws ``(b, e)`` of :func:`sample_channel_block`, for
-    any real ``c``, from the estimate's Gram determinant and trace as
-    polynomials in ``c``.
+    """Log damped weights and capacity determinants of ``X = h + c e``,
+    ``h = [B 0]``, of one- or two-row draws ``(b, e)`` of
+    :func:`sample_channel_block`, for any real ``c``, from ``X``'s Gram
+    determinant and trace as polynomials in ``c``.
 
     ``b`` holds ``B``'s entries ``d1``, ``s1``, ``d2`` (``d1`` alone on one
     row), shape ``(2n - 1, count)``, and ``e`` is given as planes, shape
@@ -410,9 +424,10 @@ class EstimateMinors:
     1e-154 of it, ``(tr/2)**2`` and the determinant are too, and
     ``lambda_max`` is only known to within a factor of 2.
 
-    :meth:`log_damped_weight`, which a sweep's span reads at each point,
+    :meth:`log_damped_weight`, read once per damped span at ``c = 0``,
     takes the weight from the determinant and ``lambda_max`` and forms no
-    ``lambda_min``.  A NaN or infinite entry raises ``ValueError``, as does
+    ``lambda_min``; :meth:`capacity_det` needs no root or logarithm.  A
+    NaN or infinite entry raises ``ValueError``, as does
     an entry past about 1.3e154, whose square overflows, or a trial whose
     squared entries sum past the largest float: the constructor reads that
     from the largest ``T0 + T2``.
@@ -433,6 +448,7 @@ class EstimateMinors:
         count = len(e)
         self._n = n
         self._weights = eigen_decay_weights(m, n)
+        self._exponent = 0
         self._scratch = np.empty((2, count))
         part = self._scratch[0]
         d1, planes = b[0], e.reshape(count, -1).T
@@ -549,26 +565,52 @@ class EstimateMinors:
         lam += np.multiply(tail, c * c, out=self._scratch[0])
         return lam
 
-    def _det_and_lam_max(self, c, det):
-        """Two rows' Gram determinant into ``det``, and their largest
-        eigenvalue into a scratch row, which is returned, both in the
-        batch's scaled units."""
+    def capacity_det(self, c, weight, scale, out):
+        """``det(I + P X X^H)``, ``X = h + c e``, ``P = scale * weight``,
+        per trial, into ``out``: ``1 + P tr + P**2 det`` (``1 + P lambda``
+        on one row), with the batch's ``2**-exponent`` moved into ``P``.
+        Past the largest float it reads inf or NaN."""
+        power = np.multiply(weight, np.ldexp(scale, self._exponent),
+                            out=self._scratch[1])
+        if self._n == 1:
+            self._one_row(float(c), out)
+        else:
+            # P det + tr, with tr/2 added twice.
+            half_tr = self._det_and_half_trace(float(c), out)
+            out *= power
+            out += half_tr
+            out += half_tr
+        out *= power
+        out += 1.0
+        return out
+
+    def _det_and_half_trace(self, c, det):
+        """Two rows' Gram determinant into ``det``, and half their trace,
+        clamped at 0, into the first scratch row, which is returned, both
+        in the batch's scaled units."""
         d0, d1r, d1i, d2r, d2i, ht0, ht1, ht2 = self._coef[:8]
         fold = self._coef[8:]
-        lam_max, root = self._scratch
+        half_tr = self._scratch[0]
         np.square(_horner(det, c, d0, d1r, d2r), out=det)
-        im = _horner(lam_max, c, d1i, d2i)
+        im = _horner(half_tr, c, d1i, d2i)
         im *= c
         det += np.square(im, out=im)
         if len(fold):
             # A sum of squares, which the fold can round below zero.
-            part = np.maximum(_horner(lam_max, c, *fold), 0.0, out=lam_max)
+            part = np.maximum(_horner(half_tr, c, *fold), 0.0, out=half_tr)
             part *= c * c
             det += part
+        return np.maximum(_horner(half_tr, c, ht0, ht1, ht2), 0.0, out=half_tr)
+
+    def _det_and_lam_max(self, c, det):
+        """Two rows' Gram determinant into ``det``, and their largest
+        eigenvalue into a scratch row, which is returned, both in the
+        batch's scaled units."""
         # lambda_max = tr/2 + sqrt((tr/2)**2 - det).  Where the trace is
         # lost to cancellation (tr < 0, or det > tr**2 / 4), it is tr/2,
         # with tr clamped at 0.
-        half_tr = np.maximum(_horner(lam_max, c, ht0, ht1, ht2), 0.0, out=lam_max)
+        half_tr = self._det_and_half_trace(c, det)
+        root = self._scratch[1]
         np.square(half_tr, out=root)
         root -= det
         np.maximum(root, 0.0, out=root)
@@ -662,6 +704,35 @@ def _gram_spectrum(g, n):
     vals = np.empty((n,) + g.shape[1:])
     np.clip(np.moveaxis(lam, -1, 0), 0.0, None, out=vals)
     return vals
+
+
+def _hermitian_det(g, n, out, rows):
+    """Determinant of Hermitian ``M >= I`` stored as :func:`_gram` stores
+    them, into ``out``, overwriting ``g`` and ``rows``: an LDL^H, ``M_kl -=
+    conj(M_jk) M_jl / M_jj``, in real arithmetic on rows of trials.  Each
+    pivot, at least 1 in exact arithmetic, is floored there; an infinite
+    entry gives an infinite or NaN determinant, never a finite one."""
+    index = {ik: p for p, ik in _pairs(n)}
+    inv, r_re, r_im, part = rows
+    out.fill(1.0)
+    for j in range(n):
+        out *= np.maximum(g[j], 1.0, out=g[j])
+        np.divide(1.0, g[j], out=inv)
+        for k in range(j + 1, n):
+            p = index[j, k]
+            # r = M_jk / M_jj; then M_kk -= Re(conj(r) M_jk).
+            np.multiply(g[p], inv, out=r_re)
+            np.multiply(g[p + 1], inv, out=r_im)
+            g[k] -= np.multiply(r_re, g[p], out=part)
+            g[k] -= np.multiply(r_im, g[p + 1], out=part)
+            for q in range(k + 1, n):
+                jq, kq = index[j, q], index[k, q]
+                # M_kq -= conj(r) M_jq, its real and imaginary parts.
+                g[kq] -= np.multiply(r_re, g[jq], out=part)
+                g[kq] -= np.multiply(r_im, g[jq + 1], out=part)
+                g[kq + 1] -= np.multiply(r_re, g[jq + 1], out=part)
+                g[kq + 1] += np.multiply(r_im, g[jq], out=part)
+    return out
 
 
 def _row_sum(term, e, i, k, out):

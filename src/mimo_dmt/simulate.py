@@ -11,31 +11,19 @@ NumPy's ``eigvalsh``, so a sweep loads ``scipy.special`` but not
 ``scipy.linalg``.  A :class:`PowerPolicy` sets only ``t``: a sweep always
 computes its kappa.
 
-A sweep draws each trial once and reuses it at every SNR point, where the
-estimate is ``h + c_g e`` with ``c_g`` the ratio of the point's error
-deviation to the drawn one.  Under damping each span builds, once for its
-trials, polynomials in ``c_g`` from which it reads every point's log
-damped weight, one call per point.  On one- and two-row links they are the
-estimate's Gram determinant, from its minors, and its trace
-(:class:`~mimo_dmt.channel.EstimateMinors`): the weight is read from the
-determinant and the largest eigenvalue, ``lambda_min * lambda_max`` being
-the determinant, with no eigenvalue pair formed.  On links with more rows
-they are the Gram blocks ``h h^H``, ``h e^H + e h^H`` and ``e e^H``, the
-first two formed from the drawn bidiagonal's entries, and ``eigvalsh``
-reads the spectrum of the quadratic ``A + c_g (B + c_g C)``
-(:class:`~mimo_dmt.channel.GramPolynomial`).  Outage counting is
-counter-partitioned: a sweep cut into chunks across any number of worker
-threads reproduces the single-thread result bit for bit.  The kappas are
-computed once, on the calling thread, before any span starts; each span
-works on a trial-contiguous batch, one SNR point at a time in one row.
-
-Outage is the paper's event ``log det(I + P H H^H) < r log rho``.  A span
-forms the power ``P`` in the log domain and tests ``det(I + P H H^H) <
-rho ** r`` with the determinant a polynomial in ``P`` whose coefficients are
-the sums of squared minors of the drawn bidiagonal, one Horner pass per SNR
-point.  It reads no channel spectrum, and at constant power (``t = 0``) it
-reads no estimate either: the error's uniforms are drawn, which keeps the
-draws' layout, but not transformed.
+A sweep draws each trial once and reuses it at every SNR point.  At
+constant power (``t = 0``) the drawn bidiagonal ``[B 0]`` is the channel's,
+and a span reads no estimate: the error's uniforms are drawn but not
+transformed.  Under damping the estimate is drawn first (see
+:mod:`~mimo_dmt.channel`): at point ``g`` it is ``sqrt(s_g) [B 0]``, with
+``s_g = 1 + rho_g ** -alpha``, and the channel is ``X / sqrt(s_g)`` with
+``X = [B 0] + c_g e``.  As the mean damped weight is a scale family in
+``s``, ``kappa_g`` times the estimate's weight is the weight of ``[B 0]``
+over the mean at ``s = 1``: a span reads each trial's weight once, and
+each point scales it by one number.  Outage, ``log det(I + P H H^H) < r log
+rho``, is tested as ``det(I + P H H^H) < rho ** r`` with no logarithm and
+no spectrum.  Counting is counter-partitioned: any number of worker threads
+reproduces the single-thread result bit for bit.
 """
 from __future__ import annotations
 
@@ -291,64 +279,60 @@ def calibrate_kappa(cfg, rho, policy):
                          f"power normalizer is finite only at a larger SNR") from None
 
 
-def _grid_kappas(cfg, rho, policy):
-    """One kappa per SNR point: the one at ``rho[0]`` scaled by ``(s_g /
-    s_0) ** (t*m*n)`` with ``s = 1 + rho**-alpha``, exact since the mean
-    damped weight is a scale family in ``s``."""
-    kappa0 = calibrate_kappa(cfg, rho[0], policy)
-    s = [1.0 + x ** -cfg.alpha for x in rho]
-    exponent = policy.t * cfg.m_tx * cfg.n_rx
-    return [kappa0 * (s_g / s[0]) ** exponent for s_g in s]
+def _power_scales(cfg, rho, policy):
+    """Per SNR point, the factor by which a span multiplies each trial's
+    weight to get the power it reads: ``rho_g / m`` at constant power, and
+    ``rho_g / (m * s_g * mean)`` under damping, ``1 / mean`` being ``kappa_0
+    * s_0 ** (-t m n)`` (see the module docstring)."""
+    kappa = calibrate_kappa(cfg, rho[0], policy)
+    m = cfg.m_tx
+    if policy.t == 0.0:
+        return [kappa * rho_g / m for rho_g in rho]
+    s = [1.0 + rho_g ** -cfg.alpha for rho_g in rho]
+    inverse_mean = math.exp(math.log(kappa)
+                            - policy.t * m * cfg.n_rx * math.log(s[0]))
+    return [inverse_mean * (rho_g / (m * s_g)) for rho_g, s_g in zip(rho, s)]
 
 
-def _count_outages_span(cfg, rho, r, t, kappas, seed, start, count):
+def _count_outages_span(cfg, rho, r, t, scales, seed, start, count):
     """Outage count per SNR point over trials ``start .. start+count-1``,
-    drawn once at ``rho[0]``, under damping ``t``.
+    drawn once at ``rho[0]``, under damping ``t``: a trial is in outage
+    when ``det(I + P H H^H) < rho_g ** r``, with the power ``P`` its weight
+    times ``scales[g]`` (:func:`_power_scales`).
 
-    A trial is in outage when ``det(I + P h h^H) < rho_g ** r``, the test
-    ``log2 det < r log2 rho_g`` with no logarithm.  The channel side is the
-    polynomial ``1 + P e_1 + ... + P**n e_n`` whose coefficients are the
-    sums of squared minors of the drawn bidiagonal
-    (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), evaluated by
-    Horner's rule: no channel spectrum is formed.
-
-    At ``t > 0`` the span builds one estimate object from its draws and
-    takes the points in turn: it reads a point's log damped weight, at that
-    point's error scale, into one reused row, then adds ``log(kappa * rho_g
-    / m)`` there and takes the ``exp``, the power ``P = kappa * rho_g *
-    weight / m``, with one kappa per point in ``kappas``.  No estimate
-    matrix is formed: with one or two rows the estimate object is an
-    :class:`~mimo_dmt.channel.EstimateMinors`, which reads the weight from
-    the estimate's determinant and largest eigenvalue with no Gram block
-    and no eigenvalue routine, and with more rows a
-    :class:`~mimo_dmt.channel.GramPolynomial`, which reads it from the
-    spectrum.  At ``t = 0`` the power is constant: the sampler leaves the
-    error's uniforms untransformed, and the span builds no estimate.
+    At ``t = 0`` the weight is 1 and the determinant is ``1 + P e_1 + ... +
+    P**n e_n`` over the minor sums of the channel's bidiagonal
+    (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), by Horner's rule.
+    At ``t > 0`` the span builds one estimate object from its draws, reads
+    each trial's damped weight from it once, at ``c = 0``, and then, one
+    point at a time into one reused row, its determinant at ``c_g``.
     """
     damped = t != 0.0
     b, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
                                 error=damped)
-    coeffs = bidiagonal_minor_sums(b)
     if damped:
-        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
+        channel = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
+    else:
+        coeffs = bidiagonal_minor_sums(b)
     del b, e
+    if damped:
+        # Read once the draws are freed, which bounds the span's peak.
+        weight = channel.log_damped_weight(0.0, t)
+        np.exp(weight, out=weight)
     counts = []
     det = np.empty(count)
-    row = np.empty(count) if damped else None
-    for rho_g, kappa in zip(rho, kappas):
-        power = kappa * rho_g / cfg.m_tx
-        if damped:
-            # The estimate is h + c_g e with c_g = sigma_g / sigma_0, taken
-            # as a ratio of SNRs so that large alpha does not underflow.
-            c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
-            estimate.log_damped_weight(c_g, t, out=row)
-            row += math.log(power)
-            power = np.exp(row, out=row)
-        # A value past the largest float reads inf: no outage, as its true
-        # value exceeds the finite rho_g ** r.
-        with np.errstate(over="ignore"):
-            _horner(det, power, 1.0, *coeffs)
-        counts.append(int(np.count_nonzero(det < rho_g ** r)))
+    # A determinant past the largest float reads inf or NaN: no outage
+    # either way, as its true value exceeds the finite rho_g ** r.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rho_g, scale in zip(rho, scales):
+            if damped:
+                # c_g = sigma_g / sigma_0, taken as a ratio of SNRs so that
+                # large alpha does not underflow.
+                c_g = (rho[0] / rho_g) ** (cfg.alpha / 2)
+                channel.capacity_det(c_g, weight, scale, det)
+            else:
+                _horner(det, scale, 1.0, *coeffs)
+            counts.append(int(np.count_nonzero(det < rho_g ** r)))
     return counts
 
 
@@ -368,14 +352,14 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     """Outage probability across an SNR grid, with a fitted decay slope.
 
     Every point counts the same trials of the seed, drawn at the first
-    point, and each point's kappa is a quadrature that draws nothing
-    (:func:`_grid_kappas`), so results depend only on ``(seed, grid)``,
-    never on the worker count.  The kappas are computed on the calling
-    thread before any span starts, so a link they do not cover (more than
-    six receive antennas under damping), or an SNR so low that a kappa
-    passes the largest float or, under damping, that a point's power scale
-    ``kappa * rho / m`` underflows to zero, fails before any draw, as does a
-    grid whose ``rho ** r`` or error variance ``rho ** -alpha`` overflows.
+    point, and each point's power scale comes from one kappa, a quadrature
+    that draws nothing (:func:`_power_scales`), so results depend only on
+    ``(seed, grid)``, never on the worker count.  The scales are computed
+    on the calling thread before any span starts, so a link kappa does not
+    cover (more than six receive antennas under damping), or an SNR so low
+    that kappa passes the largest float or, under damping, that a point's
+    power scale underflows to zero, fails before any draw, as does a grid
+    whose ``rho ** r`` or error variance ``rho ** -alpha`` overflows.
     The slope is the least-squares fit in log-log coordinates over the
     points with at least ``_MIN_EVENTS_FOR_FIT`` outage events
     (:func:`_least_squares_slope`), and is NaN when fewer than two points
@@ -415,18 +399,17 @@ def run_sweep(cfg, r, rho_grid, trials, policy, seed, workers=1):
     # would add to every import of the package.
     from concurrent.futures import ThreadPoolExecutor
 
-    kappas = _grid_kappas(cfg, rho, policy)
-    # A damped span adds the log of each point's power scale to its weights.
-    if policy.t != 0.0:
-        for rho_g, kappa in zip(rho, kappas):
-            if kappa * rho_g / cfg.m_tx == 0.0:
-                raise ValueError(
-                    f"kappa * rho / m must be a positive float at every point "
-                    f"of a damped sweep; at rho={rho_g} it underflows to 0")
+    scales = _power_scales(cfg, rho, policy)
+    for rho_g, scale in zip(rho, scales):
+        if scale == 0.0 and policy.t != 0.0:
+            raise ValueError(
+                f"kappa * rho / (m * s ** (1 + t*m*n)) must be a positive "
+                f"float at every point of a damped sweep, s = 1 + rho ** "
+                f"-alpha; at rho={rho_g} it underflows to 0")
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_span = list(pool.map(
             lambda start: _count_outages_span(
-                cfg, rho, r, policy.t, kappas, seed, start,
+                cfg, rho, r, policy.t, scales, seed, start,
                 min(_TRIAL_CHUNK, trials - start)),
             range(0, trials, _TRIAL_CHUNK)))
     counts = [sum(column) for column in zip(*per_span)]

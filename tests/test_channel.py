@@ -2,6 +2,7 @@
 import decimal
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -1097,6 +1098,114 @@ class TestEstimateMinors:
         for b in (np.ones((4, 2, 3)), np.ones((1, 4)), np.ones((3, 5))):
             with pytest.raises(ValueError, match="shape"):
                 EstimateMinors(b, e)
+
+
+def exact_capacity_det(h, e, c, power):
+    """``det(I + P X X^H)`` of one ``X = h + c e``, with ``e`` as planes,
+    in rational arithmetic, by Gaussian elimination of the Hermitian
+    positive definite matrix without pivoting; each entry is a pair of
+    real and imaginary parts."""
+    c = Fraction(c)
+    re = [[Fraction(float(a)) + c * Fraction(float(b)) for a, b in zip(*rows)]
+          for rows in zip(h, e[0])]
+    im = [[c * Fraction(float(b)) for b in row] for row in e[1]]
+    p = Fraction(float(power))
+    n = len(re)
+    a = [[(int(i == k) + p * sum(xr * yr + xi * yi for xr, xi, yr, yi
+                                 in zip(re[i], im[i], re[k], im[k])),
+           p * sum(xi * yr - xr * yi for xr, xi, yr, yi
+                   in zip(re[i], im[i], re[k], im[k])))
+          for k in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = a[col][col][0]
+        det *= pivot
+        for row in range(col + 1, n):
+            r_re, r_im = a[row][col][0] / pivot, a[row][col][1] / pivot
+            for k in range(col, n):
+                x_re, x_im = a[col][k]
+                a[row][k] = (a[row][k][0] - (r_re * x_re - r_im * x_im),
+                             a[row][k][1] - (r_re * x_im + r_im * x_re))
+    return det
+
+
+class TestCapacityDet:
+    """``det(I + P X X^H)`` with ``X = h + c e``, the determinant a damped
+    sweep reads at each point: from :class:`EstimateMinors`' determinant
+    and trace on one or two rows, and from an LDL^H of
+    :class:`GramPolynomial`'s entries on more, against the exact
+    determinant."""
+
+    U = Fraction(1, 2 ** 53)
+
+    @staticmethod
+    def _draws(n, m, kind, c, scale, rng, count=4):
+        b = np.abs(rng.normal(size=(2 * n - 1, count)))
+        e = rng.normal(size=(count, 2, n, m))
+        if kind == "rank1":
+            # Only B's first column, and an error whose second row is its
+            # first in B's proportion s1 / d1: X has rank 1.
+            b[2:] = 0.0
+            if n > 1:
+                e[:, :, 1] = (b[1] / b[0])[:, None, None] * e[:, :, 0]
+            e[:, :, 2:] = 0.0
+        elif kind == "zero":
+            b[:] = 0.0
+            e[:] = 0.0
+        elif kind == "cancel":
+            # e near -h / c: X is tiny next to both terms.
+            e *= 1e-6
+            e[:, 0] -= dense_channel(b, m) / c
+        return scale * b, scale * e
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 6),
+           extra=st.integers(0, 2),
+           kind=st.sampled_from(["generic", "rank1", "zero", "cancel"]),
+           c=st.sampled_from([1.0, 0.3, 1e-3]),
+           scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]),
+           log_ps=st.floats(-4.0, 8.0))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_exact_determinant(self, seed, n, extra, kind, c, scale, log_ps):
+        # Entries from 1e-100 to 1e100, and each trial's power P = weight *
+        # scale set so that P S = 10 ** log_ps, with S = sum((|h| + c
+        # |e|)**2) the size of X X^H's terms.  The determinant is within 4
+        # n m u (1 + P S) of the exact one, relative, with u = 2**-53: what
+        # the entries' rounding, about u S each, leaves after P and the
+        # pivots.  On 6,000 random inputs of these kinds the error was at
+        # most 0.24 of that bound (0.98 u (1 + P S) on one row, 10.3 on
+        # 6x6).  A zero X reads 1.
+        m = n + extra
+        b, e = self._draws(n, m, kind, c, scale, np.random.default_rng(seed))
+        h = dense_channel(b, m)
+        size = np.square(np.abs(h) + c * np.hypot(e[:, 0], e[:, 1])).sum(axis=(1, 2))
+        weight = 1.0 / np.where(size > 0.0, size, 1.0)
+        power_scale = 10.0 ** log_ps
+        reader = (EstimateMinors if n <= 2 else GramPolynomial)(b, e)
+        got = reader.capacity_det(c, weight, power_scale, np.empty(4))
+        for got_i, h_i, e_i, w_i, size_i in zip(got, h, e, weight, size):
+            power = w_i * power_scale
+            want = exact_capacity_det(h_i, e_i, c, power)
+            bound = 4 * n * m * self.U * (1 + Fraction(float(power)) * Fraction(float(size_i)))
+            assert abs(Fraction(float(got_i)) - want) <= bound * want, (got_i, want)
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (3, 3), (6, 5)])
+    def test_past_the_largest_float_is_never_finite(self, m, n):
+        # A power past the largest float, an infinite weight or a finite
+        # one whose product with the scale overflows, reads inf or NaN,
+        # never a finite determinant that a sweep could count as an outage;
+        # the LDL^H meets inf - inf and inf / inf there.  Under the caller's
+        # errstate it warns of nothing, and the other trials keep their
+        # values.
+        b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2, count=6)
+        weight = np.array([1.0, np.inf, 1e300, 1e308, 0.5, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reader = (EstimateMinors if n <= 2 else GramPolynomial)(b, e)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = reader.capacity_det(0.3, weight, 1e10, np.empty(6))
+            want = reader.capacity_det(0.3, np.ones(6), 1e10, np.empty(6))
+        assert not np.isfinite(got[1:4]).any() and not np.isfinite(got[5])
+        assert got[0] == want[0] and np.isfinite(got[4]) and got[4] >= 1.0
 
 
 class TestRealChannel:

@@ -684,12 +684,12 @@ class TestCmdFigures:
     # They pin every outage count: a change to these bytes changes a Monte
     # Carlo result and must be made on purpose.
     SIMULATE_SHA256 = {
-        (1, 1): "e9bcd30dec7273cbb8e2ed5283bac8ddbe7e178fcb5baea64311f7c474e48700",
-        (2, 1): "5ca14016bf932a86a72c400c220865753a943e5710990b6ae1e8b9affc311123",
-        (2, 2): "84031fab9f0f9f00ba32a33f1aef2353b5a5be01525c19e10c77bbb9b7cffeed",
-        (3, 2): "19ac9c1a533aba58df9278d776f39ccb12fe5cd160ea4fd19966672658e2528f",
-        (3, 3): "7543211ad5c33d674b0a91d7cef168b872808fa8f894ae6f8b9140bf996583f5",
-        (4, 4): "907f82dca90c04f9a1c9e58147e8581176eb5f17ce9805e3c64f674763665aaa",
+        (1, 1): "252d159c619ddb2f234cf5081ae2a671bead32c80f1f258d33d87d8b68d566a5",
+        (2, 1): "57592fa1268eb895a86385fbf0e347579c952bff5464265039efe055a8ac7e53",
+        (2, 2): "937815741b6c56d4b51aac931ecf3bbe1f5bcbcd90c2903e1bdf6ba0d3b42d2c",
+        (3, 2): "3ac1d39a15342d5ffc1bd64ab579972b782e8b849d7cc711ff4ff41d6dccf30c",
+        (3, 3): "87dc0963d99b4f8d2c1e0ef9d6d2b8733898082914c59d47801d32078a08e37c",
+        (4, 4): "ab9edc598a31c1ecf1c8ab24557515c18007dd1feddc0e75e3e59afa856508e8",
         (6, 6): "3b682f2e10a2f8625221e534054f558725866bbde0add9b1c37d1b86f479b728",
     }
 

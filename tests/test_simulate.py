@@ -23,12 +23,17 @@ from mimo_dmt.simulate import (
     OutageSweep,
     PowerPolicy,
     _count_outages_span,
-    _grid_kappas,
     _least_squares_slope,
+    _power_scales,
     calibrate_kappa,
     run_sweep,
 )
-from reference import dense_channel, gram_spectrum, reduced_quadrature_mean_weight
+from reference import (
+    dense_channel,
+    gram_spectrum,
+    one_antenna_damped_outage,
+    reduced_quadrature_mean_weight,
+)
 
 # Mean damped-eigenvalue-product weight E[prod b_n^{-t c_n}] for the 2x2
 # channel estimate at t=0.9, rho=1e3, alpha=0.5 (so the per-entry variance
@@ -301,19 +306,26 @@ class TestGaussJacobiRule:
 
 
 class TestMeanPowerValidation:
-    """The kappas a sweep uses at its SNR points."""
+    """The power scales a sweep uses at its SNR points."""
 
     def test_same_stream_identity(self):
-        # A grid's kappa, scaled from its first point, equals the kappa
-        # computed at each point to within an ulp.
-        cfg = ChannelConfig(2, 2, 0.5)
-        pol = PowerPolicy(t=0.9)
+        # A span multiplies the weight of [B 0] by each point's scale, one
+        # kappa for the grid.  The scale equals kappa_g * rho_g / (m *
+        # s_g ** (1 + t m n)), with kappa computed at each point, to within
+        # 1e-12: the estimate sqrt(s_g) [B 0] has weight s_g ** (-t m n)
+        # times [B 0]'s, and the channel's Gram carries 1 / s_g.  At t = 0
+        # the scale is rho_g / m, bit for bit.
         grid = [1000.0, 1e4, 1e5]
-        kappas = _grid_kappas(cfg, grid, pol)
-        assert kappas[0] == calibrate_kappa(cfg, 1000.0, pol)
-        for rho, kappa in zip(grid, kappas):
-            again = calibrate_kappa(cfg, rho, pol)
-            npt.assert_allclose(kappa / again, 1.0, rtol=1e-12)
+        for m, n in [(2, 2), (3, 2), (4, 4)]:
+            cfg = ChannelConfig(m, n, 0.5)
+            pol = PowerPolicy(t=0.9)
+            for rho, scale in zip(grid, _power_scales(cfg, grid, pol)):
+                s = 1.0 + rho ** -cfg.alpha
+                want = (calibrate_kappa(cfg, rho, pol) * rho
+                        / (m * s ** (1.0 + pol.t * m * n)))
+                npt.assert_allclose(scale / want, 1.0, rtol=1e-12)
+            assert (_power_scales(cfg, grid, PowerPolicy(t=0.0))
+                    == [rho / m for rho in grid])
 
 
 class TestOutageTrial:
@@ -345,7 +357,7 @@ class TestOutageTrial:
         for i in range(40):
             a = b[0, i] ** 2
             want = math.log2(1 + rho * a) < r * math.log2(rho)
-            got = _count_outages_span(cfg, [rho], r, 0.0, [1.0], seed,
+            got = _count_outages_span(cfg, [rho], r, 0.0, [rho], seed,
                                       start=i, count=1)
             assert got == [int(want)]
             wants.add(want)
@@ -360,13 +372,15 @@ class TestOutageTrial:
         for rho, seed in [(10.0, 5), (100.0, 6), (1e3, 7)]])
     def test_span_count_matches_eigvalsh_count(self, m, n, rho, seed, alpha):
         # The grid kernel against eigvalsh on the same draws, at each point
-        # of a 3-point grid ending at rho: the error drawn at the first
-        # point is rescaled to each point's variance, and the outage counts
-        # must be equal, not merely close.  The draws are stored trial-last;
-        # the reference forms each estimate from C-ordered copies of them.
-        # Alpha 0 keeps the error at full size at every point (scale 1);
-        # alpha 4 scales it by 1/4 and 1/16 after drawing it at a variance
-        # of 0.026 to 2.6e-10.
+        # of a 3-point grid ending at rho, in the coordinates a damped span
+        # draws: with s = 1 + rho_g ** -alpha the estimate is sqrt(s) [B 0]
+        # and the channel ([B 0] + sigma E) / sqrt(s), E of unit variance,
+        # so that sigma E is the error drawn at the first point rescaled to
+        # the point's deviation sigma.  The reference forms both densely
+        # from C-ordered copies of the draws, and the outage counts must be
+        # equal, not merely close.  Alpha 0 keeps the error at full size at
+        # every point (scale 1); alpha 4 scales it by 1/4 and 1/16 after
+        # drawing it at a variance of 0.026 to 2.6e-10.
         cfg = ChannelConfig(m, n, alpha)
         grid = [rho / 4, rho / 2, rho]
         r, start, count = 0.6 * n, 1000, 20_000
@@ -375,54 +389,63 @@ class TestOutageTrial:
 
         h = dense_channel(b, m)
         e = np.ascontiguousarray(e[:, 0] + 1j * e[:, 1])
-        a = gram_spectrum(h)
 
-        def outages(kappa, rho_g, weight):
+        def outages(kappa, rho_g, weight, a):
             # The capacity test as the paper states it, a sum of log2 over
-            # the eigenvalues; the kernel forms the power in the log domain
-            # and compares prod(1 + power * a_i) with rho_g ** r.
+            # the channel's eigenvalues a; the kernel compares det(I + P X
+            # X^H) with rho_g ** r, with no logarithm.
             power = kappa * rho_g * weight
             capacity = np.log2(1.0 + (power / m)[:, None] * a).sum(axis=1)
             return int((capacity < r * math.log2(rho_g)).sum())
 
-        kappas, want = [], []
+        scales, want = [], []
         for rho_g in grid:
+            s = 1.0 + rho_g ** -cfg.alpha
             ratio = math.sqrt(rho_g ** -cfg.alpha / grid[0] ** -cfg.alpha)
-            weight = _damped_weight(cfg, gram_spectrum(h + ratio * e), 0.9)
+            weight = _damped_weight(cfg, gram_spectrum(math.sqrt(s) * h), 0.9)
+            a = gram_spectrum((h + ratio * e) / math.sqrt(s))
             # Each point's kappa is the first of the steps 2**(k/8) at which
             # at most half the trials are in outage (the count falls as
             # kappa grows), so that many trials lie near the threshold.
             lo, hi = -512, 512
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if outages(2.0 ** (mid / 8), rho_g, weight) > count // 2:
+                if outages(2.0 ** (mid / 8), rho_g, weight, a) > count // 2:
                     lo = mid
                 else:
                     hi = mid
-            kappas.append(2.0 ** (hi / 8))
-            want.append(outages(kappas[-1], rho_g, weight))
+            kappa = 2.0 ** (hi / 8)
+            want.append(outages(kappa, rho_g, weight, a))
+            # The span weighs [B 0], whose weight is s ** (t m n) times the
+            # estimate's, and reads X X^H, s times the channel's Gram.
+            scales.append(kappa * rho_g / (m * s ** (1.0 + 0.9 * m * n)))
         assert all(count // 10 < w <= count // 2 for w in want)
-        got = _count_outages_span(cfg, grid, r, 0.9, kappas, seed,
+        got = _count_outages_span(cfg, grid, r, 0.9, scales, seed,
                                   start=start, count=count)
         assert got == want
 
     @staticmethod
     def _spy_estimates(monkeypatch, cls):
-        # Record each estimate object of class cls built, by its trial
-        # count, and each log damped weight it is asked for, by its scale.
+        # Record each object of class cls built, by its trial count, and
+        # each read of it, as the reader's name and the scale c read at.
         built, scales = [], []
-        init, reader = cls.__init__, cls.log_damped_weight
+        init = cls.__init__
 
         def spy_init(self, b, e):
             built.append(len(e))
             init(self, b, e)
 
-        def spy_reader(self, c, t, out=None):
-            scales.append(c)
-            return reader(self, c, t, out)
+        def spy(name):
+            reader = getattr(cls, name)
+
+            def spy_reader(self, c, *args):
+                scales.append((name, c))
+                return reader(self, c, *args)
+            return spy_reader
 
         monkeypatch.setattr(cls, "__init__", spy_init)
-        monkeypatch.setattr(cls, "log_damped_weight", spy_reader)
+        for name in ("log_damped_weight", "capacity_det"):
+            monkeypatch.setattr(cls, name, spy(name))
         return built, scales
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
@@ -463,8 +486,8 @@ class TestOutageTrial:
 
         def counts():
             return [_count_outages_span(cfg, [10.0, 100.0], 0.6 * n, 0.0,
-                                        [1.0, 1.0], 43, start=start,
-                                        count=700)
+                                        [10.0 / m, 100.0 / m], 43,
+                                        start=start, count=700)
                     for start in (0, 700)]
 
         got = counts()
@@ -479,11 +502,12 @@ class TestOutageTrial:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
     def test_damped_power_reads_one_estimate_spectrum_per_point(
             self, m, n, monkeypatch):
-        # At t = 0.9 each span builds one estimate object and reads each
-        # point's log damped weight from it once, at its error scale, and
-        # never the channel's at c = 0.  One- and two-row links read it from
-        # the determinant's minors and the trace, with no GramPolynomial;
-        # three or more rows build one per span.
+        # At t = 0.9 each span builds one object of polynomials in c and
+        # reads the estimate's log damped weight from it once, at c = 0,
+        # then each point's capacity determinant once, at its error scale:
+        # no point reads an estimate spectrum.  One- and two-row links read
+        # both from the minors and the trace, with no GramPolynomial; three
+        # or more rows build one per span.
         grams = self._spy_estimates(monkeypatch, GramPolynomial)
         minors = self._spy_estimates(monkeypatch, EstimateMinors)
         cfg = ChannelConfig(m, n, 0.5)
@@ -495,8 +519,9 @@ class TestOutageTrial:
         assert unused == ([], [])
         built, scales = used
         assert built == [500, 200]
-        assert scales == [(grid[0] / rho) ** (cfg.alpha / 2) for rho in grid] * 2
-        assert 0.0 not in scales
+        assert scales == ([("log_damped_weight", 0.0)]
+                          + [("capacity_det", (grid[0] / rho) ** (cfg.alpha / 2))
+                             for rho in grid]) * 2
 
     @staticmethod
     def _damped_span_peak(points):
@@ -504,11 +529,11 @@ class TestOutageTrial:
 
         cfg = ChannelConfig(2, 2, 0.5)
         grid = list(np.logspace(1.0, 4.0, points))
-        kappas = _grid_kappas(cfg, grid, PowerPolicy(t=0.9))
-        _count_outages_span(cfg, grid, 1.0, 0.9, kappas, 1, 0, 1000)
+        scales = _power_scales(cfg, grid, PowerPolicy(t=0.9))
+        _count_outages_span(cfg, grid, 1.0, 0.9, scales, 1, 0, 1000)
         tracemalloc.start()
         try:
-            _count_outages_span(cfg, grid, 1.0, 0.9, kappas, 1, 0, 32_768)
+            _count_outages_span(cfg, grid, 1.0, 0.9, scales, 1, 0, 32_768)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -567,6 +592,29 @@ class TestRunSweep:
             assert abs(p_hat - p) <= 3 * sigma, (rho, p_hat, p)
             checked += 1
         assert checked >= 4
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("t", [0.5, 0.9])
+    def test_one_antenna_damped_matches_quadrature(self, m, t):
+        # A damped m x 1 sweep against the quadrature that conditions the
+        # channel on its estimate (tests/reference.py), which shares no code
+        # with the sweep: kappa is the closed form, and the channel's gain
+        # given the estimate's is noncentral chi-squared.  Every count
+        # within 3 binomial sigma at each point with at least 20 events,
+        # and at least three such points per case.
+        rho_grid = list(np.logspace(1.0, 4.0, 7))
+        trials = 1_000_000
+        sweep = run_sweep(ChannelConfig(m, 1, 0.5), 0.5, rho_grid, trials,
+                          PowerPolicy(t=t), seed=5)
+        checked = 0
+        for rho, p_hat in zip(rho_grid, sweep.p_out):
+            if p_hat * trials < 20:
+                continue
+            p = one_antenna_damped_outage(m, 0.5, t, 0.5, rho)
+            sigma = math.sqrt(p * (1 - p) / trials)
+            assert abs(p_hat - p) <= 3 * sigma, (rho, p_hat, p)
+            checked += 1
+        assert checked >= 3
 
     def test_sweep_fields(self):
         cfg = ChannelConfig(2, 1, 0.0)
@@ -785,9 +833,10 @@ class TestRunSweep:
         (4.0, 0.9, [1e-100, 1e-90], r"rho \*\* -alpha must be a finite float"),
         # Kappa, s ** (t m n) over the mean weight with s = 1 + 1e300.
         (1.0, 0.9, [1e-300, 1e-290], "kappa passes the largest float"),
-        # kappa * rho / m, whose log a damped span takes, at the smallest
-        # subnormal.
-        (0.0, 0.9, [5e-324, 1e-320], r"kappa \* rho / m must be a positive float"),
+        # The power scale kappa * rho / (m * s ** (1 + t m n)), by which a
+        # damped span multiplies its weights, at the smallest subnormal.
+        (0.0, 0.9, [5e-324, 1e-320],
+         r"kappa \* rho / \(m \* s \*\* \(1 \+ t\*m\*n\)\) must be a positive float"),
     ])
     def test_rejects_overflow_at_low_snr_before_any_span(
             self, alpha, t, grid, match, monkeypatch):
@@ -803,12 +852,18 @@ class TestRunSweep:
         # At 1e100 each factor 1 + P a_i of a 4x4 trial is near 1e100, so
         # the product overflows to inf.  The log2 capacity, about 1300,
         # is far above r log2 rho, so no trial is in outage, and the
-        # overflow raises no warning.
+        # overflow raises no warning.  A damped 3x3 sweep at 1e308 takes
+        # an LDL^H of I + P X X^H: most trials' pivots multiply past the
+        # largest float, and two trials' powers are infinite, so their
+        # entries overflow and the elimination meets inf - inf.
+        sweeps = []
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sweep = run_sweep(ChannelConfig(4, 4, 0.5), 1.0, [10.0, 1e100],
-                              2000, PowerPolicy(t=0.0), seed=1)
-        assert sweep.p_out[-1] == 0.0
+            sweeps.append(run_sweep(ChannelConfig(4, 4, 0.5), 1.0, [10.0, 1e100],
+                                    2000, PowerPolicy(t=0.0), seed=1))
+            sweeps.append(run_sweep(ChannelConfig(3, 3, 0.5), 1.0, [10.0, 1e308],
+                                    2000, PowerPolicy(t=0.9), seed=1))
+        assert [sweep.p_out[-1] for sweep in sweeps] == [0.0, 0.0]
 
     @pytest.mark.parametrize("grid", [[10.0, math.nan, 1000.0],
                                       [10.0, 100.0, math.inf]])
