@@ -32,9 +32,9 @@ Batches are trial-contiguous: each entry of ``B``, and each plane of each
 entry of the error, is one contiguous vector of trials.  Gram entries,
 minors, determinants and traces are whole-vector arithmetic over them.
 
-SciPy is needed only to sample the error (``ndtri``) and for the eigenvalue
-density's normalizer (``gammaln``), and is imported on first use, so the
-closed form, the oracle and the reports load without it.
+SciPy is needed only for the eigenvalue density's normalizer (``gammaln``),
+and is imported on first use, so the sampler, the closed form, the oracle
+and the reports load without it.
 """
 from __future__ import annotations
 
@@ -60,7 +60,6 @@ __all__ = [
 # changing the draws.
 _DOUBLES_PER_TICK = 4
 _HALF_ULP = 2.0 ** -54
-_BELOW_ONE = 1.0 - 2.0 ** -53
 # A product of k uniforms, each at least 2**-54, stays a normal float for
 # k <= 18 (2**-972 > 2**-1022); longer products are summed as logs of
 # products of at most this many.
@@ -171,15 +170,15 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
     would.  Each squared entry of shape ``k`` is ``-log`` of a product of
     ``k`` uniforms, so a trial takes a fixed ``3 * n * m`` uniforms.
 
-    ``e`` has iid complex Gaussian entries, returned as real planes: a
-    float64 array of shape ``(count, 2, n, m)`` with the real parts in
-    ``e[:, 0]`` and the imaginary parts in ``e[:, 1]``.  With ``error``
-    false the error's uniforms are drawn but not transformed, and ``e`` is
-    None.  Both arrays are stored trial-last: for each entry (and plane),
-    the ``count`` trials are one contiguous vector.  They are views of one
-    buffer, the uniforms': each entry of ``B`` is written over spent
-    uniforms, and ``e``'s quantiles over its own.  Any contiguous partition
-    of the trial range reproduces the one-shot draw bit for bit.
+    ``e`` has iid complex Gaussian entries, drawn in polar form, returned
+    as real planes: a float64 array of shape ``(count, 2, n, m)`` with the
+    real parts in ``e[:, 0]`` and the imaginary parts in ``e[:, 1]``.  With
+    ``error`` false the error's uniforms are drawn but not transformed, and
+    ``e`` is None.  Both arrays are stored trial-last: for each entry (and
+    plane), the ``count`` trials are one contiguous vector.  They are views
+    of one buffer, the uniforms': each entry of ``B`` is written over spent
+    uniforms, and each error entry over its own two.  Any contiguous
+    partition of the trial range reproduces the one-shot draw bit for bit.
     """
     rho = float(rho)
     if not math.isfinite(rho) or rho <= 0.0:
@@ -206,8 +205,7 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
     for lo in range(0, count, _COPY_TRIALS):
         part = block[:min(_COPY_TRIALS, count - lo)]
         gen.random(out=part)
-        # Shifted up by half an ulp, neither the log nor the normal
-        # quantile transform sees an exact zero.
+        # Shifted up by half an ulp, no log sees an exact zero.
         np.add(part[:, :rows].T, _HALF_ULP, out=u[:, lo:lo + len(part)])
     del block
     # Each entry of B sums -log of its products of uniforms and takes the
@@ -232,17 +230,19 @@ def sample_channel_block(cfg, rho, seed, start=0, count=1, error=True):
         col += shape
     if not error:
         return b, None
-    # Imported on first use: only sweeps need SciPy, and it is slow to load.
-    from scipy.special import ndtri
-
-    # The largest uniform, 1 - 2**-53, rounds to 1.0 when shifted, and its
-    # normal quantile is infinite: the error's uniforms are clamped below
-    # it.  The quantiles and the scaling run in place on whole rows.
-    z = u[nm:]
-    np.minimum(z, _BELOW_ONE, out=z)
-    ndtri(z, out=z)
-    z *= math.sqrt(0.5 * rho ** -cfg.alpha)
-    return b, z.reshape(2, n, m, count).transpose(3, 0, 1, 2)
+    # Each error entry is polar (Box & Muller, 1958): its real-plane uniform
+    # a gives r = sqrt(-sigma**2 log a) and its imaginary-plane uniform v
+    # tau = tan(pi (v - 1/2)), v - 1/2 exact; Re = r (1 - tau**2) / (1 +
+    # tau**2), with 1 - tau**2 as 2 - (1 + tau**2), and Im = r 2 tau / (1 +
+    # tau**2).  A uniform of 1.0 gives r = 0, or tau near 1.6e16: finite.
+    for a, v in zip(u[nm:2 * nm], u[2 * nm:]):
+        np.sqrt(np.multiply(np.log(a, out=a), -rho ** -cfg.alpha, out=a), out=a)
+        np.tan(np.multiply(np.subtract(v, 0.5, out=v), math.pi, out=v), out=v)
+        np.add(np.square(v, out=prod), 1.0, out=prod)
+        np.multiply(v, np.divide(a, prod, out=a), out=v)
+        v *= 2.0
+        a *= np.subtract(2.0, prod, out=prod)
+    return b, u[nm:].reshape(2, n, m, count).transpose(3, 0, 1, 2)
 
 
 def _draw_shape(b, e):

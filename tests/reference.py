@@ -49,17 +49,27 @@ def one_antenna_damped_outage(m, alpha, t, r, rho):
 
     With ``K = m``, error variance ``sigma2 = rho ** -alpha`` and ``s = 1 +
     sigma2``, the estimate ``h_hat`` is ``CN(0, s)`` per entry, so its gain
-    ``b = |h_hat|**2`` is ``s`` times a ``Gamma(K)`` draw, and the channel
+    ``b = |h_hat|**2`` is ``s g`` with ``g ~ Gamma(K)``, and the channel
     given the estimate is ``CN(h_hat / s, sigma2 / s)``: ``(2 s / sigma2)
     |h|**2`` is noncentral chi-squared with ``2K`` degrees of freedom and
-    noncentrality ``2 b / (s sigma2)``.  The single decay weight is ``K``,
+    noncentrality ``lam = 2 g / sigma2``.  The single decay weight is ``K``,
     so the power is ``P = kappa rho b ** (-t K) / K`` with the closed form
     ``kappa = s ** (t K) Gamma(K) / Gamma(K (1 - t))``, and outage is
-    ``|h|**2 < (rho ** r - 1) / P``.  ``p_out = E_b[ncx2.cdf(...)]``,
-    integrated by ``quad`` over the gamma quantile of ``b / s``.
+    ``|h|**2 < (rho ** r - 1) / P``, or ``x = x0 (s g) ** (t K)`` in the
+    chi-squared's scale.  ``p_out = E_g[chndtr(x, 2K, lam)]``.
+
+    The outage mass lies where ``lam`` meets ``x``, at ``g = sigma2 x0 /
+    2`` when ``t = 0``: there the channel can fade given its estimate.  At
+    high SNR that is a sliver of width about ``2 / sqrt(lam)`` in ``log g``,
+    far in the gamma's lower tail, so ``quad`` integrates over ``y = log
+    g`` with breakpoints at the crossing, a few of its widths either side,
+    and the gamma's bulk.  Where ``sqrt(lam) - sqrt(x) > 40`` the outage
+    is below ``Phi(-40)`` and reads 0.  SciPy's ``chndtr`` returns NaN
+    near its median past a noncentrality of about 3.5e10; the integrand
+    raises ``ValueError`` there.
     """
     from scipy.integrate import quad
-    from scipy.stats import gamma, ncx2
+    from scipy.special import chndtr
 
     k = m
     sigma2 = rho ** -alpha
@@ -68,10 +78,28 @@ def one_antenna_damped_outage(m, alpha, t, r, rho):
     # |h|**2 < (rho**r - 1) K (s g)**(t K) / (kappa rho), scaled by 2 s / sigma2.
     log_x0 = (math.log(2.0 * s / sigma2) + math.log(rho ** r - 1.0) + math.log(k)
               - log_kappa - math.log(rho))
+    log_gamma_k = math.lgamma(k)
 
-    def integrand(u):
-        g = gamma.ppf(u, k)
-        x = math.exp(log_x0 + t * k * math.log(s * g))
-        return ncx2.cdf(x, 2 * k, 2.0 * g / sigma2)
+    def integrand(y):
+        g = math.exp(y)
+        x = math.exp(log_x0 + t * k * (math.log(s) + y))
+        lam = 2.0 * g / sigma2
+        if math.sqrt(lam) - math.sqrt(x) > 40.0:
+            return 0.0
+        cdf = chndtr(x, 2 * k, lam)
+        if math.isnan(cdf):
+            raise ValueError(f"chndtr is NaN at x {x:.4g}, noncentrality {lam:.4g}")
+        return math.exp(k * y - g - log_gamma_k) * cdf
 
-    return quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-9, limit=400)[0]
+    # log lam - log x = log(2 / sigma2) - log_x0 - t K log s + (1 - t K) y.
+    lo, hi = -800.0 / k, math.log(1000.0)
+    points = {math.log(k)}
+    slope = 1.0 - t * k
+    if slope != 0.0:
+        cross = (log_x0 + t * k * math.log(s) - math.log(2.0 / sigma2)) / slope
+        lam = 2.0 * math.exp(min(cross, 700.0)) / sigma2
+        width = 2.0 / (abs(slope) * math.sqrt(max(lam, 1.0)))
+        points.update(cross + j * width for j in (0, -1, 1, -2, 2, -4, 4, -8, 8))
+    points = sorted(y for y in points if lo < y < hi)
+    return quad(integrand, lo, hi, points=points, epsabs=0.0, epsrel=1e-10,
+                limit=400)[0]

@@ -2,8 +2,12 @@
 import decimal
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -319,35 +323,141 @@ class TestSampleChannel:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2)])
     def test_largest_uniform_gives_a_finite_error(self, m, n, monkeypatch):
         # Shifted up by half an ulp, the largest uniform, 1 - 2**-53, rounds
-        # to 1.0, whose normal quantile is inf.  The generator returns it
-        # here as trial 1's first error uniform: that entry must be finite,
-        # and every other entry as drawn.
+        # to 1.0, and the smallest, 0, becomes 2**-54.  Each is put in turn
+        # in trial 1's first error entry, as its modulus uniform (real
+        # plane) and as its phase uniform (imaginary plane): that entry must
+        # be finite, and every other entry as drawn.
         cfg = ChannelConfig(m, n, 0.5)
+        sigma = 10.0 ** -0.25
         h_ref, e_ref = sample_channel_block(cfg, rho=10.0, seed=4, count=3)
-        ticks_per_trial = -(-3 * n * m // 4)
-        index = 4 * ticks_per_trial + n * m
+        r_ref = math.hypot(*e_ref[1, :, 0, 0])
+        trial_one = 4 * -(-3 * n * m // 4)
+        for plane, uniform in itertools.product((0, 1), (1.0 - 2.0 ** -53, 0.0)):
+            h, e = sample_with_uniforms(
+                monkeypatch, cfg, {trial_one + (1 + plane) * n * m: uniform},
+                rho=10.0, seed=4, count=3)
+            assert np.isfinite(e).all()
+            npt.assert_array_equal(h, h_ref)
+            changed = e != e_ref
+            assert changed[1, :, 0, 0].any()
+            changed[1, :, 0, 0] = False
+            assert not changed.any()
+            re, im = e[1, :, 0, 0]
+            if plane == 1:
+                # The phase is pi at either end of the uniforms.
+                npt.assert_allclose(re, -r_ref, rtol=1e-14)
+                assert abs(im) < 1e-15 * r_ref
+            elif uniform:
+                assert re == im == 0.0
+            else:
+                npt.assert_allclose(math.hypot(re, im),
+                                    sigma * math.sqrt(54 * math.log(2)), rtol=1e-14)
 
-        class LargestUniform(np.random.Generator):
-            # Counts the uniforms drawn, which may come in several calls.
-            drawn = 0
+    def test_error_law(self):
+        # Each entry is circular complex Gaussian of variance sigma**2: the
+        # real and imaginary parts are N(0, sigma**2 / 2), |z|**2 / sigma**2
+        # is Exp(1), the phase is uniform, and the parts are uncorrelated.
+        # 80,000 entries: the correlation's standard error is 0.0035.
+        _, e = sample_channel_block(ChannelConfig(2, 2, 0.5), rho=100.0,
+                                    seed=21, count=20_000)
+        z = complex_error(e).reshape(-1)
+        sigma_sq = 100.0 ** -0.5
+        for part in (z.real, z.imag):
+            assert stats.kstest(part, "norm", (0.0, math.sqrt(sigma_sq / 2))).pvalue > 1e-3
+        assert stats.kstest(np.abs(z) ** 2 / sigma_sq, "expon").pvalue > 1e-3
+        assert stats.kstest(np.angle(z), "uniform", (-math.pi, 2 * math.pi)).pvalue > 1e-3
+        assert abs(np.corrcoef(z.real, z.imag)[0, 1]) < 0.015
 
-            def random(self, size=None, dtype=np.float64, out=None):
-                u = super().random(size, dtype, out)
-                flat = u.reshape(-1)
+    def test_error_matches_exact_polar_value(self, monkeypatch):
+        # Each entry, recomputed at 50 digits from its own two shifted
+        # uniforms, a in the real plane and v in the imaginary plane, is
+        # r e^(i theta) with r = sqrt(-sigma**2 log a) and theta = 2 pi (v -
+        # 1/2).  The rounded pi (v - 1/2), the tangent and the arithmetic
+        # bound each part's error by about 8 u r, u = 2**-53 (4.84 u r at
+        # most over 800,000 entries).  Trial 0 holds the extreme uniforms,
+        # v = 1/4 and 3/4 where 1 - tau**2 cancels, and v = 1/2.
+        cfg = ChannelConfig(3, 2, 0.7)
+        rho, seed, count, nm = 31.6, 11, 400, 6
+        top = 1.0 - 2.0 ** -53
+        extremes = [(0.0, 0.25), (top, 0.75), (0.5, 0.0), (0.3, top),
+                    (0.7, 0.5), (0.0, top)]
+        replace = {}
+        for k, (a, v) in enumerate(extremes):
+            replace[nm + k], replace[2 * nm + k] = a, v
+        _, e = sample_with_uniforms(monkeypatch, cfg, replace, rho=rho,
+                                    seed=seed, count=count)
+        # A trial's 18 uniforms fill five Philox ticks of four.
+        u = np.random.Generator(channel._bit_generator(seed)).random((count, 20))
+        for index, value in replace.items():
+            u[0, index] = value
+        u += 2.0 ** -54
+        var = rho ** -cfg.alpha
+        got = e.reshape(count, 2, nm)
+        for trial, k in itertools.product(range(count), range(nm)):
+            a, v = u[trial, nm + k], u[trial, 2 * nm + k]
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                r, want = exact_polar(a, v, var)
+                for part in range(2):
+                    error = abs(decimal.Decimal(float(got[trial, part, k])) - want[part])
+                    assert error <= 8 * decimal.Decimal(2.0 ** -53) * r, (trial, k, part)
+
+    def test_sampler_runs_without_scipy(self):
+        # The error transform is NumPy's log and tan: a fresh interpreter in
+        # which any SciPy import raises still draws the error.
+        code = ("import sys; sys.modules['scipy'] = None\n"
+                "import numpy as np\n"
+                "from mimo_dmt.channel import ChannelConfig, sample_channel_block\n"
+                "_, e = sample_channel_block(ChannelConfig(3, 2, 0.5), 10.0, 1,"
+                " count=100, error=True)\n"
+                "assert e.shape == (100, 2, 2, 3) and np.isfinite(e).all()\n")
+        env = dict(os.environ)
+        src = str(Path(channel.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+
+def sample_with_uniforms(monkeypatch, cfg, replace, **kwargs):
+    """:func:`sample_channel_block` with some of the generator's uniforms
+    replaced: ``replace`` maps an index into the block's draws, counted
+    from its first trial's first uniform, to the uniform drawn there."""
+
+    class Replaced(np.random.Generator):
+        # Counts the uniforms drawn, which may come in several calls.
+        drawn = 0
+
+        def random(self, size=None, dtype=np.float64, out=None):
+            u = super().random(size, dtype, out)
+            flat = u.reshape(-1)
+            for index, value in replace.items():
                 if 0 <= index - self.drawn < flat.size:
-                    flat[index - self.drawn] = 1.0 - 2.0 ** -53
-                self.drawn += flat.size
-                return u
+                    flat[index - self.drawn] = value
+            self.drawn += flat.size
+            return u
 
-        monkeypatch.setattr(np.random, "Generator", LargestUniform)
-        h, e = sample_channel_block(cfg, rho=10.0, seed=4, count=3)
-        assert np.isfinite(e).all()
-        npt.assert_array_equal(h, h_ref)
-        changed = e != e_ref
-        assert changed.sum() == 1 and changed[1, 0, 0, 0]
-        # ndtri(1 - 2**-53) is 8.21; the error's deviation is 10**-0.25.
-        npt.assert_allclose(e[1, 0, 0, 0], 8.2095 * math.sqrt(0.5 * 10.0 ** -0.5),
-                            rtol=1e-4)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "Generator", Replaced)
+        return sample_channel_block(cfg, **kwargs)
+
+
+PI_60 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def exact_polar(a, v, var):
+    """``(r, (Re, Im))`` of ``r e^(i theta)``, ``r = sqrt(-var log a)`` and
+    ``theta = 2 pi (v - 1/2)``, as decimals in the caller's context, with
+    the cosine and sine summed by their Taylor series."""
+    d = decimal.Decimal
+    r = (-d(var) * d(a).ln()).sqrt()
+    x = 2 * PI_60 * (d(v) - d("0.5"))
+    sums, term, k = [d(0), d(0)], d(1), 0
+    while abs(term) > d("1e-55"):
+        sums[k % 2] += term if k % 4 < 2 else -term
+        k += 1
+        term *= x / k
+    return r, (r * sums[0], r * sums[1])
 
 
 def exact_det(h, power):

@@ -684,12 +684,12 @@ class TestCmdFigures:
     # They pin every outage count: a change to these bytes changes a Monte
     # Carlo result and must be made on purpose.
     SIMULATE_SHA256 = {
-        (1, 1): "252d159c619ddb2f234cf5081ae2a671bead32c80f1f258d33d87d8b68d566a5",
-        (2, 1): "57592fa1268eb895a86385fbf0e347579c952bff5464265039efe055a8ac7e53",
-        (2, 2): "937815741b6c56d4b51aac931ecf3bbe1f5bcbcd90c2903e1bdf6ba0d3b42d2c",
-        (3, 2): "3ac1d39a15342d5ffc1bd64ab579972b782e8b849d7cc711ff4ff41d6dccf30c",
-        (3, 3): "87dc0963d99b4f8d2c1e0ef9d6d2b8733898082914c59d47801d32078a08e37c",
-        (4, 4): "ab9edc598a31c1ecf1c8ab24557515c18007dd1feddc0e75e3e59afa856508e8",
+        (1, 1): "c26546375aa591167025f017eb49e834b71dd088f3c9d064f72ae0fd5d9b8bf6",
+        (2, 1): "0db2cc79cff5672ac6610deaf028260ce1b89f5ab4216f417ee4815eda268574",
+        (2, 2): "bc7bc78b8265747b560275f63ae4cdb5839a8f615e613361a7e9da4c7d5ba7c7",
+        (3, 2): "d3da8b3cd3fa2772c2b4e2b3f50146c43a812c053ee9c6ab0abbbf65ad8abb33",
+        (3, 3): "43240c35ebbfffd3b88012c353eaa888671564ee3fc85a8f62869fabf7da4615",
+        (4, 4): "d4c6ced40e0672d785492b5db3bfe0e266bce4f48ee4350e33cf85d9ffac1e23",
         (6, 6): "3b682f2e10a2f8625221e534054f558725866bbde0add9b1c37d1b86f479b728",
     }
 

@@ -470,18 +470,17 @@ class TestOutageTrial:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (3, 3)])
     def test_constant_power_skips_the_error_transform(self, m, n, monkeypatch):
         # At t = 0 no span reads the error: its uniforms are drawn, so the
-        # Philox layout is kept, but their normal quantiles are not taken.
-        # The counts equal those of spans whose sampler takes them.
-        import scipy.special
-
+        # Philox layout is kept, but their polar transform, one tangent per
+        # complex entry, is not taken.  The counts equal those of spans
+        # whose sampler takes it.
         calls = []
-        ndtri = scipy.special.ndtri
+        tan = np.tan
 
         def spy(*args, **kwargs):
             calls.append(args[0].shape)
-            return ndtri(*args, **kwargs)
+            return tan(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.special, "ndtri", spy)
+        monkeypatch.setattr(np, "tan", spy)
         cfg = ChannelConfig(m, n, 0.5)
 
         def counts():
@@ -496,7 +495,7 @@ class TestOutageTrial:
                             lambda *args, **kwargs: sample_channel_block(
                                 *args, **{**kwargs, "error": True}))
         assert counts() == got
-        assert calls == [(2 * n * m, 700)] * 2
+        assert calls == [(700,)] * (2 * n * m)
         assert sum(map(sum, got)) > 0
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
@@ -615,6 +614,24 @@ class TestRunSweep:
             assert abs(p_hat - p) <= 3 * sigma, (rho, p_hat, p)
             checked += 1
         assert checked >= 3
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0])
+    def test_one_antenna_reference_at_constant_power(self, m, alpha):
+        # At t = 0 the reference's quadrature over the estimate must give
+        # the closed form, P(Gamma(K) < K (rho**r - 1) / rho), whatever the
+        # error variance, from 10 to 200 dB.  Past a noncentrality of about
+        # 3.5e10 SciPy's chndtr reads NaN, and the reference raises: on 4x1
+        # at alpha 1 and 200 dB it would meet 8e10.
+        for db in range(10, 201, 10):
+            rho = 10.0 ** (db / 10)
+            if (m, alpha, db) == (4, 1.0, 200):
+                with pytest.raises(ValueError, match="NaN"):
+                    one_antenna_damped_outage(m, alpha, 0.0, 0.5, rho)
+                continue
+            want = gammainc(m, m * (rho ** 0.5 - 1.0) / rho)
+            npt.assert_allclose(one_antenna_damped_outage(m, alpha, 0.0, 0.5, rho),
+                                want, rtol=1e-8, err_msg=f"{db} dB")
 
     def test_sweep_fields(self):
         cfg = ChannelConfig(2, 1, 0.0)
