@@ -19,10 +19,11 @@ polynomial in ``P`` over sums of squared minors of ``B``
 the estimate is ``CN(0, s)``, ``s = 1 + sigma**2``, and the channel given
 it ``CN(estimate / s, sigma**2 / s)``, so with the estimate ``sqrt(s) [B
 0]`` the channel is ``X / sqrt(s)``, ``X = [B 0] + c E`` with ``c E`` of
-variance ``sigma**2``.  :class:`EstimateMinors` (one and two rows, exact at
-any fade depth) and :class:`GramPolynomial` (more rows, an LDL^H that loses
-the small eigenvalue once ``eps * P * lambda_max`` nears 1) read the
-estimate's weight at ``c = 0`` and ``det(I + P X X^H)`` at any ``c``.
+variance ``sigma**2``.  A span reads the estimate's damped weight from
+``B``'s entries alone (:func:`log_damped_weight`), and ``det(I + P X
+X^H)`` at any ``c`` from :class:`EstimateMinors` (one and two rows, exact
+at any fade depth) or :class:`GramPolynomial` (more rows, an LDL^H that
+loses the small eigenvalue once ``eps * P * lambda_max`` nears 1).
 
 Sampling is counter-based: trial ``i`` of a given seed always yields the
 same matrices regardless of how trials are batched or which worker draws
@@ -49,6 +50,7 @@ __all__ = [
     "GramPolynomial",
     "bidiagonal_minor_sums",
     "eigen_decay_weights",
+    "log_damped_weight",
     "sample_channel_block",
     "wishart_log_norm_const",
 ]
@@ -118,22 +120,72 @@ def eigen_decay_weights(m, n):
     return 2.0 * np.arange(1, n + 1) - 1.0 + (m - n)
 
 
-def _log_damped_weight(b, w, t, out=None):
-    """Log of the kappa-free damped weight, ``-t * sum(w_i * log b_i)``,
-    of ascending eigenvalues stored one row per eigenvalue index, shape
-    ``(n, ...)``, with decay weights ``w`` (:func:`eigen_decay_weights`),
-    summed one row at a time into ``out`` or a new array.
+def log_damped_weight(b, m, t):
+    """Log of the kappa-free damped weight ``-t * sum(c_k log lambda_k)``,
+    ``c_k = 2k - 1 + m - n``, of ``B B^T``'s ascending eigenvalues, as a
+    new row, for the entries ``b`` of :func:`sample_channel_block`'s ``B``,
+    shape ``(2n - 1, count)``; other shapes are a ``ValueError``.
 
-    Eigenvalues below the smallest normal float count as that float.  The
-    rows of ``b`` are overwritten."""
-    np.maximum(b, _TINY, out=b)
-    log_b = np.log(b, out=b)
-    out = np.multiply(log_b[0], w[0], out=out)
-    for i in range(1, len(w)):
-        log_b[i] *= w[i]
-        out += log_b[i]
-    out *= -t
-    return out
+    As the ``c_k`` step by 2, it is ``-t * (c_1 log det + sum_{k>=2} 2 (k -
+    1) log lambda_k)``, with ``log det = sum log d_i**2``.  ``lambda_2 ..
+    lambda_n`` of the tridiagonal ``B B^T`` (``a_ii = s_{i-1}**2 + d_i**2``,
+    ``a_{i,i+1} = d_i s_i``) are none on one row, ``(a_11 + a_22)/2 +
+    sqrt(((a_11 - a_22)/2)**2 + (d_1 s_1)**2)``, a sum of non-negative
+    terms, on two, and one real ``eigvalsh``'s on more.  Each, and
+    ``lambda_1 = det / prod_{k>=2} lambda_k`` in logs, counts as the
+    smallest normal float when it falls below it.
+
+    The domain is every entry 0 or within [1e-60, 1e60], where fourth
+    powers stay normal; the sampler's are 0 or between about 1e-8 and 50.
+    A trial's weight does not depend on its batch.  On one and two rows
+    its error is within ``16 u t`` of the logs it sums at any fade depth:
+    on 600 nearly rank-1 two-row ``B`` (``lambda_1 / lambda_2`` from
+    1.1e-23 to 5.2e-8) it was within 2.9e-14 of a 60-digit reference at t
+    0.9, where ``eigvalsh`` of the ``matmul`` Gram matrix was off by up to
+    2,417.
+    """
+    if b.ndim != 2 or len(b) % 2 == 0:
+        raise ValueError("expected B's 2n - 1 entries as rows of trials, "
+                         f"got shape {b.shape}")
+    n, count = (len(b) + 1) // 2, b.shape[1]
+    # Separate rows, so that the returned one alone stays alive.
+    out, part = np.empty(count), np.empty(count)
+    if n == 1:
+        lam = np.empty((0, count))
+    elif n == 2:
+        d1, s1, d2 = b
+        lam = np.square(d1)[np.newaxis]
+        a22 = np.add(np.square(s1, out=out), np.square(d2, out=part), out=out)
+        root = np.square(np.subtract(lam[0], a22, out=part), out=part)
+        root *= 0.25
+        lam += a22
+        lam *= 0.5
+        root += np.square(np.multiply(d1, s1, out=out), out=out)
+        lam += np.sqrt(root, out=root)
+    else:
+        # Trial-last matrices fill from the rows with unit-stride writes;
+        # eigvalsh reads the diagonal and the upper triangle.
+        a = np.zeros((n, n, count))
+        a[range(n), range(n)] = np.square(b[0::2])
+        a[range(1, n), range(1, n)] += np.square(b[1::2])
+        a[range(n - 1), range(1, n)] = b[:-1:2] * b[1::2]
+        lam = np.linalg.eigvalsh(np.moveaxis(a, (0, 1), (-2, -1)), UPLO="U")
+        lam = np.ascontiguousarray(lam[:, 1:].T)
+    np.log(np.maximum(lam, _TINY, out=lam), out=lam)
+    with np.errstate(divide="ignore"):
+        log_det = np.log(np.square(b[0], out=out), out=out)
+        for d in b[2::2]:
+            log_det += np.log(np.square(d, out=part), out=part)
+    # The floor on lambda_1: log det at least log(tiny) + sum_{k>=2} log
+    # lambda_k.  A sweep's draws do not come near it.
+    floor = np.sum(lam, axis=0, out=part)
+    floor += _LOG_TINY
+    np.maximum(log_det, floor, out=log_det)
+    log_det *= -t * (1 + m - n)
+    for k, row in enumerate(lam, start=2):
+        row *= -t * 2 * (k - 1)
+        log_det += row
+    return log_det
 
 
 def _bit_generator(seed):
@@ -304,10 +356,10 @@ class GramPolynomial:
     ``B = h e^H + e h^T`` and ``C = e e^H``.  The constructor forms the
     three blocks once, so an outage sweep that rescales one error draw to
     each SNR point forms no per-point matrix or Gram product.
-    :meth:`spectrum` takes the quadratic's spectrum with ``eigvalsh``, and
-    :meth:`capacity_det` ``det(I + P X X^H)`` by an LDL^H, within ``10.3 u
-    (1 + P S)``, ``S = sum((|h| + c |e|)**2)``, of the exact value on 6x6
-    at entries from 1e-100 to 1e100, rank-1, zero and cancelling ones too.
+    :meth:`capacity_det` takes ``det(I + P X X^H)`` by an LDL^H, within
+    ``10.3 u (1 + P S)``, ``S = sum((|h| + c |e|)**2)``, of the exact value
+    on 6x6 at entries from 1e-100 to 1e100, rank-1, zero and cancelling
+    ones too.
 
     ``b`` holds the bidiagonal's diagonal ``d_i = b[2i - 2]`` and
     subdiagonal ``s_i = b[2i - 1]`` (1-based ``i``), shape ``(2n - 1,
@@ -324,25 +376,15 @@ class GramPolynomial:
     product is correctly rounded and a trial's result does not depend on its
     batch.  A NaN or infinite entry of ``b`` or ``e`` raises ``ValueError``.
     Each instance evaluates into one scratch Gram, so it serves one thread
-    at a time; every spectrum it returns is a new array.
-
-    Measured against ``eigvalsh`` of ``(h + c e)(h + c e)^H`` formed by
-    ``matmul``, on 28.6 million inputs with ``n`` in 1..4 and 6, ``n <= m
-    <= 9``, ``c`` in {1, 1e-3, 1e-12} and entries scaled from 1e-100 to
-    1e100 in seven steps, bidiagonals with Gaussian entries, zero-diagonal,
-    zero and cancelling (``e`` near ``-h / c``) inputs among them, the spectra
-    differed by at most ``3.6e-15 * tr(A + c**2 C)``.  The bound is on the
-    size of the two terms: where they cancel, the estimate's own eigenvalues
-    can be far smaller.
+    at a time.
     """
 
     def __init__(self, b, e):
-        n, m = _draw_shape(b, e)
+        n, _ = _draw_shape(b, e)
         _check_finite(b)
         _check_finite(e)
         count = len(e)
         self._n = n
-        self._weights = eigen_decay_weights(m, n)
         # Each plane of e's first n columns transposed, as per-entry
         # vectors over the trials.
         d, s = b[0::2], b[1::2]
@@ -372,14 +414,6 @@ class GramPolynomial:
         gram += self._a
         return gram
 
-    def spectrum(self, c):
-        """Ascending spectrum of ``(h + c e)(h + c e)^H``, shape ``(count,
-        n)``, non-negative, with the trial axis contiguous: each eigenvalue
-        index is one vector over the batch.  ``eigvalsh``'s tiny negative
-        values on rank-deficient inputs are clamped to zero.  The result is
-        a new array, which later calls leave unchanged."""
-        return np.moveaxis(_gram_spectrum(self._evaluate(c), self._n), 0, -1)
-
     def capacity_det(self, c, weight, scale, out):
         """``det(I + P X X^H)``, ``X = h + c e``, ``P = scale * weight``,
         per trial, into ``out``: the product of the LDL^H pivots of ``I + P
@@ -390,18 +424,11 @@ class GramPolynomial:
         gram[:self._n] += 1.0
         return _hermitian_det(gram, self._n, out, self._rows)
 
-    def log_damped_weight(self, c, t, out=None):
-        """Log of the kappa-free damped weight of :meth:`spectrum` at scale
-        ``c`` (:func:`_log_damped_weight`), into ``out`` or a new array."""
-        return _log_damped_weight(np.moveaxis(self.spectrum(c), -1, 0),
-                                  self._weights, t, out)
-
 
 class EstimateMinors:
-    """Log damped weights and capacity determinants of ``X = h + c e``,
-    ``h = [B 0]``, of one- or two-row draws ``(b, e)`` of
-    :func:`sample_channel_block`, for any real ``c``, from ``X``'s Gram
-    determinant and trace as polynomials in ``c``.
+    """Capacity determinants of ``X = h + c e``, ``h = [B 0]``, of one- or
+    two-row draws ``(b, e)`` of :func:`sample_channel_block`, for any real
+    ``c``, from ``X``'s Gram determinant and trace as polynomials in ``c``.
 
     ``b`` holds ``B``'s entries ``d1``, ``s1``, ``d2`` (``d1`` alone on one
     row), shape ``(2n - 1, count)``, and ``e`` is given as planes, shape
@@ -414,29 +441,17 @@ class EstimateMinors:
     minor of ``e``; their squares fold into ``c**2 (SL + 2 c SLQ + c**2
     SQ)`` from three sums per trial, so a point's work does not grow with
     ``m``.  The trace is ``T0 + c T1 + c**2 T2``, whose coefficients are
-    stored halved.  Then ``lambda_max = tr/2 + sqrt((tr/2)**2 - det)``,
-    which is 0 for a zero trace.  One row's eigenvalue is ``|d1 + c
-    e11|**2 + c**2 sum_{k>1} |e1k|**2``.  The determinant is quartic, so a
-    two-row batch's coefficients are scaled by the power of two that brings
-    its largest ``T0 + T2`` near 1; the scaling is exact.  In the scaled
-    units, an eigenvalue below about 1e-308 of that largest ``T0 + T2`` is
-    subnormal and loses precision, and where the trace is below about
-    1e-154 of it, ``(tr/2)**2`` and the determinant are too, and
-    ``lambda_max`` is only known to within a factor of 2.
+    stored halved.  The determinant is quartic, so a two-row batch's
+    coefficients are scaled by the power of two that brings its largest
+    ``T0 + T2`` near 1; the scaling is exact.  In the scaled units, a
+    determinant below about 1e-308 of that largest ``T0 + T2`` squared is
+    subnormal and loses precision.
 
-    :meth:`log_damped_weight`, read once per damped span at ``c = 0``,
-    takes the weight from the determinant and ``lambda_max`` and forms no
-    ``lambda_min``; :meth:`capacity_det` needs no root or logarithm.  A
-    NaN or infinite entry raises ``ValueError``, as does
-    an entry past about 1.3e154, whose square overflows, or a trial whose
-    squared entries sum past the largest float: the constructor reads that
-    from the largest ``T0 + T2``.
-
-    No eigenvalue routine is called, and every product is correctly
-    rounded.  On 600 nearly rank-1 two-row estimates (``lambda_min /
-    lambda_max`` from 5e-19 to 1.7e-8) the log damped weight at t 0.9 was
-    within 2.8e-14 of a 60-digit reference, where :class:`GramPolynomial`'s,
-    whose entries lose the small eigenvalue, was off by up to 604.  An
+    :meth:`capacity_det` calls no eigenvalue routine and needs no root or
+    logarithm, and every product is correctly rounded.  A NaN or infinite
+    entry raises ``ValueError``, as does an entry past about 1.3e154, whose
+    square overflows, or a trial whose squared entries sum past the largest
+    float: the constructor reads that from the largest ``T0 + T2``.  An
     instance serves one thread at a time.
     """
 
@@ -447,7 +462,6 @@ class EstimateMinors:
                              f"planes of shape {e.shape}")
         count = len(e)
         self._n = n
-        self._weights = eigen_decay_weights(m, n)
         self._exponent = 0
         self._scratch = np.empty((2, count))
         part = self._scratch[0]
@@ -484,7 +498,7 @@ class EstimateMinors:
             row -= np.multiply(s1, x[:, 0, 1], out=part)
         _error_minor(e, 0, 1, d2r, d2i, part)
         shift = math.frexp(top)[1] // 2
-        # The spectra are 2**exponent times those of the scaled batch.
+        # The Gram matrices are 2**exponent times those of the scaled batch.
         self._exponent = 2 * shift
         scale = math.ldexp(1.0, -self._exponent)
         if shift:
@@ -515,47 +529,6 @@ class EstimateMinors:
                 slq += np.multiply(l_im, q_im, out=part)
             _add_squares(sq, part, q_re, q_im)
         slq *= 2.0
-
-    def log_damped_weight(self, c, t, out=None):
-        """Log of the kappa-free damped weight ``-t * sum(w_i * log
-        lambda_i)`` of the ascending spectrum at scale ``c``, with ``w``
-        the decay weights (:func:`eigen_decay_weights`), into ``out`` or a
-        new row.  Eigenvalues below the smallest normal float count as that
-        float, as in :func:`_log_damped_weight`.
-
-        As ``lambda_min * lambda_max = det``, two rows read the weight as
-        ``-t * (w_1 log det + (w_2 - w_1) log lambda_max)`` from the scaled
-        determinant and ``lambda_max``, and the batch's scaling by
-        ``2**-exponent`` adds the constant ``-t * (w_1 + w_2) * exponent *
-        log 2``; one row reads it as ``-t * w_1 * log lambda``."""
-        c = float(c)
-        if out is None:
-            out = np.empty(self._scratch.shape[1])
-        w = self._weights
-        if self._n == 1:
-            lam = np.maximum(self._one_row(c, out), _TINY, out=out)
-            log = np.log(lam, out=lam)
-            log *= -t * w[0]
-            return log
-        log_scale = self._exponent * math.log(2.0)
-        lam_max = self._det_and_lam_max(c, out)
-        with np.errstate(divide="ignore"):
-            log_max = np.log(lam_max, out=lam_max)
-            log_det = np.log(out, out=out)
-        # The floor in the batch's scaled units: on lambda_max, then on
-        # lambda_min = det / lambda_max.  A sweep's draws do not come near
-        # it, so the rows are checked before they are floored.
-        floor = _LOG_TINY - log_scale
-        if log_max.min() < floor or log_det.min() - log_max.max() < floor:
-            np.maximum(log_max, floor, out=log_max)
-            np.maximum(log_det, np.add(log_max, floor, out=self._scratch[1]),
-                       out=log_det)
-        log_det *= -t * w[0]
-        log_max *= -t * (w[1] - w[0])
-        log_det += log_max
-        if log_scale:
-            log_det += -t * (w[0] + w[1]) * log_scale
-        return log_det
 
     def _one_row(self, c, out):
         """One row's eigenvalue ``|d1 + c e11|**2 + c**2 sum_{k>1}
@@ -601,22 +574,6 @@ class EstimateMinors:
             part *= c * c
             det += part
         return np.maximum(_horner(half_tr, c, ht0, ht1, ht2), 0.0, out=half_tr)
-
-    def _det_and_lam_max(self, c, det):
-        """Two rows' Gram determinant into ``det``, and their largest
-        eigenvalue into a scratch row, which is returned, both in the
-        batch's scaled units."""
-        # lambda_max = tr/2 + sqrt((tr/2)**2 - det).  Where the trace is
-        # lost to cancellation (tr < 0, or det > tr**2 / 4), it is tr/2,
-        # with tr clamped at 0.
-        half_tr = self._det_and_half_trace(c, det)
-        root = self._scratch[1]
-        np.square(half_tr, out=root)
-        root -= det
-        np.maximum(root, 0.0, out=root)
-        np.sqrt(root, out=root)
-        half_tr += root
-        return half_tr
 
 
 def _horner(out, c, *coeffs):
@@ -687,23 +644,6 @@ def _pairs(n):
     :func:`_gram`'s result, and its imaginary part in the next."""
     pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
     return [(n + 2 * p, ik) for p, ik in enumerate(pairs)]
-
-
-def _gram_spectrum(g, n):
-    """Ascending spectrum, eigenvalue index first, of a Gram matrix stored
-    as :func:`_gram` stores it, in a new array."""
-    # Trial-last matrices fill from the rows with unit-stride writes.
-    # eigvalsh reads the diagonal's real part and the upper triangle.
-    matrices = np.zeros((n, n) + g.shape[1:], dtype=np.complex128)
-    for i in range(n):
-        matrices.real[i, i] = g[i]
-    for p, (i, k) in _pairs(n):
-        matrices.real[i, k] = g[p]
-        matrices.imag[i, k] = g[p + 1]
-    lam = np.linalg.eigvalsh(np.moveaxis(matrices, (0, 1), (-2, -1)), UPLO="U")
-    vals = np.empty((n,) + g.shape[1:])
-    np.clip(np.moveaxis(lam, -1, 0), 0.0, None, out=vals)
-    return vals
 
 
 def _hermitian_det(g, n, out, rows):

@@ -19,11 +19,11 @@ transformed.  Under damping the estimate is drawn first (see
 ``s_g = 1 + rho_g ** -alpha``, and the channel is ``X / sqrt(s_g)`` with
 ``X = [B 0] + c_g e``.  As the mean damped weight is a scale family in
 ``s``, ``kappa_g`` times the estimate's weight is the weight of ``[B 0]``
-over the mean at ``s = 1``: a span reads each trial's weight once, and
-each point scales it by one number.  Outage, ``log det(I + P H H^H) < r log
-rho``, is tested as ``det(I + P H H^H) < rho ** r`` with no logarithm and
-no spectrum.  Counting is counter-partitioned: any number of worker threads
-reproduces the single-thread result bit for bit.
+over the mean at ``s = 1``: a span reads each trial's weight once, from
+``B``, and each point scales it by one number.  Outage, ``log det(I + P H
+H^H) < r log rho``, is tested as ``det(I + P H H^H) < rho ** r`` with no
+logarithm and no spectrum.  Counting is counter-partitioned: any number of
+worker threads reproduces the single-thread result bit for bit.
 """
 from __future__ import annotations
 
@@ -39,6 +39,7 @@ from .channel import (
     _integer,
     bidiagonal_minor_sums,
     eigen_decay_weights,
+    log_damped_weight,
     sample_channel_block,
     wishart_log_norm_const,
 )
@@ -303,22 +304,21 @@ def _count_outages_span(cfg, rho, r, t, scales, seed, start, count):
     At ``t = 0`` the weight is 1 and the determinant is ``1 + P e_1 + ... +
     P**n e_n`` over the minor sums of the channel's bidiagonal
     (:func:`~mimo_dmt.channel.bidiagonal_minor_sums`), by Horner's rule.
-    At ``t > 0`` the span builds one estimate object from its draws, reads
-    each trial's damped weight from it once, at ``c = 0``, and then, one
-    point at a time into one reused row, its determinant at ``c_g``.
+    At ``t > 0`` it reads each trial's damped weight once, from ``B``
+    (:func:`~mimo_dmt.channel.log_damped_weight`), then from one estimate
+    object each point's determinant at ``c_g``, into one reused row.
     """
     damped = t != 0.0
     b, e = sample_channel_block(cfg, rho[0], seed, start=start, count=count,
                                 error=damped)
     if damped:
+        # Read first, so that its scratch is freed before the estimate's.
+        weight = log_damped_weight(b, cfg.m_tx, t)
+        np.exp(weight, out=weight)
         channel = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
     else:
         coeffs = bidiagonal_minor_sums(b)
     del b, e
-    if damped:
-        # Read once the draws are freed, which bounds the span's peak.
-        weight = channel.log_damped_weight(0.0, t)
-        np.exp(weight, out=weight)
     counts = []
     det = np.empty(count)
     # A determinant past the largest float reads inf or NaN: no outage

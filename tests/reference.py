@@ -1,7 +1,7 @@
-"""References that the tests compare the package against: the dense channel
-and its Gram spectrum, the 2x2 mean damped weight by one adaptive
-quadrature, and the damped outage probability of a one-antenna link by
-another.  None imports from the package's sweep."""
+"""References that the tests compare the package against: the dense channel,
+its Gram spectrum and the damped weight of a spectrum, the 2x2 mean damped
+weight by one adaptive quadrature, and the damped outage probability of a
+one-antenna link by another.  None imports from the package's sweep."""
 import math
 
 import numpy as np
@@ -26,6 +26,28 @@ def gram_spectrum(x):
     inputs clamped to zero."""
     gram = x @ np.conj(np.swapaxes(x, -1, -2))
     return np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+
+def bidiagonal_spectrum(b, m):
+    """Ascending eigenvalues of ``B B^T`` for the bidiagonal entries ``b``
+    (:func:`dense_channel`), shape ``(count, n)``: :func:`gram_spectrum` of
+    the dense channel, with the smallest taken as ``det / prod_{k>=2}
+    lambda_k``, ``det`` the product of the squared diagonal entries, in
+    logs."""
+    lam = gram_spectrum(dense_channel(b, m))
+    lam[:, 0] = np.exp(np.log(np.square(b[0::2])).sum(axis=0)
+                       - np.log(lam[:, 1:]).sum(axis=1))
+    return lam
+
+
+def spectrum_log_weight(lam, m, t):
+    """The log damped weight ``-t * sum_k c_k log lambda_k``, ``c_k = 2k -
+    1 + m - n``, of ascending spectra ``lam``, shape ``(count, n)``, with
+    each eigenvalue below the smallest normal float counted as that
+    float."""
+    n = lam.shape[-1]
+    c = 2.0 * np.arange(1, n + 1) - 1.0 + (m - n)
+    return -t * (c * np.log(np.maximum(lam, np.finfo(float).tiny))).sum(axis=-1)
 
 
 def reduced_quadrature_mean_weight():

@@ -21,13 +21,18 @@ from mimo_dmt.channel import (
     ChannelConfig,
     EstimateMinors,
     GramPolynomial,
-    _log_damped_weight,
     bidiagonal_minor_sums,
     eigen_decay_weights,
+    log_damped_weight,
     sample_channel_block,
     wishart_log_norm_const,
 )
-from reference import dense_channel, gram_spectrum
+from reference import (
+    bidiagonal_spectrum,
+    dense_channel,
+    gram_spectrum,
+    spectrum_log_weight,
+)
 
 
 def complex_error(e):
@@ -40,13 +45,25 @@ def planes(x):
     return np.stack((x.real, x.imag), axis=-3)
 
 
-def error_spectrum(x):
-    """Ascending spectrum of ``x @ x^H`` for a complex batch ``x``, through
-    the package's per-entry Gram of generic complex matrices: the error
-    block of a :class:`GramPolynomial` with a zero channel, read at ``c =
-    1``."""
+def error_gram(x):
+    """``x @ x^H`` for a complex batch ``x``, through the package's
+    per-entry Gram of generic complex matrices: the error block of a
+    :class:`GramPolynomial` with a zero channel, stored as the package
+    stores a Gram matrix."""
     zero = np.zeros((2 * x.shape[-2] - 1, len(x)))
-    return GramPolynomial(zero, planes(x)).spectrum(1.0)
+    return GramPolynomial(zero, planes(x))._c
+
+
+def dense_gram(g, n):
+    """The ``(count, n, n)`` Hermitian matrices of Gram entries ``g`` stored
+    as the package stores them: the diagonal, then the real and imaginary
+    part of each entry above it, row by row."""
+    out = np.zeros((g.shape[1], n, n), dtype=complex)
+    out[:, range(n), range(n)] = g[:n].T
+    for p, (i, k) in enumerate(itertools.combinations(range(n), 2)):
+        out[:, i, k] = g[n + 2 * p] + 1j * g[n + 2 * p + 1]
+        out[:, k, i] = np.conj(out[:, i, k])
+    return out
 
 
 class TestChannelConfig:
@@ -534,50 +551,43 @@ class TestBidiagonalMinorSums:
 
 
 class TestEigAscending:
-    """Ascending Gram spectra of generic complex matrices.  The package
-    forms such a Gram matrix only as :class:`GramPolynomial`'s error block,
-    so each matrix is read as the error of a zero channel
-    (:func:`error_spectrum`)."""
+    """Gram matrices of generic complex matrices, summed entry by entry in
+    real arithmetic (``channel._gram``).  The package forms such a Gram
+    matrix only as :class:`GramPolynomial`'s error block, so each matrix is
+    read as the error of a zero channel (:func:`error_gram`), and the
+    entries are compared directly, not through a spectrum."""
 
     def test_known_spectrum(self):
-        # Rows scaled orthonormal: m m^H has eigenvalues {3, 1}.  (checked independently:
+        # Rows scaled orthonormal: m m^H = diag(3, 1).  (checked independently:
         # construct m = diag(sqrt(3), 1) V with V unitary; Gram = diag(3, 1).)
         v = np.linalg.qr(np.arange(9.0).reshape(3, 3) + np.eye(3))[0]
         m = np.diag([math.sqrt(3.0), 1.0]) @ v[:2, :]
-        vals = error_spectrum(m[np.newaxis] + 0j)[0]
-        npt.assert_allclose(vals, [1.0, 3.0], atol=1e-12)
+        gram = dense_gram(error_gram(m[np.newaxis] + 0j), 2)[0]
+        npt.assert_allclose(gram, np.diag([3.0, 1.0]), atol=1e-12)
 
     def test_trace_and_det_identities(self):
-        # Sum of eigenvalues = ||m||_F^2; product = det(m m^H).  (checked independently:
+        # Trace = ||m||_F^2; det = det(m m^H).  (checked independently:
         # linear-algebra identities, evaluated with numpy on a fixed draw.)
         rng = np.random.default_rng(11)
         m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        vals = error_spectrum(m[np.newaxis])[0]
-        npt.assert_allclose(vals.sum(), np.linalg.norm(m) ** 2, rtol=1e-12)
+        g = error_gram(m[np.newaxis])
+        npt.assert_allclose(g[:3].sum(), np.linalg.norm(m) ** 2, rtol=1e-12)
         gram = m @ m.conj().T
-        npt.assert_allclose(np.prod(vals), np.linalg.det(gram).real, rtol=1e-10)
-
-    def test_rank_deficient_clamped(self):
-        # Rank-1 tall-times-wide product: one eigenvalue exactly 0 after clamping.
-        col = np.array([[1.0 + 0j], [2.0 + 0j]])
-        m = col @ np.array([[1.0 + 0j, 1.0, 1.0]])
-        vals = error_spectrum(m[np.newaxis])[0]
-        assert vals[0] >= 0.0
-        npt.assert_allclose(vals[0], 0.0, atol=1e-12)
-        npt.assert_allclose(vals[1], 15.0, rtol=1e-12)
+        npt.assert_allclose(np.linalg.det(dense_gram(g, 3)[0]).real,
+                            np.linalg.det(gram).real, rtol=1e-10)
 
     def test_batch_shape(self):
         rng = np.random.default_rng(4)
         m = rng.normal(size=(6, 2, 4)) + 1j * rng.normal(size=(6, 2, 4))
-        vals = error_spectrum(m)
-        assert vals.shape == (6, 2)
-        single = error_spectrum(m[2:3])[0]
-        npt.assert_allclose(vals[2], single, rtol=1e-12)
+        g = error_gram(m)
+        assert g.shape == (4, 6)
+        single = error_gram(m[2:3])[:, 0]
+        npt.assert_allclose(g[:, 2], single, rtol=1e-12)
 
     def test_rejects_nonfinite(self):
         m = np.array([[[1.0 + 0j, np.nan], [0.0, 1.0]]])
         with pytest.raises(ValueError):
-            error_spectrum(m)
+            error_gram(m)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
@@ -586,18 +596,17 @@ class TestEigAscending:
         x = np.ones((5, n, 3), dtype=complex)
         x[3, n - 1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            error_spectrum(x)
+            error_gram(x)
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (1, 5), (2, 2), (2, 3),
                                      (2, 5), (3, 3), (3, 5), (4, 4)])
     @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
     def test_per_entry_gram_matches_matmul_gram(self, n, m, scale):
-        # The Gram matrix summed entry by entry in real arithmetic, then
-        # eigvalsh, against eigvalsh of the Gram matrix formed by matmul.
-        # The batch mixes generic draws with a rank-1 input, orthogonal
-        # rows of equal norm (equal eigenvalues) and the zero matrix.
-        # Bound: 1e-13 * lambda_max, which is no looser than
-        # 1e-13 * max(1, lambda_max) at any scale.
+        # The Gram matrix summed entry by entry in real arithmetic against
+        # the Gram matrix formed by matmul.  The batch mixes generic draws
+        # with a rank-1 input, orthogonal rows of equal norm and the zero
+        # matrix.  Bound: 1e-13 times the largest diagonal entry, which is
+        # no larger than lambda_max.
         rng = np.random.default_rng(100 * n + m)
         x = rng.normal(size=(400, n, m)) + 1j * rng.normal(size=(400, n, m))
         x[1, 1:] = (0.3 - 0.7j) * x[1, :1]
@@ -606,68 +615,46 @@ class TestEigAscending:
             x[2] = 2.5 * q.T
         x[3] = 0.0
         x *= scale
-        got = error_spectrum(x)
-        want = gram_spectrum(x)
-        assert got.shape == want.shape == (400, n)
-        assert np.all(got >= 0.0)
-        assert np.all(np.diff(got, axis=-1) >= 0.0)
-        assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
-        assert np.all(got[3] == 0.0)
+        g = error_gram(x)
+        got = dense_gram(g, n)
+        want = x @ np.conj(np.swapaxes(x, -1, -2))
+        assert g.shape == (n * n, 400)
+        assert np.all(g[:n] >= 0.0)
+        top = want[:, range(n), range(n)].real.max(axis=-1)
+        assert np.all(np.abs(got - want).max(axis=(-2, -1)) <= 1e-13 * top)
+        assert np.all(g[:, 3] == 0.0)
         if n >= 2:
-            npt.assert_allclose(got[1, :-1], 0.0, atol=1e-13 * got[1, -1])
-            npt.assert_allclose(got[2], 6.25 * scale ** 2, rtol=1e-13)
+            npt.assert_allclose(got[2], 6.25 * scale ** 2 * np.eye(n),
+                                rtol=1e-13, atol=1e-13 * 6.25 * scale ** 2)
 
     @pytest.mark.parametrize("n,m", [(1, 3), (2, 2), (2, 5), (3, 3), (4, 4)])
     def test_layout_invariance(self, n, m):
         # The same planes stored C-ordered and trial-last must give the same
-        # eigenvalues bit for bit; the sweep's draws are stored trial-last.
+        # Gram entries bit for bit; the sweep's draws are stored trial-last.
         rng = np.random.default_rng(10 * n + m)
         x = planes(rng.normal(size=(500, n, m)) + 1j * rng.normal(size=(500, n, m)))
         trial_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 0, -1)),
                                  -1, 0)
         assert trial_last[:, 0, 0, 0].flags.c_contiguous
         zero = np.zeros((2 * n - 1, 500))
-        c_ordered = GramPolynomial(zero, np.ascontiguousarray(x)).spectrum(1.0)
-        assert np.array_equal(c_ordered, GramPolynomial(zero, trial_last).spectrum(1.0))
+        c_ordered = GramPolynomial(zero, np.ascontiguousarray(x))._c
+        assert np.array_equal(c_ordered, GramPolynomial(zero, trial_last)._c)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
     def test_batch_size_invariance(self, m, n):
-        # A trial's eigenvalues must not depend on the size of the batch it
-        # is drawn in.  40,000 trials lie above the 256 KiB at which NumPy
-        # may reuse a temporary as an output, which can change the loop a
-        # complex product runs through; 3,000 lie below it.
+        # A trial's Gram entries must not depend on the size of the batch
+        # it is drawn in.  40,000 trials lie above the 256 KiB at which
+        # NumPy may reuse a temporary as an output, which can change the
+        # loop a complex product runs through; 3,000 lie below it.
         cfg = ChannelConfig(m, n, 0.5)
         whole = sample_channel_block(cfg, 10.0, 4, start=0, count=40_000)
         parts = [sample_channel_block(cfg, 10.0, 4, start=s,
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
-        got = np.concatenate([error_spectrum(dense_channel(b, m) + complex_error(e))
-                              for b, e in parts])
-        assert np.array_equal(got, error_spectrum(dense_channel(whole[0], m)
-                                                  + complex_error(whole[1])))
-
-    def test_equal_eigenvalues_stay_ascending(self):
-        # Orthonormal row pairs have the double eigenvalue 1; rounding
-        # must not return the pair out of order.
-        rng = np.random.default_rng(8)
-        z = rng.normal(size=(4000, 3, 3)) + 1j * rng.normal(size=(4000, 3, 3))
-        x = np.swapaxes(np.linalg.qr(z)[0][..., :2], -1, -2)
-        vals = error_spectrum(x)
-        assert np.all(np.diff(vals, axis=-1) >= 0.0)
-        npt.assert_allclose(vals, 1.0, rtol=1e-13)
-
-    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_sorted_nonnegative(self, seed):
-        rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        if m < n:
-            n, m = m, n
-        x = rng.normal(size=(1, n, m)) + 1j * rng.normal(size=(1, n, m))
-        vals = error_spectrum(x)
-        assert vals.shape == (1, n)
-        assert np.all(vals >= 0.0)
-        assert np.all(np.diff(vals) >= 0.0)
+        got = np.concatenate([error_gram(dense_channel(b, m) + complex_error(e))
+                              for b, e in parts], axis=1)
+        assert np.array_equal(got, error_gram(dense_channel(whole[0], m)
+                                              + complex_error(whole[1])))
 
 
 def bidiagonal(x):
@@ -717,8 +704,9 @@ def per_entry_blocks(h, e):
 
 
 class TestGramPolynomial:
-    """The estimate spectra of an outage sweep, read from ``A + c (B + c C)``,
-    against the spectrum of the estimate ``h + c e`` formed directly."""
+    """The Gram matrices of an outage sweep's ``X = h + c e``, read from
+    ``A + c (B + c C)``, against ``X X^H`` formed directly, entry by entry,
+    and the capacity determinants read from them."""
 
     @staticmethod
     def _pairs(n, m, kind, c, rng):
@@ -749,46 +737,46 @@ class TestGramPolynomial:
     @pytest.mark.parametrize("kind", ["gaussian", "rank1", "zero", "cancel",
                                       "zero_diagonal"])
     def test_matches_formed_estimate(self, n, m, kind):
-        # Bidiagonal h against eigvalsh of the estimate's Gram matrix
-        # formed by matmul.  Bound: 1e-13 * tr(A + c**2 C), the size of the
-        # two terms whose sum is taken; a cancelling estimate can be far
-        # smaller than that.
+        # Bidiagonal h against the estimate's Gram matrix formed by matmul.
+        # Bound: 1e-13 * tr(A + c**2 C), the size of the two terms whose
+        # sum is taken; a cancelling estimate can be far smaller than that.
         rng = np.random.default_rng(10 * n + m)
         for c in (1.0, 1e-3, 1e-12):
             unit_h, unit_e = self._pairs(n, m, kind, c, rng)
             for scale in (1e-100, 1e-50, 1e-10, 1.0, 1e10, 1e50, 1e100):
                 h, e = scale * unit_h, scale * unit_e
-                got = GramPolynomial(bidiagonal(h), planes(e)).spectrum(c)
-                want = gram_spectrum(h + c * e)
+                g = GramPolynomial(bidiagonal(h), planes(e))._evaluate(c)
+                got = dense_gram(g, n)
+                x = h + c * e
+                want = x @ np.conj(np.swapaxes(x, -1, -2))
                 size = (np.sum(h ** 2, axis=(-2, -1))
                         + c * c * np.sum(np.abs(e) ** 2, axis=(-2, -1)))
-                assert got.shape == want.shape == (300, n)
-                assert np.all(got >= 0.0)
-                assert np.all(np.diff(got, axis=-1) >= 0.0)
-                gap = np.abs(got - want).max(axis=-1)
+                assert g.shape == (n * n, 300)
+                gap = np.abs(got - want).max(axis=(-2, -1))
                 assert np.all(gap <= 1e-13 * size), (c, scale)
                 if kind == "zero":
-                    assert np.all(got[200:] == 0.0)
+                    assert np.all(g[:, 200:] == 0.0)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (3, 3),
                                      (4, 4)])
     def test_zero_scale_is_channel_spectrum(self, m, n):
-        # At c = 0 the quadratic is h h^H exactly: its spectrum is
-        # eigvalsh's of the per-entry channel block bit for bit, on
-        # trial-last draws, and within 1e-13 * lambda_max of the dense
-        # reference.
+        # At c = 0 the quadratic is h h^H exactly: the per-entry channel
+        # block bit for bit, on trial-last draws, and within 1e-13 of the
+        # largest diagonal entry of the dense reference.
         b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 2,
                                     count=3000)
-        got = GramPolynomial(b, e).spectrum(0.0)
+        got = GramPolynomial(b, e)._evaluate(0.0)
         h = dense_channel(b, m)
         a, _, _ = per_entry_blocks(h, e)
-        assert np.array_equal(got, channel._gram_spectrum(a, n).T)
-        want = gram_spectrum(h)
-        assert np.all(np.abs(got - want) <= 1e-13 * want[:, -1:])
+        assert np.array_equal(got, a)
+        want = h @ np.swapaxes(h, -1, -2)
+        top = want[:, range(n), range(n)].max(axis=-1)
+        gap = np.abs(dense_gram(got, n) - want).max(axis=(-2, -1))
+        assert np.all(gap <= 1e-13 * top)
 
     @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3)])
     def test_batch_size_invariance(self, m, n):
-        # A trial's estimate spectrum must not depend on the size of the
+        # A trial's estimate Gram matrix must not depend on the size of the
         # batch it is drawn in, as in TestEigAscending.
         cfg = ChannelConfig(m, n, 0.5)
         whole = sample_channel_block(cfg, 10.0, 4, start=0, count=40_000)
@@ -796,40 +784,32 @@ class TestGramPolynomial:
                                       count=min(3000, 40_000 - s))
                  for s in range(0, 40_000, 3000)]
         for c in (1.0, 0.3):
-            got = np.concatenate([GramPolynomial(b, e).spectrum(c)
-                                  for b, e in parts])
-            assert np.array_equal(got, GramPolynomial(*whole).spectrum(c))
+            got = np.concatenate([GramPolynomial(b, e)._evaluate(c)
+                                  for b, e in parts], axis=1)
+            assert np.array_equal(got, GramPolynomial(*whole)._evaluate(c))
 
     def test_rank_deficient_clamped(self):
-        # B's last column is zero, so h h^H = [[1, 2], [2, 4]] has the
-        # eigenvalues {0, 5}; with error rows in proportion to h's rows,
-        # h + c e has rank 1 too.  eigvalsh's tiny negative values are
-        # clamped to zero.
+        # B's last column is zero, so h h^H = [[1, 2], [2, 4]] has rank 1,
+        # and det(I + P h h^H) = 1 + 5 P; with error rows in proportion to
+        # h's rows, h + c e has rank 1 too, and its determinant is 1 + P
+        # tr.  The LDL^H's trailing pivots, 1 in exact arithmetic, are
+        # floored at 1 where rounding leaves them below, and the result is
+        # within TestCapacityDet's 4 n m u (1 + P S) of the exact one.
         b = np.array([[1.0], [2.0], [0.0]])
-        vals = GramPolynomial(b, np.zeros((1, 2, 2, 3))).spectrum(0.0)[0]
-        assert vals[0] >= 0.0
-        npt.assert_allclose(vals[0], 0.0, atol=1e-12)
-        npt.assert_allclose(vals[1], 5.0, rtol=1e-12)
+        det = GramPolynomial(b, np.zeros((1, 2, 2, 3))).capacity_det(
+            0.0, np.ones(1), 3.0, np.empty(1))
+        npt.assert_allclose(det, [16.0], rtol=1e-15)
         rng = np.random.default_rng(3)
         for n, m in ((2, 3), (3, 4), (4, 4)):
             h, e = self._pairs(n, m, "rank1", 0.7, rng)
-            got = GramPolynomial(bidiagonal(h), planes(e)).spectrum(0.7)
-            assert np.all(got >= 0.0)
-            assert np.all(got[:, :-1] <= 1e-13 * got[:, -1:])
-
-    def test_equal_eigenvalues_stay_ascending(self):
-        # Estimates with orthonormal rows have the eigenvalue 1 n times;
-        # rounding must not return them out of order.
-        rng = np.random.default_rng(8)
-        for n, m in ((2, 3), (3, 3), (3, 5)):
-            z = rng.normal(size=(4000, m, m)) + 1j * rng.normal(size=(4000, m, m))
-            x = np.swapaxes(np.linalg.qr(z)[0][..., :n], -1, -2)
-            b = bidiagonal(np.abs(rng.normal(size=(4000, n, m))))
-            h = dense_channel(b, m)
-            for c in (1.0, 0.5):
-                vals = GramPolynomial(b, planes((x - h) / c)).spectrum(c)
-                assert np.all(np.diff(vals, axis=-1) >= 0.0)
-                npt.assert_allclose(vals, 1.0, rtol=1e-13)
+            grams = GramPolynomial(bidiagonal(h), planes(e))
+            trace = np.sum(np.abs(h + 0.7 * e) ** 2, axis=(-2, -1))
+            size = np.sum((np.abs(h) + 0.7 * np.abs(e)) ** 2, axis=(-2, -1))
+            for scale in (1e-3, 1.0, 1e3):
+                got = grams.capacity_det(0.7, 1.0 / trace, scale, np.empty(300))
+                bound = 4 * n * m * 2.0 ** -53 * (1.0 + scale * size / trace)
+                assert np.all(got >= 1.0)
+                assert np.all(np.abs(got - (1.0 + scale)) <= bound * (1.0 + scale))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_rejects_nonfinite(self, n):
@@ -862,18 +842,23 @@ class TestGramPolynomial:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_results_do_not_alias_scratch(self, n):
-        # The sweep reads seven spectra from the same instance; later
-        # calls must leave earlier results alone.
+        # The sweep reads seven determinants from the same instance, each
+        # through its scratch Gram; later calls must leave the blocks, and
+        # so a repeated read, as they were.
         rng = np.random.default_rng(n)
         b = bidiagonal(rng.normal(size=(500, n, 4)))
         e = rng.normal(size=(500, 2, n, 4))
         grams = GramPolynomial(b, e)
-        first = [grams.spectrum(c) for c in (0.0, 1.0)]
-        kept = [x.copy() for x in first]
+        power = np.full(500, 0.7)
+
+        def det(c):
+            return grams.capacity_det(c, power, 2.0, np.empty(500))
+
+        first = [det(c) for c in (0.0, 1.0)]
         for c in (0.5, 0.0, 2.0, 1e-3):
-            grams.spectrum(c)
-        for x, y in zip(first, kept):
-            assert np.array_equal(x, y)
+            det(c)
+        for x, c in zip(first, (0.0, 1.0)):
+            assert np.array_equal(x, det(c))
 
 
 def exact_estimate(h, e, c):
@@ -940,70 +925,74 @@ def exact_log_weight(h, e, c, w, t):
             for w_i, x in zip(w, exact_pair(h, e, c))))
 
 
-def log_weight_error_bound(h, e, c, w, t, top):
-    """Bound on the error of ``EstimateMinors.log_damped_weight`` for one
-    estimate, in a batch whose largest ``T0 + T2`` (sum of squared
-    entries) is ``top``.
-
-    It carries the determinant's 32 u and the trace's 16 u of their terms'
-    size (:func:`estimate_sizes`), the bounds of
-    ``test_matches_exact_determinant_and_trace``, into ``log det`` and into
-    ``lambda_max = tr/2 + sqrt((tr/2)**2 - det)``, whose root term takes
-    the smaller of its first-order and square-root bounds, and adds 8 u of
-    the logs the reader sums, in the batch's scaled units.  Ratios are
-    formed in rational or 60-digit arithmetic, so that no size underflows.
-    """
-    u = 2.0 ** -53
-    det, _ = exact_estimate(h, e, c)
-    det_size, tr_size = estimate_sizes(h, e, c)
-    pair = exact_pair(h, e, c)
-    # The batch's power-of-two scale, as a log: within a factor of 4 of
-    # top's.
-    log_scale = abs(math.log(top)) + math.log(4.0)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 60
-        lam_max = pair[-1]
-        ratio = float(decimal.Decimal(tr_size.numerator) / tr_size.denominator / lam_max)
-        log_max = abs(float(lam_max.ln()))
-        if len(pair) == 1:
-            return t * w[0] * (16 * u * ratio + 8 * u * (log_max + log_scale))
-        det_ratio = float(det_size / det)
-        det_size = float(decimal.Decimal(det_size.numerator) / det_size.denominator
-                         / (lam_max * lam_max))
-        log_det = abs(float((decimal.Decimal(det.numerator) / det.denominator).ln()))
-        root_sq = float(((1 - pair[0] / lam_max) / 2) ** 2)
-    # Relative to lambda_max: tr/2's error, then (tr/2)**2 - det's.
-    half_tr = 8 * u * ratio
-    root_sq_err = 10 * u * ratio ** 2 + 32 * u * det_size
-    root_err = math.sqrt(root_sq_err)
-    if root_sq:
-        root_err = min(root_err, root_sq_err / (2 * math.sqrt(root_sq)))
-    max_err = half_tr + root_err + 2 * u
-    return t * (w[0] * 32 * u * det_ratio + (w[1] - w[0]) * max_err
-                + 8 * u * (w[0] * (log_det + 2 * log_scale)
-                           + (w[1] - w[0]) * (log_max + log_scale)
-                           + (w[0] + w[1]) * log_scale))
+def exact_b_log_weight(b, m, t):
+    """:func:`exact_log_weight` of ``B B^T`` for each trial of the
+    bidiagonal entries ``b``, shape ``(2n - 1, count)``, with ``n <= 2``."""
+    n = (len(b) + 1) // 2
+    zero = np.zeros((2, n, m))
+    w = eigen_decay_weights(m, n)
+    return np.array([exact_log_weight(h_i, zero, 0.0, w, t)
+                     for h_i in dense_channel(b, m)])
 
 
-def scaled_det_and_lam_max(minors, c):
-    """The estimate's Gram determinant and largest eigenvalue that
-    ``EstimateMinors.log_damped_weight`` reads at scale ``c``, as new rows
-    in the batch's scaled units, and the exponent ``k`` such that the
-    determinant is ``2**(2k)`` and ``lambda_max`` ``2**k`` times them.  One
-    row's eigenvalue is both, with ``k = 0``."""
+def log_weight_error_bound(b, m, t):
+    """Bound on the error of :func:`log_damped_weight` for each trial of
+    one- or two-row entries ``b``: 16 u of the terms it sums, ``c_1 (1 +
+    sum_i |log d_i**2|)`` for ``log det`` and ``2 (1 + |log lambda_2|)``
+    for ``lambda_2``, times ``t``.  The squares, the closed form's sum of
+    non-negative terms, whose root loses at most a few u of ``lambda_2``
+    to the difference ``a_11 - a_22``, and the logs each add a few u; the
+    floor, a maximum, adds nothing.  ``lambda_2`` is the exact one, floored
+    as the weight floors it."""
+    n = (len(b) + 1) // 2
+    tiny = np.finfo(float).tiny
+    size = (1 + m - n) * (1.0 + np.abs(np.log(np.maximum(
+        np.square(b[0::2]), tiny))).sum(axis=0))
+    if n == 2:
+        zero = np.zeros((2, n, m))
+        lam = np.array([float(exact_pair(h_i, zero, 0.0)[1])
+                        for h_i in dense_channel(b, m)])
+        size += 2.0 * (1.0 + np.abs(np.log(np.maximum(lam, tiny))))
+    return 16 * 2.0 ** -53 * t * size
+
+
+def scaled_det_and_trace(minors, c):
+    """The estimate's Gram determinant and trace that
+    ``EstimateMinors.capacity_det`` reads at scale ``c``, as new rows in the
+    batch's scaled units, and the exponent ``k`` such that the determinant
+    is ``2**(2k)`` and the trace ``2**k`` times them.  One row's eigenvalue
+    is both, with ``k = 0``."""
     out = np.empty(minors._scratch.shape[1])
     if minors._n == 1:
         lam = minors._one_row(c, out)
         return lam, lam.copy(), 0
-    lam_max = minors._det_and_lam_max(c, out).copy()
-    return out, lam_max, minors._exponent
+    trace = 2.0 * minors._det_and_half_trace(c, out)
+    return out, trace, minors._exponent
+
+
+def weight_draws(n, kind, scale, rng, count=4):
+    """``B``'s entries for the log damped weight, each 0 or within its
+    domain [1e-60, 1e60] at ``scale`` from 1e-50 to 1e50: magnitudes of
+    Gaussians at least 1e-3; ``rank1`` shrinks ``d_2`` by 1e-6, so that
+    ``B B^T`` is nearly rank 1; ``wide`` ignores ``scale`` and puts each
+    entry at ``10**U(-60, 60)``, or 0 with probability 1/8."""
+    if kind == "wide":
+        b = 10.0 ** rng.uniform(-60.0, 60.0, size=(2 * n - 1, count))
+        b[rng.uniform(size=b.shape) < 0.125] = 0.0
+        return b
+    b = np.maximum(np.abs(rng.normal(size=(2 * n - 1, count))), 1e-3)
+    if kind == "rank1" and n == 2:
+        b[2] *= 1e-6
+    return scale * b
 
 
 class TestEstimateMinors:
-    """One- and two-row estimate determinants, largest eigenvalues and log
-    damped weights from the determinant's minors and the trace, against
-    exact rational arithmetic and against the dense spectrum of the
-    estimate formed directly."""
+    """One- and two-row estimates: the determinant and trace that the
+    capacity determinant reads, from the minors, against exact rational
+    arithmetic and against :class:`GramPolynomial`'s entries; and the log
+    damped weight a span reads beside them at ``c = 0``, from ``B``'s
+    entries alone (:func:`log_damped_weight`), against 60-digit arithmetic
+    and the dense spectrum of ``B B^T``."""
 
     U = Fraction(1, 2 ** 53)
 
@@ -1030,143 +1019,130 @@ class TestEstimateMinors:
            scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]))
     @settings(max_examples=150, deadline=None)
     def test_matches_exact_determinant_and_trace(self, seed, n, m, kind, c, scale):
-        # The determinant that the weight reads lies within 32 u of its
-        # terms' size of the exact determinant, and lambda_max + det /
-        # lambda_max, formed exactly from the two, within 16 u of the
-        # trace's size.  Every product is correctly rounded, so what
-        # cancels loses only what the terms' size allows, the fold of the
-        # pairs past B included.  The per-trial power-of-two scaling keeps
-        # the quartic determinant in range from 1e-100 to 1e100.
+        # The determinant that the capacity determinant reads lies within
+        # 32 u of its terms' size of the exact determinant, and the trace
+        # within 16 u of the trace's size.  Every product is correctly
+        # rounded, so what cancels loses only what the terms' size allows,
+        # the fold of the pairs past B included.  The per-batch power-of-two
+        # scaling keeps the quartic determinant in range from 1e-100 to
+        # 1e100.
         m = max(m, n)
         b, e = self._draws(n, m, kind, c, scale, np.random.default_rng(seed))
-        got_det, got_max, k = scaled_det_and_lam_max(EstimateMinors(b, e), c)
-        assert got_det.shape == got_max.shape == (4,)
-        assert np.all(got_det >= 0.0) and np.all(got_max >= 0.0)
-        for det_i, max_i, h_i, e_i in zip(got_det, got_max, dense_channel(b, m), e):
+        got_det, got_tr, k = scaled_det_and_trace(EstimateMinors(b, e), c)
+        assert got_det.shape == got_tr.shape == (4,)
+        assert np.all(got_det >= 0.0) and np.all(got_tr >= 0.0)
+        for det_i, tr_i, h_i, e_i in zip(got_det, got_tr, dense_channel(b, m), e):
             det, tr = exact_estimate(h_i, e_i, c)
             det_size, tr_size = estimate_sizes(h_i, e_i, c)
             got = Fraction(float(det_i)) * Fraction(2) ** (2 * k)
-            lam_max = Fraction(float(max_i)) * Fraction(2) ** k
+            trace = Fraction(float(tr_i)) * Fraction(2) ** k
             assert abs(got - det) <= 32 * self.U * det_size
-            if n == 2:
-                # A zero lambda_max has a zero determinant.
-                lam_max += got / lam_max if lam_max else 0
-            assert abs(lam_max - tr) <= 16 * self.U * tr_size
+            assert abs(trace - tr) <= 16 * self.U * tr_size
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
-           m=st.integers(1, 6), c=st.sampled_from([1.0, 0.3, 1e-3]),
-           scale=st.sampled_from([1e-100, 1e-10, 1.0, 1e10, 1e100]),
+           m=st.integers(1, 6),
+           scale=st.sampled_from([1e-50, 1e-10, 1.0, 1e10, 1e50]),
            t=st.sampled_from([0.3, 0.9]))
     @settings(max_examples=150, deadline=None)
-    def test_log_weight_matches_formed_estimate(self, seed, n, m, c, scale, t):
+    def test_log_weight_matches_formed_estimate(self, seed, n, m, scale, t):
         # On generic draws the log damped weight agrees with the one read
-        # from the dense spectrum of h + c e within 32 u times t * sum(w) *
+        # from the dense spectrum of B B^T within 32 u times t * sum(w) *
         # lambda_max / lambda_min (the eigenvalue errors) plus t * sum(w *
-        # |log lambda|) (the logs' rounding); on 3,000 random inputs the
-        # difference was at most 4.7 u of that.
+        # |log lambda|) (the logs' rounding).
         m = max(m, n)
-        b, e = self._draws(n, m, "generic", c, scale, np.random.default_rng(seed), 8)
-        want = gram_spectrum(dense_channel(b, m) + c * complex_error(e))
-        got = EstimateMinors(b, e).log_damped_weight(c, t)
+        b = weight_draws(n, "generic", scale, np.random.default_rng(seed), 8)
+        want = gram_spectrum(dense_channel(b, m))
+        got = log_damped_weight(b, m, t)
         w = eigen_decay_weights(m, n)
         size = t * (w.sum() * want[:, -1] / want[:, 0]
                     + (w * np.abs(np.log(want))).sum(axis=1))
-        ref = _log_damped_weight(want.T.copy(), w, t)
+        ref = spectrum_log_weight(want, m, t)
         assert np.all(np.abs(got - ref) <= 32 * 2.0 ** -53 * size)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 2),
            m=st.integers(1, 6),
-           kind=st.sampled_from(["generic", "cancel", "rank1"]),
-           log_c=st.floats(-8.0, math.log10(7.5)),
-           log_scale=st.floats(-100.0, 100.0),
+           kind=st.sampled_from(["generic", "rank1", "wide"]),
+           log_scale=st.floats(-50.0, 50.0),
            t=st.sampled_from([0.3, 0.9]))
     @settings(max_examples=200, deadline=None)
-    def test_log_weight_matches_exact(self, seed, n, m, kind, log_c, log_scale, t):
-        # The weight a span reads, from the determinant and lambda_max,
-        # against the 60-digit weight of the exact determinant and trace,
-        # within log_weight_error_bound: the determinant's and the trace's
-        # error bounds carried through the logs and the closed form.  On
-        # 3,000 random inputs of these kinds the error was at most 0.17 of
-        # that bound.
+    def test_log_weight_matches_exact(self, seed, n, m, kind, log_scale, t):
+        # The weight a span reads, from log det and the closed-form
+        # lambda_max, against the 60-digit weight of the exact determinant
+        # and trace, within log_weight_error_bound, over the function's
+        # whole domain: each entry 0 or within [1e-60, 1e60].
         m = max(m, n)
-        c = 10.0 ** log_c
-        b, e = self._draws(n, m, kind, c, 10.0 ** log_scale,
-                           np.random.default_rng(seed))
-        w = eigen_decay_weights(m, n)
-        got = EstimateMinors(b, e).log_damped_weight(c, t)
-        top = float((np.square(b).sum(axis=0)
-                     + np.square(e).sum(axis=(1, 2, 3))).max())
-        for got_i, h_i, e_i in zip(got, dense_channel(b, m), e):
-            want = exact_log_weight(h_i, e_i, c, w, t)
-            bound = log_weight_error_bound(h_i, e_i, c, w, t, top)
-            assert abs(got_i - want) <= bound, (got_i, want, bound)
+        b = weight_draws(n, kind, 10.0 ** log_scale, np.random.default_rng(seed))
+        got = log_damped_weight(b, m, t)
+        want = exact_b_log_weight(b, m, t)
+        bound = log_weight_error_bound(b, m, t)
+        assert np.all(np.abs(got - want) <= bound), (got, want, bound)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_nearly_rank_one_weight_is_exact(self, m):
-        # A nearly rank-1 estimate: its small eigenvalue is about 1e-12 of
-        # its large one.  The weight from the minors is within 1e-13 of the
-        # exact weight; eigvalsh of the Gram matrix's entries misses it by
-        # far more.
-        w, t, c = eigen_decay_weights(m, 2), 0.9, 0.3
-        b, e = self._draws(2, m, "rank1", c, 1.0, np.random.default_rng(m), 40)
-        exact = np.array([exact_log_weight(h_i, e_i, c, w, t)
-                          for h_i, e_i in zip(dense_channel(b, m), e)])
-        minors = EstimateMinors(b, e).log_damped_weight(c, t)
-        grams = GramPolynomial(b, e).log_damped_weight(c, t)
-        assert np.abs(minors - exact).max() <= 1e-13
-        assert np.abs(grams - exact).max() > 1e3 * np.abs(minors - exact).max()
+        # A nearly rank-1 B: its small eigenvalue is about 1e-12 of its
+        # large one.  The weight from log det and lambda_max is within
+        # 1e-13 of the exact weight; eigvalsh of the dense Gram matrix
+        # misses the small eigenvalue, and the weight, by far more.
+        t = 0.9
+        b = weight_draws(2, "rank1", 1.0, np.random.default_rng(m), 40)
+        exact = exact_b_log_weight(b, m, t)
+        got = log_damped_weight(b, m, t)
+        dense = spectrum_log_weight(gram_spectrum(dense_channel(b, m)), m, t)
+        assert np.abs(got - exact).max() <= 1e-13
+        assert np.abs(dense - exact).max() > 1e3 * np.abs(got - exact).max()
 
     def test_zero_estimate_has_zero_spectrum(self):
-        # A zero trace gives a zero determinant and lambda_max, not NaN.
+        # A zero trace gives a zero determinant and trace, not NaN, and a
+        # zero B a weight with every eigenvalue at the smallest normal
+        # float.
         b, e = np.zeros((3, 3)), np.zeros((3, 2, 2, 4))
-        det, lam_max, _ = scaled_det_and_lam_max(EstimateMinors(b, e), 0.7)
+        det, trace, _ = scaled_det_and_trace(EstimateMinors(b, e), 0.7)
         assert np.array_equal(det, np.zeros(3))
-        assert np.array_equal(lam_max, np.zeros(3))
+        assert np.array_equal(trace, np.zeros(3))
+        log_tiny = math.log(np.finfo(float).tiny)
+        npt.assert_allclose(log_damped_weight(b, 4, 0.9),
+                            -0.9 * (3 + 5) * log_tiny, rtol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("scale", [1e-16, 1.0, 1e16])
     def test_weight_floors_eigenvalues_below_the_smallest_normal(self, n, scale):
         # An eigenvalue below the smallest normal float counts as that
-        # float, as in _log_damped_weight, wherever the batch's scaling
-        # puts it: a zero estimate, an exactly rank-1 one (on two rows) and
-        # one whose small eigenvalue is about 1e-320, beside a generic
-        # estimate, which the floor leaves as it is.
-        c, t = 0.3, 0.9
-        b, e = self._draws(n, 3, "generic", c, 1.0, np.random.default_rng(5))
-        b[:, 1], e[1] = 0.0, 0.0
-        e[2:] = 0.0
-        # d_n of trials 2 and 3.
+        # float, whatever the scale of the batch: a zero B, one with d_n =
+        # 0 (exactly rank-1 on two rows) and, on two rows, d1 = d2 = 1e-60
+        # under s1 = 1e60, whose small eigenvalue is about 1e-360, beside
+        # a generic B, which the floor leaves as it is.
+        t = 0.9
+        b = weight_draws(n, "generic", scale, np.random.default_rng(5))
+        b[:, 1] = 0.0
         b[2 * n - 2, 2] = 0.0
-        b, e = scale * b, scale * e
-        b[2 * n - 2, 3] = 1e-160
-        w = eigen_decay_weights(3, n)
-        got = EstimateMinors(b, e).log_damped_weight(c, t)
-        want = [exact_log_weight(h_i, e_i, c, w, t)
-                for h_i, e_i in zip(dense_channel(b, 3), e)]
-        npt.assert_allclose(got, want, rtol=1e-14)
+        b[0::2, 3] = 1e-60
+        if n == 2:
+            b[1, 3] = 1e60
+        got = log_damped_weight(b, 3, t)
+        npt.assert_allclose(got, exact_b_log_weight(b, 3, t), rtol=1e-14)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 2), (6, 2)])
     def test_sampled_draws_match_gram_polynomial(self, m, n):
-        # On the sweep's own draws, lambda_max and det / lambda_max within
-        # 1e-13 * lambda_max of eigvalsh of the Gram matrix's entries at
-        # every scale a sweep reads.  The log weight a span reads from the
-        # determinant and lambda_max is, within 1e-13 relative, the weight
-        # of that pair.
+        # On the sweep's own draws, the determinant and trace from the
+        # minors within 1e-13 of their terms' size of those read from
+        # GramPolynomial's entries at every scale a sweep reads; and the
+        # log damped weight from B, within 1e-13 relative, the weight of
+        # the dense spectrum of B B^T with lambda_min = det / lambda_max.
         b, e = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 6, count=3000)
         minors, grams = EstimateMinors(b, e), GramPolynomial(b, e)
-        w = eigen_decay_weights(m, n)
         for c in (1.0, 0.3, 1e-4):
-            det, lam_max, k = scaled_det_and_lam_max(minors, c)
-            pair = [np.ldexp(lam_max, k)]
+            det, trace, k = scaled_det_and_trace(minors, c)
+            g = grams._evaluate(c)
+            npt.assert_allclose(np.ldexp(trace, k), g[:n].sum(axis=0), rtol=1e-13)
             if n == 2:
-                pair.insert(0, np.ldexp(det / lam_max, k))
-            pair = np.stack(pair)
-            want = grams.spectrum(c)
-            assert np.all(np.abs(pair.T - want) <= 1e-13 * want[:, -1:]), c
-            for t in (0.4, 0.9):
-                npt.assert_allclose(np.exp(minors.log_damped_weight(c, t)),
-                                    np.exp(_log_damped_weight(pair.copy(), w, t)),
-                                    rtol=1e-13)
+                want = g[0] * g[1] - g[2] ** 2 - g[3] ** 2
+                gap = np.abs(np.ldexp(det, 2 * k) - want)
+                assert np.all(gap <= 1e-13 * g[0] * g[1]), c
+        for t in (0.4, 0.9):
+            npt.assert_allclose(
+                np.exp(log_damped_weight(b, m, t)),
+                np.exp(spectrum_log_weight(bidiagonal_spectrum(b, m), m, t)),
+                rtol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1208,6 +1184,95 @@ class TestEstimateMinors:
         for b in (np.ones((4, 2, 3)), np.ones((1, 4)), np.ones((3, 5))):
             with pytest.raises(ValueError, match="shape"):
                 EstimateMinors(b, e)
+
+
+class TestLogDampedWeight:
+    """The log damped weight a span reads once per trial, from ``B``'s
+    entries alone, at three rows and more (one real ``eigvalsh`` of the
+    tridiagonal ``B B^T``), and what holds at any row count.  One and two
+    rows are checked against exact arithmetic in
+    :class:`TestEstimateMinors`."""
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (4, 3), (5, 3), (4, 4), (6, 4),
+                                     (5, 5), (6, 6)])
+    @pytest.mark.parametrize("scale", [1e-50, 1.0, 1e50])
+    def test_three_rows_and_more_match_spectrum_reference(self, m, n, scale):
+        # Against the weight of the dense spectrum of B B^T formed by
+        # matmul, with lambda_min = det / prod_{k>=2} lambda_k, on the
+        # sweep's draws scaled across the domain.  Both take lambda_k from
+        # an eigvalsh, within a few u of lambda_max, so the bound is 32 u
+        # times t * sum_{k>=2} 2 (k - 1) lambda_max / lambda_k (the
+        # eigenvalue errors) plus t * sum(c_k |log lambda_k|) (the logs'
+        # rounding).
+        b, _ = sample_channel_block(ChannelConfig(m, n, 0.5), 10.0, 8,
+                                    count=4000, error=False)
+        b = b * scale
+        lam = bidiagonal_spectrum(b, m)
+        c = eigen_decay_weights(m, n)
+        for t in (0.4, 0.9):
+            got = log_damped_weight(b, m, t)
+            want = spectrum_log_weight(lam, m, t)
+            size = t * ((c[1:] - c[0]) * lam[:, -1:] / lam[:, 1:]).sum(axis=1)
+            size += t * (c * np.abs(np.log(lam))).sum(axis=1)
+            assert np.all(np.abs(got - want) <= 32 * 2.0 ** -53 * size), t
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_three_rows_and_more_floor_eigenvalues(self, n):
+        # An eigenvalue below the smallest normal float counts as that
+        # float, also where eigvalsh reads it as a tiny negative number: a
+        # zero B reads -t * sum(c_k) * log(tiny), and a B with d_n = 0, or
+        # with d_1 = d_2 = 0, has a zero lambda_1, which the reference
+        # floors too.  Each log weight is within 1e-11 of the reference's.
+        m, t = n + 1, 0.9
+        b = weight_draws(n, "generic", 1.0, np.random.default_rng(n), 5)
+        b[:, 1] = 0.0
+        b[2 * n - 2, 2] = 0.0
+        b[[0, 2], 3] = 0.0
+        got = log_damped_weight(b, m, t)
+        c = eigen_decay_weights(m, n)
+        log_tiny = math.log(np.finfo(float).tiny)
+        npt.assert_allclose(got[1], -t * c.sum() * log_tiny, rtol=1e-15)
+        lam = gram_spectrum(dense_channel(b, m))
+        lam[[2, 3], 0] = 0.0
+        keep = [0, 2, 3]
+        npt.assert_allclose(got[keep], spectrum_log_weight(lam[keep], m, t),
+                            rtol=0.0, atol=1e-11)
+
+    def test_mixed_scale_batch_reads_each_trial_alone(self):
+        # A two-row B with d1 = s1 = 1 and d2 = 1e-60 reads the same weight
+        # beside trials with entries 1e60 and 1e-60 as alone, and that
+        # weight is exact: -t (log 1e-120 + 2 log lambda_max), lambda_max =
+        # 2 to within 1e-120.  Each trial's weight is its own, whatever its
+        # batch.
+        t = 0.9
+        b = np.array([[1.0, 1e60, 1e-60], [1.0, 1e60, 1e-60],
+                      [1e-60, 1e60, 1e-60]])
+        got = log_damped_weight(b, 2, t)
+        for i in range(3):
+            assert got[i] == log_damped_weight(b[:, i:i + 1].copy(), 2, t)[0]
+        npt.assert_allclose(got[0], -t * (math.log(1e-120) + 2 * math.log(2.0)),
+                            rtol=1e-15)
+        npt.assert_allclose(got, exact_b_log_weight(b, 2, t), rtol=1e-15)
+
+    @pytest.mark.parametrize("m,n", [(2, 1), (2, 2), (3, 3), (6, 6)])
+    def test_batch_size_invariance(self, m, n):
+        # A trial's weight must not depend on the size of the batch it is
+        # drawn in, on the closed form's rows or on eigvalsh's.
+        cfg = ChannelConfig(m, n, 0.5)
+        whole, _ = sample_channel_block(cfg, 10.0, 4, count=40_000, error=False)
+        got = np.concatenate([
+            log_damped_weight(sample_channel_block(
+                cfg, 10.0, 4, start=s, count=min(3000, 40_000 - s),
+                error=False)[0], m, 0.9)
+            for s in range(0, 40_000, 3000)])
+        assert np.array_equal(got, log_damped_weight(whole, m, 0.9))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 3)])
+    def test_rejects_other_shapes(self, shape):
+        # An even row count, one trial's entries and a dense batch are not
+        # B's 2n - 1 entries as rows of trials.
+        with pytest.raises(ValueError, match="shape"):
+            log_damped_weight(np.ones(shape), 3, 0.9)
 
 
 def exact_capacity_det(h, e, c, power):
@@ -1320,10 +1385,11 @@ class TestCapacityDet:
 
 class TestRealChannel:
     """The sweep's channel is real bidiagonal, and :class:`GramPolynomial`
-    reads only its diagonal and subdiagonal.  Its blocks, and so its
-    spectra, must equal the per-entry sums over every column of the
-    complex-cast operands (:func:`per_entry_blocks`) up to the sign of an
-    exact zero, which ``np.array_equal`` does not tell apart."""
+    reads only its diagonal and subdiagonal.  Its blocks, and so the Gram
+    matrices its capacity determinants read, must equal the per-entry sums
+    over every column of the complex-cast operands
+    (:func:`per_entry_blocks`) up to the sign of an exact zero, which
+    ``np.array_equal`` does not tell apart."""
 
     @staticmethod
     def _real_b(kind, n, m, rng):
@@ -1345,9 +1411,8 @@ class TestRealChannel:
             assert np.array_equal(getattr(grams, name), want), name
         a, cross, c_block = blocks
         for c in cs:
-            gram = (c_block * c + cross) * c + a
-            want = channel._gram_spectrum(gram, e.shape[-2]).T
-            assert np.array_equal(grams.spectrum(c), want), c
+            want = (c_block * c + cross) * c + a
+            assert np.array_equal(grams._evaluate(c), want), c
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
            m=st.integers(1, 6),

@@ -6,9 +6,9 @@ estimate's eigenvalue density by a Gauss–Jacobi rule
 (``simulate._log_mean_weight``, normalized by
 ``channel.wishart_log_norm_const``).  The check here shares neither: it
 draws bidiagonals with the sweep's own sampler, reads each one's damped
-weight as a sweep's span does, at ``c = 0`` from an ``EstimateMinors`` on
-one- and two-row links and from a ``GramPolynomial`` on links with more
-rows, scales it to the estimate ``sqrt(s) [B 0]``'s, and averages
+weight as a sweep's span does, from ``B``'s entries alone
+(``channel.log_damped_weight``), scales it to the estimate ``sqrt(s) [B
+0]``'s, and averages
 ``kappa`` times that weight.  A wrong density or a wrong reduction of it
 would leave this average off the budget.  The squared weight has a
 finite mean only for ``t < 1/2``, so the check stops there.
@@ -18,12 +18,7 @@ import math
 import numpy as np
 import pytest
 
-from mimo_dmt.channel import (
-    ChannelConfig,
-    EstimateMinors,
-    GramPolynomial,
-    sample_channel_block,
-)
+from mimo_dmt.channel import ChannelConfig, log_damped_weight, sample_channel_block
 from mimo_dmt.simulate import PowerPolicy, calibrate_kappa
 
 RHO = 10.0
@@ -38,12 +33,12 @@ def sampled_mean_weights(cfg, ts, trials, seed):
     s = 1.0 + RHO ** -cfg.alpha
     sums = {t: [0.0, 0.0] for t in ts}
     for start in range(0, trials, SPAN):
-        b, e = sample_channel_block(cfg, RHO, seed, start=start,
-                                    count=min(SPAN, trials - start))
-        estimate = (EstimateMinors if cfg.n_rx <= 2 else GramPolynomial)(b, e)
+        # B is drawn as a span draws it; the weight does not read the error.
+        b, _ = sample_channel_block(cfg, RHO, seed, start=start,
+                                    count=min(SPAN, trials - start), error=False)
         for t in ts:
             # The estimate's spectrum is s times that of [B 0].
-            w = np.exp(estimate.log_damped_weight(0.0, t))
+            w = np.exp(log_damped_weight(b, cfg.m_tx, t))
             w *= s ** (-t * cfg.m_tx * cfg.n_rx)
             sums[t][0] += float(w.sum())
             sums[t][1] += float((w * w).sum())

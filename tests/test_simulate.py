@@ -15,8 +15,8 @@ from mimo_dmt.channel import (
     ChannelConfig,
     EstimateMinors,
     GramPolynomial,
-    _log_damped_weight,
     eigen_decay_weights,
+    log_damped_weight,
     sample_channel_block,
 )
 from mimo_dmt.simulate import (
@@ -29,10 +29,12 @@ from mimo_dmt.simulate import (
     run_sweep,
 )
 from reference import (
+    bidiagonal_spectrum,
     dense_channel,
     gram_spectrum,
     one_antenna_damped_outage,
     reduced_quadrature_mean_weight,
+    spectrum_log_weight,
 )
 
 # Mean damped-eigenvalue-product weight E[prod b_n^{-t c_n}] for the 2x2
@@ -46,10 +48,9 @@ MEAN_WEIGHT_2X2_T09 = 16.97897080792607
 
 def _damped_weight(cfg, b, t):
     """Kappa-free weight ``prod(b_n ** -(t * w_n))`` of a ``(trials, n_rx)``
-    batch of ascending eigenvalues: the exponential of
-    ``_log_damped_weight``, the log weight a sweep's spans form."""
-    w = eigen_decay_weights(cfg.m_tx, cfg.n_rx)
-    return np.exp(_log_damped_weight(np.array(b, dtype=float).T, w, t))
+    batch of ascending eigenvalues: the exponential of the reference's
+    ``spectrum_log_weight``."""
+    return np.exp(spectrum_log_weight(np.asarray(b, dtype=float), cfg.m_tx, t))
 
 
 def scalar_mean_weight(m, t, sigma_sq):
@@ -151,47 +152,52 @@ class TestPowerPolicy:
 
 class TestAdaptedPower:
     """The power ``kappa * p_bar * prod(b_n ** -(t * w_n))`` a sweep gives
-    each trial: its kappa-free damped weight, times kappa and the budget."""
+    each trial: its kappa-free damped weight, the exponential of
+    :func:`~mimo_dmt.channel.log_damped_weight` of its ``B``, times kappa
+    and the budget.  With ``s_1 = 0``, ``B B^T`` is diagonal, and its
+    eigenvalues are the squared diagonal entries."""
 
     def test_t_zero_constant_power(self):
         cfg = ChannelConfig(3, 2, 0.5)
-        b = np.array([[0.3, 7.0], [1e-300, 1e300]])
-        npt.assert_array_equal(_damped_weight(cfg, b, 0.0), [1.0, 1.0])
+        b = np.array([[math.sqrt(0.3), 1e-60], [0.0, 0.0], [math.sqrt(7.0), 1e60]])
+        npt.assert_array_equal(np.exp(log_damped_weight(b, cfg.m_tx, 0.0)),
+                               [1.0, 1.0])
 
     def test_single_antenna_value(self):
         # Weight 2n-1+M-N = 2 for (2,1): weight = 1/4^(0.5*2) = 1/4.
-        cfg = ChannelConfig(2, 1, 0.5)
-        npt.assert_allclose(_damped_weight(cfg, np.array([[4.0]]), 0.5), [0.25],
-                            rtol=1e-14)
+        npt.assert_allclose(np.exp(log_damped_weight(np.array([[2.0]]), 2, 0.5)),
+                            [0.25], rtol=1e-14)
 
     def test_unit_eigenvalues(self):
-        cfg = ChannelConfig(2, 2, 0.5)
-        npt.assert_array_equal(_damped_weight(cfg, np.ones((3, 2)), 0.7), 1.0)
+        b = np.array([[1.0] * 3, [0.0] * 3, [1.0] * 3])
+        npt.assert_array_equal(np.exp(log_damped_weight(b, 2, 0.7)), 1.0)
 
     def test_general_value(self):
         # (2,2): weights (1,3); P = kappa*p_bar*(b1*b2^3)^(-t), row by row.
-        cfg = ChannelConfig(2, 2, 0.1)
-        b = np.array([[0.7, 2.2], [0.05, 9.0]])
+        lam = np.array([[0.7, 2.2], [0.05, 9.0]])
+        b = np.array([np.sqrt(lam[:, 0]), [0.0, 0.0], np.sqrt(lam[:, 1])])
         want = [0.5 * 10.0 * (0.7 * 2.2 ** 3) ** -0.9,
                 0.5 * 10.0 * (0.05 * 9.0 ** 3) ** -0.9]
-        npt.assert_allclose(0.5 * 10.0 * _damped_weight(cfg, b, 0.9), want,
-                            rtol=1e-13)
+        npt.assert_allclose(0.5 * 10.0 * np.exp(log_damped_weight(b, 2, 0.9)),
+                            want, rtol=1e-13)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (4, 4)])
     def test_weight_is_exp_of_span_log_weight(self, m, n):
-        # The weight of an estimate spectrum is the exponential of the log
-        # weight a span reads from a GramPolynomial, the reader on three or
-        # more rows, bit for bit.  EstimateMinors' weight, read from the
-        # determinant and lambda_max, is checked against that pair's in
-        # tests/test_channel.py (test_sampled_draws_match_gram_polynomial).
+        # The weight of an estimate spectrum that the tests' references
+        # take (_damped_weight, of the dense spectrum of B B^T with
+        # lambda_min = det / prod_{k>=2} lambda_k) against the exponential
+        # of the log weight a span reads from B: 1 at t = 0, and within
+        # 1e-13 relative (at most 7.2e-15 here).
         cfg = ChannelConfig(m, n, 0.5)
-        grams = GramPolynomial(*sample_channel_block(cfg, 10.0, 3, count=5000))
-        b = grams.spectrum(0.7)
+        b, _ = sample_channel_block(cfg, 10.0, 3, count=5000, error=False)
         kept = b.copy()
+        lam = bidiagonal_spectrum(b, m)
         for t in (0.0, 0.4, 0.9):
-            log_weight = grams.log_damped_weight(0.7, t, out=np.empty(5000))
-            npt.assert_array_equal(_damped_weight(cfg, b, t), np.exp(log_weight))
-        # The helper overwrites its rows; the weight leaves its input alone.
+            weight = np.exp(log_damped_weight(b, m, t))
+            if t == 0.0:
+                npt.assert_array_equal(weight, 1.0)
+            npt.assert_allclose(_damped_weight(cfg, lam, t), weight, rtol=1e-13)
+        # The weight leaves its input alone.
         npt.assert_array_equal(b, kept)
 
 
@@ -402,7 +408,7 @@ class TestOutageTrial:
         for rho_g in grid:
             s = 1.0 + rho_g ** -cfg.alpha
             ratio = math.sqrt(rho_g ** -cfg.alpha / grid[0] ** -cfg.alpha)
-            weight = _damped_weight(cfg, gram_spectrum(math.sqrt(s) * h), 0.9)
+            weight = _damped_weight(cfg, s * bidiagonal_spectrum(b, m), 0.9)
             a = gram_spectrum((h + ratio * e) / math.sqrt(s))
             # Each point's kappa is the first of the steps 2**(k/8) at which
             # at most half the trials are in outage (the count falls as
@@ -425,41 +431,43 @@ class TestOutageTrial:
         assert got == want
 
     @staticmethod
-    def _spy_estimates(monkeypatch, cls):
-        # Record each object of class cls built, by its trial count, and
-        # each read of it, as the reader's name and the scale c read at.
-        built, scales = [], []
-        init = cls.__init__
+    def _spy_span(monkeypatch):
+        # Record, in order, each weight read and each estimate object
+        # built, by name and trial count, and each capacity determinant
+        # read, by its class and the scale c it is read at.
+        events = []
+        weight = simulate.log_damped_weight
 
-        def spy_init(self, b, e):
-            built.append(len(e))
-            init(self, b, e)
+        def spy_weight(b, m, t):
+            events.append(("log_damped_weight", b.shape[1]))
+            return weight(b, m, t)
 
-        def spy(name):
-            reader = getattr(cls, name)
+        monkeypatch.setattr(simulate, "log_damped_weight", spy_weight)
+        for cls in (EstimateMinors, GramPolynomial):
+            def spy_init(self, b, e, init=cls.__init__, name=cls.__name__):
+                events.append((name, len(e)))
+                init(self, b, e)
 
-            def spy_reader(self, c, *args):
-                scales.append((name, c))
-                return reader(self, c, *args)
-            return spy_reader
+            def spy_det(self, c, *args, det=cls.capacity_det, name=cls.__name__):
+                events.append((name + ".capacity_det", c))
+                return det(self, c, *args)
 
-        monkeypatch.setattr(cls, "__init__", spy_init)
-        for name in ("log_damped_weight", "capacity_det"):
-            monkeypatch.setattr(cls, name, spy(name))
-        return built, scales
+            monkeypatch.setattr(cls, "__init__", spy_init)
+            monkeypatch.setattr(cls, "capacity_det", spy_det)
+        return events
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 3)])
     def test_constant_power_reads_no_spectrum(self, m, n, monkeypatch):
-        # At t = 0 the power is the constant rho / m: a span builds no Gram
-        # blocks and reads no spectrum, and its counts equal the capacity
-        # test on the dense spectrum of the same draws.
-        built, scales = self._spy_estimates(monkeypatch, GramPolynomial)
+        # At t = 0 the power is the constant rho / m: a span reads no
+        # weight and builds no estimate object, and its counts equal the
+        # capacity test on the dense spectrum of the same draws.
+        events = self._spy_span(monkeypatch)
         monkeypatch.setattr(simulate, "_TRIAL_CHUNK", 1500)
         cfg = ChannelConfig(m, n, 0.5)
         grid, r, trials, seed = [10.0, 100.0, 1000.0], 0.6 * n, 5000, 43
         sweep = run_sweep(cfg, r, grid, trials, PowerPolicy(t=0.0), seed,
                           workers=2)
-        assert built == [] and scales == []
+        assert events == []
         b, _ = sample_channel_block(cfg, grid[0], seed, count=trials)
         a = gram_spectrum(dense_channel(b, m))
         for rho, p in zip(grid, sweep.p_out):
@@ -501,26 +509,25 @@ class TestOutageTrial:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (2, 2), (4, 2), (3, 3)])
     def test_damped_power_reads_one_estimate_spectrum_per_point(
             self, m, n, monkeypatch):
-        # At t = 0.9 each span builds one object of polynomials in c and
-        # reads the estimate's log damped weight from it once, at c = 0,
-        # then each point's capacity determinant once, at its error scale:
-        # no point reads an estimate spectrum.  One- and two-row links read
-        # both from the minors and the trace, with no GramPolynomial; three
-        # or more rows build one per span.
-        grams = self._spy_estimates(monkeypatch, GramPolynomial)
-        minors = self._spy_estimates(monkeypatch, EstimateMinors)
+        # At t = 0.9 each span reads the estimate's log damped weight once,
+        # from B's entries alone, before it builds one object of
+        # polynomials in c, then each point's capacity determinant once
+        # from it, at its error scale: no point reads an estimate spectrum.
+        # One- and two-row links read the determinant from the minors and
+        # the trace, with no GramPolynomial; three or more rows build one
+        # per span.
+        events = self._spy_span(monkeypatch)
         cfg = ChannelConfig(m, n, 0.5)
         grid = [10.0, 100.0, 1000.0]
         for start, count in [(0, 500), (500, 200)]:
             _count_outages_span(cfg, grid, 0.6 * n, 0.9, [1.0] * 3, 43,
                                 start=start, count=count)
-        used, unused = (minors, grams) if n <= 2 else (grams, minors)
-        assert unused == ([], [])
-        built, scales = used
-        assert built == [500, 200]
-        assert scales == ([("log_damped_weight", 0.0)]
-                          + [("capacity_det", (grid[0] / rho) ** (cfg.alpha / 2))
-                             for rho in grid]) * 2
+        name = "EstimateMinors" if n <= 2 else "GramPolynomial"
+        assert events == [
+            event for count in (500, 200)
+            for event in [("log_damped_weight", count), (name, count)]
+            + [(name + ".capacity_det", (grid[0] / rho) ** (cfg.alpha / 2))
+               for rho in grid]]
 
     @staticmethod
     def _damped_span_peak(points):
@@ -539,9 +546,9 @@ class TestOutageTrial:
 
     def test_damped_span_peak_memory(self):
         # One 2x2 span of 32,768 trials at t 0.9 on the 7-point grid peaks
-        # at about 6.30 MB: the uniforms' buffer, which B and the error are
-        # written into, and the estimate's minors.  A separate array for B
-        # adds 0.79 MB.
+        # at about 6.03 MB: the uniforms' buffer, which B and the error are
+        # written into, the weight's row, read first, and the estimate's
+        # minors.  A separate array for B adds 0.79 MB.
         assert self._damped_span_peak(7) <= 6.4e6
 
     def test_damped_span_peak_memory_does_not_grow_with_grid(self):
